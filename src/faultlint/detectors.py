@@ -63,7 +63,7 @@ class Finding:
     file_path: str
     line: int
     message: str
-    detail: dict = field(default_factory=dict)
+    detail: dict = field(default_factory=dict, hash=False)
 
     def sort_key(self):
         return (self.file_path, self.line, self.error_code)
@@ -168,24 +168,40 @@ def detect_itu(model: ProgramModel) -> list[Finding]:
     is a strict descendant of the callee's declared parameter type there;
     the callee mutates that parameter (non-accessor call or field write);
     and the caller invokes any method on the same name on a later line.
+
+    Callees resolve through the class hierarchy from the receiver's static
+    type: the enclosing class for g(...) and this.g(...), the declared type
+    of x for x.g(...). Any other receiver, or an x of unknown type, falls
+    back to every method of the same name and arity.
     """
     findings = []
     for class_name, file_path, decl, method in model.iter_methods():
-        call_sites = []   # (call expr, arg idents, arg declared types)
+        call_sites = []   # (call expr, arg idents, arg declared types, receiver type)
         name_uses = []    # (receiver ident, line) for x.m(...) anywhere
         for expr, scope in iter_scoped_exprs(decl, method):
             if not isinstance(expr, MethodCall):
                 continue
-            if isinstance(expr.receiver, Name):
-                name_uses.append((expr.receiver.ident, expr.line, expr.name))
-            idents = [a.ident if isinstance(a, Name) else None for a in expr.args]
+            receiver = expr.receiver
+            if isinstance(receiver, Name):
+                name_uses.append((receiver.ident, expr.line, expr.name))
             types = [static_type_of(a, scope, model) if isinstance(a, Name) else None
                      for a in expr.args]
-            call_sites.append((expr, idents, types))
+            if all(t is None for t in types):
+                continue  # no typed Name argument that could be flagged
+            idents = [a.ident if isinstance(a, Name) else None for a in expr.args]
+            if receiver is None or (isinstance(receiver, Name) and receiver.ident == "this"):
+                receiver_type = class_name
+            elif isinstance(receiver, Name):
+                receiver_type = static_type_of(receiver, scope, model)
+            else:
+                receiver_type = None
+            call_sites.append((expr, idents, types, receiver_type))
 
-        for call, idents, types in call_sites:
+        for call, idents, types, receiver_type in call_sites:
+            resolution = "name-arity" if receiver_type is None else "hierarchy"
             emitted = False
-            for callee_class, callee in resolve_callee(call.name, len(call.args), model):
+            for callee_class, callee in resolve_callee(
+                    call.name, len(call.args), model, receiver_type):
                 for position, (ident, arg_type) in enumerate(zip(idents, types)):
                     if ident is None or arg_type is None:
                         continue
@@ -217,6 +233,7 @@ def detect_itu(model: ProgramModel) -> list[Finding]:
                             "mutation_line": mut_line,
                             "post_call_use_line": later_use[1],
                             "post_call_use": f"{ident}.{later_use[2]}(...)",
+                            "resolution": resolution,
                         },
                     ))
                     emitted = True

@@ -138,6 +138,7 @@ class ClassHierarchy:
     super_edges: dict[str, tuple[str, ...]]
     origin: dict[str, str]  # class name -> corpus file path or ORIGIN_SEED
     unknown: frozenset[str]  # referenced superclasses declared nowhere
+    subclasses: dict[str, tuple[str, ...]]  # first superclass -> sorted subclasses
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,13 @@ def build_model(
     unknown = frozenset(
         sup for sups in super_edges.values() for sup in sups if sup not in nodes
     )
-    hierarchy = ClassHierarchy(nodes, super_edges, origin, unknown)
+    subclasses: dict[str, list[str]] = {}
+    for sub, sups in super_edges.items():
+        subclasses.setdefault(sups[0], []).append(sub)
+    hierarchy = ClassHierarchy(
+        nodes, super_edges, origin, unknown,
+        {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
+    )
 
     seen_cycles: set[frozenset[str]] = set()
     for name in sorted(classes):
@@ -344,9 +351,58 @@ def static_type_of(expr: Expr, scope: Scope, model: ProgramModel | None = None) 
     return None
 
 
-def resolve_callee(name: str, arity: int, model: ProgramModel) -> list[tuple[str, MethodDecl]]:
-    """All corpus methods matching (name, arity), in (file path, line) order."""
-    return list(model.method_index.get((name, arity), ()))
+def resolve_callee(name: str, arity: int, model: ProgramModel,
+                   receiver_type: str | None = None) -> list[tuple[str, MethodDecl]]:
+    """Corpus methods a call of (name, arity) may dispatch to.
+
+    Without a receiver type: every method matching (name, arity), in
+    (file path, line) order. With one, class hierarchy analysis along
+    first-superclass edges: walking up from receiver_type (a cycle ends
+    the walk), the nearest declaration of each parameter-type list, so an
+    override hides the methods it overrides but not a same-arity overload;
+    then every method of that name and arity declared below receiver_type,
+    depth-first over subclasses in sorted order, since the receiver may be
+    any descendant at run time. Empty when nothing at or above
+    receiver_type declares the method.
+    """
+    if receiver_type is None:
+        return list(model.method_index.get((name, arity), ()))
+    hierarchy = model.hierarchy
+    found: list[tuple[str, MethodDecl]] = []
+    signatures: set[tuple[str, ...]] = set()
+    current: str | None = receiver_type
+    visited: set[str] = set()
+    while current is not None and current not in visited:
+        visited.add(current)
+        for entry in _declared_methods(current, name, arity, model):
+            signature = tuple(p.type_name for p in entry[1].params)
+            if signature not in signatures:
+                signatures.add(signature)
+                found.append(entry)
+        supers = hierarchy.super_edges.get(current)
+        current = supers[0] if supers else None
+    if not found:
+        return []
+    # on an inheritance cycle the classes already walked upwards are also
+    # below receiver_type; visiting none of them twice ends the walk
+    pending = list(reversed(hierarchy.subclasses.get(receiver_type, ())))
+    while pending:
+        current = pending.pop()
+        if current in visited:
+            continue
+        visited.add(current)
+        found.extend(_declared_methods(current, name, arity, model))
+        pending.extend(reversed(hierarchy.subclasses.get(current, ())))
+    return found
+
+
+def _declared_methods(class_name: str, name: str, arity: int,
+                      model: ProgramModel) -> list[tuple[str, MethodDecl]]:
+    decl = model.classes.get(class_name)
+    if decl is None:
+        return []
+    return [(class_name, m) for m in decl.methods
+            if m.name == name and len(m.params) == arity]
 
 
 def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import faultlint
 from faultlint import __version__
 from faultlint.cli import (
     RunConfig,
@@ -132,6 +137,18 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert f"faultlint {__version__}" in out
+
+
+def test_python_m_version_exits_0():
+    src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "faultlint", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"faultlint {__version__}"
 
 
 # --- determinism ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -295,6 +296,97 @@ class User
 """
     findings = detect_itu(model_for_source(source, "corp.java"))
     assert [(f.class_name, f.line) for f in findings] == [("User", 7)]
+
+
+@pytest.mark.parametrize("call", ["g (s);", "this.g (s);"])
+def test_d4_same_named_method_in_unrelated_class_not_flagged(call):
+    source = f"""\
+class Keeper
+{{
+    void f(Stack s)
+    {{
+        {call}
+        s.pop();
+    }}
+    void g(Vector v)
+    {{
+        v.size();
+    }}
+}}
+class Mutator
+{{
+    void g(Vector v)
+    {{
+        v.removeElementAt (v.size()-1);
+    }}
+}}
+"""
+    assert detect_itu(model_for_source(source, "two.java")) == []
+
+
+def test_d4_mutating_subclass_override_flagged_through_base_type():
+    source = """\
+class Base
+{
+    void g(Vector v)
+    {
+        v.size();
+    }
+}
+class Derived extends Base
+{
+    void g(Vector v)
+    {
+        v.removeElementAt (v.size()-1);
+    }
+}
+class User
+{
+    void f(Stack s, Base b)
+    {
+        b.g (s);
+        s.pop();
+    }
+}
+"""
+    findings = detect_itu(model_for_source(source, "override.java"))
+    assert [(f.class_name, f.line) for f in findings] == [("User", 19)]
+    assert findings[0].detail["callee"] == "Derived.g"
+    assert findings[0].detail["resolution"] == "hierarchy"
+
+
+def test_d4_unknown_receiver_type_falls_back_to_name_arity():
+    source = """\
+class Chained
+{
+    void f(Stack s)
+    {
+        a.b.g (s);
+        s.pop();
+    }
+}
+class Elsewhere
+{
+    void g(Vector v)
+    {
+        v.removeElementAt (v.size()-1);
+    }
+}
+"""
+    findings = detect_itu(model_for_source(source, "chained.java"))
+    assert [(f.class_name, f.line) for f in findings] == [("Chained", 5)]
+    assert findings[0].detail["callee"] == "Elsewhere.g"
+    assert findings[0].detail["resolution"] == "name-arity"
+
+
+def test_finding_is_hashable_and_compares_detail():
+    finding = detect_itu(case_model("stack_vector_itu.java"))[0]
+    twin = replace(finding, detail=dict(finding.detail))
+    other = replace(finding, detail={**finding.detail, "argument": "t"})
+    assert hash(finding) == hash(twin) == hash(other)
+    assert finding == twin and finding != other
+    assert twin in {finding}
+    assert other not in {finding}
 
 
 # --- code 5: Illicit file usage --------------------------------------------------

@@ -336,6 +336,63 @@ def test_resolve_two_same_signature_methods_ordered():
     assert [c for c, _ in resolve_callee("run", 1, model)] == ["B2", "A2"]
 
 
+def _resolved(model, name, arity, receiver_type):
+    return [c for c, _ in resolve_callee(name, arity, model, receiver_type)]
+
+
+def test_resolve_inherited_method_found_in_superclass():
+    model = model_for_source(
+        "class P { void run(int n) { } }\n"
+        "class Q extends P { }\n"
+        "class Other { void run(int n) { } }\n",
+        "h.java",
+    )
+    assert _resolved(model, "run", 1, "Q") == ["P"]
+    assert _resolved(model, "run", 1, "Other") == ["Other"]
+    assert _resolved(model, "run", 2, "Q") == []
+    assert _resolved(model, "run", 1, "Unknown") == []
+
+
+def test_resolve_nearest_override_wins_then_overrides_below():
+    model = model_for_source(
+        "class R { void run(int n) { } }\n"
+        "class S extends R { void run(int n) { } }\n"
+        "class T extends S { }\n"
+        "class U2 extends T { void run(int n) { } }\n"
+        "class V2 extends S { void run(int n) { } }\n"
+        "class W2 extends U2 { void run(int n) { } }\n",
+        "h.java",
+    )
+    # nearest at or above the receiver, then every override below it,
+    # depth-first in sorted order; nothing above the nearest declaration
+    assert _resolved(model, "run", 1, "T") == ["S", "U2", "W2"]
+    assert _resolved(model, "run", 1, "S") == ["S", "U2", "W2", "V2"]
+    assert _resolved(model, "run", 1, "R") == ["R", "S", "U2", "W2", "V2"]
+    assert _resolved(model, "run", 1, "W2") == ["W2"]
+
+
+def test_resolve_same_arity_overload_does_not_hide_inherited_method():
+    model = model_for_source(
+        "class OA { void run(Vector v) { } }\n"
+        "class OB extends OA { void run(String t) { } }\n"
+        "class OC extends OB { void run(Vector v) { } }\n",
+        "ov.java",
+    )
+    assert _resolved(model, "run", 1, "OB") == ["OB", "OA", "OC"]
+    assert _resolved(model, "run", 1, "OC") == ["OC", "OB"]
+
+
+def test_resolve_terminates_on_inheritance_cycle():
+    model = model_for_source(
+        "class CA extends CB { }\n"
+        "class CB extends CA { void run(int n) { } }\n",
+        "cyc.java",
+    )
+    assert _resolved(model, "run", 1, "CA") == ["CB"]
+    assert _resolved(model, "run", 1, "CB") == ["CB"]
+    assert _resolved(model, "absent", 0, "CA") == []
+
+
 # --- depth monotonicity invariant -------------------------------------------
 
 
