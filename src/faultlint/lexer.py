@@ -1,37 +1,50 @@
-"""Tokenizer entry point with backend selection.
+"""Tokenizer: one pure-Python scan loop that emits Tokens directly.
 
-Prefers the compiled scanner (faultlint._scanner, built from Cython) and
-falls back to the pure-Python one when the extension is absent or when
-FAULTLINT_PURE is set in the environment. Both backends implement the same
-scan() contract and are checked for identical output in the test suite.
+The loop dispatches on the first character of each lexeme. Runs of blanks
+and identifier tails are consumed with precompiled regular expressions;
+on str patterns `\\w` is exactly `str.isalnum()` plus `_`, so `[\\w$]` is the
+identifier-part test. First characters keep the `str` predicates: `\\d` is
+narrower than `str.isdigit()` (`²` starts a numeric literal).
 """
 
 from __future__ import annotations
 
-import os
+import re
 
-from faultlint import _scanner_py
-from faultlint.tokens import LexError, Token
+from faultlint.tokens import (
+    CHAR,
+    IDENTIFIER,
+    KEYWORD,
+    KEYWORDS,
+    LexError,
+    NUMBER,
+    ONE_CHAR_OPERATORS,
+    OPERATOR,
+    PUNCTUATOR,
+    STRING,
+    TWO_CHAR_OPERATORS,
+    Token,
+)
 
 __all__ = ["tokenize", "LexError", "Token", "scanner_backend"]
 
-if os.environ.get("FAULTLINT_PURE"):
-    _scan = _scanner_py.scan
-    _BACKEND = "python"
-else:
-    try:
-        from faultlint import _scanner  # type: ignore[attr-defined]
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_NUM_SUFFIXES = "lLfFdD"
+# Punctuators that never start a longer lexeme.
+_SIMPLE_PUNCTUATORS = frozenset("{}();,.[]")
+_BLANKS = " \t\r\f\v"
 
-        _scan = _scanner.scan
-        _BACKEND = "c"
-    except ImportError:
-        _scan = _scanner_py.scan
-        _BACKEND = "python"
+_skip_blanks = re.compile(f"[{_BLANKS}]*").match
+_ident_tail = re.compile(r"[\w$]*").match
+# A backslash escapes any character but a newline; a literal ends at the
+# first newline or at end of input without its closing quote.
+_string_literal = re.compile(r'"(?:[^"\\\n]|\\[^\n])*"').match
+_char_literal = re.compile(r"'(?:[^'\\\n]|\\[^\n])*'").match
 
 
 def scanner_backend() -> str:
-    """Name of the active scan loop: "c" (compiled) or "python"."""
-    return _BACKEND
+    """Name of the scan loop in use; there is one, written in Python."""
+    return "python"
 
 
 def tokenize(source_text: str) -> list[Token]:
@@ -41,4 +54,111 @@ def tokenize(source_text: str) -> list[Token]:
     literals keep their quotes in the lexeme. Raises LexError (with line
     and column) on an unterminated string/char literal or block comment.
     """
-    return [Token(*raw) for raw in _scan(source_text)]
+    text = source_text
+    tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    n = len(text)
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    while pos < n:
+        ch = text[pos]
+
+        if ch in _SIMPLE_PUNCTUATORS:
+            append(new(Token, (PUNCTUATOR, ch, line, pos - line_start + 1)))
+            pos += 1
+            continue
+
+        if ch == "\n":
+            line += 1
+            line_start = pos + 1
+            pos = _skip_blanks(text, line_start).end()
+            continue
+        if ch in _BLANKS:
+            pos += 1
+            if pos < n and text[pos] in _BLANKS:
+                pos = _skip_blanks(text, pos).end()
+            continue
+
+        if ch.isdigit():
+            start = pos
+            if ch == "0" and pos + 1 < n and text[pos + 1] in "xX":
+                pos += 2
+                while pos < n and text[pos] in _HEX_DIGITS:
+                    pos += 1
+            else:
+                pos += 1
+                while pos < n and text[pos].isdigit():
+                    pos += 1
+                if pos + 1 < n and text[pos] == "." and text[pos + 1].isdigit():
+                    pos += 1
+                    while pos < n and text[pos].isdigit():
+                        pos += 1
+                if pos < n and text[pos] in "eE":
+                    mark = pos
+                    pos += 1
+                    if pos < n and text[pos] in "+-":
+                        pos += 1
+                    if pos < n and text[pos].isdigit():
+                        while pos < n and text[pos].isdigit():
+                            pos += 1
+                    else:
+                        pos = mark
+            if pos < n and text[pos] in _NUM_SUFFIXES:
+                pos += 1
+            append(new(Token, (NUMBER, text[start:pos], line, start - line_start + 1)))
+            continue
+
+        if ch.isalpha() or ch == "_" or ch == "$":
+            start = pos
+            pos = _ident_tail(text, pos + 1).end()
+            lexeme = text[start:pos]
+            kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
+            append(new(Token, (kind, lexeme, line, start - line_start + 1)))
+            continue
+
+        if ch == "/" and pos + 1 < n:
+            after = text[pos + 1]
+            if after == "/":
+                end = text.find("\n", pos + 2)
+                pos = n if end < 0 else end
+                continue
+            if after == "*":
+                end = text.find("*/", pos + 2)
+                if end < 0:
+                    raise LexError("unterminated block comment", line, pos - line_start + 1)
+                newlines = text.count("\n", pos + 2, end)
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", pos + 2, end) + 1
+                pos = end + 2
+                continue
+
+        if ch == '"' or ch == "'":
+            match = (_string_literal if ch == '"' else _char_literal)(text, pos)
+            if match is None:
+                kind = "string" if ch == '"' else "char"
+                raise LexError(f"unterminated {kind} literal", line, pos - line_start + 1)
+            end = match.end()
+            append(new(Token, (STRING if ch == '"' else CHAR, text[pos:end],
+                               line, pos - line_start + 1)))
+            pos = end
+            continue
+
+        col = pos - line_start + 1
+        pair = text[pos:pos + 2]
+        if pair in TWO_CHAR_OPERATORS:
+            append(new(Token, (OPERATOR, pair, line, col)))
+            pos += 2
+            continue
+        if ch in ONE_CHAR_OPERATORS:
+            append(new(Token, (OPERATOR, ch, line, col)))
+        else:
+            # Anything else (including out-of-subset characters like '#')
+            # becomes a one-character punctuator; the parser's recovery
+            # deals with it.
+            append(new(Token, (PUNCTUATOR, ch, line, col)))
+        pos += 1
+
+    return tokens

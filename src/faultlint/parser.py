@@ -54,14 +54,23 @@ from faultlint.tokens import (
     Token,
 )
 
-_BINARY_LEVELS = (
-    ("||",),
-    ("&&",),
-    ("==", "!="),
-    ("<", ">", "<=", ">="),
-    ("+", "-"),
-    ("*", "/"),
-)
+# Binary operator -> precedence, tighter binding higher. Every one is
+# left-associative; `=` is parsed apart and is right-associative.
+_BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6,
+}
+
+# The parser recurses into blocks, if/loop bodies, parentheses, argument
+# lists, the right side of `=`, prefix `++`/`--` and the right operand of a
+# tighter-binding operator. At most MAX_NESTING of these may be open at once
+# inside one class member, its body counting as one; deeper input is skipped
+# with a diagnostic before it can exhaust the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class _ParseFailure(Exception):
@@ -74,9 +83,14 @@ class _ParseFailure(Exception):
 
 
 class _Parser:
+    # Punctuator, operator and keyword lexemes each occur with one token kind
+    # only, so the hot paths compare lexemes alone.
+
     def __init__(self, tokens: list[Token], file_path: str):
         self.tokens = tokens
+        self.n = len(tokens)
         self.pos = 0
+        self.depth = 0  # open nested constructs, see MAX_NESTING
         self.file_path = file_path
         self.classes: list[ClassDecl] = []
         self.diagnostics: list[ParseDiagnostic] = []
@@ -85,7 +99,7 @@ class _Parser:
 
     def peek(self, offset: int = 0) -> Token | None:
         i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[i] if i < self.n else None
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -93,33 +107,46 @@ class _Parser:
         return tok
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def lexeme_at(self, offset: int = 0) -> str | None:
-        tok = self.peek(offset)
-        return tok.lexeme if tok is not None else None
+        return self.pos >= self.n
 
     def at(self, kind: str, lexeme: str | None = None, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        if tok is None or tok.kind != kind:
+        i = self.pos + offset
+        if i >= self.n:
             return False
-        return lexeme is None or tok.lexeme == lexeme
+        tok = self.tokens[i]
+        return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
 
     def expect(self, kind: str, lexeme: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= self.n:
             want = lexeme or kind
             raise _ParseFailure(f"expected '{want}' but reached end of file", None)
+        tok = self.tokens[pos]
         if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
             want = lexeme or kind
             raise _ParseFailure(f"expected '{want}' but found '{tok.lexeme}'", tok)
-        return self.advance()
+        self.pos = pos + 1
+        return tok
 
     def _last_line(self) -> int:
         if not self.tokens:
             return 1
-        i = min(self.pos, len(self.tokens) - 1)
-        return self.tokens[i].line
+        return self.tokens[min(self.pos, self.n - 1)].line
+
+    def _nest(self) -> int:
+        """Open one nested construct; returns the new depth."""
+        depth = self.depth + 1
+        if depth > MAX_NESTING:
+            raise _ParseFailure(f"nesting deeper than {MAX_NESTING} levels", self.peek())
+        self.depth = depth
+        return depth
+
+    def _skip_modifiers(self) -> None:
+        tokens = self.tokens
+        pos = self.pos
+        while pos < self.n and tokens[pos].lexeme in MODIFIER_KEYWORDS:
+            pos += 1
+        self.pos = pos
 
     # -- recovery ---------------------------------------------------------
 
@@ -140,29 +167,37 @@ class _Parser:
         self.pos = start_pos
         start_line = self._last_line()
         end_line = start_line
+        tokens = self.tokens
+        n = self.n
+        pos = start_pos
         depth = 0
         first = True
-        while not self.at_end():
-            tok = self.peek()
-            assert tok is not None
-            if tok.kind == PUNCTUATOR and tok.lexeme == "}":
+        while pos < n:
+            tok = tokens[pos]
+            lexeme = tok.lexeme
+            if lexeme == "}":
                 if depth == 0:
                     if first:
                         end_line = tok.line
                     break
                 depth -= 1
-                end_line = self.advance().line
+                end_line = tok.line
+                pos += 1
                 if depth == 0:
                     break
-            elif tok.kind == PUNCTUATOR and tok.lexeme == "{":
+            elif lexeme == "{":
                 depth += 1
-                end_line = self.advance().line
-            elif depth == 0 and tok.kind == PUNCTUATOR and tok.lexeme == ";":
-                end_line = self.advance().line
+                end_line = tok.line
+                pos += 1
+            elif depth == 0 and lexeme == ";":
+                end_line = tok.line
+                pos += 1
                 break
             else:
-                end_line = self.advance().line
+                end_line = tok.line
+                pos += 1
             first = False
+        self.pos = pos
         return start_line, end_line
 
     def skip_top_level(self, start_pos: int, consume_first: bool) -> tuple[int, int]:
@@ -170,20 +205,24 @@ class _Parser:
         self.pos = start_pos
         start_line = self._last_line()
         end_line = start_line
+        tokens = self.tokens
+        n = self.n
+        pos = start_pos
         depth = 0
         first = True
-        while not self.at_end():
-            tok = self.peek()
-            assert tok is not None
-            if (depth == 0 and tok.kind == KEYWORD and tok.lexeme == "class"
-                    and not (first and consume_first)):
+        while pos < n:
+            tok = tokens[pos]
+            lexeme = tok.lexeme
+            if depth == 0 and lexeme == "class" and not (first and consume_first):
                 break
-            if tok.kind == PUNCTUATOR and tok.lexeme == "{":
+            if lexeme == "{":
                 depth += 1
-            elif tok.kind == PUNCTUATOR and tok.lexeme == "}":
+            elif lexeme == "}":
                 depth = max(0, depth - 1)
-            end_line = self.advance().line
+            end_line = tok.line
+            pos += 1
             first = False
+        self.pos = pos
         return start_line, end_line
 
     # -- top level --------------------------------------------------------
@@ -197,9 +236,7 @@ class _Parser:
                 self._skip_simple_directive()
                 continue
             try:
-                if tok.kind == KEYWORD and tok.lexeme in MODIFIER_KEYWORDS:
-                    while self.at(KEYWORD) and self.lexeme_at() in MODIFIER_KEYWORDS:
-                        self.advance()
+                self._skip_modifiers()
                 if self.at(KEYWORD, "class"):
                     self.classes.append(self.parse_class())
                 else:
@@ -210,6 +247,7 @@ class _Parser:
                         f"unsupported top-level construct starting at '{bad.lexeme}'", bad
                     )
             except _ParseFailure as failure:
+                self.depth = 0
                 span = self.skip_top_level(start_pos, consume_first=True)
                 self.diagnose(failure.message, *span)
         return CompilationUnit(
@@ -251,6 +289,7 @@ class _Parser:
             try:
                 self.parse_member(name_tok.lexeme, fields, methods)
             except _ParseFailure as failure:
+                self.depth = 0
                 span = self.skip_to_sync(start_pos)
                 self.diagnose(failure.message, *span)
         if self.at(PUNCTUATOR, "}"):
@@ -281,8 +320,7 @@ class _Parser:
         if self.at(PUNCTUATOR, ";"):
             self.advance()
             return
-        while self.at(KEYWORD) and self.lexeme_at() in MODIFIER_KEYWORDS:
-            self.advance()
+        self._skip_modifiers()
 
         # constructor: bare class name followed by a parameter list
         if (self.at(IDENTIFIER, class_name) and self.at(PUNCTUATOR, "(", offset=1)):
@@ -386,44 +424,51 @@ class _Parser:
 
     def parse_block(self) -> Block:
         open_tok = self.expect(PUNCTUATOR, "{")
+        depth = self._nest()
         stmts: list[Stmt] = []
-        while not self.at_end() and not self.at(PUNCTUATOR, "}"):
+        tokens = self.tokens
+        n = self.n
+        while self.pos < n and tokens[self.pos].lexeme != "}":
             start_pos = self.pos
             try:
                 self.parse_statement_into(stmts)
             except _ParseFailure as failure:
+                self.depth = depth
                 span = self.skip_to_sync(start_pos)
                 self.diagnose(failure.message, *span)
         self.expect(PUNCTUATOR, "}")
+        self.depth = depth - 1
         return Block(tuple(stmts), open_tok.line)
 
     def _substatement(self) -> Block:
         """Loop bodies and if branches are always Blocks."""
         if self.at(PUNCTUATOR, "{"):
             return self.parse_block()
+        depth = self._nest()
         stmts: list[Stmt] = []
         line = self._last_line()
         self.parse_statement_into(stmts)
+        self.depth = depth - 1
         return Block(tuple(stmts), stmts[0].line if stmts else line)
 
     def parse_statement_into(self, out: list[Stmt]) -> None:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= self.n:
             raise _ParseFailure("expected a statement but reached end of file", None)
+        lexeme = self.tokens[self.pos].lexeme
 
-        if tok.kind == PUNCTUATOR and tok.lexeme == "{":
+        if lexeme == "{":
             out.append(self.parse_block())
-        elif tok.kind == PUNCTUATOR and tok.lexeme == ";":
+        elif lexeme == ";":
             out.append(Empty(self.advance().line))
-        elif tok.kind == KEYWORD and tok.lexeme == "if":
+        elif lexeme == "if":
             out.append(self._parse_if())
-        elif tok.kind == KEYWORD and tok.lexeme == "while":
+        elif lexeme == "while":
             kw = self.advance()
             self.expect(PUNCTUATOR, "(")
             cond = self.parse_expr()
             self.expect(PUNCTUATOR, ")")
             out.append(While(cond, self._substatement(), kw.line))
-        elif tok.kind == KEYWORD and tok.lexeme == "do":
+        elif lexeme == "do":
             kw = self.advance()
             body = self._substatement()
             self.expect(KEYWORD, "while")
@@ -432,11 +477,11 @@ class _Parser:
             self.expect(PUNCTUATOR, ")")
             self.expect(PUNCTUATOR, ";")
             out.append(DoWhile(body, cond, kw.line))
-        elif tok.kind == KEYWORD and tok.lexeme == "for":
+        elif lexeme == "for":
             out.append(self._parse_for())
-        elif tok.kind == KEYWORD and tok.lexeme == "try":
+        elif lexeme == "try":
             out.append(self._parse_try())
-        elif tok.kind == KEYWORD and tok.lexeme == "return":
+        elif lexeme == "return":
             kw = self.advance()
             expr = None if self.at(PUNCTUATOR, ";") else self.parse_expr()
             self.expect(PUNCTUATOR, ";")
@@ -505,21 +550,23 @@ class _Parser:
         return TryCatch(try_block, tuple(catches), finally_block, kw.line)
 
     def _looks_like_decl(self) -> bool:
-        tok = self.peek()
-        if tok is None:
+        tokens = self.tokens
+        n = self.n
+        i = self.pos
+        if i >= n:
             return False
-        i = 0
-        if tok.kind == KEYWORD and tok.lexeme in PRIMITIVE_TYPES:
-            i = 1
-        elif tok.kind == IDENTIFIER:
-            i = 1
-            while self.at(PUNCTUATOR, ".", offset=i) and self.at(IDENTIFIER, offset=i + 1):
+        tok = tokens[i]
+        if tok.kind == IDENTIFIER:
+            i += 1
+            while i + 1 < n and tokens[i].lexeme == "." and tokens[i + 1].kind == IDENTIFIER:
                 i += 2
+        elif tok.lexeme in PRIMITIVE_TYPES:
+            i += 1
         else:
             return False
-        if self.at(PUNCTUATOR, "[", offset=i) and self.at(PUNCTUATOR, "]", offset=i + 1):
+        if i + 1 < n and tokens[i].lexeme == "[" and tokens[i + 1].lexeme == "]":
             i += 2
-        return self.at(IDENTIFIER, offset=i)
+        return i < n and tokens[i].kind == IDENTIFIER
 
     def _parse_local_decls(self, out: list[Stmt]) -> None:
         type_name = self.parse_type_name()
@@ -540,61 +587,81 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        lhs = self._parse_binary(0)
-        if self.at(OPERATOR, "="):
+        lhs = self._parse_binary(1)
+        pos = self.pos
+        if pos < self.n and self.tokens[pos].lexeme == "=":
             eq = self.advance()
+            depth = self._nest()
             rhs = self.parse_expr()
+            self.depth = depth - 1
             return Assign(lhs, rhs, eq.line)
         return lhs
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        lhs = self._parse_binary(level + 1)
-        while self.at(OPERATOR) and self.lexeme_at() in ops:
-            op = self.advance()
-            rhs = self._parse_binary(level + 1)
+    def _parse_binary(self, min_prec: int) -> Expr:
+        """Precedence climbing over operators binding at least min_prec."""
+        lhs = self._parse_unary()
+        tokens = self.tokens
+        n = self.n
+        while self.pos < n:
+            op = tokens[self.pos]
+            prec = _BINARY_PRECEDENCE.get(op.lexeme)
+            if prec is None or prec < min_prec:
+                break
+            self.pos += 1
+            depth = self._nest()
+            # left-associative: the right operand binds strictly tighter
+            rhs = self._parse_binary(prec + 1)
+            self.depth = depth - 1
             lhs = Binary(op.lexeme, lhs, rhs, op.line)
         return lhs
 
     def _parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind == OPERATOR and tok.lexeme in ("++", "--"):
-            op = self.advance()
-            operand = self._parse_unary()
-            return UnaryIncDec(op.lexeme, operand, True, op.line)
-        if (tok is not None and tok.kind == OPERATOR and tok.lexeme == "-"
-                and self.at(NUMBER, offset=1)):
-            minus = self.advance()
-            num = self.advance()
-            return NumLit("-" + num.lexeme, minus.line)
+        pos = self.pos
+        if pos < self.n:
+            tok = self.tokens[pos]
+            lexeme = tok.lexeme
+            if lexeme == "++" or lexeme == "--":
+                self.pos = pos + 1
+                depth = self._nest()
+                operand = self._parse_unary()
+                self.depth = depth - 1
+                return UnaryIncDec(lexeme, operand, True, tok.line)
+            if lexeme == "-" and self.at(NUMBER, offset=1):
+                self.pos = pos + 2
+                return NumLit("-" + self.tokens[pos + 1].lexeme, tok.line)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
+        n = self.n
         while True:
-            if self.at(PUNCTUATOR, ".") and self.at(IDENTIFIER, offset=1):
-                if self.at(PUNCTUATOR, "(", offset=2):
-                    self.advance()
-                    name_tok = self.advance()
+            pos = self.pos
+            if pos >= n:
+                return expr
+            lexeme = tokens[pos].lexeme
+            if lexeme == ".":
+                if pos + 1 >= n or tokens[pos + 1].kind != IDENTIFIER:
+                    return expr
+                name_tok = tokens[pos + 1]
+                self.pos = pos + 2
+                if pos + 2 < n and tokens[pos + 2].lexeme == "(":
                     args = self._parse_args()
                     expr = MethodCall(expr, name_tok.lexeme, args, name_tok.line)
                 else:
-                    self.advance()
-                    name_tok = self.advance()
                     expr = FieldAccess(expr, name_tok.lexeme, name_tok.line)
-            elif self.at(PUNCTUATOR, "(") and isinstance(expr, Name):
+            elif lexeme == "(" and isinstance(expr, Name):
                 args = self._parse_args()
                 expr = MethodCall(None, expr.ident, args, expr.line)
-            elif self.at(OPERATOR) and self.lexeme_at() in ("++", "--"):
-                op = self.advance()
-                expr = UnaryIncDec(op.lexeme, expr, False, op.line)
+            elif lexeme == "++" or lexeme == "--":
+                self.pos = pos + 1
+                expr = UnaryIncDec(lexeme, expr, False, tokens[pos].line)
             else:
                 return expr
 
     def _parse_args(self) -> tuple[Expr, ...]:
         self.expect(PUNCTUATOR, "(")
+        depth = self._nest()
         args: list[Expr] = []
         if not self.at(PUNCTUATOR, ")"):
             args.append(self.parse_expr())
@@ -602,26 +669,36 @@ class _Parser:
                 self.advance()
                 args.append(self.parse_expr())
         self.expect(PUNCTUATOR, ")")
+        self.depth = depth - 1
         return tuple(args)
 
     def _parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= self.n:
             raise _ParseFailure("expected an expression but reached end of file", None)
-        if tok.kind == STRING:
-            return StringLit(self.advance().lexeme, tok.line)
-        if tok.kind == CHAR:
-            return CharLit(self.advance().lexeme, tok.line)
-        if tok.kind == NUMBER:
-            return NumLit(self.advance().lexeme, tok.line)
-        if tok.kind == KEYWORD and tok.lexeme in ("true", "false"):
-            self.advance()
-            return BoolLit(tok.lexeme == "true", tok.line)
-        if tok.kind == KEYWORD and tok.lexeme in ("null", "this", "super"):
-            # modeled as plain names; no detector gives them special meaning
-            self.advance()
+        tok = self.tokens[pos]
+        kind = tok.kind
+        if kind == IDENTIFIER:
+            self.pos = pos + 1
             return Name(tok.lexeme, tok.line)
-        if tok.kind == KEYWORD and tok.lexeme == "new":
+        if kind == STRING:
+            self.pos = pos + 1
+            return StringLit(tok.lexeme, tok.line)
+        if kind == CHAR:
+            self.pos = pos + 1
+            return CharLit(tok.lexeme, tok.line)
+        if kind == NUMBER:
+            self.pos = pos + 1
+            return NumLit(tok.lexeme, tok.line)
+        lexeme = tok.lexeme
+        if lexeme == "true" or lexeme == "false":
+            self.pos = pos + 1
+            return BoolLit(lexeme == "true", tok.line)
+        if lexeme == "null" or lexeme == "this" or lexeme == "super":
+            # modeled as plain names; no detector gives them special meaning
+            self.pos = pos + 1
+            return Name(lexeme, tok.line)
+        if lexeme == "new":
             new_tok = self.advance()
             type_tok = self.peek()
             if type_tok is None or type_tok.kind != IDENTIFIER:
@@ -635,14 +712,14 @@ class _Parser:
                 raise _ParseFailure("array creation is not supported", self.peek())
             args = self._parse_args()
             return New(type_name, args, new_tok.line)
-        if tok.kind == IDENTIFIER:
-            return Name(self.advance().lexeme, tok.line)
-        if tok.kind == PUNCTUATOR and tok.lexeme == "(":
-            open_tok = self.advance()
+        if lexeme == "(":
+            self.pos = pos + 1
+            depth = self._nest()
             inner = self.parse_expr()
             self.expect(PUNCTUATOR, ")")
-            return Paren(inner, open_tok.line)
-        raise _ParseFailure(f"unexpected '{tok.lexeme}' in expression", tok)
+            self.depth = depth - 1
+            return Paren(inner, tok.line)
+        raise _ParseFailure(f"unexpected '{lexeme}' in expression", tok)
 
 
 def parse_unit(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:

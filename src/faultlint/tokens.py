@@ -1,8 +1,8 @@
-"""Token model and lexical tables shared by both scanner backends."""
+"""Token model and lexical tables shared by the scanner and the parser."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 KEYWORD = "keyword"
 IDENTIFIER = "identifier"
@@ -54,8 +54,13 @@ class LexError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme with its 1-based source position.
+
+    A tuple, so the scan loop builds each token in one step and the parser
+    reads fields without a per-token object layer.
+    """
+
     kind: str
     lexeme: str
     line: int

@@ -44,3 +44,19 @@ def linear_chain_source(names: list[str]) -> str:
             header += f" extends {names[i - 1]}"
         parts.append(header + "\n{\n}\n")
     return "\n".join(parts)
+
+
+NESTING_SHAPES = ("parens", "ifs", "blocks")
+
+
+def nested_source(shape: str, depth: int, class_name: str = "Deep") -> str:
+    """One method whose body holds `depth` constructs nested in one another."""
+    if shape == "parens":
+        body = "return " + "(" * depth + "1" + ")" * depth + ";"
+    elif shape == "ifs":
+        body = "if (a) " * depth + "a++;"
+    elif shape == "blocks":
+        body = "{" * depth + "}" * depth
+    else:
+        raise ValueError(shape)
+    return f"class {class_name}\n{{\n    int m()\n    {{\n        {body}\n    }}\n}}\n"

@@ -20,9 +20,10 @@ from faultlint.cli import (
     parse_args,
     run_scan,
 )
+from faultlint.parser import MAX_NESTING
 from faultlint.store import load_store
 
-from conftest import REFERENCE_CORPUS_DIR
+from conftest import NESTING_SHAPES, REFERENCE_CORPUS_DIR, nested_source
 
 CLEAN_CLASS = """\
 class Tidy%d
@@ -149,6 +150,34 @@ def test_python_m_version_exits_0():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"faultlint {__version__}"
+
+
+def test_deeply_nested_files_become_diagnostics(tmp_path):
+    # one file per shape and depth; too-deep constructs are skipped, never
+    # a traceback that would exit 1 like "findings present"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    depths = (1, 50, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 500, 5000)
+    too_deep = set()
+    for shape in NESTING_SHAPES:
+        for depth in depths:
+            name = f"{shape}_{depth}.java"
+            source = nested_source(shape, depth, f"{shape}_{depth}")
+            (corpus / name).write_text(source, encoding="utf-8")
+            if depth + 1 > MAX_NESTING:
+                too_deep.add(name)
+    src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    store_path = tmp_path / "store.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "faultlint", str(corpus), "--store", str(store_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode <= 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    diagnosed = [Path(d.file_path).name for d in load_store(store_path).diagnostics]
+    assert sorted(diagnosed) == sorted(too_deep)
 
 
 # --- determinism ----------------------------------------------------------------

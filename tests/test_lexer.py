@@ -1,22 +1,13 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from faultlint import _scanner_py
-from faultlint.lexer import LexError, tokenize
-from faultlint.tokens import IDENTIFIER, KEYWORD, OPERATOR, PUNCTUATOR, STRING
+from faultlint.lexer import LexError, Token, tokenize
+from faultlint.tokens import IDENTIFIER, KEYWORD, NUMBER, OPERATOR, PUNCTUATOR, STRING
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
-
-try:
-    from faultlint import _scanner
-except ImportError:
-    _scanner = None
 
 
 def kinds_and_lexemes(text):
@@ -104,14 +95,9 @@ def test_line_and_column_point_at_lexeme_start():
     assert by_lexeme["}"] == (4, 1)
 
 
-@pytest.mark.parametrize(
-    "fixture", sorted(REFERENCE_CORPUS_DIR.glob("*.java")) + sorted(CASES_DIR.glob("*.java")),
-    ids=lambda p: p.name,
-)
-def test_tokens_cover_input_positions(fixture):
+def assert_tokens_cover_positions(text):
     # every token's (line, column) slice of the source equals its lexeme,
     # and tokens appear in strictly increasing source order
-    text = fixture.read_text(encoding="utf-8")
     lines = text.split("\n")
     previous = (0, 0)
     for tok in tokenize(text):
@@ -122,61 +108,75 @@ def test_tokens_cover_input_positions(fixture):
         previous = (tok.line, tok.column)
 
 
+@pytest.mark.parametrize(
+    "fixture", sorted(REFERENCE_CORPUS_DIR.glob("*.java")) + sorted(CASES_DIR.glob("*.java")),
+    ids=lambda p: p.name,
+)
+def test_tokens_cover_input_positions(fixture):
+    assert_tokens_cover_positions(fixture.read_text(encoding="utf-8"))
+
+
 def _random_java_soup(rng: random.Random) -> str:
     atoms = [
         "class", "extends", "if", "while", "int", "String", "name", "x9",
         "$d", "_u", '"str"', "'c'", "12", "3.5", "0x1F", "==", "!=", "<=",
         "&&", "+", "-", "{", "}", "(", ")", ";", ",", ".", "//c\n",
-        "/*b*/", " ", "\n", "\t", "naïve", "数", "€", "#",
+        "/*b*/", "/*\n*/", " ", "\n", "\t", "\r", "\f", "\v", "\xa0",
+        "naïve", "数", "€", "#", "²", "٣",
     ]
     return "".join(rng.choice(atoms) for _ in range(rng.randrange(0, 120)))
 
 
-def _backend_in_subprocess(env_extra):
-    env = {k: v for k, v in os.environ.items() if k != "FAULTLINT_PURE"}
-    env.update(env_extra)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from faultlint.lexer import scanner_backend; print(scanner_backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return out.stdout.strip()
+def test_random_soup_tokens_cover_positions():
+    rng = random.Random(0xFA17)
+    for _ in range(300):
+        assert_tokens_cover_positions(_random_java_soup(rng))
 
 
-def test_pure_env_var_forces_python_backend():
-    assert _backend_in_subprocess({"FAULTLINT_PURE": "1"}) == "python"
+@pytest.mark.parametrize("text, expected", [
+    ("²", [(NUMBER, "²")]),
+    ("٣", [(NUMBER, "٣")]),
+    ("\xa0", [(PUNCTUATOR, "\xa0")]),
+    ("\u2003", [(PUNCTUATOR, "\u2003")]),
+    ("€", [(PUNCTUATOR, "€")]),
+    ("#", [(PUNCTUATOR, "#")]),
+    ("naïve", [(IDENTIFIER, "naïve")]),
+    ("数", [(IDENTIFIER, "数")]),
+    ("$x", [(IDENTIFIER, "$x")]),
+    ("e٣", [(IDENTIFIER, "e٣")]),
+    ("a\xa0b", [(IDENTIFIER, "a"), (PUNCTUATOR, "\xa0"), (IDENTIFIER, "b")]),
+    ("x²", [(IDENTIFIER, "x²")]),
+])
+def test_non_ascii_characters(text, expected):
+    # str.isdigit() starts a number (so `²` does, though it is not `\d`);
+    # only ASCII blanks separate tokens; isalnum() continues an identifier
+    assert kinds_and_lexemes(text) == expected
 
 
-@pytest.mark.skipif(_scanner is None, reason="compiled scanner not built")
-def test_default_backend_is_compiled_when_built():
-    assert _backend_in_subprocess({}) == "c"
+def test_columns_count_every_blank_character():
+    toks = tokenize("a\t\f\v\r b\r\n\t\tc \f\vd")
+    assert [(t.lexeme, t.line, t.column) for t in toks] == [
+        ("a", 1, 1), ("b", 1, 7), ("c", 2, 3), ("d", 2, 7),
+    ]
 
 
-@pytest.mark.skipif(_scanner is None, reason="compiled scanner not built")
-class TestBackendEquivalence:
-    def test_fixture_corpus_identical(self):
-        for fixture in sorted(REFERENCE_CORPUS_DIR.glob("*.java")) + sorted(CASES_DIR.glob("*.java")):
-            text = fixture.read_text(encoding="utf-8")
-            assert _scanner.scan(text) == _scanner_py.scan(text), fixture.name
+def test_columns_after_multiline_block_comment():
+    toks = tokenize("a /* one\n two\n*/ b\n  c")
+    assert [(t.lexeme, t.line, t.column) for t in toks] == [
+        ("a", 1, 1), ("b", 3, 4), ("c", 4, 3),
+    ]
 
-    def test_random_soup_identical(self):
-        rng = random.Random(0xFA17)
-        for _ in range(300):
-            text = _random_java_soup(rng)
-            try:
-                expected = _scanner_py.scan(text)
-            except LexError as err:
-                with pytest.raises(LexError) as got:
-                    _scanner.scan(text)
-                assert (got.value.line, got.value.column) == (err.line, err.column)
-                continue
-            assert _scanner.scan(text) == expected
 
-    def test_error_positions_identical(self):
-        for text in ['"open', "'x", "/* never", 'a\n b "c']:
-            with pytest.raises(LexError) as pure:
-                _scanner_py.scan(text)
-            with pytest.raises(LexError) as compiled:
-                _scanner.scan(text)
-            assert (compiled.value.line, compiled.value.column) == \
-                (pure.value.line, pure.value.column)
+def test_unterminated_block_comment_after_tokens():
+    with pytest.raises(LexError) as err:
+        tokenize("int a;\n\tb = c; /* never\n closed * / ")
+    assert (err.value.line, err.value.column) == (2, 9)
+    assert err.value.message == "unterminated block comment"
+
+
+def test_tokenize_returns_tokens():
+    tok = tokenize("  class")[0]
+    assert isinstance(tok, Token)
+    assert (tok.kind, tok.lexeme, tok.line, tok.column) == (KEYWORD, "class", 1, 3)
+    assert repr(tok) == "Token(keyword, 'class', 1:3)"
+    assert tok == Token(KEYWORD, "class", 1, 3)

@@ -5,19 +5,29 @@ import random
 import pytest
 
 from faultlint.nodes import (
+    Assign,
     Binary,
     Block,
     DoWhile,
+    Name,
+    NumLit,
+    Paren,
     StringLit,
     TypedName,
     iter_stmts,
     structure,
     walk_exprs,
 )
-from faultlint.parser import parse_source
+from faultlint.parser import MAX_NESTING, parse_source
 from faultlint.unparse import unparse_unit
 
-from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, parse_fixture
+from conftest import (
+    CASES_DIR,
+    NESTING_SHAPES,
+    REFERENCE_CORPUS_DIR,
+    nested_source,
+    parse_fixture,
+)
 
 TWO_CLASS_CHAIN_TEXT = """\
 public class ML_A
@@ -154,6 +164,38 @@ def test_binary_node_line_is_operator_line():
     assert cond.line == 2
 
 
+def _expr(source: str):
+    unit = parse_source(f"class E {{ void m() {{ {source}; }} }}", "E.java")
+    assert unit.diagnostics == ()
+    return unit.classes[0].methods[0].body.stmts[0].expr
+
+
+def _bin(op, lhs, rhs):
+    return Binary(op, lhs, rhs, 1)
+
+
+a, b, c, d, e, f, g, x = (Name(ident, 1) for ident in "abcdefgx")
+
+
+@pytest.mark.parametrize("source, tree", [
+    ("a - b - c", _bin("-", _bin("-", a, b), c)),
+    ("a / b * c", _bin("*", _bin("/", a, b), c)),
+    ("a < b < c", _bin("<", _bin("<", a, b), c)),
+    ("a || b && c == d < e + f * g",
+     _bin("||", a, _bin("&&", b, _bin("==", c, _bin("<", d, _bin("+", e, _bin("*", f, g))))))),
+    ("a * b + c < d == e && f || g",
+     _bin("||", _bin("&&", _bin("==", _bin("<", _bin("+", _bin("*", a, b), c), d), e), f), g)),
+    ("a = b = c", Assign(a, Assign(b, c, 1), 1)),
+    ("a = b + c", Assign(a, _bin("+", b, c), 1)),
+    ("-1 * x", _bin("*", NumLit("-1", 1), x)),
+    ("(a + b) * c", _bin("*", Paren(_bin("+", a, b), 1), c)),
+])
+def test_expression_shape(source, tree):
+    # associativity and precedence; the round-trip tests compare the parser
+    # with itself and cannot see a mis-nested tree
+    assert _expr(source) == tree
+
+
 def test_equality_operands_kept_verbatim():
     unit = parse_source('class B { void m() { if ("x" == name) { } } }', "B.java")
     cond = unit.classes[0].methods[0].body.stmts[0].cond
@@ -190,6 +232,24 @@ def test_lex_error_becomes_diagnostic_only_unit():
     assert unit.classes == ()
     assert len(unit.diagnostics) == 1
     assert "unterminated" in unit.diagnostics[0].message
+
+
+NESTING_DEPTHS = (1, 50, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 500, 5000)
+
+
+@pytest.mark.parametrize("depth", NESTING_DEPTHS)
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_deep_nesting_is_skipped_with_one_diagnostic(shape, depth):
+    # the method body is one level, so `depth` inner levels total depth + 1
+    unit = parse_source(nested_source(shape, depth), "Deep.java")  # must not raise
+    assert [m.name for c in unit.classes for m in c.methods] == ["m"]
+    if depth + 1 <= MAX_NESTING:
+        assert unit.diagnostics == ()
+    else:
+        assert [d.message for d in unit.diagnostics] == [
+            f"nesting deeper than {MAX_NESTING} levels"
+        ]
+        assert unit.diagnostics[0].skipped_span == (5, 5)
 
 
 def test_empty_source():
