@@ -2,12 +2,14 @@
 
 Exit codes: 0 = clean scan, 1 = findings present (or, with --strict-parse,
 any parse diagnostic), 2 = operational error (bad flags, unreadable corpus
-root, bad seed file). Output is byte-deterministic for identical trees.
+root, bad seed file) or internal error (an unexpected exception, reported
+with its traceback). Output is byte-deterministic for identical trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,7 +147,15 @@ def _parse_corpus(root: Path, files: list[Path]) -> list[CompilationUnit]:
             diag = ParseDiagnostic(rel, 1, f"could not read file: {err}", (1, 1))
             units.append(CompilationUnit(rel, (), (diag,)))
             continue
-        units.append(parse_source(text, rel))
+        try:
+            unit = parse_source(text, rel)
+        except Exception as err:  # one file must never sink the whole scan
+            diag = ParseDiagnostic(
+                rel, 1, f"could not parse file: {type(err).__name__}: {err}",
+                (1, text.count("\n") + 1),
+            )
+            unit = CompilationUnit(rel, (), (diag,))
+        units.append(unit)
     return units
 
 
@@ -212,6 +222,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_request:  # --version / --help
         return int(exit_request.code or 0)
 
+    # The scan builds no reference cycles (tests/test_cli.py checks this):
+    # reference counting frees everything it allocates, and the cyclic
+    # collector would only re-traverse the live AST, which lives for the
+    # whole run, and find nothing to free. Library callers of run_scan keep
+    # their own collector settings.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _scan_and_report(config)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _scan_and_report(config: RunConfig) -> int:
     try:
         result = run_scan(config)
         if config.store_output is not None:
@@ -224,6 +249,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScanError(f"cannot write store file: {err}") from err
     except ScanError as err:
         print(f"{PROG}: error: {err}", file=sys.stderr)
+        return 2
+    except Exception:  # a bug, not findings: never let it exit 1
+        import traceback  # only this path needs it; every start-up would pay for it
+
+        print(f"{PROG}: internal error:", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
     sys.stdout.write(result.report)

@@ -2,9 +2,16 @@
 
 Nodes are immutable after construction (frozen dataclasses, tuple
 children) so parsed units can be shared freely across concurrent detector
-runs. Every node carries the 1-based source line of its anchor token:
-the operator for Binary/Assign, the keyword for loops and `new`, the
-name for calls.
+runs. They are slotted: a node stores its fields in fixed slots, with no
+per-instance `__dict__`, which makes it smaller and quicker to build. The
+`Expr` and `Stmt` bases declare empty `__slots__` so that their subclasses
+stay dict-free too. Every node carries the 1-based source line of its
+anchor token: the operator for Binary/Assign, the keyword for loops and
+`new`, the name for calls.
+
+The tree walkers use explicit stacks, not recursion, so trees of any
+depth can be walked: the parser builds arbitrarily deep trees from flat
+input, such as a long `a + a + ... + a` chain or `a.f().f()...` call chain.
 """
 
 from __future__ import annotations
@@ -14,53 +21,53 @@ from dataclasses import dataclass
 
 
 class Expr:
-    pass
+    __slots__ = ()
 
 
 class Stmt:
-    pass
+    __slots__ = ()
 
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringLit(Expr):
     lexeme: str  # with quotes, exactly as in source
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumLit(Expr):
     lexeme: str
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(Expr):
     value: bool
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharLit(Expr):
     lexeme: str
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name(Expr):
     ident: str
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldAccess(Expr):
     target: Expr
     name: str
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodCall(Expr):
     receiver: Expr | None  # None for bare calls like g(s)
     name: str
@@ -68,14 +75,14 @@ class MethodCall(Expr):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class New(Expr):
     type_name: str
     args: tuple[Expr, ...]
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary(Expr):
     op: str  # one of == != < > <= >= + - * / && ||
     lhs: Expr
@@ -83,14 +90,14 @@ class Binary(Expr):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign(Expr):
     lhs: Expr
     rhs: Expr
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryIncDec(Expr):
     op: str  # ++ or --
     operand: Expr
@@ -98,7 +105,7 @@ class UnaryIncDec(Expr):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paren(Expr):
     inner: Expr
     line: int
@@ -106,13 +113,13 @@ class Paren(Expr):
 
 # --- statements ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(Stmt):
     stmts: tuple[Stmt, ...]
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalVarDecl(Stmt):
     type_name: str
     name: str
@@ -120,13 +127,13 @@ class LocalVarDecl(Stmt):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExprStmt(Stmt):
     expr: Expr
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Stmt):
     cond: Expr
     then_block: Block
@@ -134,21 +141,21 @@ class If(Stmt):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class While(Stmt):
     cond: Expr
     body: Block
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoWhile(Stmt):
     body: Block
     cond: Expr
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class For(Stmt):
     init: Stmt | None  # LocalVarDecl or ExprStmt
     cond: Expr | None
@@ -157,7 +164,7 @@ class For(Stmt):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatchClause:
     type_name: str
     var_name: str
@@ -165,7 +172,7 @@ class CatchClause:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TryCatch(Stmt):
     try_block: Block
     catches: tuple[CatchClause, ...]
@@ -173,26 +180,26 @@ class TryCatch(Stmt):
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return(Stmt):
     expr: Expr | None
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(Stmt):
     line: int
 
 
 # --- declarations ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedName:
     type_name: str
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodDecl:
     name: str
     params: tuple[TypedName, ...]
@@ -201,7 +208,7 @@ class MethodDecl:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassDecl:
     name: str
     extends_list: tuple[str, ...]  # length > 1 preserved, never collapsed
@@ -211,7 +218,7 @@ class ClassDecl:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
     file_path: str
     line: int
@@ -219,7 +226,7 @@ class ParseDiagnostic:
     skipped_span: tuple[int, int]  # (start line, end line), start <= end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompilationUnit:
     file_path: str
     classes: tuple[ClassDecl, ...]
@@ -230,24 +237,27 @@ class CompilationUnit:
 
 def walk_exprs(expr: Expr):
     """Yield expr and all its subexpressions, preorder, source order."""
-    yield expr
-    if isinstance(expr, FieldAccess):
-        yield from walk_exprs(expr.target)
-    elif isinstance(expr, MethodCall):
-        if expr.receiver is not None:
-            yield from walk_exprs(expr.receiver)
-        for arg in expr.args:
-            yield from walk_exprs(arg)
-    elif isinstance(expr, New):
-        for arg in expr.args:
-            yield from walk_exprs(arg)
-    elif isinstance(expr, (Binary, Assign)):
-        yield from walk_exprs(expr.lhs)
-        yield from walk_exprs(expr.rhs)
-    elif isinstance(expr, UnaryIncDec):
-        yield from walk_exprs(expr.operand)
-    elif isinstance(expr, Paren):
-        yield from walk_exprs(expr.inner)
+    stack = [expr]
+    push = stack.append
+    while stack:
+        expr = stack.pop()
+        yield expr
+        # children go on the stack last-first, so they come off in source order
+        if isinstance(expr, FieldAccess):
+            push(expr.target)
+        elif isinstance(expr, MethodCall):
+            stack.extend(reversed(expr.args))
+            if expr.receiver is not None:
+                push(expr.receiver)
+        elif isinstance(expr, New):
+            stack.extend(reversed(expr.args))
+        elif isinstance(expr, (Binary, Assign)):
+            push(expr.rhs)
+            push(expr.lhs)
+        elif isinstance(expr, UnaryIncDec):
+            push(expr.operand)
+        elif isinstance(expr, Paren):
+            push(expr.inner)
 
 
 def child_exprs(stmt: Stmt):
@@ -298,10 +308,12 @@ def child_stmts(stmt: Stmt):
 
 
 def iter_stmts(root: Stmt):
-    """Preorder walk over a statement tree."""
-    yield root
-    for child in child_stmts(root):
-        yield from iter_stmts(child)
+    """Preorder walk over a statement tree, source order."""
+    stack = [root]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        stack.extend(reversed(tuple(child_stmts(stmt))))
 
 
 def structure(node):

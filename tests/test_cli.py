@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import faultlint
+import faultlint.cli
 from faultlint import __version__
 from faultlint.cli import (
     RunConfig,
@@ -23,7 +26,7 @@ from faultlint.cli import (
 from faultlint.parser import MAX_NESTING
 from faultlint.store import load_store
 
-from conftest import NESTING_SHAPES, REFERENCE_CORPUS_DIR, nested_source
+from conftest import FIXTURES, NESTING_SHAPES, REFERENCE_CORPUS_DIR, nested_source
 
 CLEAN_CLASS = """\
 class Tidy%d
@@ -42,6 +45,16 @@ def make_clean_corpus(root, count=3):
     for i in range(count):
         (root / f"Tidy{i}.java").write_text(CLEAN_CLASS % i, encoding="utf-8")
     return root
+
+
+def run_python(args, timeout=120):
+    """Run the interpreter on args with this checkout's package importable."""
+    src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 # --- parse_args -------------------------------------------------------------
@@ -141,13 +154,7 @@ def test_version_flag(capsys):
 
 
 def test_python_m_version_exits_0():
-    src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "faultlint", "--version"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python(["-m", "faultlint", "--version"], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"faultlint {__version__}"
 
@@ -166,18 +173,35 @@ def test_deeply_nested_files_become_diagnostics(tmp_path):
             (corpus / name).write_text(source, encoding="utf-8")
             if depth + 1 > MAX_NESTING:
                 too_deep.add(name)
-    src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
     store_path = tmp_path / "store.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "faultlint", str(corpus), "--store", str(store_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python(["-m", "faultlint", str(corpus), "--store", str(store_path)])
     assert proc.returncode <= 2, proc.stderr
     assert "Traceback" not in proc.stderr
     diagnosed = [Path(d.file_path).name for d in load_store(store_path).diagnostics]
     assert sorted(diagnosed) == sorted(too_deep)
+
+
+def test_long_operator_and_call_chains_scan_without_traceback(tmp_path):
+    # flat input the parser turns into 5,000-deep trees, which the detectors
+    # then walk
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    operands = " + ".join(["s"] * 5000)
+    calls = ".f()" * 5000
+    (corpus / "Chain.java").write_text(
+        "class Chain\n{\n"
+        f"    boolean eq(String s)\n    {{\n        return s == {operands};\n    }}\n"
+        f"    void call(Chain a)\n    {{\n        a{calls};\n    }}\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    store_path = tmp_path / "store.json"
+    proc = run_python(["-m", "faultlint", str(corpus), "--store", str(store_path)])
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    store = load_store(store_path)
+    assert [(r.class_name, list(r.error_codes)) for r in store.records] == [("Chain", [1])]
+    assert store.diagnostics == ()
 
 
 # --- determinism ----------------------------------------------------------------
@@ -329,3 +353,110 @@ def test_run_scan_reports_scanned_class_count(capsys):
     result = run_scan(RunConfig(corpus_root=REFERENCE_CORPUS_DIR))
     # 12 corpus classes: A, ML_A..ML_H (8), MP_A, loopa, sample
     assert "Classes scanned: 12 | faulty: 6" in result.report
+
+
+# --- robustness and the collector pause -------------------------------------------
+
+
+def test_parse_exception_in_one_file_is_diagnostic_not_abort(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(REFERENCE_CORPUS_DIR, corpus)
+    real_parse = faultlint.cli.parse_source
+
+    def parse_or_fail(text, file_path):
+        if file_path == "MP_A.java":
+            raise ValueError("parser bug")
+        return real_parse(text, file_path)
+
+    monkeypatch.setattr(faultlint.cli, "parse_source", parse_or_fail)
+    result = run_scan(RunConfig(corpus_root=corpus))
+    assert [r.class_name for r in result.store.records] == [
+        "A", "ML_G", "ML_H", "loopa", "sample",
+    ]
+    diags = [(d.file_path, d.line, d.message) for d in result.store.diagnostics]
+    assert diags == [("MP_A.java", 1, "could not parse file: ValueError: parser bug")]
+    assert result.exit_code == 1
+
+
+def _raise_runtime_error(*args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("failing", ["run_scan", "save_store"])
+def test_internal_error_exits_2_with_traceback(tmp_path, monkeypatch, capsys, failing):
+    monkeypatch.setattr(faultlint.cli, failing, _raise_runtime_error)
+    code = main([str(REFERENCE_CORPUS_DIR), "--store", str(tmp_path / "out.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("faultlint: internal error:\nTraceback")
+    assert captured.err.endswith("RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("enabled_before", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case, expected_code", [
+    ("clean", 0), ("findings", 1), ("missing-root", 2), ("usage", 2), ("internal", 2),
+])
+def test_main_restores_collector_state(tmp_path, monkeypatch, capsys,
+                                       enabled_before, case, expected_code):
+    argv = {
+        "clean": [str(make_clean_corpus(tmp_path / "clean"))],
+        "findings": [str(REFERENCE_CORPUS_DIR)],
+        "missing-root": [str(tmp_path / "missing")],
+        "usage": [str(REFERENCE_CORPUS_DIR), "--rules", "9"],
+        "internal": [str(REFERENCE_CORPUS_DIR)],
+    }[case]
+    if case == "internal":
+        monkeypatch.setattr(faultlint.cli, "run_scan", _raise_runtime_error)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled_before else gc.disable)()
+        code = main(argv)
+        assert gc.isenabled() is enabled_before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert code == expected_code
+
+
+def copy_fixture_corpus(root, copies):
+    """copies of every fixture, declared class names suffixed _i in copy i"""
+    files = sorted(FIXTURES.rglob("*.java"))
+    texts = [f.read_text(encoding="utf-8") for f in files]
+    names = sorted({n for text in texts for n in re.findall(r"\bclass\s+(\w+)", text)})
+    declared = re.compile(r"\b(" + "|".join(names) + r")\b")
+    for i in range(copies):
+        folder = root / f"copy{i}"
+        folder.mkdir(parents=True)
+        for path, text in zip(files, texts):
+            renamed = declared.sub(lambda m: f"{m.group(1)}_{i}", text)
+            (folder / f"{path.stem}_{i}.java").write_text(renamed, encoding="utf-8")
+    return root
+
+
+GC_GARBAGE_SCRIPT = """\
+import contextlib, gc, io, sys
+from faultlint.cli import main
+gc.disable()
+gc.collect()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, gc.isenabled(), gc.collect())
+"""
+
+
+def test_scan_builds_no_reference_cycles(tmp_path):
+    # main pauses the cyclic collector for the scan: that is only safe while
+    # the garbage it leaves behind does not grow with the corpus
+    garbage, records = {}, {}
+    for copies in (1, 10):
+        corpus = copy_fixture_corpus(tmp_path / f"corpus{copies}", copies)
+        store = tmp_path / f"store{copies}.json"
+        proc = run_python(["-c", GC_GARBAGE_SCRIPT, str(corpus), "--store", str(store)])
+        assert proc.returncode == 0, proc.stderr
+        code, enabled, collected = proc.stdout.split()
+        assert (code, enabled) == ("1", "False")
+        garbage[copies] = int(collected)
+        records[copies] = len(load_store(store).records)
+    assert records[10] == 10 * records[1] > 0
+    assert garbage[10] == garbage[1]

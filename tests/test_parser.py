@@ -9,11 +9,17 @@ from faultlint.nodes import (
     Binary,
     Block,
     DoWhile,
+    FieldAccess,
+    MethodCall,
     Name,
+    New,
     NumLit,
     Paren,
     StringLit,
     TypedName,
+    UnaryIncDec,
+    child_exprs,
+    child_stmts,
     iter_stmts,
     structure,
     walk_exprs,
@@ -291,9 +297,77 @@ def test_node_lines_within_source(fixture):
 
 
 def _stmt_exprs(stmt):
-    from faultlint.nodes import child_exprs
-
     return list(child_exprs(stmt))
+
+
+def _walk_exprs_recursive(expr):
+    yield expr
+    if isinstance(expr, FieldAccess):
+        yield from _walk_exprs_recursive(expr.target)
+    elif isinstance(expr, MethodCall):
+        if expr.receiver is not None:
+            yield from _walk_exprs_recursive(expr.receiver)
+        for arg in expr.args:
+            yield from _walk_exprs_recursive(arg)
+    elif isinstance(expr, New):
+        for arg in expr.args:
+            yield from _walk_exprs_recursive(arg)
+    elif isinstance(expr, (Binary, Assign)):
+        yield from _walk_exprs_recursive(expr.lhs)
+        yield from _walk_exprs_recursive(expr.rhs)
+    elif isinstance(expr, UnaryIncDec):
+        yield from _walk_exprs_recursive(expr.operand)
+    elif isinstance(expr, Paren):
+        yield from _walk_exprs_recursive(expr.inner)
+
+
+def _iter_stmts_recursive(root):
+    yield root
+    for child in child_stmts(root):
+        yield from _iter_stmts_recursive(child)
+
+
+# node kinds the fixtures lack: Paren, BoolLit, CharLit, Return, Empty,
+# else, finally, prefix ++, nested calls as receivers and arguments
+WALKER_EXTRA_SOURCE = """\
+class W
+{
+    int m(W w, int k)
+    {
+        for (int i = 0; (i < k) == true; ++i) ;
+        if (w.f(k).g(new W(), 'c', (k)) != null) { k--; } else { return (k + 1) * 2; }
+        try { w.h(); } catch (Exception e) { ; } finally { k = k - 1; }
+        return w.n.m(k - 1, w).n;
+    }
+}
+"""
+
+
+def test_walkers_match_recursive_reference():
+    # same nodes, by identity, in the same order as a recursive preorder walk
+    units = [parse_fixture(f) for f in ALL_FIXTURES]
+    units.append(parse_source(WALKER_EXTRA_SOURCE, "W.java"))
+    assert units[-1].diagnostics == ()
+    kinds = set()
+    for unit in units:
+        for decl in unit.classes:
+            for method in decl.methods:
+                stmts = list(iter_stmts(method.body))
+                expected = list(_iter_stmts_recursive(method.body))
+                assert [id(s) for s in stmts] == [id(s) for s in expected]
+                for stmt in stmts:
+                    kinds.add(type(stmt).__name__)
+                    for top in child_exprs(stmt):
+                        exprs = list(walk_exprs(top))
+                        expected = list(_walk_exprs_recursive(top))
+                        assert [id(e) for e in exprs] == [id(e) for e in expected]
+                        kinds.update(type(e).__name__ for e in exprs)
+    assert kinds >= {
+        "Block", "LocalVarDecl", "ExprStmt", "If", "While", "DoWhile", "For",
+        "TryCatch", "Return", "Empty", "StringLit", "NumLit", "BoolLit",
+        "CharLit", "Name", "FieldAccess", "MethodCall", "New", "Binary",
+        "Assign", "UnaryIncDec", "Paren",
+    }
 
 
 def test_multiple_extends_tolerance_property():
