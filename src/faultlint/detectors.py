@@ -10,8 +10,9 @@ Error codes and names (fixed catalog):
                                      opening method
     6  Undefined loop exception      loop with an empty body
 
-Each detector is a pure function of an immutable ProgramModel; they may
-run concurrently and run_all merges their findings deterministically.
+Each detector is a pure function of an immutable ProgramModel, so none
+can change what another sees, and run_all merges their findings in a
+deterministic order.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from dataclasses import dataclass, field
 from faultlint.model import (
     CycleError,
     ProgramModel,
+    Scope,
     is_descendant,
     iter_scoped_exprs,
     resolve_callee,
     static_type_of,
     superclass_chain,
+    walk_body,
 )
 from faultlint.nodes import (
     Assign,
@@ -40,8 +43,6 @@ from faultlint.nodes import (
     Name,
     New,
     While,
-    child_exprs,
-    iter_stmts,
     walk_exprs,
 )
 
@@ -103,17 +104,14 @@ def detect_lvalue_required(model: ProgramModel) -> list[Finding]:
 def detect_incorrect_inheritance(model: ProgramModel) -> list[Finding]:
     """Code 2: a class header extending more than one class."""
     findings = []
-    for unit in model.units:
-        for decl in unit.classes:
-            if model.classes.get(decl.name) is not decl:
-                continue
-            if len(decl.extends_list) > 1:
-                supers = ", ".join(decl.extends_list)
-                findings.append(_finding(
-                    2, decl.name, unit.file_path, decl.line,
-                    f"class {decl.name} extends multiple classes: {supers}",
-                    {"superclasses": list(decl.extends_list)},
-                ))
+    for name, decl in model.classes.items():
+        if len(decl.extends_list) > 1:
+            supers = ", ".join(decl.extends_list)
+            findings.append(_finding(
+                2, name, model.class_files[name], decl.line,
+                f"class {name} extends multiple classes: {supers}",
+                {"superclasses": list(decl.extends_list)},
+            ))
     return findings
 
 
@@ -123,30 +121,27 @@ SPAGHETTI_DEPTH = 6
 def detect_spaghetti(model: ProgramModel) -> list[Finding]:
     """Code 3: every class whose inheritance chain depth reaches six."""
     findings = []
-    for unit in model.units:
-        for decl in unit.classes:
-            if model.classes.get(decl.name) is not decl:
-                continue
-            try:
-                chain = superclass_chain(decl.name, model.hierarchy)
-            except CycleError:
-                continue  # already a model diagnostic, not a finding
-            depth = len(chain) - 1
-            if depth >= SPAGHETTI_DEPTH:
-                findings.append(_finding(
-                    3, decl.name, unit.file_path, decl.line,
-                    f"inheritance depth {depth} reaches the threshold of "
-                    f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
-                    {"depth": depth, "chain": chain},
-                ))
+    for name, decl in model.classes.items():
+        try:
+            chain = superclass_chain(name, model.hierarchy)
+        except CycleError:
+            continue  # already a model diagnostic, not a finding
+        depth = len(chain) - 1
+        if depth >= SPAGHETTI_DEPTH:
+            findings.append(_finding(
+                3, name, model.class_files[name], decl.line,
+                f"inheritance depth {depth} reaches the threshold of "
+                f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
+                {"depth": depth, "chain": chain},
+            ))
     return findings
 
 
 def _param_mutation(callee: MethodDecl, param_name: str,
                     model: ProgramModel) -> tuple[str, int] | None:
     """First non-accessor call or field write on param_name in the body."""
-    for stmt in iter_stmts(callee.body):
-        for top in child_exprs(stmt):
+    for _, exprs, _ in walk_body(callee.body, Scope()):
+        for top in exprs:
             for expr in walk_exprs(top):
                 if (isinstance(expr, MethodCall)
                         and isinstance(expr.receiver, Name)
@@ -253,12 +248,12 @@ def detect_illicit_file_usage(model: ProgramModel) -> list[Finding]:
     for class_name, file_path, decl, method in model.iter_methods():
         opened: dict[str, tuple[str, int]] = {}  # var -> (type, line of new)
         closed: set[str] = set()
-        for stmt in iter_stmts(method.body):
+        for stmt, exprs, _ in walk_body(method.body, Scope()):
             if (isinstance(stmt, LocalVarDecl)
                     and isinstance(stmt.init, New)
                     and stmt.init.type_name in model.seed.resource_types):
                 opened.setdefault(stmt.name, (stmt.init.type_name, stmt.init.line))
-            for top in child_exprs(stmt):
+            for top in exprs:
                 for expr in walk_exprs(top):
                     if (isinstance(expr, Assign)
                             and isinstance(expr.lhs, Name)
@@ -285,7 +280,7 @@ def detect_undefined_loop(model: ProgramModel) -> list[Finding]:
     """Code 6: while/do-while/for whose body holds no real statement."""
     findings = []
     for class_name, file_path, decl, method in model.iter_methods():
-        for stmt in iter_stmts(method.body):
+        for stmt, _, _ in walk_body(method.body, Scope()):
             if isinstance(stmt, While):
                 kind, body = "while", stmt.body
             elif isinstance(stmt, DoWhile):

@@ -29,7 +29,6 @@ from faultlint.nodes import (
     New,
     Paren,
     Return,
-    Stmt,
     StringLit,
     TryCatch,
     While,
@@ -144,7 +143,7 @@ class ClassHierarchy:
 @dataclass(frozen=True)
 class ProgramModel:
     hierarchy: ClassHierarchy
-    classes: dict[str, ClassDecl]
+    classes: dict[str, ClassDecl]  # (file path, position) order, first declaration wins
     class_files: dict[str, str]
     method_index: dict[tuple[str, int], tuple[tuple[str, MethodDecl], ...]]
     units: tuple[CompilationUnit, ...]
@@ -153,12 +152,10 @@ class ProgramModel:
 
     def iter_methods(self):
         """(class name, file path, ClassDecl, MethodDecl) in (file, line) order."""
-        for unit in self.units:
-            for decl in unit.classes:
-                if self.classes.get(decl.name) is not decl:
-                    continue  # shadowed duplicate
-                for method in decl.methods:
-                    yield decl.name, unit.file_path, decl, method
+        for name, decl in self.classes.items():
+            file_path = self.class_files[name]
+            for method in decl.methods:
+                yield name, file_path, decl, method
 
 
 def build_model(
@@ -231,13 +228,10 @@ def build_model(
                 diagnostics.append(str(err))
 
     method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]] = {}
-    for unit in ordered_units:
-        for decl in unit.classes:
-            if classes.get(decl.name) is not decl:
-                continue
-            for method in decl.methods:
-                key = (method.name, len(method.params))
-                method_index.setdefault(key, []).append((decl.name, method))
+    for name, decl in classes.items():
+        for method in decl.methods:
+            key = (method.name, len(method.params))
+            method_index.setdefault(key, []).append((name, method))
 
     return ProgramModel(
         hierarchy=hierarchy,
@@ -405,6 +399,84 @@ def _declared_methods(class_name: str, name: str, arity: int,
             if m.name == name and len(m.params) == arity]
 
 
+def walk_body(block: Block, scope: Scope):
+    """Yield (stmt, exprs, scope) for block and every statement under it.
+
+    Entries come in source order. exprs are the statement's own top-level
+    expressions (walk_exprs walks into them); nested statements get
+    entries of their own. A for loop's condition and update and a
+    do-while's condition come as (None, exprs, scope) where they stand in
+    the source: after the for init and after the do-while body. scope
+    holds the names in effect at the entry. Each block, block included,
+    opens a child scope; a local declaration enters the scope once its
+    entry is consumed, so a scope is only valid until the next entry.
+
+    The stack replaces recursion, so nesting of any depth is walked. It
+    holds statements to visit, tuples of deferred loop conditions, and
+    scopes to switch to: a catch variable's, made current before its
+    block, and the enclosing one, restored when a block, a for loop or the
+    catch clauses of a try end.
+    """
+    stack = [block]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        stmt = pop()
+        # commonest types first; no node type is subclassed
+        kind = type(stmt)
+        if kind is ExprStmt:
+            yield stmt, (stmt.expr,), scope
+        elif kind is Block:
+            yield stmt, (), scope
+            push(scope)
+            stack.extend(reversed(stmt.stmts))
+            scope = scope.child()
+        elif kind is Scope:
+            scope = stmt
+        elif kind is LocalVarDecl:
+            yield stmt, (() if stmt.init is None else (stmt.init,)), scope
+            scope.declare(stmt.name, stmt.type_name)
+        elif kind is If:
+            yield stmt, (stmt.cond,), scope
+            if stmt.else_block is not None:
+                push(stmt.else_block)
+            push(stmt.then_block)
+        elif kind is While:
+            yield stmt, (stmt.cond,), scope
+            push(stmt.body)
+        elif kind is Return:
+            yield stmt, (() if stmt.expr is None else (stmt.expr,)), scope
+        elif kind is tuple:
+            yield None, stmt, scope
+        elif kind is For:
+            yield stmt, (), scope
+            push(scope)
+            push(stmt.body)
+            tail = tuple(e for e in (stmt.cond, stmt.update) if e is not None)
+            if tail:
+                push(tail)
+            if stmt.init is not None:
+                push(stmt.init)
+            scope = scope.child()
+        elif kind is DoWhile:
+            yield stmt, (), scope
+            push((stmt.cond,))
+            push(stmt.body)
+        elif kind is TryCatch:
+            yield stmt, (), scope
+            if stmt.finally_block is not None:
+                push(stmt.finally_block)
+            push(scope)
+            for clause in reversed(stmt.catches):
+                catch_scope = scope.child()
+                catch_scope.declare(clause.var_name, clause.type_name)
+                push(clause.body)
+                push(catch_scope)
+            push(stmt.try_block)
+        else:  # Empty
+            yield stmt, (), scope
+
+
 def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):
     """Yield (expr, scope) for every expression in the body, source order.
 
@@ -412,57 +484,7 @@ def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):
     effect at that point and is only valid at yield time (it keeps mutating
     as the walk proceeds).
     """
-    yield from _scoped_block(method.body, method_scope(class_decl, method).child())
-
-
-def _scoped_block(block: Block, scope: Scope):
-    for stmt in block.stmts:
-        yield from _scoped_stmt(stmt, scope)
-
-
-def _scoped_stmt(stmt: Stmt, scope: Scope):
-    if isinstance(stmt, Block):
-        yield from _scoped_block(stmt, scope.child())
-    elif isinstance(stmt, LocalVarDecl):
-        if stmt.init is not None:
-            for expr in walk_exprs(stmt.init):
-                yield expr, scope
-        scope.declare(stmt.name, stmt.type_name)
-    elif isinstance(stmt, ExprStmt):
-        for expr in walk_exprs(stmt.expr):
-            yield expr, scope
-    elif isinstance(stmt, If):
-        for expr in walk_exprs(stmt.cond):
-            yield expr, scope
-        yield from _scoped_block(stmt.then_block, scope.child())
-        if stmt.else_block is not None:
-            yield from _scoped_block(stmt.else_block, scope.child())
-    elif isinstance(stmt, While):
-        for expr in walk_exprs(stmt.cond):
-            yield expr, scope
-        yield from _scoped_block(stmt.body, scope.child())
-    elif isinstance(stmt, DoWhile):
-        yield from _scoped_block(stmt.body, scope.child())
-        for expr in walk_exprs(stmt.cond):
-            yield expr, scope
-    elif isinstance(stmt, For):
-        inner = scope.child()
-        if stmt.init is not None:
-            yield from _scoped_stmt(stmt.init, inner)
-        for part in (stmt.cond, stmt.update):
-            if part is not None:
-                for expr in walk_exprs(part):
-                    yield expr, inner
-        yield from _scoped_block(stmt.body, inner.child())
-    elif isinstance(stmt, TryCatch):
-        yield from _scoped_block(stmt.try_block, scope.child())
-        for clause in stmt.catches:
-            catch_scope = scope.child()
-            catch_scope.declare(clause.var_name, clause.type_name)
-            yield from _scoped_block(clause.body, catch_scope)
-        if stmt.finally_block is not None:
-            yield from _scoped_block(stmt.finally_block, scope.child())
-    elif isinstance(stmt, Return):
-        if stmt.expr is not None:
-            for expr in walk_exprs(stmt.expr):
+    for _, exprs, scope in walk_body(method.body, method_scope(class_decl, method)):
+        for top in exprs:
+            for expr in walk_exprs(top):
                 yield expr, scope

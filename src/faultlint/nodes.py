@@ -1,17 +1,19 @@
 """AST node types for the analyzed Java subset.
 
 Nodes are immutable after construction (frozen dataclasses, tuple
-children) so parsed units can be shared freely across concurrent detector
-runs. They are slotted: a node stores its fields in fixed slots, with no
-per-instance `__dict__`, which makes it smaller and quicker to build. The
-`Expr` and `Stmt` bases declare empty `__slots__` so that their subclasses
-stay dict-free too. Every node carries the 1-based source line of its
+children), so the model and every detector can share one parsed tree
+without copying it, and none of them can change what another reads. They
+are slotted: a node stores its fields in fixed slots, with no per-instance
+`__dict__`, which makes it smaller and quicker to build. The `Expr` and
+`Stmt` bases declare empty `__slots__` so that their subclasses stay
+dict-free too. Every node carries the 1-based source line of its
 anchor token: the operator for Binary/Assign, the keyword for loops and
 `new`, the name for calls.
 
-The tree walkers use explicit stacks, not recursion, so trees of any
+`walk_exprs` uses an explicit stack, not recursion, so expressions of any
 depth can be walked: the parser builds arbitrarily deep trees from flat
 input, such as a long `a + a + ... + a` chain or `a.f().f()...` call chain.
+Statements are walked by `model.walk_body`, which also tracks scopes.
 """
 
 from __future__ import annotations
@@ -242,78 +244,26 @@ def walk_exprs(expr: Expr):
     while stack:
         expr = stack.pop()
         yield expr
-        # children go on the stack last-first, so they come off in source order
-        if isinstance(expr, FieldAccess):
-            push(expr.target)
-        elif isinstance(expr, MethodCall):
+        # commonest types first (no node type is subclassed); children go
+        # on the stack last-first, so they come off in source order
+        kind = type(expr)
+        if kind is Name:
+            continue  # a leaf
+        if kind is MethodCall:
             stack.extend(reversed(expr.args))
             if expr.receiver is not None:
                 push(expr.receiver)
-        elif isinstance(expr, New):
-            stack.extend(reversed(expr.args))
-        elif isinstance(expr, (Binary, Assign)):
+        elif kind is Binary or kind is Assign:
             push(expr.rhs)
             push(expr.lhs)
-        elif isinstance(expr, UnaryIncDec):
+        elif kind is FieldAccess:
+            push(expr.target)
+        elif kind is New:
+            stack.extend(reversed(expr.args))
+        elif kind is UnaryIncDec:
             push(expr.operand)
-        elif isinstance(expr, Paren):
+        elif kind is Paren:
             push(expr.inner)
-
-
-def child_exprs(stmt: Stmt):
-    """Direct expressions of a statement, excluding nested statements."""
-    if isinstance(stmt, LocalVarDecl):
-        if stmt.init is not None:
-            yield stmt.init
-    elif isinstance(stmt, ExprStmt):
-        yield stmt.expr
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While):
-        yield stmt.cond
-    elif isinstance(stmt, DoWhile):
-        yield stmt.cond
-    elif isinstance(stmt, For):
-        if stmt.cond is not None:
-            yield stmt.cond
-        if stmt.update is not None:
-            yield stmt.update
-    elif isinstance(stmt, Return):
-        if stmt.expr is not None:
-            yield stmt.expr
-
-
-def child_stmts(stmt: Stmt):
-    """Direct nested statements, source order."""
-    if isinstance(stmt, Block):
-        yield from stmt.stmts
-    elif isinstance(stmt, If):
-        yield stmt.then_block
-        if stmt.else_block is not None:
-            yield stmt.else_block
-    elif isinstance(stmt, While):
-        yield stmt.body
-    elif isinstance(stmt, DoWhile):
-        yield stmt.body
-    elif isinstance(stmt, For):
-        if stmt.init is not None:
-            yield stmt.init
-        yield stmt.body
-    elif isinstance(stmt, TryCatch):
-        yield stmt.try_block
-        for clause in stmt.catches:
-            yield clause.body
-        if stmt.finally_block is not None:
-            yield stmt.finally_block
-
-
-def iter_stmts(root: Stmt):
-    """Preorder walk over a statement tree, source order."""
-    stack = [root]
-    while stack:
-        stmt = stack.pop()
-        yield stmt
-        stack.extend(reversed(tuple(child_stmts(stmt))))
 
 
 def structure(node):

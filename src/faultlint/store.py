@@ -196,7 +196,7 @@ def load_store(path) -> AnalysisStore:
                 error_codes=tuple(int(c) for c in entry["error_codes"]),
                 findings=tuple(_finding_from_dict(f, path) for f in entry["findings"]),
             ))
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"{path}: malformed record entry: {err}") from err
 
     try:

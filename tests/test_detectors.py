@@ -247,6 +247,36 @@ def test_d4_argument_must_be_a_plain_name():
     assert detect_itu(_itu_model_with_call("g (s);"))
 
 
+def _itu_mutation(param, callee_body):
+    source = (
+        "class ord\n{\n"
+        "    void f (Stack s)\n    {\n"
+        "        g (s);\n"
+        "        s.pop();\n    }\n"
+        f"    void g (Vector {param})\n    {{\n"
+        f"{callee_body}"
+        "    }\n}\n"
+    )
+    findings = detect_itu(model_for_source(source, "ord.java"))
+    assert len(findings) == 1
+    return findings[0].detail["mutation"], findings[0].detail["mutation_line"]
+
+
+def test_d4_first_mutation_in_for_header_is_the_init():
+    # source order: init, then condition, then update
+    body = "        for (p.clear(); p.add(1) > 0; p.trim()) { p.size(); }\n"
+    assert _itu_mutation("p", body) == ("p.clear(...)", 10)
+
+
+def test_d4_first_mutation_in_do_while_is_in_the_body():
+    body = (
+        "        do\n        {\n"
+        "            q.push(3);\n"
+        "        }\n        while (q.remove(4) > 0);\n"
+    )
+    assert _itu_mutation("q", body) == ("q.push(...)", 12)
+
+
 def _itu_model_with_call(call_stmt):
     source = (
         "class p\n{\n"
@@ -478,6 +508,41 @@ def test_d5_non_resource_new_ignored():
         "class n { void m() { Thing t = new Thing(); } }", "n.java"
     )
     assert detect_illicit_file_usage(model) == []
+
+
+def test_d5_for_header_records_the_init_open():
+    source = """\
+class loop
+{
+    void m()
+    {
+        for (f = new FileReader(a); f.ready(); f = new FileWriter(b))
+        {
+            f.read();
+        }
+    }
+}
+"""
+    findings = detect_illicit_file_usage(model_for_source(source, "l.java"))
+    assert [(f.detail["resource_type"], f.line) for f in findings] == [("FileReader", 5)]
+
+
+def test_d5_do_while_records_the_body_open():
+    source = """\
+class again
+{
+    void m()
+    {
+        do
+        {
+            r = new FileReader(a);
+        }
+        while ((r = new FileReader(b)) != null);
+    }
+}
+"""
+    findings = detect_illicit_file_usage(model_for_source(source, "a.java"))
+    assert [(f.detail["variable"], f.line) for f in findings] == [("r", 7)]
 
 
 def test_d5_generated_open_close_sequences_vs_text_oracle():

@@ -304,6 +304,40 @@ def test_block_scope_does_not_leak():
     assert types == [None]
 
 
+def _name_lookups(source, ident):
+    model = model_for_source(source, "s.java")
+    decl, method = _only_method(model, "S")
+    return [
+        scope.lookup(expr.ident)
+        for expr, scope in iter_scoped_exprs(decl, method)
+        if isinstance(expr, Name) and expr.ident == ident
+    ]
+
+
+@pytest.mark.parametrize("field, outside", [("", None), ("int i;", "int")])
+def test_for_init_variable_scoped_to_the_loop(field, outside):
+    # condition, update and body see the loop's i; before and after it,
+    # i is the field or unknown
+    source = (
+        f"class S {{ {field} void m() {{ i.before(); "
+        "for (String i = a; i == b; i.next()) { i.use(); } i.after(); } }"
+    )
+    assert _name_lookups(source, "i") == [outside, "String", "String", "String", outside]
+
+
+def test_local_declaration_takes_effect_after_its_initializer():
+    source = "class S { String d; void m() { int d = d.length(); d.use(); } }"
+    assert _name_lookups(source, "d") == ["String", "int"]
+
+
+def test_catch_variable_visible_only_in_its_own_catch_body():
+    source = (
+        "class S { void m() { try { e.a(); } catch (IOException e) { e.b(); } "
+        "catch (Exception f) { e.c(); } finally { e.d(); } e.f(); } }"
+    )
+    assert _name_lookups(source, "e") == [None, "IOException", None, None, None]
+
+
 # --- resolve_callee ----------------------------------------------------------
 
 

@@ -4,23 +4,28 @@ import random
 
 import pytest
 
+from faultlint.model import Scope, iter_scoped_exprs, method_scope, walk_body
 from faultlint.nodes import (
     Assign,
     Binary,
     Block,
     DoWhile,
+    ExprStmt,
     FieldAccess,
+    For,
+    If,
+    LocalVarDecl,
     MethodCall,
     Name,
     New,
     NumLit,
     Paren,
+    Return,
     StringLit,
+    TryCatch,
     TypedName,
     UnaryIncDec,
-    child_exprs,
-    child_stmts,
-    iter_stmts,
+    While,
     structure,
     walk_exprs,
 )
@@ -34,6 +39,7 @@ from conftest import (
     nested_source,
     parse_fixture,
 )
+from test_generated_roundtrip import gen_stmt
 
 TWO_CLASS_CHAIN_TEXT = """\
 public class ML_A
@@ -289,15 +295,12 @@ def test_node_lines_within_source(fixture):
         assert 1 <= decl.line <= line_count
         for method in decl.methods:
             assert 1 <= method.line <= line_count
-            for stmt in iter_stmts(method.body):
-                assert 1 <= stmt.line <= line_count
-                for top in _stmt_exprs(stmt):
+            for stmt, exprs, _ in walk_body(method.body, Scope()):
+                if stmt is not None:
+                    assert 1 <= stmt.line <= line_count
+                for top in exprs:
                     for expr in walk_exprs(top):
                         assert 1 <= expr.line <= line_count
-
-
-def _stmt_exprs(stmt):
-    return list(child_exprs(stmt))
 
 
 def _walk_exprs_recursive(expr):
@@ -321,10 +324,92 @@ def _walk_exprs_recursive(expr):
         yield from _walk_exprs_recursive(expr.inner)
 
 
-def _iter_stmts_recursive(root):
-    yield root
-    for child in child_stmts(root):
-        yield from _iter_stmts_recursive(child)
+def _scoped_block_reference(block, scope):
+    yield block
+    for stmt in block.stmts:
+        yield from _scoped_stmt_reference(stmt, scope)
+
+
+def _scoped_stmt_reference(stmt, scope):
+    """The recursive scoped walk that model.walk_body replaced.
+
+    Yields each statement, then (expr, scope) for each of its expressions,
+    recursively. Kept as the reference the iterative walk must match.
+    """
+    if isinstance(stmt, Block):
+        yield from _scoped_block_reference(stmt, scope.child())
+        return
+    yield stmt
+    if isinstance(stmt, LocalVarDecl):
+        if stmt.init is not None:
+            for expr in _walk_exprs_recursive(stmt.init):
+                yield expr, scope
+        scope.declare(stmt.name, stmt.type_name)
+    elif isinstance(stmt, ExprStmt):
+        for expr in _walk_exprs_recursive(stmt.expr):
+            yield expr, scope
+    elif isinstance(stmt, If):
+        for expr in _walk_exprs_recursive(stmt.cond):
+            yield expr, scope
+        yield from _scoped_block_reference(stmt.then_block, scope.child())
+        if stmt.else_block is not None:
+            yield from _scoped_block_reference(stmt.else_block, scope.child())
+    elif isinstance(stmt, While):
+        for expr in _walk_exprs_recursive(stmt.cond):
+            yield expr, scope
+        yield from _scoped_block_reference(stmt.body, scope.child())
+    elif isinstance(stmt, DoWhile):
+        yield from _scoped_block_reference(stmt.body, scope.child())
+        for expr in _walk_exprs_recursive(stmt.cond):
+            yield expr, scope
+    elif isinstance(stmt, For):
+        inner = scope.child()
+        if stmt.init is not None:
+            yield from _scoped_stmt_reference(stmt.init, inner)
+        for part in (stmt.cond, stmt.update):
+            if part is not None:
+                for expr in _walk_exprs_recursive(part):
+                    yield expr, inner
+        yield from _scoped_block_reference(stmt.body, inner.child())
+    elif isinstance(stmt, TryCatch):
+        yield from _scoped_block_reference(stmt.try_block, scope.child())
+        for clause in stmt.catches:
+            catch_scope = scope.child()
+            catch_scope.declare(clause.var_name, clause.type_name)
+            yield from _scoped_block_reference(clause.body, catch_scope)
+        if stmt.finally_block is not None:
+            yield from _scoped_block_reference(stmt.finally_block, scope.child())
+    elif isinstance(stmt, Return):
+        if stmt.expr is not None:
+            for expr in _walk_exprs_recursive(stmt.expr):
+                yield expr, scope
+
+
+def _expr_event(expr, scope):
+    # a Name's lookup is taken at once: the scope changes as the walk goes on
+    return id(expr), scope.lookup(expr.ident) if isinstance(expr, Name) else None
+
+
+def _reference_events(decl, method):
+    events = []
+    for item in _scoped_block_reference(method.body, method_scope(decl, method).child()):
+        events.append(_expr_event(*item) if isinstance(item, tuple) else id(item))
+    return events
+
+
+def _walk_body_events(decl, method, kinds):
+    events = []
+    for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
+        if stmt is not None:
+            events.append(id(stmt))
+            kinds.add(type(stmt).__name__)
+        for top in exprs:
+            # the expression walk must match its recursive reference too
+            walked = list(walk_exprs(top))
+            assert [id(e) for e in walked] == [id(e) for e in _walk_exprs_recursive(top)]
+            kinds.update(type(e).__name__ for e in walked)
+            events.extend(_expr_event(e, scope) for e in walked)
+    return events
 
 
 # node kinds the fixtures lack: Paren, BoolLit, CharLit, Return, Empty,
@@ -343,31 +428,58 @@ class W
 """
 
 
+def _generated_walker_units(count):
+    rng = random.Random(4242)
+    units = []
+    for index in range(count):
+        body = " ".join(gen_stmt(rng, 3) for _ in range(rng.randrange(1, 6)))
+        source = (
+            f"class G{index} {{ String x; int count; "
+            f"void m(Thing y, String i) {{ {body} }} }}"
+        )
+        units.append(parse_source(source, "gen.java"))
+    return units
+
+
 def test_walkers_match_recursive_reference():
-    # same nodes, by identity, in the same order as a recursive preorder walk
+    # the same statements by identity, the same expressions in the same
+    # order, and the same scope lookup for every Name as a recursive walk
     units = [parse_fixture(f) for f in ALL_FIXTURES]
     units.append(parse_source(WALKER_EXTRA_SOURCE, "W.java"))
-    assert units[-1].diagnostics == ()
+    units.extend(_generated_walker_units(200))
     kinds = set()
+    resolved = 0
     for unit in units:
+        assert unit.diagnostics == ()
         for decl in unit.classes:
             for method in decl.methods:
-                stmts = list(iter_stmts(method.body))
-                expected = list(_iter_stmts_recursive(method.body))
-                assert [id(s) for s in stmts] == [id(s) for s in expected]
-                for stmt in stmts:
-                    kinds.add(type(stmt).__name__)
-                    for top in child_exprs(stmt):
-                        exprs = list(walk_exprs(top))
-                        expected = list(_walk_exprs_recursive(top))
-                        assert [id(e) for e in exprs] == [id(e) for e in expected]
-                        kinds.update(type(e).__name__ for e in exprs)
+                expected = _reference_events(decl, method)
+                assert _walk_body_events(decl, method, kinds) == expected
+                scoped = [_expr_event(e, scope) for e, scope in iter_scoped_exprs(decl, method)]
+                assert scoped == [e for e in expected if isinstance(e, tuple)]
+                resolved += sum(1 for e in scoped if e[1] is not None)
     assert kinds >= {
         "Block", "LocalVarDecl", "ExprStmt", "If", "While", "DoWhile", "For",
         "TryCatch", "Return", "Empty", "StringLit", "NumLit", "BoolLit",
         "CharLit", "Name", "FieldAccess", "MethodCall", "New", "Binary",
         "Assign", "UnaryIncDec", "Paren",
     }
+    assert resolved > 1000  # names resolve to fields, parameters and locals
+
+
+def test_walk_body_handles_nesting_beyond_the_recursion_limit():
+    # the parser caps nesting at MAX_NESTING, so the tree is built directly
+    depth = 5_000
+    use = ExprStmt(Name("x", 1), 1)
+    node = Block((use,), 1)
+    for level in range(depth):
+        node = Block((node,), 1) if level % 2 else If(Name("c", 1), node, None, 1)
+    root = Block((LocalVarDecl("int", "x", None, 1), node), 1)
+    entries = [(stmt, exprs, scope.lookup("x")) for stmt, exprs, scope in walk_body(root, Scope())]
+    assert len(entries) == depth + 4
+    assert entries[-1][0] is use
+    assert entries[-1][1] == (use.expr,)
+    assert entries[-1][2] == "int"
 
 
 def test_multiple_extends_tolerance_property():

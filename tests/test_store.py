@@ -205,6 +205,8 @@ def test_load_unknown_schema_version_names_it(tmp_path):
     '{"schema_version": 1}',
     '{"schema_version": 1, "corpus_root": "x", "records": {}, "catalog": {}, "diagnostics": []}',
     '{"schema_version": 1, "corpus_root": "x", "records": [{"nope": 1}], "catalog": {}, "diagnostics": []}',
+    '{"schema_version": 1, "corpus_root": "x", "records": [{"class_name": "A", "file_path": "a.java",'
+    ' "error_codes": ["x"], "findings": []}], "catalog": {}, "diagnostics": []}',
 ])
 def test_load_rejects_foreign_documents(tmp_path, payload):
     path = tmp_path / "foreign.json"
