@@ -10,9 +10,16 @@ Error codes and names (fixed catalog):
                                      opening method
     6  Undefined loop exception      loop with an empty body
 
-Each detector is a pure function of an immutable ProgramModel, so none
-can change what another sees, and run_all merges their findings in a
-deterministic order.
+Rules 2 and 3 read the class hierarchy, one function each. Rules 1, 4, 5
+and 6 read method bodies and share one pass, _scan_bodies: it walks each
+method body once with model.walk_body and runs every enabled rule's check
+on each entry and its subexpressions, dispatching on node type. Rule 4
+then checks the method's call sites against its callees, and computes
+each callee's mutation of a parameter once per pass. detect_lvalue_required,
+detect_itu, detect_illicit_file_usage and detect_undefined_loop select
+one rule from that pass. Every detector reads an immutable ProgramModel,
+so none can change what another sees, and run_all merges their findings
+in a deterministic order.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from faultlint.model import (
     ProgramModel,
     Scope,
     is_descendant,
-    iter_scoped_exprs,
+    method_scope,
     resolve_callee,
     static_type_of,
     superclass_chain,
@@ -83,24 +90,6 @@ def _finding(code: int, class_name: str, file_path: str, line: int,
     )
 
 
-def detect_lvalue_required(model: ProgramModel) -> list[Finding]:
-    """Code 1: == or != applied where either operand is a String."""
-    findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
-        for expr, scope in iter_scoped_exprs(decl, method):
-            if not (isinstance(expr, Binary) and expr.op in ("==", "!=")):
-                continue
-            left = static_type_of(expr.lhs, scope, model)
-            right = static_type_of(expr.rhs, scope, model)
-            if left == "String" or right == "String":
-                findings.append(_finding(
-                    1, class_name, file_path, expr.line,
-                    f"strings compared with '{expr.op}'; use .equals() for value equality",
-                    {"op": expr.op, "left_type": left, "right_type": right},
-                ))
-    return findings
-
-
 def detect_incorrect_inheritance(model: ProgramModel) -> list[Finding]:
     """Code 2: a class header extending more than one class."""
     findings = []
@@ -156,6 +145,172 @@ def _param_mutation(callee: MethodDecl, param_name: str,
     return None
 
 
+def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
+                  call_sites: list, name_uses: list, mutations: dict,
+                  findings: list[Finding]) -> None:
+    """Rule 4's post-pass over one method's call sites (see _scan_bodies).
+
+    mutations memoizes _param_mutation per (id(callee), parameter name)
+    for one _scan_bodies call, during which the model keeps every callee
+    alive. Identity, because hashing a MethodDecl would hash its whole body.
+    """
+    for call, idents, types, receiver_type in call_sites:
+        resolution = "name-arity" if receiver_type is None else "hierarchy"
+        emitted = False
+        for callee_class, callee in resolve_callee(
+                call.name, len(call.args), model, receiver_type):
+            for position, (ident, arg_type) in enumerate(zip(idents, types)):
+                if ident is None or arg_type is None:
+                    continue
+                param = callee.params[position]
+                base_type = param.type_name
+                if not is_descendant(arg_type, base_type, model.hierarchy):
+                    continue
+                key = (id(callee), param.name)
+                if key in mutations:
+                    mutation = mutations[key]
+                else:
+                    mutation = mutations[key] = _param_mutation(callee, param.name, model)
+                if mutation is None:
+                    continue
+                later_use = next(
+                    (use for use in name_uses
+                     if use[0] == ident and use[1] > call.line),
+                    None,
+                )
+                if later_use is None:
+                    continue
+                mut_desc, mut_line = mutation
+                findings.append(_finding(
+                    4, class_name, file_path, call.line,
+                    f"{arg_type} '{ident}' passed where {base_type} is expected; "
+                    f"{callee_class}.{callee.name} mutates it ({mut_desc}) and "
+                    f"'{ident}' is used again at line {later_use[1]}",
+                    {
+                        "argument": ident,
+                        "descendant_type": arg_type,
+                        "base_type": base_type,
+                        "callee": f"{callee_class}.{callee.name}",
+                        "mutation": mut_desc,
+                        "mutation_line": mut_line,
+                        "post_call_use_line": later_use[1],
+                        "post_call_use": f"{ident}.{later_use[2]}(...)",
+                        "resolution": resolution,
+                    },
+                ))
+                emitted = True
+                break  # one finding per call site
+            if emitted:
+                break
+
+
+_LOOP_KINDS = {While: "while", DoWhile: "do-while", For: "for"}
+
+_BODY_RULES = frozenset({1, 4, 5, 6})
+
+
+def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
+    """Findings of the body rules in rules (codes 1, 4, 5, 6), by code.
+
+    One walk_body pass per method, with the class fields and the method
+    parameters in scope. Each enabled rule checks the walk's entries and
+    their subexpressions as they come, while the entry's scope is valid;
+    rules 4 and 5 finish each method after its walk. A rule's list is in
+    method order, then source order, and does not depend on which other
+    rules run.
+    """
+    found: dict[int, list[Finding]] = {code: [] for code in sorted(rules)}
+    if not found:
+        return found
+    lvalue = found.get(1)
+    itu = found.get(4)
+    files = found.get(5)
+    loops = found.get(6)
+    walk_expressions = lvalue is not None or itu is not None or files is not None
+    resource_types = model.seed.resource_types
+    mutations: dict[tuple[int, str], tuple[str, int] | None] = {}
+    for class_name, file_path, decl, method in model.iter_methods():
+        call_sites = []   # rule 4: (call, arg idents, arg declared types, receiver type)
+        name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
+        opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
+        closed: set[str] = set()                 # rule 5: receivers of close()
+        for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
+            kind = type(stmt)
+            if kind is LocalVarDecl:
+                init = stmt.init
+                if (files is not None and type(init) is New
+                        and init.type_name in resource_types):
+                    opened.setdefault(stmt.name, (init.type_name, init.line))
+            elif loops is not None and kind in _LOOP_KINDS:
+                if all(type(s) is Empty for s in stmt.body.stmts):
+                    loop_kind = _LOOP_KINDS[kind]
+                    loops.append(_finding(
+                        6, class_name, file_path, stmt.line,
+                        f"empty {loop_kind} loop body",
+                        {"loop_kind": loop_kind},
+                    ))
+            if not walk_expressions:
+                continue
+            for top in exprs:
+                for expr in walk_exprs(top):
+                    expr_kind = type(expr)
+                    if expr_kind is MethodCall:
+                        receiver = expr.receiver
+                        if files is not None and expr.name == "close" and type(receiver) is Name:
+                            closed.add(receiver.ident)
+                        if itu is None:
+                            continue
+                        if type(receiver) is Name:
+                            name_uses.append((receiver.ident, expr.line, expr.name))
+                        types = [scope.lookup(a.ident) if type(a) is Name else None
+                                 for a in expr.args]
+                        if all(t is None for t in types):
+                            continue  # no typed Name argument that could be flagged
+                        idents = [a.ident if type(a) is Name else None for a in expr.args]
+                        if receiver is None or (type(receiver) is Name
+                                                and receiver.ident == "this"):
+                            receiver_type = class_name
+                        elif type(receiver) is Name:
+                            receiver_type = scope.lookup(receiver.ident)
+                        else:
+                            receiver_type = None
+                        call_sites.append((expr, idents, types, receiver_type))
+                    elif expr_kind is Binary:
+                        if lvalue is None or (expr.op != "==" and expr.op != "!="):
+                            continue
+                        left = static_type_of(expr.lhs, scope, model)
+                        right = static_type_of(expr.rhs, scope, model)
+                        if left == "String" or right == "String":
+                            lvalue.append(_finding(
+                                1, class_name, file_path, expr.line,
+                                f"strings compared with '{expr.op}'; use .equals() "
+                                f"for value equality",
+                                {"op": expr.op, "left_type": left, "right_type": right},
+                            ))
+                    elif expr_kind is Assign:
+                        rhs = expr.rhs
+                        if (files is not None and type(expr.lhs) is Name
+                                and type(rhs) is New and rhs.type_name in resource_types):
+                            opened.setdefault(expr.lhs.ident, (rhs.type_name, rhs.line))
+        if call_sites:
+            _itu_findings(model, class_name, file_path, call_sites, name_uses,
+                          mutations, itu)
+        for var, (type_name, line) in opened.items():
+            if var not in closed:
+                files.append(_finding(
+                    5, class_name, file_path, line,
+                    f"resource '{var}' of type {type_name} is opened but never "
+                    f"closed in this method",
+                    {"variable": var, "resource_type": type_name},
+                ))
+    return found
+
+
+def detect_lvalue_required(model: ProgramModel) -> list[Finding]:
+    """Code 1: == or != applied where either operand is a String."""
+    return _scan_bodies(model, (1,))[1]
+
+
 def detect_itu(model: ProgramModel) -> list[Finding]:
     """Code 4: inconsistent type usage across a call boundary.
 
@@ -169,73 +324,7 @@ def detect_itu(model: ProgramModel) -> list[Finding]:
     of x for x.g(...). Any other receiver, or an x of unknown type, falls
     back to every method of the same name and arity.
     """
-    findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
-        call_sites = []   # (call expr, arg idents, arg declared types, receiver type)
-        name_uses = []    # (receiver ident, line) for x.m(...) anywhere
-        for expr, scope in iter_scoped_exprs(decl, method):
-            if not isinstance(expr, MethodCall):
-                continue
-            receiver = expr.receiver
-            if isinstance(receiver, Name):
-                name_uses.append((receiver.ident, expr.line, expr.name))
-            types = [static_type_of(a, scope, model) if isinstance(a, Name) else None
-                     for a in expr.args]
-            if all(t is None for t in types):
-                continue  # no typed Name argument that could be flagged
-            idents = [a.ident if isinstance(a, Name) else None for a in expr.args]
-            if receiver is None or (isinstance(receiver, Name) and receiver.ident == "this"):
-                receiver_type = class_name
-            elif isinstance(receiver, Name):
-                receiver_type = static_type_of(receiver, scope, model)
-            else:
-                receiver_type = None
-            call_sites.append((expr, idents, types, receiver_type))
-
-        for call, idents, types, receiver_type in call_sites:
-            resolution = "name-arity" if receiver_type is None else "hierarchy"
-            emitted = False
-            for callee_class, callee in resolve_callee(
-                    call.name, len(call.args), model, receiver_type):
-                for position, (ident, arg_type) in enumerate(zip(idents, types)):
-                    if ident is None or arg_type is None:
-                        continue
-                    base_type = callee.params[position].type_name
-                    if not is_descendant(arg_type, base_type, model.hierarchy):
-                        continue
-                    mutation = _param_mutation(callee, callee.params[position].name, model)
-                    if mutation is None:
-                        continue
-                    later_use = next(
-                        (use for use in name_uses
-                         if use[0] == ident and use[1] > call.line),
-                        None,
-                    )
-                    if later_use is None:
-                        continue
-                    mut_desc, mut_line = mutation
-                    findings.append(_finding(
-                        4, class_name, file_path, call.line,
-                        f"{arg_type} '{ident}' passed where {base_type} is expected; "
-                        f"{callee_class}.{callee.name} mutates it ({mut_desc}) and "
-                        f"'{ident}' is used again at line {later_use[1]}",
-                        {
-                            "argument": ident,
-                            "descendant_type": arg_type,
-                            "base_type": base_type,
-                            "callee": f"{callee_class}.{callee.name}",
-                            "mutation": mut_desc,
-                            "mutation_line": mut_line,
-                            "post_call_use_line": later_use[1],
-                            "post_call_use": f"{ident}.{later_use[2]}(...)",
-                            "resolution": resolution,
-                        },
-                    ))
-                    emitted = True
-                    break  # one finding per call site
-                if emitted:
-                    break
-    return findings
+    return _scan_bodies(model, (4,))[4]
 
 
 def detect_illicit_file_usage(model: ProgramModel) -> list[Finding]:
@@ -244,70 +333,20 @@ def detect_illicit_file_usage(model: ProgramModel) -> list[Finding]:
     Path-insensitive: a close anywhere in the same method body (branches,
     catch and finally blocks included) counts.
     """
-    findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
-        opened: dict[str, tuple[str, int]] = {}  # var -> (type, line of new)
-        closed: set[str] = set()
-        for stmt, exprs, _ in walk_body(method.body, Scope()):
-            if (isinstance(stmt, LocalVarDecl)
-                    and isinstance(stmt.init, New)
-                    and stmt.init.type_name in model.seed.resource_types):
-                opened.setdefault(stmt.name, (stmt.init.type_name, stmt.init.line))
-            for top in exprs:
-                for expr in walk_exprs(top):
-                    if (isinstance(expr, Assign)
-                            and isinstance(expr.lhs, Name)
-                            and isinstance(expr.rhs, New)
-                            and expr.rhs.type_name in model.seed.resource_types):
-                        opened.setdefault(expr.lhs.ident, (expr.rhs.type_name, expr.rhs.line))
-                    if (isinstance(expr, MethodCall)
-                            and expr.name == "close"
-                            and isinstance(expr.receiver, Name)):
-                        closed.add(expr.receiver.ident)
-        for var, (type_name, line) in opened.items():
-            if var in closed:
-                continue
-            findings.append(_finding(
-                5, class_name, file_path, line,
-                f"resource '{var}' of type {type_name} is opened but never "
-                f"closed in this method",
-                {"variable": var, "resource_type": type_name},
-            ))
-    return findings
+    return _scan_bodies(model, (5,))[5]
 
 
 def detect_undefined_loop(model: ProgramModel) -> list[Finding]:
     """Code 6: while/do-while/for whose body holds no real statement."""
-    findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
-        for stmt, _, _ in walk_body(method.body, Scope()):
-            if isinstance(stmt, While):
-                kind, body = "while", stmt.body
-            elif isinstance(stmt, DoWhile):
-                kind, body = "do-while", stmt.body
-            elif isinstance(stmt, For):
-                kind, body = "for", stmt.body
-            else:
-                continue
-            if all(isinstance(s, Empty) for s in body.stmts):
-                findings.append(_finding(
-                    6, class_name, file_path, stmt.line,
-                    f"empty {kind} loop body",
-                    {"loop_kind": kind},
-                ))
-    return findings
+    return _scan_bodies(model, (6,))[6]
 
 
-_DETECTORS = {
-    1: detect_lvalue_required,
+_CLASS_DETECTORS = {
     2: detect_incorrect_inheritance,
     3: detect_spaghetti,
-    4: detect_itu,
-    5: detect_illicit_file_usage,
-    6: detect_undefined_loop,
 }
 
-ALL_RULES = frozenset(_DETECTORS)
+ALL_RULES = _BODY_RULES | frozenset(_CLASS_DETECTORS)
 
 
 def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
@@ -317,7 +356,9 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     if bad:
         raise ValueError(f"unknown rule codes: {sorted(bad)}")
     findings: list[Finding] = []
-    for code in sorted(rules):
-        findings.extend(_DETECTORS[code](model))
+    for code in sorted(rules - _BODY_RULES):
+        findings.extend(_CLASS_DETECTORS[code](model))
+    for body_findings in _scan_bodies(model, rules & _BODY_RULES).values():
+        findings.extend(body_findings)
     findings.sort(key=Finding.sort_key)
     return findings

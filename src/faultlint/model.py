@@ -32,7 +32,6 @@ from faultlint.nodes import (
     StringLit,
     TryCatch,
     While,
-    walk_exprs,
 )
 
 ORIGIN_SEED = "external-seed"
@@ -475,16 +474,3 @@ def walk_body(block: Block, scope: Scope):
             push(stmt.try_block)
         else:  # Empty
             yield stmt, (), scope
-
-
-def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):
-    """Yield (expr, scope) for every expression in the body, source order.
-
-    Includes all subexpressions. The yielded scope reflects declarations in
-    effect at that point and is only valid at yield time (it keeps mutating
-    as the walk proceeds).
-    """
-    for _, exprs, scope in walk_body(method.body, method_scope(class_decl, method)):
-        for top in exprs:
-            for expr in walk_exprs(top):
-                yield expr, scope

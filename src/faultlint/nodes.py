@@ -18,7 +18,6 @@ Statements are walked by `model.walk_body`, which also tracks scopes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -264,17 +263,3 @@ def walk_exprs(expr: Expr):
             push(expr.operand)
         elif kind is Paren:
             push(expr.inner)
-
-
-def structure(node):
-    """Line-insensitive structural fingerprint, for round-trip comparisons."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        parts = [type(node).__name__]
-        for field in dataclasses.fields(node):
-            if field.name == "line":
-                continue
-            parts.append(structure(getattr(node, field.name)))
-        return tuple(parts)
-    if isinstance(node, tuple):
-        return tuple(structure(item) for item in node)
-    return node

@@ -133,8 +133,29 @@ def store_to_dict(store: AnalysisStore) -> dict:
     }
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """payload as canonical JSON: one line per top-level key, sorted, and
+    one line per element of a non-empty top-level list.
+
+    Every value goes through the C encoder: json's pure-Python encoder,
+    which any indent selects, costs about three times as much.
+    """
+    lines = ["{"]
+    last = len(payload) - 1
+    for index, key in enumerate(sorted(payload)):
+        value = payload[key]
+        comma = "," if index < last else ""
+        if type(value) is list and value:
+            lines.append(f"  {_encode(key)}: [")
+            lines.append(",\n".join(["    " + _encode(item) for item in value]))
+            lines.append("  ]" + comma)
+        else:
+            lines.append(f"  {_encode(key)}: {_encode(value)}{comma}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def save_store(store: AnalysisStore, path) -> None:
@@ -143,29 +164,74 @@ def save_store(store: AnalysisStore, path) -> None:
         handle.write(_canonical_json(store_to_dict(store)))
 
 
-def _require(data: dict, key: str, path):
-    if key not in data:
-        raise FormatError(f"{path}: missing required key '{key}'")
-    return data[key]
+_REQUIRED = object()
 
 
-def _finding_from_dict(data: dict, path) -> Finding:
-    try:
-        return Finding(
-            class_name=data["class_name"],
-            error_code=int(data["error_code"]),
-            error_name=data["error_name"],
-            file_path=data["file_path"],
-            line=int(data["line"]),
-            message=data["message"],
-            detail=dict(data.get("detail") or {}),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise FormatError(f"{path}: malformed finding entry: {err}") from err
+def _field(entry, key: str, types: tuple, what: str, path, default=_REQUIRED):
+    """entry[key] when its JSON type is one of types, else FormatError.
+
+    An absent key gives default; without one it is an error too. bool is
+    not int here: json reads true and false as bool.
+    """
+    if type(entry) is not dict:
+        raise FormatError(f"{path}: malformed {what}: expected a JSON object")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise FormatError(f"{path}: malformed {what}: missing key '{key}'")
+        return default
+    value = entry[key]
+    if type(value) not in types:
+        raise FormatError(f"{path}: malformed {what}: '{key}' has type "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _int_list(entry, key: str, what: str, path) -> tuple[int, ...]:
+    values = _field(entry, key, (list,), what, path)
+    if any(type(v) is not int for v in values):
+        raise FormatError(f"{path}: malformed {what}: '{key}' must hold integers")
+    return tuple(values)
+
+
+def _finding_from_dict(data, path) -> Finding:
+    what = "finding entry"
+    return Finding(
+        class_name=_field(data, "class_name", (str,), what, path),
+        error_code=_field(data, "error_code", (int,), what, path),
+        error_name=_field(data, "error_name", (str,), what, path),
+        file_path=_field(data, "file_path", (str,), what, path),
+        line=_field(data, "line", (int,), what, path),
+        message=_field(data, "message", (str,), what, path),
+        detail=dict(_field(data, "detail", (dict,), what, path, default={})),
+    )
+
+
+def _record_from_dict(data, path) -> ClassRecord:
+    what = "record entry"
+    return ClassRecord(
+        class_name=_field(data, "class_name", (str,), what, path),
+        file_path=_field(data, "file_path", (str,), what, path),
+        error_codes=_int_list(data, "error_codes", what, path),
+        findings=tuple(_finding_from_dict(f, path)
+                       for f in _field(data, "findings", (list,), what, path)),
+    )
+
+
+def _diagnostic_from_dict(data, path) -> Diagnostic:
+    what = "diagnostic entry"
+    return Diagnostic(
+        message=_field(data, "message", (str,), what, path),
+        file_path=_field(data, "file_path", (str, type(None)), what, path, default=None),
+        line=_field(data, "line", (int, type(None)), what, path, default=None),
+    )
 
 
 def load_store(path) -> AnalysisStore:
-    """Read a store document; FormatError on anything but our schema."""
+    """Read a store document; FormatError on anything but our schema.
+
+    Every field is type-checked, so any JSON document either loads or
+    raises FormatError. The layout (line breaks, indentation) is free.
+    """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -175,52 +241,37 @@ def load_store(path) -> AnalysisStore:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: not a valid store file: expected a JSON object")
 
-    version = _require(data, "schema_version", path)
-    if version != SCHEMA_VERSION:
+    if "schema_version" not in data:
+        raise FormatError(f"{path}: missing required key 'schema_version'")
+    version = data["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise FormatError(f"{path}: unsupported schema_version {version!r}")
 
-    corpus_root = _require(data, "corpus_root", path)
-    raw_records = _require(data, "records", path)
-    raw_catalog = _require(data, "catalog", path)
-    raw_diags = _require(data, "diagnostics", path)
-    if not isinstance(raw_records, list) or not isinstance(raw_diags, list) \
-            or not isinstance(raw_catalog, dict):
-        raise FormatError(f"{path}: malformed store sections")
+    what = "store"
+    corpus_root = _field(data, "corpus_root", (str,), what, path)
+    raw_records = _field(data, "records", (list,), what, path)
+    raw_catalog = _field(data, "catalog", (dict,), what, path)
+    raw_diags = _field(data, "diagnostics", (list,), what, path)
 
-    records = []
-    for entry in raw_records:
+    records = [_record_from_dict(entry, path) for entry in raw_records]
+
+    catalog = {}
+    for code, name in raw_catalog.items():
+        if type(name) is not str:
+            raise FormatError(f"{path}: malformed catalog: name of {code!r} is not a string")
         try:
-            records.append(ClassRecord(
-                class_name=entry["class_name"],
-                file_path=entry["file_path"],
-                error_codes=tuple(int(c) for c in entry["error_codes"]),
-                findings=tuple(_finding_from_dict(f, path) for f in entry["findings"]),
-            ))
-        except (KeyError, TypeError, ValueError) as err:
-            raise FormatError(f"{path}: malformed record entry: {err}") from err
+            catalog[int(code)] = name
+        except ValueError as err:
+            raise FormatError(f"{path}: malformed catalog: {err}") from err
 
-    try:
-        catalog = {int(code): str(name) for code, name in raw_catalog.items()}
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"{path}: malformed catalog: {err}") from err
-
-    diagnostics = []
-    for entry in raw_diags:
-        try:
-            diagnostics.append(Diagnostic(
-                message=entry["message"],
-                file_path=entry.get("file_path"),
-                line=entry.get("line"),
-            ))
-        except (KeyError, TypeError) as err:
-            raise FormatError(f"{path}: malformed diagnostic entry: {err}") from err
+    diagnostics = [_diagnostic_from_dict(entry, path) for entry in raw_diags]
 
     return AnalysisStore(
         corpus_root=corpus_root,
         records=tuple(sorted(records, key=lambda r: r.class_name)),
         diagnostics=tuple(diagnostics),
         catalog=catalog,
-        schema_version=int(version),
+        schema_version=version,
     )
 
 

@@ -1,12 +1,17 @@
-"""Canonical source rendering of parsed units.
+"""Test helpers over the AST: canonical source rendering, a structural
+fingerprint, and a flat scoped expression walk.
 
-Parsing the rendered text again yields a structurally identical AST
-(modulo line numbers); the round-trip tests rely on this. Grouping is
-preserved because parsed ASTs keep explicit Paren nodes.
+unparse_unit renders a unit as canonical source. Parsing the rendered
+text again yields a structurally identical AST (modulo line numbers);
+the round-trip tests rely on this. Grouping is preserved because parsed
+ASTs keep explicit Paren nodes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from faultlint.model import method_scope, walk_body
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -35,6 +40,7 @@ from faultlint.nodes import (
     TryCatch,
     UnaryIncDec,
     While,
+    walk_exprs,
 )
 
 _INDENT = "    "
@@ -163,3 +169,30 @@ def unparse_unit(unit: CompilationUnit) -> str:
     for decl in unit.classes:
         lines += _class_lines(decl)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def structure(node):
+    """Line-insensitive structural fingerprint, for round-trip comparisons."""
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        parts = [type(node).__name__]
+        for field in dataclasses.fields(node):
+            if field.name == "line":
+                continue
+            parts.append(structure(getattr(node, field.name)))
+        return tuple(parts)
+    if isinstance(node, tuple):
+        return tuple(structure(item) for item in node)
+    return node
+
+
+def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):
+    """Yield (expr, scope) for every expression in the body, source order.
+
+    Includes all subexpressions. The yielded scope reflects declarations in
+    effect at that point and is only valid at yield time (it keeps mutating
+    as the walk proceeds).
+    """
+    for _, exprs, scope in walk_body(method.body, method_scope(class_decl, method)):
+        for top in exprs:
+            for expr in walk_exprs(top):
+                yield expr, scope

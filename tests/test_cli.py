@@ -24,7 +24,7 @@ from faultlint.cli import (
     run_scan,
 )
 from faultlint.parser import MAX_NESTING
-from faultlint.store import load_store
+from faultlint.store import load_store, store_to_dict
 
 from conftest import FIXTURES, NESTING_SHAPES, REFERENCE_CORPUS_DIR, nested_source
 
@@ -262,6 +262,20 @@ def test_json_format_output_parses(capsys):
         "A", "ML_G", "ML_H", "MP_A", "loopa", "sample",
     }
     assert len(data["clusters"]) == 6
+    # the same payload json.dumps(indent=2, sort_keys=True) wrote, one line
+    # per record and per cluster
+    result = run_scan(parse_args([str(REFERENCE_CORPUS_DIR), "--format", "json"]))
+    payload = store_to_dict(result.store)
+    payload["clusters"] = [
+        {"error_codes": list(c.error_set), "error_names": list(c.error_names),
+         "classes": list(c.classes)}
+        for c in result.clusters
+    ]
+    assert data == json.loads(json.dumps(payload, indent=2, sort_keys=True))
+    lines = out.splitlines()
+    for record in data["records"] + data["clusters"]:
+        assert sum(json.loads(line.strip().rstrip(",")) == record
+                   for line in lines if line.startswith("    {")) == 1
 
 
 # --- corpus walking ---------------------------------------------------------------

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 
-from faultlint.nodes import structure
 from faultlint.parser import parse_source
-from faultlint.unparse import unparse_unit
+
+from ast_helpers import structure, unparse_unit
 
 TYPES = ["int", "String", "FileReader", "Thing"]
 

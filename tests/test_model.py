@@ -13,7 +13,6 @@ from faultlint.model import (
     default_seed,
     inheritance_depth,
     is_descendant,
-    iter_scoped_exprs,
     load_seed,
     method_scope,
     resolve_callee,
@@ -23,6 +22,7 @@ from faultlint.model import (
 from faultlint.nodes import MethodCall, Name, New, Paren, StringLit
 from faultlint.parser import parse_source
 
+from ast_helpers import iter_scoped_exprs
 from conftest import (
     REFERENCE_CORPUS_DIR,
     linear_chain_source,

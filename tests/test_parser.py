@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from faultlint.model import Scope, iter_scoped_exprs, method_scope, walk_body
+from faultlint.model import Scope, method_scope, walk_body
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -26,12 +26,11 @@ from faultlint.nodes import (
     TypedName,
     UnaryIncDec,
     While,
-    structure,
     walk_exprs,
 )
 from faultlint.parser import MAX_NESTING, parse_source
-from faultlint.unparse import unparse_unit
 
+from ast_helpers import iter_scoped_exprs, structure, unparse_unit
 from conftest import (
     CASES_DIR,
     NESTING_SHAPES,

@@ -1,0 +1,357 @@
+"""The shared body pass against the per-rule detectors it replaced.
+
+Rules 1, 4, 5 and 6 run in one walk per method (detectors._scan_bodies).
+The functions below are the four detectors as they were when each walked
+every method body on its own, kept as the reference: run_all must return
+the same findings (order and detail included) for every rule subset, on
+both fixture folders and on generated programs whose classes call each
+other so that rule 4 fires.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from faultlint.detectors import (
+    ERROR_CATALOG,
+    Finding,
+    detect_illicit_file_usage,
+    detect_incorrect_inheritance,
+    detect_itu,
+    detect_lvalue_required,
+    detect_spaghetti,
+    detect_undefined_loop,
+    run_all,
+)
+from faultlint.model import (
+    ExternalHierarchySeed,
+    Scope,
+    build_model,
+    default_seed,
+    is_descendant,
+    resolve_callee,
+    static_type_of,
+    walk_body,
+)
+from faultlint.nodes import (
+    Assign,
+    Binary,
+    DoWhile,
+    Empty,
+    FieldAccess,
+    For,
+    LocalVarDecl,
+    MethodCall,
+    Name,
+    New,
+    While,
+    walk_exprs,
+)
+from faultlint.parser import parse_source
+
+from ast_helpers import iter_scoped_exprs
+from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, model_for_dir, parse_fixture
+from test_generated_roundtrip import gen_stmt
+
+
+def _finding(code, class_name, file_path, line, message, detail):
+    return Finding(class_name, code, ERROR_CATALOG[code], file_path, line, message, detail)
+
+
+def reference_lvalue_required(model):
+    findings = []
+    for class_name, file_path, decl, method in model.iter_methods():
+        for expr, scope in iter_scoped_exprs(decl, method):
+            if not (isinstance(expr, Binary) and expr.op in ("==", "!=")):
+                continue
+            left = static_type_of(expr.lhs, scope, model)
+            right = static_type_of(expr.rhs, scope, model)
+            if left == "String" or right == "String":
+                findings.append(_finding(
+                    1, class_name, file_path, expr.line,
+                    f"strings compared with '{expr.op}'; use .equals() for value equality",
+                    {"op": expr.op, "left_type": left, "right_type": right},
+                ))
+    return findings
+
+
+def _reference_param_mutation(callee, param_name, model):
+    for _, exprs, _ in walk_body(callee.body, Scope()):
+        for top in exprs:
+            for expr in walk_exprs(top):
+                if (isinstance(expr, MethodCall)
+                        and isinstance(expr.receiver, Name)
+                        and expr.receiver.ident == param_name
+                        and not model.seed.is_pure_accessor(expr.name)):
+                    return f"{param_name}.{expr.name}(...)", expr.line
+                if (isinstance(expr, Assign)
+                        and isinstance(expr.lhs, FieldAccess)
+                        and isinstance(expr.lhs.target, Name)
+                        and expr.lhs.target.ident == param_name):
+                    return f"{param_name}.{expr.lhs.name} = ...", expr.line
+    return None
+
+
+def reference_itu(model):
+    findings = []
+    for class_name, file_path, decl, method in model.iter_methods():
+        call_sites = []
+        name_uses = []
+        for expr, scope in iter_scoped_exprs(decl, method):
+            if not isinstance(expr, MethodCall):
+                continue
+            receiver = expr.receiver
+            if isinstance(receiver, Name):
+                name_uses.append((receiver.ident, expr.line, expr.name))
+            types = [static_type_of(a, scope, model) if isinstance(a, Name) else None
+                     for a in expr.args]
+            if all(t is None for t in types):
+                continue
+            idents = [a.ident if isinstance(a, Name) else None for a in expr.args]
+            if receiver is None or (isinstance(receiver, Name) and receiver.ident == "this"):
+                receiver_type = class_name
+            elif isinstance(receiver, Name):
+                receiver_type = static_type_of(receiver, scope, model)
+            else:
+                receiver_type = None
+            call_sites.append((expr, idents, types, receiver_type))
+
+        for call, idents, types, receiver_type in call_sites:
+            resolution = "name-arity" if receiver_type is None else "hierarchy"
+            emitted = False
+            for callee_class, callee in resolve_callee(
+                    call.name, len(call.args), model, receiver_type):
+                for position, (ident, arg_type) in enumerate(zip(idents, types)):
+                    if ident is None or arg_type is None:
+                        continue
+                    base_type = callee.params[position].type_name
+                    if not is_descendant(arg_type, base_type, model.hierarchy):
+                        continue
+                    mutation = _reference_param_mutation(
+                        callee, callee.params[position].name, model)
+                    if mutation is None:
+                        continue
+                    later_use = next(
+                        (use for use in name_uses
+                         if use[0] == ident and use[1] > call.line),
+                        None,
+                    )
+                    if later_use is None:
+                        continue
+                    mut_desc, mut_line = mutation
+                    findings.append(_finding(
+                        4, class_name, file_path, call.line,
+                        f"{arg_type} '{ident}' passed where {base_type} is expected; "
+                        f"{callee_class}.{callee.name} mutates it ({mut_desc}) and "
+                        f"'{ident}' is used again at line {later_use[1]}",
+                        {
+                            "argument": ident,
+                            "descendant_type": arg_type,
+                            "base_type": base_type,
+                            "callee": f"{callee_class}.{callee.name}",
+                            "mutation": mut_desc,
+                            "mutation_line": mut_line,
+                            "post_call_use_line": later_use[1],
+                            "post_call_use": f"{ident}.{later_use[2]}(...)",
+                            "resolution": resolution,
+                        },
+                    ))
+                    emitted = True
+                    break
+                if emitted:
+                    break
+    return findings
+
+
+def reference_illicit_file_usage(model):
+    findings = []
+    for class_name, file_path, decl, method in model.iter_methods():
+        opened = {}
+        closed = set()
+        for stmt, exprs, _ in walk_body(method.body, Scope()):
+            if (isinstance(stmt, LocalVarDecl)
+                    and isinstance(stmt.init, New)
+                    and stmt.init.type_name in model.seed.resource_types):
+                opened.setdefault(stmt.name, (stmt.init.type_name, stmt.init.line))
+            for top in exprs:
+                for expr in walk_exprs(top):
+                    if (isinstance(expr, Assign)
+                            and isinstance(expr.lhs, Name)
+                            and isinstance(expr.rhs, New)
+                            and expr.rhs.type_name in model.seed.resource_types):
+                        opened.setdefault(expr.lhs.ident, (expr.rhs.type_name, expr.rhs.line))
+                    if (isinstance(expr, MethodCall)
+                            and expr.name == "close"
+                            and isinstance(expr.receiver, Name)):
+                        closed.add(expr.receiver.ident)
+        for var, (type_name, line) in opened.items():
+            if var in closed:
+                continue
+            findings.append(_finding(
+                5, class_name, file_path, line,
+                f"resource '{var}' of type {type_name} is opened but never "
+                f"closed in this method",
+                {"variable": var, "resource_type": type_name},
+            ))
+    return findings
+
+
+def reference_undefined_loop(model):
+    findings = []
+    for class_name, file_path, decl, method in model.iter_methods():
+        for stmt, _, _ in walk_body(method.body, Scope()):
+            if isinstance(stmt, While):
+                kind, body = "while", stmt.body
+            elif isinstance(stmt, DoWhile):
+                kind, body = "do-while", stmt.body
+            elif isinstance(stmt, For):
+                kind, body = "for", stmt.body
+            else:
+                continue
+            if all(isinstance(s, Empty) for s in body.stmts):
+                findings.append(_finding(
+                    6, class_name, file_path, stmt.line,
+                    f"empty {kind} loop body",
+                    {"loop_kind": kind},
+                ))
+    return findings
+
+
+REFERENCE_DETECTORS = {
+    1: reference_lvalue_required,
+    2: detect_incorrect_inheritance,
+    3: detect_spaghetti,
+    4: reference_itu,
+    5: reference_illicit_file_usage,
+    6: reference_undefined_loop,
+}
+
+SELECTORS = {
+    1: detect_lvalue_required,
+    4: detect_itu,
+    5: detect_illicit_file_usage,
+    6: detect_undefined_loop,
+}
+
+SUBSETS = [frozenset(s) for r in range(1, 7) for s in itertools.combinations(range(1, 7), r)]
+
+
+# --- generated programs whose classes call each other ----------------------------
+
+PARAM_TYPES = ("Vector", "Stack", "Base", "Derived", "int", "String")
+
+
+def _rule_stmt(rng, peer):
+    """One statement aimed at rules 1, 4, 5 or 6, over names the class declares."""
+    kind = rng.choice(["call", "call", "call", "mutate", "mutate", "use", "use", "scoped",
+                       "compare", "other"])
+    arg = rng.choice(["s", "d", "w"])
+    param = rng.choice(["p0", "p1"])
+    call = rng.choice(["g", "h"])
+    if kind == "call":  # resolved from the class, a typed receiver or by name/arity
+        receiver = rng.choice(["", "", "this.", "o.", "mystery.", f"new {peer}()."])
+        args = ", ".join([arg] + [rng.choice(["s", "d", "x"])] * rng.randrange(2))
+        return f"{receiver}{call}({args});"
+    if kind == "mutate":  # a mutation or an accessor call on a parameter
+        method = rng.choice(["push", "run", "removeElementAt", "size", "getTop", "peek"])
+        return rng.choice([f"{param}.{method}(x);", f"{param}.f = count;"])
+    if kind == "use":
+        return f"{arg}.{rng.choice(['pop', 'run', 'size'])}();"
+    if kind == "scoped":  # declarations that change what a name means
+        return rng.choice([
+            f"{rng.choice(['Stack', 'Derived', 'Base', 'String'])} w = "
+            f"{rng.choice(['new Stack()', 'd', 's', 'x'])};",
+            f"{{ Derived s = d;\n{call}(s);\ns.run(); }}",
+            f"for (Stack t = s; t != null; t = null) {{ {call}(t);\nt.pop(); }}",
+            f"try {{ {call}(s); }} catch (Derived s) {{ {call}(s);\ns.run(); }}",
+        ])
+    if kind == "compare":
+        return (f"if ({rng.choice(['s', 'w', 'p0', 'x'])} {rng.choice(['==', '!='])} "
+                f"{rng.choice(['x', 'count', 'p1'])}) {{ count++; }}")
+    return rng.choice([  # resources and loops
+        f"{rng.choice(['FileReader', 'FileWriter'])} r = new FileReader(x);",
+        "r.close();",
+        "r = new FileReader(x);",
+        "q = new FileWriter(x);",
+        "while (count > 0) { }",
+        "do { ; } while (count > 0);",
+        "for (int i = 0; i < 3; i++) { }",
+    ])
+
+
+def _gen_class(rng, name, superclass, peer):
+    header = f"class {name}" + (f" extends {superclass}" if superclass else "")
+    methods = []
+    for method_name in rng.sample(["g", "h", "m"], rng.randint(1, 3)):
+        params = ", ".join(f"{rng.choice(PARAM_TYPES)} p{k}" for k in range(rng.randint(1, 2)))
+        stmts = [gen_stmt(rng, 1) if rng.random() < 0.25 else _rule_stmt(rng, peer)
+                 for _ in range(rng.randint(1, 8))]
+        methods.append(f"void {method_name}({params})\n{{\n" + "\n".join(stmts) + "\n}")
+    return (f"{header}\n{{\nStack s;\nDerived d;\nString x;\nint count;\n{peer} o;\n"
+            + "\n".join(methods) + "\n}")
+
+
+def _generated_models():
+    """200 generated programs, one file each, as 10 models of 20 files."""
+    rng = random.Random(2718)
+    models = []
+    for first in range(0, 200, 20):
+        units = []
+        for index in range(first, first + 20):
+            names = [f"C{index}_{k}" for k in range(3)]
+            classes = [f"class B{index}\n{{\n}}\nclass D{index} extends B{index}\n{{\n}}"]
+            for k, name in enumerate(names):
+                superclass = names[k - 1] if k and rng.random() < 0.6 else None
+                classes.append(_gen_class(rng, name, superclass, names[(k + 1) % 3]))
+            source = ("\n".join(classes).replace("Base", f"B{index}")
+                      .replace("Derived", f"D{index}"))
+            unit = parse_source(source, f"gen{index}.java")
+            assert unit.diagnostics == (), source
+            units.append(unit)
+        models.append(build_model(units, default_seed()))
+    return models
+
+
+def _assert_single_pass_matches(model):
+    per_rule = {code: detector(model) for code, detector in REFERENCE_DETECTORS.items()}
+    for code, selector in SELECTORS.items():
+        assert selector(model) == per_rule[code], code
+    for rules in SUBSETS:
+        expected = sorted((f for code in sorted(rules) for f in per_rule[code]),
+                          key=Finding.sort_key)
+        assert run_all(model, rules) == expected, sorted(rules)
+    return per_rule
+
+
+@pytest.mark.parametrize("directory", [REFERENCE_CORPUS_DIR, CASES_DIR], ids=lambda p: p.name)
+def test_single_pass_matches_reference_on_fixtures(directory):
+    model = model_for_dir(directory)
+    assert _assert_single_pass_matches(model)[4]
+
+
+def test_single_pass_matches_reference_on_generated_programs():
+    counts = dict.fromkeys(range(1, 7), 0)
+    resolutions = set()
+    for model in _generated_models():
+        per_rule = _assert_single_pass_matches(model)
+        for code, findings in per_rule.items():
+            counts[code] += len(findings)
+        resolutions.update(f.detail["resolution"] for f in per_rule[4])
+    # every body rule fires, rule 4 by both resolution paths
+    assert all(counts[code] > 20 for code in (1, 4, 5, 6)), counts
+    assert resolutions == {"hierarchy", "name-arity"}
+
+
+def test_callee_summaries_do_not_outlive_a_run():
+    # two models over the same parsed units share every MethodDecl; under a
+    # seed that makes every call an accessor no callee mutates anything
+    units = [parse_fixture(p) for p in sorted(REFERENCE_CORPUS_DIR.glob("*.java"))]
+    mutating = build_model(units, default_seed())
+    pure = build_model(units, ExternalHierarchySeed(pure_accessor_names=("*",)))
+    for model in (mutating, pure, mutating):
+        assert detect_itu(model) == reference_itu(model)
+    assert detect_itu(mutating)
+    assert detect_itu(pure) == []

@@ -200,6 +200,37 @@ def test_load_unknown_schema_version_names_it(tmp_path):
     assert "999" in str(err.value)
 
 
+def _doc(**fields):
+    """A store document: one record with one finding, one diagnostic, and fields."""
+    doc = {"schema_version": 1, "corpus_root": "x", "records": [_record()],
+           "catalog": {"1": "Lvalue required"},
+           "diagnostics": [{"file_path": "a.java", "line": 1, "message": "m"}]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def _record(findings=None, **fields):
+    finding = {"class_name": "A", "error_code": 1, "error_name": "Lvalue required",
+               "file_path": "a.java", "line": 3, "message": "m", "detail": {}}
+    record = {"class_name": "A", "file_path": "a.java", "error_codes": [1],
+              "findings": [finding] if findings is None else findings}
+    record.update(fields)
+    return record
+
+
+def _finding_with(**fields):
+    return _record()["findings"][0] | fields
+
+
+def test_minimal_document_loads(tmp_path):
+    # the valid base of the malformed documents below
+    path = tmp_path / "minimal.json"
+    path.write_text(_doc())
+    store = load_store(path)
+    assert [r.class_name for r in store.records] == ["A"]
+    assert store.diagnostics == (Diagnostic("m", "a.java", 1),)
+
+
 @pytest.mark.parametrize("payload", [
     "[]",
     '{"schema_version": 1}',
@@ -207,12 +238,83 @@ def test_load_unknown_schema_version_names_it(tmp_path):
     '{"schema_version": 1, "corpus_root": "x", "records": [{"nope": 1}], "catalog": {}, "diagnostics": []}',
     '{"schema_version": 1, "corpus_root": "x", "records": [{"class_name": "A", "file_path": "a.java",'
     ' "error_codes": ["x"], "findings": []}], "catalog": {}, "diagnostics": []}',
+    # fields of the wrong JSON type
+    pytest.param(_doc(schema_version=True), id="schema_version-bool"),
+    pytest.param(_doc(corpus_root=5), id="corpus_root-int"),
+    pytest.param(_doc(records=[_record(class_name=5), _record(class_name="A")]),
+                 id="class_name-int-and-str"),
+    pytest.param(_doc(records=[_record(file_path=5)]), id="record-file_path-int"),
+    pytest.param(_doc(records=[_record(error_codes=[1.0])]), id="error_codes-float"),
+    pytest.param(_doc(records=[_record(error_codes=[True])]), id="error_codes-bool"),
+    pytest.param(_doc(records=[_record(error_codes="1")]), id="error_codes-str"),
+    pytest.param(_doc(records=[_record(findings={})]), id="findings-object"),
+    pytest.param(_doc(records=[[]]), id="record-list"),
+    pytest.param(_doc(records=[_record(findings=[_finding_with(error_code="1")])]),
+                 id="error_code-str"),
+    pytest.param(_doc(records=[_record(findings=[_finding_with(line=None)])]), id="line-null"),
+    pytest.param(_doc(records=[_record(findings=[_finding_with(class_name=["A"])])]),
+                 id="finding-class_name-list"),
+    pytest.param(_doc(records=[_record(findings=[_finding_with(detail=[["op", "=="]])])]),
+                 id="detail-list"),
+    pytest.param(_doc(records=[_record(findings=["A"])]), id="finding-str"),
+    pytest.param(_doc(diagnostics=[{"file_path": 5, "line": 1, "message": "m"}]),
+                 id="diagnostic-file_path-int"),
+    pytest.param(_doc(diagnostics=[{"file_path": "a.java", "line": "1", "message": "m"}]),
+                 id="diagnostic-line-str"),
+    pytest.param(_doc(diagnostics=[{"file_path": "a.java", "line": 1}]),
+                 id="diagnostic-no-message"),
+    pytest.param(_doc(diagnostics=[None]), id="diagnostic-null"),
+    pytest.param(_doc(catalog={"1": 5}), id="catalog-name-int"),
+    pytest.param(_doc(catalog={"one": "Lvalue required"}), id="catalog-code-word"),
 ])
 def test_load_rejects_foreign_documents(tmp_path, payload):
     path = tmp_path / "foreign.json"
     path.write_text(payload)
     with pytest.raises(FormatError):
         load_store(path)
+
+
+def test_saved_store_has_one_record_or_diagnostic_per_line(tmp_path):
+    rng = random.Random(99)
+    store = _random_store(rng)
+    while not (store.records and store.diagnostics):
+        store = _random_store(rng)
+    path = tmp_path / "lines.json"
+    save_store(store, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    payload = store_to_dict(store)
+    # one line per top-level key in sorted order, one per list element
+    expected = ["{"]
+    for key in sorted(payload):
+        if isinstance(payload[key], list) and payload[key]:
+            expected.append(f'  "{key}": [')
+            expected.extend(payload[key])
+            expected.append("  ],")
+        else:
+            expected.append((f'  "{key}"', payload[key]))
+    expected.append("}")
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        if isinstance(want, str):
+            assert line.rstrip(",") == want.rstrip(",")
+        elif isinstance(want, tuple):
+            key, _, value = line.partition(": ")
+            assert (key, json.loads(value.rstrip(","))) == want
+        else:
+            assert line.startswith("    {")
+            assert json.loads(line.rstrip(",")) == want
+
+
+def test_load_reads_the_indented_layout(reference_store, tmp_path):
+    # stores written with json.dumps(indent=2, sort_keys=True) still load
+    store = AnalysisStore(
+        corpus_root=reference_store.corpus_root,
+        records=reference_store.records,
+        diagnostics=(Diagnostic("skipped", "a.java", 4), Diagnostic("cycle")),
+    )
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(store_to_dict(store), indent=2, sort_keys=True) + "\n")
+    assert load_store(path) == store
 
 
 def test_store_missing_file_is_os_error(tmp_path):
