@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from faultlint import __version__
@@ -19,6 +18,7 @@ from faultlint.detectors import ALL_RULES, Finding, run_all
 from faultlint.model import ProgramModel, SeedError, build_model, default_seed, load_seed
 from faultlint.nodes import CompilationUnit, ParseDiagnostic
 from faultlint.parser import parse_source
+from faultlint.record import Record, _set
 from faultlint.store import (
     STORE_BASENAME,
     AnalysisStore,
@@ -41,24 +41,39 @@ class ScanError(Exception):
     """Operational failure that maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    corpus_root: Path
-    seed_file: Path | None = None
-    enabled_rules: frozenset[int] = ALL_RULES
-    output_format: str = "text"
-    store_output: Path | None = None
-    strict_parse: bool = False
+class RunConfig(Record):
+    __slots__ = ("corpus_root", "seed_file", "enabled_rules", "output_format", "store_output",
+                 "strict_parse")
+
+    def __init__(self, corpus_root: Path, seed_file: Path | None = None,
+                 enabled_rules: frozenset[int] = ALL_RULES, output_format: str = "text",
+                 store_output: Path | None = None, strict_parse: bool = False):
+        _set(self, "corpus_root", corpus_root)
+        _set(self, "seed_file", seed_file)
+        _set(self, "enabled_rules", enabled_rules)
+        _set(self, "output_format", output_format)
+        _set(self, "store_output", store_output)
+        _set(self, "strict_parse", strict_parse)
 
 
-@dataclass
-class ScanResult:
-    exit_code: int
-    report: str
-    store: AnalysisStore
-    clusters: list[Cluster] = field(default_factory=list)
-    findings: list[Finding] = field(default_factory=list)
-    model: ProgramModel | None = None
+class ScanResult(Record):
+    """The outcome of run_scan. Unlike the other records it is assignable,
+    and therefore unhashable."""
+
+    __slots__ = ("exit_code", "report", "store", "clusters", "findings", "model")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, exit_code: int, report: str, store: AnalysisStore,
+                 clusters: list[Cluster] | None = None, findings: list[Finding] | None = None,
+                 model: ProgramModel | None = None):
+        self.exit_code = exit_code
+        self.report = report
+        self.store = store
+        self.clusters = [] if clusters is None else clusters
+        self.findings = [] if findings is None else findings
+        self.model = model
 
 
 class _ArgumentParser(argparse.ArgumentParser):

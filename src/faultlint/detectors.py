@@ -24,8 +24,6 @@ in a deterministic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from faultlint.model import (
     CycleError,
     ProgramModel,
@@ -52,6 +50,7 @@ from faultlint.nodes import (
     While,
     walk_exprs,
 )
+from faultlint.record import Record, _set
 
 ERROR_CATALOG: dict[int, str] = {
     1: "Lvalue required",
@@ -63,15 +62,23 @@ ERROR_CATALOG: dict[int, str] = {
 }
 
 
-@dataclass(frozen=True, eq=True)
-class Finding:
-    class_name: str
-    error_code: int
-    error_name: str
-    file_path: str
-    line: int
-    message: str
-    detail: dict = field(default_factory=dict, hash=False)
+class Finding(Record):
+    __slots__ = ("class_name", "error_code", "error_name", "file_path", "line", "message",
+                 "detail")
+
+    def __init__(self, class_name: str, error_code: int, error_name: str, file_path: str,
+                 line: int, message: str, detail: dict | None = None):
+        _set(self, "class_name", class_name)
+        _set(self, "error_code", error_code)
+        _set(self, "error_name", error_name)
+        _set(self, "file_path", file_path)
+        _set(self, "line", line)
+        _set(self, "message", message)
+        _set(self, "detail", {} if detail is None else detail)
+
+    def __hash__(self):
+        # every field but the last, detail, a dict: equality compares it, the hash cannot
+        return hash(self._values()[:-1])
 
     def sort_key(self):
         return (self.file_path, self.line, self.error_code)

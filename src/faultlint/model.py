@@ -11,7 +11,6 @@ analyzed language and has no deeper semantics here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from faultlint.nodes import (
@@ -33,6 +32,7 @@ from faultlint.nodes import (
     TryCatch,
     While,
 )
+from faultlint.record import Record, _set
 
 ORIGIN_SEED = "external-seed"
 
@@ -73,11 +73,15 @@ class SeedError(ValueError):
     """Malformed external hierarchy seed file."""
 
 
-@dataclass(frozen=True)
-class ExternalHierarchySeed:
-    extends_entries: tuple[tuple[str, str], ...] = DEFAULT_EXTENDS
-    resource_types: frozenset[str] = DEFAULT_RESOURCE_TYPES
-    pure_accessor_names: tuple[str, ...] = DEFAULT_PURE_ACCESSORS
+class ExternalHierarchySeed(Record):
+    __slots__ = ("extends_entries", "resource_types", "pure_accessor_names")
+
+    def __init__(self, extends_entries: tuple[tuple[str, str], ...] = DEFAULT_EXTENDS,
+                 resource_types: frozenset[str] = DEFAULT_RESOURCE_TYPES,
+                 pure_accessor_names: tuple[str, ...] = DEFAULT_PURE_ACCESSORS):
+        _set(self, "extends_entries", extends_entries)
+        _set(self, "resource_types", resource_types)
+        _set(self, "pure_accessor_names", pure_accessor_names)
 
     def is_pure_accessor(self, method_name: str) -> bool:
         return any(fnmatchcase(method_name, pat) for pat in self.pure_accessor_names)
@@ -130,24 +134,36 @@ def load_seed(path) -> ExternalHierarchySeed:
     return ExternalHierarchySeed(extends, resources, accessors)
 
 
-@dataclass(frozen=True)
-class ClassHierarchy:
-    nodes: frozenset[str]
-    super_edges: dict[str, tuple[str, ...]]
-    origin: dict[str, str]  # class name -> corpus file path or ORIGIN_SEED
-    unknown: frozenset[str]  # referenced superclasses declared nowhere
-    subclasses: dict[str, tuple[str, ...]]  # first superclass -> sorted subclasses
+class ClassHierarchy(Record):
+    __slots__ = ("nodes", "super_edges", "origin", "unknown", "subclasses")
+
+    def __init__(self, nodes: frozenset[str], super_edges: dict[str, tuple[str, ...]],
+                 origin: dict[str, str], unknown: frozenset[str],
+                 subclasses: dict[str, tuple[str, ...]]):
+        _set(self, "nodes", nodes)
+        _set(self, "super_edges", super_edges)
+        _set(self, "origin", origin)  # class name -> corpus file path or ORIGIN_SEED
+        _set(self, "unknown", unknown)  # referenced superclasses declared nowhere
+        _set(self, "subclasses", subclasses)  # first superclass -> sorted subclasses
 
 
-@dataclass(frozen=True)
-class ProgramModel:
-    hierarchy: ClassHierarchy
-    classes: dict[str, ClassDecl]  # (file path, position) order, first declaration wins
-    class_files: dict[str, str]
-    method_index: dict[tuple[str, int], tuple[tuple[str, MethodDecl], ...]]
-    units: tuple[CompilationUnit, ...]
-    seed: ExternalHierarchySeed
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
+class ProgramModel(Record):
+    __slots__ = ("hierarchy", "classes", "class_files", "method_index", "units", "seed",
+                 "diagnostics")
+
+    def __init__(self, hierarchy: ClassHierarchy, classes: dict[str, ClassDecl],
+                 class_files: dict[str, str],
+                 method_index: dict[tuple[str, int], tuple[tuple[str, MethodDecl], ...]],
+                 units: tuple[CompilationUnit, ...], seed: ExternalHierarchySeed,
+                 diagnostics: tuple[str, ...] = ()):
+        _set(self, "hierarchy", hierarchy)
+        # (file path, position) order, first declaration wins
+        _set(self, "classes", classes)
+        _set(self, "class_files", class_files)
+        _set(self, "method_index", method_index)
+        _set(self, "units", units)
+        _set(self, "seed", seed)
+        _set(self, "diagnostics", diagnostics)
 
     def iter_methods(self):
         """(class name, file path, ClassDecl, MethodDecl) in (file, line) order."""

@@ -1,14 +1,15 @@
 """AST node types for the analyzed Java subset.
 
-Nodes are immutable after construction (frozen dataclasses, tuple
-children), so the model and every detector can share one parsed tree
-without copying it, and none of them can change what another reads. They
-are slotted: a node stores its fields in fixed slots, with no per-instance
-`__dict__`, which makes it smaller and quicker to build. The `Expr` and
-`Stmt` bases declare empty `__slots__` so that their subclasses stay
-dict-free too. Every node carries the 1-based source line of its
-anchor token: the operator for Binary/Assign, the keyword for loops and
-`new`, the name for calls.
+Nodes are immutable after construction (plain slotted classes on the
+`Record` base, which refuses assignment and deletion; tuple children), so
+the model and every detector can share one parsed tree without copying
+it, and none of them can change what another reads. A node stores its
+fields in fixed slots, with no per-instance `__dict__`, which makes it
+smaller and quicker to build; its class lists the field names, in
+constructor order, as `_fields`. The `Expr` and `Stmt` bases declare empty
+`__slots__` so that their subclasses stay dict-free too. Every node
+carries the 1-based source line of its anchor token: the operator for
+Binary/Assign, the keyword for loops and `new`, the name for calls.
 
 `walk_exprs` uses an explicit stack, not recursion, so expressions of any
 depth can be walked: the parser builds arbitrarily deep trees from flat
@@ -18,220 +19,281 @@ Statements are walked by `model.walk_body`, which also tracks scopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from faultlint.record import Record, _set
 
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-class Stmt:
+class Stmt(Record):
     __slots__ = ()
 
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class StringLit(Expr):
-    lexeme: str  # with quotes, exactly as in source
-    line: int
+    __slots__ = ("lexeme", "line")
+
+    def __init__(self, lexeme: str, line: int):
+        _set(self, "lexeme", lexeme)  # with quotes, exactly as in source
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class NumLit(Expr):
-    lexeme: str
-    line: int
+    __slots__ = ("lexeme", "line")
+
+    def __init__(self, lexeme: str, line: int):
+        _set(self, "lexeme", lexeme)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class BoolLit(Expr):
-    value: bool
-    line: int
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: bool, line: int):
+        _set(self, "value", value)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class CharLit(Expr):
-    lexeme: str
-    line: int
+    __slots__ = ("lexeme", "line")
+
+    def __init__(self, lexeme: str, line: int):
+        _set(self, "lexeme", lexeme)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class Name(Expr):
-    ident: str
-    line: int
+    __slots__ = ("ident", "line")
+
+    def __init__(self, ident: str, line: int):
+        _set(self, "ident", ident)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class FieldAccess(Expr):
-    target: Expr
-    name: str
-    line: int
+    __slots__ = ("target", "name", "line")
+
+    def __init__(self, target: Expr, name: str, line: int):
+        _set(self, "target", target)
+        _set(self, "name", name)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class MethodCall(Expr):
-    receiver: Expr | None  # None for bare calls like g(s)
-    name: str
-    args: tuple[Expr, ...]
-    line: int
+    __slots__ = ("receiver", "name", "args", "line")
+
+    def __init__(self, receiver: Expr | None, name: str, args: tuple[Expr, ...], line: int):
+        _set(self, "receiver", receiver)  # None for bare calls like g(s)
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class New(Expr):
-    type_name: str
-    args: tuple[Expr, ...]
-    line: int
+    __slots__ = ("type_name", "args", "line")
+
+    def __init__(self, type_name: str, args: tuple[Expr, ...], line: int):
+        _set(self, "type_name", type_name)
+        _set(self, "args", args)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(Expr):
-    op: str  # one of == != < > <= >= + - * / && ||
-    lhs: Expr
-    rhs: Expr
-    line: int
+    __slots__ = ("op", "lhs", "rhs", "line")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int):
+        _set(self, "op", op)  # one of == != < > <= >= + - * / && ||
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class Assign(Expr):
-    lhs: Expr
-    rhs: Expr
-    line: int
+    __slots__ = ("lhs", "rhs", "line")
+
+    def __init__(self, lhs: Expr, rhs: Expr, line: int):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class UnaryIncDec(Expr):
-    op: str  # ++ or --
-    operand: Expr
-    prefix: bool
-    line: int
+    __slots__ = ("op", "operand", "prefix", "line")
+
+    def __init__(self, op: str, operand: Expr, prefix: bool, line: int):
+        _set(self, "op", op)  # ++ or --
+        _set(self, "operand", operand)
+        _set(self, "prefix", prefix)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class Paren(Expr):
-    inner: Expr
-    line: int
+    __slots__ = ("inner", "line")
+
+    def __init__(self, inner: Expr, line: int):
+        _set(self, "inner", inner)
+        _set(self, "line", line)
 
 
 # --- statements ------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class Block(Stmt):
-    stmts: tuple[Stmt, ...]
-    line: int
+    __slots__ = ("stmts", "line")
+
+    def __init__(self, stmts: tuple[Stmt, ...], line: int):
+        _set(self, "stmts", stmts)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class LocalVarDecl(Stmt):
-    type_name: str
-    name: str
-    init: Expr | None
-    line: int
+    __slots__ = ("type_name", "name", "init", "line")
+
+    def __init__(self, type_name: str, name: str, init: Expr | None, line: int):
+        _set(self, "type_name", type_name)
+        _set(self, "name", name)
+        _set(self, "init", init)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class ExprStmt(Stmt):
-    expr: Expr
-    line: int
+    __slots__ = ("expr", "line")
+
+    def __init__(self, expr: Expr, line: int):
+        _set(self, "expr", expr)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class If(Stmt):
-    cond: Expr
-    then_block: Block
-    else_block: Block | None
-    line: int
+    __slots__ = ("cond", "then_block", "else_block", "line")
+
+    def __init__(self, cond: Expr, then_block: Block, else_block: Block | None, line: int):
+        _set(self, "cond", cond)
+        _set(self, "then_block", then_block)
+        _set(self, "else_block", else_block)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class While(Stmt):
-    cond: Expr
-    body: Block
-    line: int
+    __slots__ = ("cond", "body", "line")
+
+    def __init__(self, cond: Expr, body: Block, line: int):
+        _set(self, "cond", cond)
+        _set(self, "body", body)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class DoWhile(Stmt):
-    body: Block
-    cond: Expr
-    line: int
+    __slots__ = ("body", "cond", "line")
+
+    def __init__(self, body: Block, cond: Expr, line: int):
+        _set(self, "body", body)
+        _set(self, "cond", cond)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class For(Stmt):
-    init: Stmt | None  # LocalVarDecl or ExprStmt
-    cond: Expr | None
-    update: Expr | None
-    body: Block
-    line: int
+    __slots__ = ("init", "cond", "update", "body", "line")
+
+    def __init__(self, init: Stmt | None, cond: Expr | None, update: Expr | None, body: Block,
+                 line: int):
+        _set(self, "init", init)  # LocalVarDecl or ExprStmt
+        _set(self, "cond", cond)
+        _set(self, "update", update)
+        _set(self, "body", body)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
-class CatchClause:
-    type_name: str
-    var_name: str
-    body: Block
-    line: int
+class CatchClause(Record):
+    __slots__ = ("type_name", "var_name", "body", "line")
+
+    def __init__(self, type_name: str, var_name: str, body: Block, line: int):
+        _set(self, "type_name", type_name)
+        _set(self, "var_name", var_name)
+        _set(self, "body", body)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class TryCatch(Stmt):
-    try_block: Block
-    catches: tuple[CatchClause, ...]
-    finally_block: Block | None
-    line: int
+    __slots__ = ("try_block", "catches", "finally_block", "line")
+
+    def __init__(self, try_block: Block, catches: tuple[CatchClause, ...],
+                 finally_block: Block | None, line: int):
+        _set(self, "try_block", try_block)
+        _set(self, "catches", catches)
+        _set(self, "finally_block", finally_block)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class Return(Stmt):
-    expr: Expr | None
-    line: int
+    __slots__ = ("expr", "line")
+
+    def __init__(self, expr: Expr | None, line: int):
+        _set(self, "expr", expr)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
 class Empty(Stmt):
-    line: int
+    __slots__ = ("line",)
+
+    def __init__(self, line: int):
+        _set(self, "line", line)
 
 
 # --- declarations ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TypedName:
-    type_name: str
-    name: str
+class TypedName(Record):
+    __slots__ = ("type_name", "name")
+
+    def __init__(self, type_name: str, name: str):
+        _set(self, "type_name", type_name)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class MethodDecl:
-    name: str
-    params: tuple[TypedName, ...]
-    body: Block
-    is_constructor: bool
-    line: int
+class MethodDecl(Record):
+    __slots__ = ("name", "params", "body", "is_constructor", "line")
+
+    def __init__(self, name: str, params: tuple[TypedName, ...], body: Block,
+                 is_constructor: bool, line: int):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "body", body)
+        _set(self, "is_constructor", is_constructor)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
-class ClassDecl:
-    name: str
-    extends_list: tuple[str, ...]  # length > 1 preserved, never collapsed
-    implements_list: tuple[str, ...]
-    fields: tuple[TypedName, ...]
-    methods: tuple[MethodDecl, ...]
-    line: int
+class ClassDecl(Record):
+    __slots__ = ("name", "extends_list", "implements_list", "fields", "methods", "line")
+
+    def __init__(self, name: str, extends_list: tuple[str, ...], implements_list: tuple[str, ...],
+                 fields: tuple[TypedName, ...], methods: tuple[MethodDecl, ...], line: int):
+        _set(self, "name", name)
+        _set(self, "extends_list", extends_list)  # length > 1 preserved, never collapsed
+        _set(self, "implements_list", implements_list)
+        _set(self, "fields", fields)
+        _set(self, "methods", methods)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
-class ParseDiagnostic:
-    file_path: str
-    line: int
-    message: str
-    skipped_span: tuple[int, int]  # (start line, end line), start <= end
+class ParseDiagnostic(Record):
+    __slots__ = ("file_path", "line", "message", "skipped_span")
+
+    def __init__(self, file_path: str, line: int, message: str, skipped_span: tuple[int, int]):
+        _set(self, "file_path", file_path)
+        _set(self, "line", line)
+        _set(self, "message", message)
+        _set(self, "skipped_span", skipped_span)  # (start line, end line), start <= end
 
 
-@dataclass(frozen=True, slots=True)
-class CompilationUnit:
-    file_path: str
-    classes: tuple[ClassDecl, ...]
-    diagnostics: tuple[ParseDiagnostic, ...]
+class CompilationUnit(Record):
+    __slots__ = ("file_path", "classes", "diagnostics")
+
+    def __init__(self, file_path: str, classes: tuple[ClassDecl, ...],
+                 diagnostics: tuple[ParseDiagnostic, ...]):
+        _set(self, "file_path", file_path)
+        _set(self, "classes", classes)
+        _set(self, "diagnostics", diagnostics)
 
 
 # --- traversal helpers -----------------------------------------------------

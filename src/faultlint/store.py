@@ -9,9 +9,9 @@ scanned/faulty summary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from faultlint.detectors import ERROR_CATALOG, Finding
+from faultlint.record import Record, _set
 
 SCHEMA_VERSION = 1
 
@@ -22,35 +22,47 @@ class FormatError(Exception):
     """The file is not a readable store of the supported schema version."""
 
 
-@dataclass(frozen=True)
-class ClassRecord:
-    class_name: str
-    file_path: str
-    error_codes: tuple[int, ...]  # deduplicated, first-detection order
-    findings: tuple[Finding, ...]
+class ClassRecord(Record):
+    __slots__ = ("class_name", "file_path", "error_codes", "findings")
+
+    def __init__(self, class_name: str, file_path: str, error_codes: tuple[int, ...],
+                 findings: tuple[Finding, ...]):
+        _set(self, "class_name", class_name)
+        _set(self, "file_path", file_path)
+        _set(self, "error_codes", error_codes)  # deduplicated, first-detection order
+        _set(self, "findings", findings)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    error_set: tuple[int, ...]  # sorted
-    error_names: tuple[str, ...]  # catalog names in error_set order
-    classes: tuple[str, ...]  # sorted
+class Cluster(Record):
+    __slots__ = ("error_set", "error_names", "classes")
+
+    def __init__(self, error_set: tuple[int, ...], error_names: tuple[str, ...],
+                 classes: tuple[str, ...]):
+        _set(self, "error_set", error_set)  # sorted
+        _set(self, "error_names", error_names)  # catalog names in error_set order
+        _set(self, "classes", classes)  # sorted
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    message: str
-    file_path: str | None = None
-    line: int | None = None
+class Diagnostic(Record):
+    __slots__ = ("message", "file_path", "line")
+
+    def __init__(self, message: str, file_path: str | None = None, line: int | None = None):
+        _set(self, "message", message)
+        _set(self, "file_path", file_path)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class AnalysisStore:
-    corpus_root: str
-    records: tuple[ClassRecord, ...]
-    diagnostics: tuple[Diagnostic, ...] = ()
-    catalog: dict = field(default_factory=lambda: dict(ERROR_CATALOG))
-    schema_version: int = SCHEMA_VERSION
+class AnalysisStore(Record):
+    __slots__ = ("corpus_root", "records", "diagnostics", "catalog", "schema_version")
+
+    def __init__(self, corpus_root: str, records: tuple[ClassRecord, ...],
+                 diagnostics: tuple[Diagnostic, ...] = (), catalog: dict | None = None,
+                 schema_version: int = SCHEMA_VERSION):
+        _set(self, "corpus_root", corpus_root)
+        _set(self, "records", records)
+        _set(self, "diagnostics", diagnostics)
+        _set(self, "catalog", dict(ERROR_CATALOG) if catalog is None else catalog)
+        _set(self, "schema_version", schema_version)
 
 
 def aggregate(findings: list[Finding]) -> list[ClassRecord]:
@@ -226,11 +238,31 @@ def _diagnostic_from_dict(data, path) -> Diagnostic:
     )
 
 
+def _check_codes(record: ClassRecord, catalog: dict[int, str], path) -> None:
+    """FormatError unless record's codes are what aggregate would give its
+    findings: non-empty, catalogued, and the findings' codes deduplicated in
+    first-detection order. cluster and render_report rely on this."""
+    what = f"record entry '{record.class_name}'"
+    codes = record.error_codes
+    if not codes:
+        raise FormatError(f"{path}: malformed {what}: no error codes")
+    for code in codes:
+        if code not in catalog or code not in ERROR_CATALOG:
+            raise FormatError(f"{path}: malformed {what}: error code {code} is not catalogued")
+    ordered = sorted(record.findings, key=Finding.sort_key)
+    found = tuple(dict.fromkeys(f.error_code for f in ordered))
+    if codes != found:
+        raise FormatError(f"{path}: malformed {what}: error_codes {list(codes)} differ "
+                          f"from its findings' codes {list(found)}")
+
+
 def load_store(path) -> AnalysisStore:
     """Read a store document; FormatError on anything but our schema.
 
-    Every field is type-checked, so any JSON document either loads or
-    raises FormatError. The layout (line breaks, indentation) is free.
+    Every field is type-checked, and every record's codes are checked
+    against its findings and the catalog, so any JSON document either loads
+    or raises FormatError, and cluster and render_report accept what loads.
+    The layout (line breaks, indentation) is free.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
@@ -263,6 +295,9 @@ def load_store(path) -> AnalysisStore:
             catalog[int(code)] = name
         except ValueError as err:
             raise FormatError(f"{path}: malformed catalog: {err}") from err
+
+    for record in records:
+        _check_codes(record, catalog, path)
 
     diagnostics = [_diagnostic_from_dict(entry, path) for entry in raw_diags]
 

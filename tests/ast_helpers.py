@@ -9,8 +9,6 @@ ASTs keep explicit Paren nodes.
 
 from __future__ import annotations
 
-import dataclasses
-
 from faultlint.model import method_scope, walk_body
 from faultlint.nodes import (
     Assign,
@@ -42,6 +40,7 @@ from faultlint.nodes import (
     While,
     walk_exprs,
 )
+from faultlint.record import Record
 
 _INDENT = "    "
 
@@ -173,12 +172,12 @@ def unparse_unit(unit: CompilationUnit) -> str:
 
 def structure(node):
     """Line-insensitive structural fingerprint, for round-trip comparisons."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+    if isinstance(node, Record):
         parts = [type(node).__name__]
-        for field in dataclasses.fields(node):
-            if field.name == "line":
+        for name in type(node)._fields:
+            if name == "line":
                 continue
-            parts.append(structure(getattr(node, field.name)))
+            parts.append(structure(getattr(node, name)))
         return tuple(parts)
     if isinstance(node, tuple):
         return tuple(structure(item) for item in node)

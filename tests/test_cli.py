@@ -24,9 +24,15 @@ from faultlint.cli import (
     run_scan,
 )
 from faultlint.parser import MAX_NESTING
-from faultlint.store import load_store, store_to_dict
+from faultlint.store import cluster, load_store, render_report, store_to_dict
 
-from conftest import FIXTURES, NESTING_SHAPES, REFERENCE_CORPUS_DIR, nested_source
+from conftest import (
+    CASES_DIR,
+    FIXTURES,
+    NESTING_SHAPES,
+    REFERENCE_CORPUS_DIR,
+    nested_source,
+)
 
 CLEAN_CLASS = """\
 class Tidy%d
@@ -159,6 +165,16 @@ def test_python_m_version_exits_0():
     assert proc.stdout.strip() == f"faultlint {__version__}"
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # every run pays for what importing the CLI imports; -S leaves out the
+    # site hooks, which may import either module themselves
+    proc = run_python(["-S", "-c", "import sys, faultlint.cli; "
+                       "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_deeply_nested_files_become_diagnostics(tmp_path):
     # one file per shape and depth; too-deep constructs are skipped, never
     # a traceback that would exit 1 like "findings present"
@@ -242,6 +258,36 @@ def test_store_file_loads_back(tmp_path, capsys):
         "A", "ML_G", "ML_H", "MP_A", "loopa", "sample",
     ]
     assert store.corpus_root == str(REFERENCE_CORPUS_DIR)
+
+
+@pytest.mark.parametrize("corpus", [CASES_DIR, REFERENCE_CORPUS_DIR], ids=lambda p: p.name)
+def test_cli_store_loads_back_and_reports_as_the_cli_did(tmp_path, capsys, corpus):
+    store_file = tmp_path / "out.json"
+    main([str(corpus), "--store", str(store_file)])
+    text = capsys.readouterr().out
+    main([str(corpus), "--format", "json"])
+    json_report = capsys.readouterr().out
+    store = load_store(store_file)
+    assert store.records
+    clusters = cluster(list(store.records))
+    assert render_report(store, clusters, "json") == json_report
+    # the CLI's first line also counts the classes without findings
+    assert render_report(store, clusters, "text").split("\n", 1)[1] == text.split("\n", 1)[1]
+
+
+def test_json_report_with_store_matches_each_alone(tmp_path, capsys):
+    # with both, each output is byte for byte what it is alone
+    both, alone = tmp_path / "both.json", tmp_path / "alone.json"
+    main([str(REFERENCE_CORPUS_DIR), "--format", "json", "--store", str(both)])
+    report_with_store = capsys.readouterr().out
+    main([str(REFERENCE_CORPUS_DIR), "--format", "json"])
+    assert capsys.readouterr().out.encode() == report_with_store.encode()
+    main([str(REFERENCE_CORPUS_DIR), "--store", str(alone)])
+    capsys.readouterr()
+    assert both.read_bytes() == alone.read_bytes()
+    data = json.loads(report_with_store)
+    del data["clusters"]
+    assert data == json.loads(both.read_text(encoding="utf-8"))
 
 
 def test_store_directory_gets_default_basename(tmp_path, capsys):

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from faultlint.detectors import (
     ERROR_CATALOG,
+    Finding,
     detect_illicit_file_usage,
     detect_incorrect_inheritance,
     detect_itu,
@@ -411,8 +411,13 @@ class Elsewhere
 
 def test_finding_is_hashable_and_compares_detail():
     finding = detect_itu(case_model("stack_vector_itu.java"))[0]
-    twin = replace(finding, detail=dict(finding.detail))
-    other = replace(finding, detail={**finding.detail, "argument": "t"})
+
+    def copy(detail):
+        return Finding(finding.class_name, finding.error_code, finding.error_name,
+                       finding.file_path, finding.line, finding.message, detail)
+
+    twin = copy(dict(finding.detail))
+    other = copy({**finding.detail, "argument": "t"})
     assert hash(finding) == hash(twin) == hash(other)
     assert finding == twin and finding != other
     assert twin in {finding}

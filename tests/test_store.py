@@ -222,6 +222,9 @@ def _finding_with(**fields):
     return _record()["findings"][0] | fields
 
 
+_CATALOG = {str(code): name for code, name in ERROR_CATALOG.items()}
+
+
 def test_minimal_document_loads(tmp_path):
     # the valid base of the malformed documents below
     path = tmp_path / "minimal.json"
@@ -229,6 +232,16 @@ def test_minimal_document_loads(tmp_path):
     store = load_store(path)
     assert [r.class_name for r in store.records] == ["A"]
     assert store.diagnostics == (Diagnostic("m", "a.java", 1),)
+
+
+def test_codes_in_detection_order_load(tmp_path):
+    # the valid counterpart of codes-out-of-detection-order below: findings
+    # in any order, codes by (file, line, code)
+    path = tmp_path / "ordered.json"
+    path.write_text(_doc(records=[_record(error_codes=[4, 1], findings=[
+        _finding_with(error_code=1, line=5), _finding_with(error_code=4, line=3)])],
+        catalog=_CATALOG))
+    assert load_store(path).records[0].error_codes == (4, 1)
 
 
 @pytest.mark.parametrize("payload", [
@@ -266,6 +279,21 @@ def test_minimal_document_loads(tmp_path):
     pytest.param(_doc(diagnostics=[None]), id="diagnostic-null"),
     pytest.param(_doc(catalog={"1": 5}), id="catalog-name-int"),
     pytest.param(_doc(catalog={"one": "Lvalue required"}), id="catalog-code-word"),
+    # records whose codes cluster and render_report could not use
+    pytest.param(_doc(records=[_record(error_codes=[9], findings=[_finding_with(error_code=9)])],
+                      catalog={}), id="code-in-no-catalog"),
+    pytest.param(_doc(catalog={}), id="code-not-in-store-catalog"),
+    pytest.param(_doc(records=[_record(error_codes=[9], findings=[_finding_with(error_code=9)])],
+                      catalog={"1": "Lvalue required", "9": "Nine"}), id="code-not-in-catalog"),
+    pytest.param(_doc(records=[_record(error_codes=[], findings=[])]), id="error_codes-empty"),
+    pytest.param(_doc(records=[_record(error_codes=[])]), id="error_codes-empty-with-findings"),
+    pytest.param(_doc(records=[_record(error_codes=[1, 4])], catalog=_CATALOG),
+                 id="code-without-finding"),
+    pytest.param(_doc(records=[_record(findings=[_finding_with(error_code=4)])],
+                      catalog=_CATALOG), id="finding-code-not-listed"),
+    pytest.param(_doc(records=[_record(error_codes=[1, 4], findings=[
+        _finding_with(error_code=4, line=3), _finding_with(error_code=1, line=5)])],
+        catalog=_CATALOG), id="codes-out-of-detection-order"),
 ])
 def test_load_rejects_foreign_documents(tmp_path, payload):
     path = tmp_path / "foreign.json"
