@@ -7,79 +7,25 @@ same error set, and persists everything in a canonical JSON store.
 
 __version__ = "0.1.0"
 
-from faultlint.detectors import (
-    ERROR_CATALOG,
-    Finding,
-    detect_illicit_file_usage,
-    detect_incorrect_inheritance,
-    detect_itu,
-    detect_lvalue_required,
-    detect_spaghetti,
-    detect_undefined_loop,
-    run_all,
-)
-from faultlint.lexer import LexError, Token, scanner_backend, tokenize
-from faultlint.model import (
-    CycleError,
-    ExternalHierarchySeed,
-    ProgramModel,
-    build_model,
-    default_seed,
-    inheritance_depth,
-    is_descendant,
-    load_seed,
-    resolve_callee,
-    static_type_of,
-    superclass_chain,
-)
-from faultlint.parser import parse_source, parse_unit
+from faultlint.detectors import run_all
+from faultlint.model import build_model
+from faultlint.parser import parse_source
 from faultlint.store import (
-    AnalysisStore,
-    ClassRecord,
-    Cluster,
     FormatError,
     aggregate,
     cluster,
     load_store,
     render_report,
-    save_store,
 )
 
 __all__ = [
     "__version__",
-    "ERROR_CATALOG",
-    "Finding",
-    "detect_illicit_file_usage",
-    "detect_incorrect_inheritance",
-    "detect_itu",
-    "detect_lvalue_required",
-    "detect_spaghetti",
-    "detect_undefined_loop",
     "run_all",
-    "LexError",
-    "Token",
-    "scanner_backend",
-    "tokenize",
-    "CycleError",
-    "ExternalHierarchySeed",
-    "ProgramModel",
     "build_model",
-    "default_seed",
-    "inheritance_depth",
-    "is_descendant",
-    "load_seed",
-    "resolve_callee",
-    "static_type_of",
-    "superclass_chain",
     "parse_source",
-    "parse_unit",
-    "AnalysisStore",
-    "ClassRecord",
-    "Cluster",
     "FormatError",
     "aggregate",
     "cluster",
     "load_store",
     "render_report",
-    "save_store",
 ]

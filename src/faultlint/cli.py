@@ -129,12 +129,15 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Turn argv into a RunConfig; raises UsageError on bad flags."""
     namespace = _build_parser().parse_args(argv)
     rules = ALL_RULES if namespace.rules is None else _parse_rules(namespace.rules)
+    for option, value in (("--seed", namespace.seed), ("--store", namespace.store)):
+        if value == "":
+            raise UsageError(f"{option}: the path must not be empty")
     return RunConfig(
         corpus_root=Path(namespace.corpus_root),
-        seed_file=Path(namespace.seed) if namespace.seed else None,
+        seed_file=None if namespace.seed is None else Path(namespace.seed),
         enabled_rules=rules,
         output_format=namespace.format,
-        store_output=Path(namespace.store) if namespace.store else None,
+        store_output=None if namespace.store is None else Path(namespace.store),
         strict_parse=namespace.strict_parse,
     )
 

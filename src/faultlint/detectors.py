@@ -285,8 +285,8 @@ def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
                     elif expr_kind is Binary:
                         if lvalue is None or (expr.op != "==" and expr.op != "!="):
                             continue
-                        left = static_type_of(expr.lhs, scope, model)
-                        right = static_type_of(expr.rhs, scope, model)
+                        left = static_type_of(expr.lhs, scope)
+                        right = static_type_of(expr.rhs, scope)
                         if left == "String" or right == "String":
                             lvalue.append(_finding(
                                 1, class_name, file_path, expr.line,

@@ -3,9 +3,11 @@
 The hierarchy merges extends-edges found in the scanned corpus with a
 seeded set of external edges (library classes such as Stack -> Vector
 live outside any scanned file). Classes that list several superclasses
-keep the full list for the inheritance detector, but depth and descendant
-queries follow only the first superclass: the construct is illegal in the
-analyzed language and has no deeper semantics here.
+keep the full list for the inheritance detector, but depth, descendant and
+callee queries follow only the first superclass: the construct is illegal
+in the analyzed language and has no deeper semantics here. That policy
+lives in one place, _first_superclasses; every query that walks upwards
+reads its list.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from faultlint.nodes import (
     While,
 )
 from faultlint.record import Record, _set
-
-ORIGIN_SEED = "external-seed"
 
 DEFAULT_EXTENDS = (("Stack", "Vector"),)
 DEFAULT_RESOURCE_TYPES = frozenset({
@@ -135,33 +135,28 @@ def load_seed(path) -> ExternalHierarchySeed:
 
 
 class ClassHierarchy(Record):
-    __slots__ = ("nodes", "super_edges", "origin", "unknown", "subclasses")
+    __slots__ = ("nodes", "super_edges", "subclasses")
 
     def __init__(self, nodes: frozenset[str], super_edges: dict[str, tuple[str, ...]],
-                 origin: dict[str, str], unknown: frozenset[str],
                  subclasses: dict[str, tuple[str, ...]]):
+        # corpus classes, seeded subclasses and their seeded superclasses
         _set(self, "nodes", nodes)
         _set(self, "super_edges", super_edges)
-        _set(self, "origin", origin)  # class name -> corpus file path or ORIGIN_SEED
-        _set(self, "unknown", unknown)  # referenced superclasses declared nowhere
         _set(self, "subclasses", subclasses)  # first superclass -> sorted subclasses
 
 
 class ProgramModel(Record):
-    __slots__ = ("hierarchy", "classes", "class_files", "method_index", "units", "seed",
-                 "diagnostics")
+    __slots__ = ("hierarchy", "classes", "class_files", "method_index", "seed", "diagnostics")
 
     def __init__(self, hierarchy: ClassHierarchy, classes: dict[str, ClassDecl],
                  class_files: dict[str, str],
                  method_index: dict[tuple[str, int], tuple[tuple[str, MethodDecl], ...]],
-                 units: tuple[CompilationUnit, ...], seed: ExternalHierarchySeed,
-                 diagnostics: tuple[str, ...] = ()):
+                 seed: ExternalHierarchySeed, diagnostics: tuple[str, ...] = ()):
         _set(self, "hierarchy", hierarchy)
         # (file path, position) order, first declaration wins
         _set(self, "classes", classes)
         _set(self, "class_files", class_files)
         _set(self, "method_index", method_index)
-        _set(self, "units", units)
         _set(self, "seed", seed)
         _set(self, "diagnostics", diagnostics)
 
@@ -202,45 +197,35 @@ def build_model(
             class_files[decl.name] = unit.file_path
 
     super_edges: dict[str, tuple[str, ...]] = {}
-    origin: dict[str, str] = {}
     for name, decl in classes.items():
-        origin[name] = class_files[name]
         if decl.extends_list:
             super_edges[name] = tuple(decl.extends_list)
 
+    nodes = set(classes)
     seed_edges: dict[str, list[str]] = {}
     for sub, sup in seed.extends_entries:
-        seed_edges.setdefault(sub, []).append(sup)
+        if sub not in classes:  # corpus declaration wins over seeded edges
+            seed_edges.setdefault(sub, []).append(sup)
+            nodes.update((sub, sup))
     for sub, sups in seed_edges.items():
-        if sub in classes:
-            continue  # corpus declaration wins over seeded edges
         super_edges[sub] = tuple(sups)
-        origin.setdefault(sub, ORIGIN_SEED)
-    for sub, sup in seed.extends_entries:
-        if sub not in classes:
-            origin.setdefault(sup, ORIGIN_SEED)
 
-    nodes = frozenset(origin)
-    unknown = frozenset(
-        sup for sups in super_edges.values() for sup in sups if sup not in nodes
-    )
     subclasses: dict[str, list[str]] = {}
     for sub, sups in super_edges.items():
         subclasses.setdefault(sups[0], []).append(sub)
     hierarchy = ClassHierarchy(
-        nodes, super_edges, origin, unknown,
+        frozenset(nodes), super_edges,
         {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
     )
 
     seen_cycles: set[frozenset[str]] = set()
     for name in sorted(classes):
-        try:
-            _superclass_chain(name, hierarchy)
-        except CycleError as err:
-            key = frozenset(err.cycle)
+        chain = _first_superclasses(name, super_edges)
+        if _ends_in_cycle(chain):
+            key = frozenset(chain)
             if key not in seen_cycles:
                 seen_cycles.add(key)
-                diagnostics.append(str(err))
+                diagnostics.append(str(CycleError(chain)))
 
     method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]] = {}
     for name, decl in classes.items():
@@ -253,39 +238,49 @@ def build_model(
         classes=classes,
         class_files=class_files,
         method_index={k: tuple(v) for k, v in method_index.items()},
-        units=ordered_units,
         seed=seed,
         diagnostics=tuple(diagnostics),
     )
 
 
-def _superclass_chain(class_name: str, hierarchy: ClassHierarchy) -> list[str]:
-    """Chain from class_name along first superclasses, including the start.
+def _first_superclasses(class_name: str,
+                        super_edges: dict[str, tuple[str, ...]]) -> list[str]:
+    """class_name, then its first superclass, that one's, and so on.
 
-    An unknown external superclass ends the chain but is included (its
-    edge is real even if nothing more is known about it).
+    The one walk along first-superclass edges. An unknown external
+    superclass ends the list but is included (its edge is real even if
+    nothing more is known about it). On a cycle the list ends with the
+    first class it revisits.
     """
     chain = [class_name]
     visited = {class_name}
-    current = class_name
     while True:
-        supers = hierarchy.super_edges.get(current)
+        supers = super_edges.get(chain[-1])
         if not supers:
             return chain
         first = supers[0]
         chain.append(first)
-        if first not in hierarchy.nodes:
-            return chain
         if first in visited:
-            raise CycleError(chain)
+            return chain
         visited.add(first)
-        current = first
+
+
+def _ends_in_cycle(chain: list[str]) -> bool:
+    return chain.index(chain[-1]) != len(chain) - 1
 
 
 def superclass_chain(class_name: str, hierarchy: ClassHierarchy) -> list[str]:
+    """Chain from class_name along first superclasses, including the start.
+
+    Raises KeyError for a class the hierarchy does not know and CycleError
+    when the chain revisits a class.
+    """
     if class_name not in hierarchy.nodes:
         raise KeyError(class_name)
-    return _superclass_chain(class_name, hierarchy)
+    chain = _first_superclasses(class_name, hierarchy.super_edges)
+    if _ends_in_cycle(chain):
+        raise CycleError(chain)
+    return chain
 
 
 def inheritance_depth(class_name: str, hierarchy: ClassHierarchy) -> int:
@@ -295,21 +290,7 @@ def inheritance_depth(class_name: str, hierarchy: ClassHierarchy) -> int:
 
 def is_descendant(a: str, b: str, hierarchy: ClassHierarchy) -> bool:
     """True iff b is a strict ancestor of a along first-superclass edges."""
-    if a == b:
-        return False
-    visited = {a}
-    current = a
-    while True:
-        supers = hierarchy.super_edges.get(current)
-        if not supers:
-            return False
-        first = supers[0]
-        if first == b:
-            return True
-        if first not in hierarchy.nodes or first in visited:
-            return False
-        visited.add(first)
-        current = first
+    return a != b and b in _first_superclasses(a, hierarchy.super_edges)
 
 
 class Scope:
@@ -347,7 +328,7 @@ def method_scope(class_decl: ClassDecl, method: MethodDecl) -> Scope:
     return scope
 
 
-def static_type_of(expr: Expr, scope: Scope, model: ProgramModel | None = None) -> str | None:
+def static_type_of(expr: Expr, scope: Scope) -> str | None:
     """Declared type of simple expressions; None for everything unknowable."""
     if isinstance(expr, StringLit):
         return "String"
@@ -356,7 +337,7 @@ def static_type_of(expr: Expr, scope: Scope, model: ProgramModel | None = None) 
     if isinstance(expr, New):
         return expr.type_name
     if isinstance(expr, Paren):
-        return static_type_of(expr.inner, scope, model)
+        return static_type_of(expr.inner, scope)
     return None
 
 
@@ -379,21 +360,18 @@ def resolve_callee(name: str, arity: int, model: ProgramModel,
     hierarchy = model.hierarchy
     found: list[tuple[str, MethodDecl]] = []
     signatures: set[tuple[str, ...]] = set()
-    current: str | None = receiver_type
-    visited: set[str] = set()
-    while current is not None and current not in visited:
-        visited.add(current)
+    upward = _first_superclasses(receiver_type, hierarchy.super_edges)
+    for current in upward:
         for entry in _declared_methods(current, name, arity, model):
             signature = tuple(p.type_name for p in entry[1].params)
             if signature not in signatures:
                 signatures.add(signature)
                 found.append(entry)
-        supers = hierarchy.super_edges.get(current)
-        current = supers[0] if supers else None
     if not found:
         return []
     # on an inheritance cycle the classes already walked upwards are also
     # below receiver_type; visiting none of them twice ends the walk
+    visited = set(upward)
     pending = list(reversed(hierarchy.subclasses.get(receiver_type, ())))
     while pending:
         current = pending.pop()

@@ -111,6 +111,27 @@ def test_parse_args_unknown_format():
         parse_args(["corpus", "--format", "xml"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--store", ""],
+    ["corpus", "--store="],
+    ["corpus", "--seed", ""],
+    ["corpus", "--seed="],
+])
+def test_parse_args_empty_path(argv):
+    with pytest.raises(UsageError):
+        parse_args(argv)
+
+
+@pytest.mark.parametrize("option", ["--store", "--seed"])
+def test_empty_path_option_exit_2(option, capsys):
+    code = main([str(REFERENCE_CORPUS_DIR), option, ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert captured.err.endswith(f"faultlint: error: {option}: the path must not be empty\n")
+
+
 # --- scan exit codes ----------------------------------------------------------
 
 
@@ -413,6 +434,19 @@ def test_run_scan_reports_scanned_class_count(capsys):
     result = run_scan(RunConfig(corpus_root=REFERENCE_CORPUS_DIR))
     # 12 corpus classes: A, ML_A..ML_H (8), MP_A, loopa, sample
     assert "Classes scanned: 12 | faulty: 6" in result.report
+
+
+def test_readme_library_use_block_runs():
+    # the README's "Library use" example, run as written on one fixture
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {"source_text": (REFERENCE_CORPUS_DIR / "A.java").read_text(encoding="utf-8")}
+    exec(code, namespace)
+    assert [(r.class_name, r.error_codes) for r in namespace["records"]] == [("A", (1, 6))]
+    assert [c.classes for c in namespace["clusters"]] == [("A",)]
+    # the names the "Result store" section documents come from the package too
+    assert {"load_store", "FormatError", "render_report", "cluster"} <= set(faultlint.__all__)
 
 
 # --- robustness and the collector pause -------------------------------------------

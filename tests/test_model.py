@@ -63,7 +63,8 @@ def test_seeded_chain_continues_into_vector():
     assert model.hierarchy.super_edges == oracle
     assert superclass_chain("S", model.hierarchy) == ["S", "Vector"]
     assert inheritance_depth("S", model.hierarchy) == 1
-    assert model.hierarchy.origin["Vector"] == "external-seed"
+    # Vector is known only from the seed and extends nothing
+    assert superclass_chain("Vector", model.hierarchy) == ["Vector"]
 
 
 def test_duplicate_class_keeps_first_by_sorted_path():
@@ -84,7 +85,8 @@ def test_build_model_deterministic_under_permutation():
     assert a.hierarchy == b.hierarchy
     assert a.classes == b.classes
     assert a.method_index == b.method_index
-    assert a.units == b.units
+    assert a.class_files == b.class_files
+    assert a.diagnostics == b.diagnostics
 
 
 # --- inheritance_depth -------------------------------------------------------
@@ -123,7 +125,9 @@ def test_depth_random_linear_chains():
 def test_unknown_external_superclass_counts_one_edge():
     model = model_for_source("class X extends SomeLibClass { }", "X.java")
     assert inheritance_depth("X", model.hierarchy) == 1
-    assert "SomeLibClass" in model.hierarchy.unknown
+    assert superclass_chain("X", model.hierarchy) == ["X", "SomeLibClass"]
+    with pytest.raises(KeyError):
+        superclass_chain("SomeLibClass", model.hierarchy)
 
 
 def test_cycle_raises_cycle_error_and_is_model_diagnostic():
@@ -247,36 +251,33 @@ def test_param_name_type():
     model = model_for_source("class F { void f(Stack s) { s.push(x); } }", "f.java")
     decl, method = _only_method(model, "F")
     scope = method_scope(decl, method)
-    assert static_type_of(Name("s", 1), scope, model) == "Stack"
+    assert static_type_of(Name("s", 1), scope) == "Stack"
 
 
 def test_string_literal_type():
-    model = build_model([])
     from faultlint.model import Scope
 
-    assert static_type_of(StringLit('"WEL"', 1), Scope(), model) == "String"
+    assert static_type_of(StringLit('"WEL"', 1), Scope()) == "String"
 
 
 def test_new_and_paren_types():
     from faultlint.model import Scope
 
-    model = build_model([])
     expr = Paren(New("FileReader", (), 1), 1)
-    assert static_type_of(expr, Scope(), model) == "FileReader"
+    assert static_type_of(expr, Scope()) == "FileReader"
 
 
 def test_method_call_type_is_unknown():
     from faultlint.model import Scope
 
-    model = build_model([])
     call = MethodCall(Name("v", 1), "size", (), 1)
-    assert static_type_of(call, Scope(), model) is None
+    assert static_type_of(call, Scope()) is None
 
 
 def test_undeclared_name_is_unknown():
     from faultlint.model import Scope
 
-    assert static_type_of(Name("ghost", 1), Scope(), None) is None
+    assert static_type_of(Name("ghost", 1), Scope()) is None
 
 
 def test_local_shadows_field():

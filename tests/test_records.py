@@ -125,7 +125,7 @@ def test_copy_and_pickle_rebuild_equal_records(cls):
 
 def test_pickle_rebuilds_a_scanned_corpus():
     result = run_scan(RunConfig(REFERENCE_CORPUS_DIR))
-    for value in (result.model.units, result.store, result.findings):
+    for value in (result.model.classes, result.store, result.findings):
         assert pickle.loads(pickle.dumps(value)) == value
 
 
@@ -157,7 +157,7 @@ def test_keyword_construction_and_defaults():
     assert (seed.extends_entries, seed.resource_types, seed.pure_accessor_names) == (
         DEFAULT_EXTENDS, DEFAULT_RESOURCE_TYPES, DEFAULT_PURE_ACCESSORS)
 
-    model = ProgramModel(None, {}, {}, {}, (), seed)
+    model = ProgramModel(None, {}, {}, {}, seed)
     assert model.diagnostics == ()
 
     assert _finding().detail == {} and _finding().detail is not _finding().detail

@@ -67,8 +67,8 @@ def reference_lvalue_required(model):
         for expr, scope in iter_scoped_exprs(decl, method):
             if not (isinstance(expr, Binary) and expr.op in ("==", "!=")):
                 continue
-            left = static_type_of(expr.lhs, scope, model)
-            right = static_type_of(expr.rhs, scope, model)
+            left = static_type_of(expr.lhs, scope)
+            right = static_type_of(expr.rhs, scope)
             if left == "String" or right == "String":
                 findings.append(_finding(
                     1, class_name, file_path, expr.line,
@@ -106,7 +106,7 @@ def reference_itu(model):
             receiver = expr.receiver
             if isinstance(receiver, Name):
                 name_uses.append((receiver.ident, expr.line, expr.name))
-            types = [static_type_of(a, scope, model) if isinstance(a, Name) else None
+            types = [static_type_of(a, scope) if isinstance(a, Name) else None
                      for a in expr.args]
             if all(t is None for t in types):
                 continue
@@ -114,7 +114,7 @@ def reference_itu(model):
             if receiver is None or (isinstance(receiver, Name) and receiver.ident == "this"):
                 receiver_type = class_name
             elif isinstance(receiver, Name):
-                receiver_type = static_type_of(receiver, scope, model)
+                receiver_type = static_type_of(receiver, scope)
             else:
                 receiver_type = None
             call_sites.append((expr, idents, types, receiver_type))
