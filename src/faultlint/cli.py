@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from faultlint import __version__
-from faultlint.detectors import ALL_RULES, Finding, run_all
+from faultlint.detectors import ALL_RULES, run_all
 from faultlint.model import ProgramModel, SeedError, build_model, default_seed, load_seed
 from faultlint.nodes import CompilationUnit, ParseDiagnostic
 from faultlint.parser import parse_source
@@ -22,7 +22,6 @@ from faultlint.record import Record, _set
 from faultlint.store import (
     STORE_BASENAME,
     AnalysisStore,
-    Cluster,
     Diagnostic,
     aggregate,
     cluster,
@@ -57,23 +56,14 @@ class RunConfig(Record):
 
 
 class ScanResult(Record):
-    """The outcome of run_scan. Unlike the other records it is assignable,
-    and therefore unhashable."""
+    """The outcome of run_scan: what the CLI prints, writes and exits with."""
 
-    __slots__ = ("exit_code", "report", "store", "clusters", "findings", "model")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = ("exit_code", "report", "store")
 
-    def __init__(self, exit_code: int, report: str, store: AnalysisStore,
-                 clusters: list[Cluster] | None = None, findings: list[Finding] | None = None,
-                 model: ProgramModel | None = None):
-        self.exit_code = exit_code
-        self.report = report
-        self.store = store
-        self.clusters = [] if clusters is None else clusters
-        self.findings = [] if findings is None else findings
-        self.model = model
+    def __init__(self, exit_code: int, report: str, store: AnalysisStore):
+        _set(self, "exit_code", exit_code)
+        _set(self, "report", report)
+        _set(self, "store", store)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -129,7 +119,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Turn argv into a RunConfig; raises UsageError on bad flags."""
     namespace = _build_parser().parse_args(argv)
     rules = ALL_RULES if namespace.rules is None else _parse_rules(namespace.rules)
-    for option, value in (("--seed", namespace.seed), ("--store", namespace.store)):
+    for option, value in (("corpus_root", namespace.corpus_root), ("--seed", namespace.seed),
+                          ("--store", namespace.store)):
         if value == "":
             raise UsageError(f"{option}: the path must not be empty")
     return RunConfig(
@@ -226,7 +217,7 @@ def run_scan(config: RunConfig) -> ScanResult:
         exit_code = 1
     else:
         exit_code = 0
-    return ScanResult(exit_code, report, store, clusters, findings, model)
+    return ScanResult(exit_code, report, store)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,11 @@
-"""Tokenizer: one pure-Python scan loop that emits Tokens directly.
+"""Tokenizer: the token model, the lexical tables and one pure-Python scan
+loop that emits Tokens directly.
+
+A Token is a named tuple of kind, lexeme and 1-based line and column. The
+kinds are the seven constants below; `KEYWORDS` decides keyword against
+identifier, and the operator tables give the longest match first. Every
+punctuator, operator and keyword lexeme occurs with one kind only, which
+the parser relies on.
 
 The loop dispatches on the first character of each lexeme. Runs of blanks
 and identifier tails are consumed with precompiled regular expressions;
@@ -10,23 +17,64 @@ narrower than `str.isdigit()` (`²` starts a numeric literal).
 from __future__ import annotations
 
 import re
-
-from faultlint.tokens import (
-    CHAR,
-    IDENTIFIER,
-    KEYWORD,
-    KEYWORDS,
-    LexError,
-    NUMBER,
-    ONE_CHAR_OPERATORS,
-    OPERATOR,
-    PUNCTUATOR,
-    STRING,
-    TWO_CHAR_OPERATORS,
-    Token,
-)
+from typing import NamedTuple
 
 __all__ = ["tokenize", "LexError", "Token", "scanner_backend"]
+
+KEYWORD = "keyword"
+IDENTIFIER = "identifier"
+STRING = "string-literal"
+CHAR = "char-literal"
+NUMBER = "numeric-literal"
+PUNCTUATOR = "punctuator"
+OPERATOR = "operator"
+
+# Reserved words of the analyzed language, including the literal words
+# true/false/null which the parser maps to literal nodes.
+KEYWORDS = frozenset(
+    """
+    abstract assert boolean break byte case catch char class const continue
+    default do double else enum extends final finally float for goto if
+    implements import instanceof int interface long native new package
+    private protected public return short static strictfp super switch
+    synchronized this throw throws transient try void volatile while
+    true false null
+    """.split()
+)
+
+# Longest-match first; two-character operators must be checked before their
+# one-character prefixes. Any other non-space character lexes as a
+# one-character punctuator and is left to parse recovery.
+TWO_CHAR_OPERATORS = ("==", "!=", "<=", ">=", "&&", "||", "++", "--",
+                      "+=", "-=", "*=", "/=", "%=")
+ONE_CHAR_OPERATORS = "=<>+-*/%!&|^~?"
+
+
+class LexError(Exception):
+    """Unterminated string/char literal or block comment."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} at line {line}, column {column}")
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+class Token(NamedTuple):
+    """One lexeme with its 1-based source position.
+
+    A tuple, so the scan loop builds each token in one step and the parser
+    reads fields without a per-token object layer.
+    """
+
+    kind: str
+    lexeme: str
+    line: int
+    column: int
+
+    def __repr__(self):
+        return f"Token({self.kind}, {self.lexeme!r}, {self.line}:{self.column})"
+
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _NUM_SUFFIXES = "lLfFdD"

@@ -8,7 +8,9 @@ and it never aborts. Anything outside the subset is skipped to the next
 
 from __future__ import annotations
 
-from faultlint.lexer import LexError, tokenize
+from collections.abc import Iterator
+
+from faultlint.lexer import CHAR, IDENTIFIER, NUMBER, STRING, LexError, Token, tokenize
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -41,17 +43,15 @@ from faultlint.nodes import (
     UnaryIncDec,
     While,
 )
-from faultlint.tokens import (
-    CHAR,
-    IDENTIFIER,
-    KEYWORD,
-    MODIFIER_KEYWORDS,
-    NUMBER,
-    OPERATOR,
-    PRIMITIVE_TYPES,
-    PUNCTUATOR,
-    STRING,
-    Token,
+MODIFIER_KEYWORDS = frozenset(
+    """
+    public private protected static final abstract native synchronized
+    transient volatile strictfp
+    """.split()
+)
+
+PRIMITIVE_TYPES = frozenset(
+    "boolean byte char short int long float double".split()
 )
 
 # Binary operator -> precedence, tighter binding higher. Every one is
@@ -74,17 +74,16 @@ MAX_NESTING = 100
 
 
 class _ParseFailure(Exception):
-    """Internal signal that the current construct left the subset."""
-
-    def __init__(self, message: str, token: Token | None):
-        super().__init__(message)
-        self.message = message
-        self.token = token
+    """Internal signal that the current construct left the subset; its
+    argument is the diagnostic message."""
 
 
 class _Parser:
     # Punctuator, operator and keyword lexemes each occur with one token kind
-    # only, so the hot paths compare lexemes alone.
+    # only, so the cursor compares lexemes alone: `at`/`expect` take a
+    # lexeme, and only identifiers, literals and numbers are told apart by
+    # kind (`at_ident`, `expect_ident`). `_type_name` is the one reader of
+    # the type grammar and `_declarators` the one reader of declarators.
 
     def __init__(self, tokens: list[Token], file_path: str):
         self.tokens = tokens
@@ -97,34 +96,36 @@ class _Parser:
 
     # -- cursor ---------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < self.n else None
-
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= self.n
-
-    def at(self, kind: str, lexeme: str | None = None, offset: int = 0) -> bool:
+    def at(self, lexeme: str, offset: int = 0) -> bool:
         i = self.pos + offset
-        if i >= self.n:
-            return False
-        tok = self.tokens[i]
-        return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
+        return i < self.n and self.tokens[i].lexeme == lexeme
 
-    def expect(self, kind: str, lexeme: str | None = None) -> Token:
+    def at_ident(self, offset: int = 0) -> bool:
+        i = self.pos + offset
+        return i < self.n and self.tokens[i].kind == IDENTIFIER
+
+    def expect(self, lexeme: str) -> Token:
         pos = self.pos
         if pos >= self.n:
-            want = lexeme or kind
-            raise _ParseFailure(f"expected '{want}' but reached end of file", None)
+            raise _ParseFailure(f"expected '{lexeme}' but reached end of file")
         tok = self.tokens[pos]
-        if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
-            want = lexeme or kind
-            raise _ParseFailure(f"expected '{want}' but found '{tok.lexeme}'", tok)
+        if tok.lexeme != lexeme:
+            raise _ParseFailure(f"expected '{lexeme}' but found '{tok.lexeme}'")
+        self.pos = pos + 1
+        return tok
+
+    def expect_ident(self) -> Token:
+        pos = self.pos
+        if pos >= self.n:
+            raise _ParseFailure("expected 'identifier' but reached end of file")
+        tok = self.tokens[pos]
+        if tok.kind != IDENTIFIER:
+            raise _ParseFailure(f"expected 'identifier' but found '{tok.lexeme}'")
         self.pos = pos + 1
         return tok
 
@@ -137,7 +138,7 @@ class _Parser:
         """Open one nested construct; returns the new depth."""
         depth = self.depth + 1
         if depth > MAX_NESTING:
-            raise _ParseFailure(f"nesting deeper than {MAX_NESTING} levels", self.peek())
+            raise _ParseFailure(f"nesting deeper than {MAX_NESTING} levels")
         self.depth = depth
         return depth
 
@@ -200,8 +201,9 @@ class _Parser:
         self.pos = pos
         return start_line, end_line
 
-    def skip_top_level(self, start_pos: int, consume_first: bool) -> tuple[int, int]:
-        """Skip to the next top-level `class` keyword (or end of input)."""
+    def skip_top_level(self, start_pos: int) -> tuple[int, int]:
+        """Skip past the token at start_pos to the next top-level `class`
+        keyword (or end of input)."""
         self.pos = start_pos
         start_line = self._last_line()
         end_line = start_line
@@ -213,7 +215,7 @@ class _Parser:
         while pos < n:
             tok = tokens[pos]
             lexeme = tok.lexeme
-            if depth == 0 and lexeme == "class" and not (first and consume_first):
+            if depth == 0 and lexeme == "class" and not first:
                 break
             if lexeme == "{":
                 depth += 1
@@ -228,72 +230,57 @@ class _Parser:
     # -- top level --------------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
-        while not self.at_end():
+        tokens = self.tokens
+        while self.pos < self.n:
             start_pos = self.pos
-            tok = self.peek()
-            assert tok is not None
-            if tok.kind == KEYWORD and tok.lexeme in ("package", "import"):
+            if tokens[start_pos].lexeme in ("package", "import"):
                 self._skip_simple_directive()
                 continue
             try:
                 self._skip_modifiers()
-                if self.at(KEYWORD, "class"):
+                if self.at("class"):
                     self.classes.append(self.parse_class())
+                elif self.pos < self.n:
+                    raise _ParseFailure("unsupported top-level construct starting at "
+                                        f"'{tokens[self.pos].lexeme}'")
                 else:
-                    bad = self.peek()
-                    if bad is None:
-                        break
-                    raise _ParseFailure(
-                        f"unsupported top-level construct starting at '{bad.lexeme}'", bad
-                    )
+                    break
             except _ParseFailure as failure:
                 self.depth = 0
-                span = self.skip_top_level(start_pos, consume_first=True)
-                self.diagnose(failure.message, *span)
+                span = self.skip_top_level(start_pos)
+                self.diagnose(str(failure), *span)
         return CompilationUnit(
             self.file_path, tuple(self.classes), tuple(self.diagnostics)
         )
 
     def _skip_simple_directive(self) -> None:
         # package/import: consume through the terminating semicolon
-        while not self.at_end():
-            tok = self.advance()
-            if tok.kind == PUNCTUATOR and tok.lexeme == ";":
+        while self.pos < self.n:
+            if self.advance().lexeme == ";":
                 break
 
     def parse_class(self) -> ClassDecl:
-        class_tok = self.expect(KEYWORD, "class")
-        name_tok = self.expect(IDENTIFIER)
-        extends_list: list[str] = []
-        implements_list: list[str] = []
-        if self.at(KEYWORD, "extends"):
-            self.advance()
-            # Comma-separated superclass lists are preserved verbatim:
-            # they are detector input, not a parse failure.
-            extends_list.append(self.parse_type_name())
-            while self.at(PUNCTUATOR, ","):
-                self.advance()
-                extends_list.append(self.parse_type_name())
-        if self.at(KEYWORD, "implements"):
-            self.advance()
-            implements_list.append(self.parse_type_name())
-            while self.at(PUNCTUATOR, ","):
-                self.advance()
-                implements_list.append(self.parse_type_name())
-        self.expect(PUNCTUATOR, "{")
+        class_tok = self.expect("class")
+        name_tok = self.expect_ident()
+        # Comma-separated superclass lists are preserved verbatim: they are
+        # detector input, not a parse failure.
+        extends_list = self._type_list("extends")
+        implements_list = self._type_list("implements")
+        self.expect("{")
 
         fields: list[TypedName] = []
         methods: list[MethodDecl] = []
-        while not self.at_end() and not self.at(PUNCTUATOR, "}"):
+        tokens = self.tokens
+        while self.pos < self.n and tokens[self.pos].lexeme != "}":
             start_pos = self.pos
             try:
                 self.parse_member(name_tok.lexeme, fields, methods)
             except _ParseFailure as failure:
                 self.depth = 0
                 span = self.skip_to_sync(start_pos)
-                self.diagnose(failure.message, *span)
-        if self.at(PUNCTUATOR, "}"):
-            self.advance()
+                self.diagnose(str(failure), *span)
+        if self.pos < self.n:
+            self.pos += 1
         else:
             self.diagnose(
                 f"missing '}}' for class {name_tok.lexeme}",
@@ -302,12 +289,23 @@ class _Parser:
             )
         return ClassDecl(
             name=name_tok.lexeme,
-            extends_list=tuple(extends_list),
-            implements_list=tuple(implements_list),
+            extends_list=extends_list,
+            implements_list=implements_list,
             fields=tuple(fields),
             methods=tuple(methods),
             line=class_tok.line,
         )
+
+    def _type_list(self, keyword: str) -> tuple[str, ...]:
+        """The type names of `keyword T, U, ...` at the cursor, else ()."""
+        if not self.at(keyword):
+            return ()
+        self.pos += 1
+        names = [self.parse_type_name()]
+        while self.at(","):
+            self.pos += 1
+            names.append(self.parse_type_name())
+        return tuple(names)
 
     # -- class members ------------------------------------------------------
 
@@ -317,79 +315,99 @@ class _Parser:
         fields: list[TypedName],
         methods: list[MethodDecl],
     ) -> None:
-        if self.at(PUNCTUATOR, ";"):
-            self.advance()
+        if self.at(";"):
+            self.pos += 1
             return
         self._skip_modifiers()
 
         # constructor: bare class name followed by a parameter list
-        if (self.at(IDENTIFIER, class_name) and self.at(PUNCTUATOR, "(", offset=1)):
+        if self.at(class_name) and self.at("(", 1):
             name_tok = self.advance()
             methods.append(self._parse_method_rest(name_tok, is_constructor=True))
             return
 
-        type_name = self.parse_member_type()
-        name_tok = self.expect(IDENTIFIER)
-        if self.at(PUNCTUATOR, "("):
+        if self.at("void"):
+            self.pos += 1
+            type_name = "void"
+        else:
+            type_name = self.parse_type_name()
+        if self.at("(", 1):
+            name_tok = self.expect_ident()
             methods.append(self._parse_method_rest(name_tok, is_constructor=False))
             return
-        self._parse_field_declarators(type_name, name_tok, fields)
+        for name_tok, declared in self._declarators(type_name):
+            fields.append(TypedName(declared, name_tok.lexeme))
+            if self.at("="):  # parsed for syntax, not retained
+                self.pos += 1
+                self.parse_expr()
+        self.expect(";")
 
-    def parse_member_type(self) -> str:
-        if self.at(KEYWORD, "void"):
-            self.advance()
-            return "void"
-        return self.parse_type_name()
-
-    def parse_type_name(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise _ParseFailure("expected a type name but reached end of file", None)
-        if tok.kind == KEYWORD and tok.lexeme in PRIMITIVE_TYPES:
-            name = self.advance().lexeme
-        elif tok.kind == IDENTIFIER:
-            name = self.advance().lexeme
-            while self.at(PUNCTUATOR, ".") and self.at(IDENTIFIER, offset=1):
-                self.advance()
-                name += "." + self.advance().lexeme
-        else:
-            raise _ParseFailure(f"expected a type name but found '{tok.lexeme}'", tok)
-        if self.at(PUNCTUATOR, "[") and self.at(PUNCTUATOR, "]", offset=1):
-            self.advance()
-            self.advance()
+    def _type_name(self) -> str | None:
+        """A primitive or dotted type name with an optional `[]`, read at
+        the cursor; None, having consumed nothing, if none starts there."""
+        tokens = self.tokens
+        n = self.n
+        pos = self.pos
+        if pos >= n:
+            return None
+        tok = tokens[pos]
+        name = tok.lexeme
+        pos += 1
+        if tok.kind == IDENTIFIER:
+            while pos + 1 < n and tokens[pos].lexeme == "." and tokens[pos + 1].kind == IDENTIFIER:
+                name += "." + tokens[pos + 1].lexeme
+                pos += 2
+        elif name not in PRIMITIVE_TYPES:
+            return None
+        if pos + 1 < n and tokens[pos].lexeme == "[" and tokens[pos + 1].lexeme == "]":
             name += "[]"
+            pos += 2
+        self.pos = pos
         return name
 
-    def _array_suffix(self, type_name: str) -> str:
-        # C-style suffix on the declarator name: `String arg[]`
-        if self.at(PUNCTUATOR, "[") and self.at(PUNCTUATOR, "]", offset=1):
-            self.advance()
-            self.advance()
-            if not type_name.endswith("[]"):
-                type_name += "[]"
-        return type_name
+    def parse_type_name(self) -> str:
+        name = self._type_name()
+        if name is None:
+            if self.pos >= self.n:
+                raise _ParseFailure("expected a type name but reached end of file")
+            raise _ParseFailure(
+                f"expected a type name but found '{self.tokens[self.pos].lexeme}'"
+            )
+        return name
+
+    def _declarators(self, type_name: str) -> Iterator[tuple[Token, str]]:
+        """Yield each `name` or C-style `name[]` of a comma-separated list
+        with its declared type, the cursor just after it.
+
+        A caller reads one declarator with next(). A list reader handles
+        each declarator (and its initializer) before asking for the next,
+        so those read before a failing one stay declared.
+        """
+        while True:
+            name_tok = self.expect_ident()
+            declared = type_name
+            if self.at("[") and self.at("]", 1):
+                self.pos += 2
+                if not declared.endswith("[]"):
+                    declared += "[]"
+            yield name_tok, declared
+            if not self.at(","):
+                return
+            self.pos += 1
 
     def _parse_method_rest(self, name_tok: Token, is_constructor: bool) -> MethodDecl:
         params: list[TypedName] = []
-        self.expect(PUNCTUATOR, "(")
-        if not self.at(PUNCTUATOR, ")"):
+        self.expect("(")
+        if not self.at(")"):
             while True:
-                p_type = self.parse_type_name()
-                p_name = self.expect(IDENTIFIER)
-                p_type = self._array_suffix(p_type)
+                p_name, p_type = next(self._declarators(self.parse_type_name()))
                 params.append(TypedName(p_type, p_name.lexeme))
-                if self.at(PUNCTUATOR, ","):
-                    self.advance()
-                    continue
-                break
-        self.expect(PUNCTUATOR, ")")
-        if self.at(KEYWORD, "throws"):
-            self.advance()
-            self.parse_type_name()
-            while self.at(PUNCTUATOR, ","):
-                self.advance()
-                self.parse_type_name()
-        if self.at(PUNCTUATOR, ";"):
+                if not self.at(","):
+                    break
+                self.pos += 1
+        self.expect(")")
+        self._type_list("throws")
+        if self.at(";"):
             semi = self.advance()
             body = Block((), semi.line)
         else:
@@ -402,28 +420,10 @@ class _Parser:
             line=name_tok.line,
         )
 
-    def _parse_field_declarators(
-        self, type_name: str, first_name: Token, fields: list[TypedName]
-    ) -> None:
-        # initializer expressions are parsed for syntax but not retained
-        name_tok = first_name
-        while True:
-            declared = self._array_suffix(type_name)
-            fields.append(TypedName(declared, name_tok.lexeme))
-            if self.at(OPERATOR, "="):
-                self.advance()
-                self.parse_expr()
-            if self.at(PUNCTUATOR, ","):
-                self.advance()
-                name_tok = self.expect(IDENTIFIER)
-                continue
-            break
-        self.expect(PUNCTUATOR, ";")
-
     # -- statements ---------------------------------------------------------
 
     def parse_block(self) -> Block:
-        open_tok = self.expect(PUNCTUATOR, "{")
+        open_tok = self.expect("{")
         depth = self._nest()
         stmts: list[Stmt] = []
         tokens = self.tokens
@@ -435,14 +435,14 @@ class _Parser:
             except _ParseFailure as failure:
                 self.depth = depth
                 span = self.skip_to_sync(start_pos)
-                self.diagnose(failure.message, *span)
-        self.expect(PUNCTUATOR, "}")
+                self.diagnose(str(failure), *span)
+        self.expect("}")
         self.depth = depth - 1
         return Block(tuple(stmts), open_tok.line)
 
     def _substatement(self) -> Block:
         """Loop bodies and if branches are always Blocks."""
-        if self.at(PUNCTUATOR, "{"):
+        if self.at("{"):
             return self.parse_block()
         depth = self._nest()
         stmts: list[Stmt] = []
@@ -453,7 +453,7 @@ class _Parser:
 
     def parse_statement_into(self, out: list[Stmt]) -> None:
         if self.pos >= self.n:
-            raise _ParseFailure("expected a statement but reached end of file", None)
+            raise _ParseFailure("expected a statement but reached end of file")
         lexeme = self.tokens[self.pos].lexeme
 
         if lexeme == "{":
@@ -464,18 +464,18 @@ class _Parser:
             out.append(self._parse_if())
         elif lexeme == "while":
             kw = self.advance()
-            self.expect(PUNCTUATOR, "(")
+            self.expect("(")
             cond = self.parse_expr()
-            self.expect(PUNCTUATOR, ")")
+            self.expect(")")
             out.append(While(cond, self._substatement(), kw.line))
         elif lexeme == "do":
             kw = self.advance()
             body = self._substatement()
-            self.expect(KEYWORD, "while")
-            self.expect(PUNCTUATOR, "(")
+            self.expect("while")
+            self.expect("(")
             cond = self.parse_expr()
-            self.expect(PUNCTUATOR, ")")
-            self.expect(PUNCTUATOR, ";")
+            self.expect(")")
+            self.expect(";")
             out.append(DoWhile(body, cond, kw.line))
         elif lexeme == "for":
             out.append(self._parse_for())
@@ -483,106 +483,87 @@ class _Parser:
             out.append(self._parse_try())
         elif lexeme == "return":
             kw = self.advance()
-            expr = None if self.at(PUNCTUATOR, ";") else self.parse_expr()
-            self.expect(PUNCTUATOR, ";")
+            expr = None if self.at(";") else self.parse_expr()
+            self.expect(";")
             out.append(Return(expr, kw.line))
-        elif self._looks_like_decl():
-            self._parse_local_decls(out)
         else:
-            expr = self.parse_expr()
-            self.expect(PUNCTUATOR, ";")
-            out.append(ExprStmt(expr, expr.line))
+            type_name = self._decl_type()
+            if type_name is None:
+                expr = self.parse_expr()
+                self.expect(";")
+                out.append(ExprStmt(expr, expr.line))
+            else:
+                # extend keeps the declarations read before a failing one
+                out.extend(self._local_decls(type_name))
+                self.expect(";")
+
+    def _decl_type(self) -> str | None:
+        """The type of a local declaration starting at the cursor (a type
+        name followed by an identifier), or None with the cursor unmoved."""
+        start = self.pos
+        type_name = self._type_name()
+        if type_name is not None and self.at_ident():
+            return type_name
+        self.pos = start
+        return None
+
+    def _local_decls(self, type_name: str) -> Iterator[LocalVarDecl]:
+        for name_tok, declared in self._declarators(type_name):
+            init = None
+            if self.at("="):
+                self.pos += 1
+                init = self.parse_expr()
+            yield LocalVarDecl(declared, name_tok.lexeme, init, name_tok.line)
 
     def _parse_if(self) -> If:
-        kw = self.expect(KEYWORD, "if")
-        self.expect(PUNCTUATOR, "(")
+        kw = self.expect("if")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect(PUNCTUATOR, ")")
+        self.expect(")")
         then_block = self._substatement()
         else_block = None
-        if self.at(KEYWORD, "else"):
-            self.advance()
+        if self.at("else"):
+            self.pos += 1
             else_block = self._substatement()
         return If(cond, then_block, else_block, kw.line)
 
     def _parse_for(self) -> For:
-        kw = self.expect(KEYWORD, "for")
-        self.expect(PUNCTUATOR, "(")
+        kw = self.expect("for")
+        self.expect("(")
         init: Stmt | None = None
-        if self.at(PUNCTUATOR, ";"):
-            self.advance()
-        elif self._looks_like_decl():
-            type_name = self.parse_type_name()
-            name_tok = self.expect(IDENTIFIER)
-            declared = self._array_suffix(type_name)
-            init_expr = None
-            if self.at(OPERATOR, "="):
-                self.advance()
-                init_expr = self.parse_expr()
-            init = LocalVarDecl(declared, name_tok.lexeme, init_expr, name_tok.line)
-            self.expect(PUNCTUATOR, ";")
+        if self.at(";"):
+            self.pos += 1
         else:
-            expr = self.parse_expr()
-            init = ExprStmt(expr, expr.line)
-            self.expect(PUNCTUATOR, ";")
-        cond = None if self.at(PUNCTUATOR, ";") else self.parse_expr()
-        self.expect(PUNCTUATOR, ";")
-        update = None if self.at(PUNCTUATOR, ")") else self.parse_expr()
-        self.expect(PUNCTUATOR, ")")
+            type_name = self._decl_type()
+            if type_name is None:
+                expr = self.parse_expr()
+                init = ExprStmt(expr, expr.line)
+            else:
+                init = next(self._local_decls(type_name))
+            self.expect(";")
+        cond = None if self.at(";") else self.parse_expr()
+        self.expect(";")
+        update = None if self.at(")") else self.parse_expr()
+        self.expect(")")
         return For(init, cond, update, self._substatement(), kw.line)
 
     def _parse_try(self) -> TryCatch:
-        kw = self.expect(KEYWORD, "try")
+        kw = self.expect("try")
         try_block = self.parse_block()
         catches: list[CatchClause] = []
-        while self.at(KEYWORD, "catch"):
+        while self.at("catch"):
             catch_tok = self.advance()
-            self.expect(PUNCTUATOR, "(")
+            self.expect("(")
             ex_type = self.parse_type_name()
-            ex_name = self.expect(IDENTIFIER)
-            self.expect(PUNCTUATOR, ")")
+            ex_name = self.expect_ident()
+            self.expect(")")
             body = self.parse_block()
             catches.append(CatchClause(ex_type, ex_name.lexeme, body, catch_tok.line))
         finally_block = None
-        if self.at(KEYWORD, "finally"):
-            self.advance()
+        if self.at("finally"):
+            self.pos += 1
             finally_block = self.parse_block()
         return TryCatch(try_block, tuple(catches), finally_block, kw.line)
-
-    def _looks_like_decl(self) -> bool:
-        tokens = self.tokens
-        n = self.n
-        i = self.pos
-        if i >= n:
-            return False
-        tok = tokens[i]
-        if tok.kind == IDENTIFIER:
-            i += 1
-            while i + 1 < n and tokens[i].lexeme == "." and tokens[i + 1].kind == IDENTIFIER:
-                i += 2
-        elif tok.lexeme in PRIMITIVE_TYPES:
-            i += 1
-        else:
-            return False
-        if i + 1 < n and tokens[i].lexeme == "[" and tokens[i + 1].lexeme == "]":
-            i += 2
-        return i < n and tokens[i].kind == IDENTIFIER
-
-    def _parse_local_decls(self, out: list[Stmt]) -> None:
-        type_name = self.parse_type_name()
-        while True:
-            name_tok = self.expect(IDENTIFIER)
-            declared = self._array_suffix(type_name)
-            init = None
-            if self.at(OPERATOR, "="):
-                self.advance()
-                init = self.parse_expr()
-            out.append(LocalVarDecl(declared, name_tok.lexeme, init, name_tok.line))
-            if self.at(PUNCTUATOR, ","):
-                self.advance()
-                continue
-            break
-        self.expect(PUNCTUATOR, ";")
 
     # -- expressions ----------------------------------------------------------
 
@@ -626,7 +607,7 @@ class _Parser:
                 operand = self._parse_unary()
                 self.depth = depth - 1
                 return UnaryIncDec(lexeme, operand, True, tok.line)
-            if lexeme == "-" and self.at(NUMBER, offset=1):
+            if lexeme == "-" and pos + 1 < self.n and self.tokens[pos + 1].kind == NUMBER:
                 self.pos = pos + 2
                 return NumLit("-" + self.tokens[pos + 1].lexeme, tok.line)
         return self._parse_postfix()
@@ -660,22 +641,22 @@ class _Parser:
                 return expr
 
     def _parse_args(self) -> tuple[Expr, ...]:
-        self.expect(PUNCTUATOR, "(")
+        self.expect("(")
         depth = self._nest()
         args: list[Expr] = []
-        if not self.at(PUNCTUATOR, ")"):
+        if not self.at(")"):
             args.append(self.parse_expr())
-            while self.at(PUNCTUATOR, ","):
-                self.advance()
+            while self.at(","):
+                self.pos += 1
                 args.append(self.parse_expr())
-        self.expect(PUNCTUATOR, ")")
+        self.expect(")")
         self.depth = depth - 1
         return tuple(args)
 
     def _parse_primary(self) -> Expr:
         pos = self.pos
         if pos >= self.n:
-            raise _ParseFailure("expected an expression but reached end of file", None)
+            raise _ParseFailure("expected an expression but reached end of file")
         tok = self.tokens[pos]
         kind = tok.kind
         if kind == IDENTIFIER:
@@ -699,27 +680,22 @@ class _Parser:
             self.pos = pos + 1
             return Name(lexeme, tok.line)
         if lexeme == "new":
-            new_tok = self.advance()
-            type_tok = self.peek()
-            if type_tok is None or type_tok.kind != IDENTIFIER:
-                found = type_tok.lexeme if type_tok else "end of file"
-                raise _ParseFailure(f"expected a class name after 'new', found '{found}'", type_tok)
-            type_name = self.advance().lexeme
-            while self.at(PUNCTUATOR, ".") and self.at(IDENTIFIER, offset=1):
-                self.advance()
-                type_name += "." + self.advance().lexeme
-            if self.at(PUNCTUATOR, "["):
-                raise _ParseFailure("array creation is not supported", self.peek())
-            args = self._parse_args()
-            return New(type_name, args, new_tok.line)
+            self.pos = pos + 1
+            if not self.at_ident():
+                found = self.tokens[pos + 1].lexeme if pos + 1 < self.n else "end of file"
+                raise _ParseFailure(f"expected a class name after 'new', found '{found}'")
+            type_name = self._type_name()
+            if type_name.endswith("[]") or self.at("["):
+                raise _ParseFailure("array creation is not supported")
+            return New(type_name, self._parse_args(), tok.line)
         if lexeme == "(":
             self.pos = pos + 1
             depth = self._nest()
             inner = self.parse_expr()
-            self.expect(PUNCTUATOR, ")")
+            self.expect(")")
             self.depth = depth - 1
             return Paren(inner, tok.line)
-        raise _ParseFailure(f"unexpected '{lexeme}' in expression", tok)
+        raise _ParseFailure(f"unexpected '{lexeme}' in expression")
 
 
 def parse_unit(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:

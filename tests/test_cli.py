@@ -116,15 +116,18 @@ def test_parse_args_unknown_format():
     ["corpus", "--store="],
     ["corpus", "--seed", ""],
     ["corpus", "--seed="],
+    [""],
 ])
 def test_parse_args_empty_path(argv):
     with pytest.raises(UsageError):
         parse_args(argv)
 
 
-@pytest.mark.parametrize("option", ["--store", "--seed"])
+@pytest.mark.parametrize("option", ["--store", "--seed", "corpus_root"])
 def test_empty_path_option_exit_2(option, capsys):
-    code = main([str(REFERENCE_CORPUS_DIR), option, ""])
+    # an empty corpus root would be read as "." and scan the working directory
+    argv = [""] if option == "corpus_root" else [str(REFERENCE_CORPUS_DIR), option, ""]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -196,6 +199,28 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_start_up_loads_exactly_the_modules_a_scan_runs():
+    # importing the CLI loads every faultlint module a scan uses and no
+    # other, so a module folded into another cannot quietly come back
+    script = (
+        "import sys, faultlint.cli\n"
+        "def names():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('faultlint'))\n"
+        "loaded = names()\n"
+        f"faultlint.cli.run_scan(faultlint.cli.parse_args([{str(REFERENCE_CORPUS_DIR)!r}]))\n"
+        "print(loaded)\n"
+        "print(names() == loaded)\n"
+    )
+    proc = run_python(["-S", "-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['faultlint', 'faultlint.cli', 'faultlint.detectors', 'faultlint.lexer', "
+        "'faultlint.model', 'faultlint.nodes', 'faultlint.parser', 'faultlint.record', "
+        "'faultlint.store']",
+        "True",
+    ]
+
+
 def test_deeply_nested_files_become_diagnostics(tmp_path):
     # one file per shape and depth; too-deep constructs are skipped, never
     # a traceback that would exit 1 like "findings present"
@@ -265,7 +290,11 @@ def test_rule_filtering_equals_posthoc_filter(tmp_path):
     config_sub = parse_args([str(REFERENCE_CORPUS_DIR), "--rules", "1,6"])
     full = run_scan(config_full)
     sub = run_scan(config_sub)
-    assert sub.findings == [f for f in full.findings if f.error_code in (1, 6)]
+    assert store_findings(sub) == [f for f in store_findings(full) if f.error_code in (1, 6)]
+
+
+def store_findings(result):
+    return [finding for record in result.store.records for finding in record.findings]
 
 
 def test_store_file_loads_back(tmp_path, capsys):
@@ -336,7 +365,7 @@ def test_json_format_output_parses(capsys):
     payload["clusters"] = [
         {"error_codes": list(c.error_set), "error_names": list(c.error_names),
          "classes": list(c.classes)}
-        for c in result.clusters
+        for c in cluster(list(result.store.records))
     ]
     assert data == json.loads(json.dumps(payload, indent=2, sort_keys=True))
     lines = out.splitlines()

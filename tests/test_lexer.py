@@ -4,8 +4,17 @@ import random
 
 import pytest
 
-from faultlint.lexer import LexError, Token, tokenize
-from faultlint.tokens import IDENTIFIER, KEYWORD, NUMBER, OPERATOR, PUNCTUATOR, STRING
+from faultlint.lexer import (
+    IDENTIFIER,
+    KEYWORD,
+    NUMBER,
+    OPERATOR,
+    PUNCTUATOR,
+    STRING,
+    LexError,
+    Token,
+    tokenize,
+)
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
 

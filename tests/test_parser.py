@@ -245,6 +245,273 @@ def test_lex_error_becomes_diagnostic_only_unit():
     assert "unterminated" in unit.diagnostics[0].message
 
 
+# Declarators, type names and their failures: each source with the class
+# structure and the (line, message, skipped span) of each diagnostic.
+@pytest.mark.parametrize("source, classes, diagnostics", [
+    pytest.param(
+        "class F {\n"
+        "  int[] a, b[], c = 1;\n"
+        "  String s[] = null, t;\n"
+        "}\n",
+        (('ClassDecl',
+          'F',
+          (),
+          (),
+          (('TypedName', 'int[]', 'a'),
+           ('TypedName', 'int[]', 'b'),
+           ('TypedName', 'int[]', 'c'),
+           ('TypedName', 'String[]', 's'),
+           ('TypedName', 'String', 't')),
+          ()),),
+        [],
+        id="field-declarators",
+    ),
+    pytest.param(
+        "class L {\n"
+        "  void m() {\n"
+        "    int[] a, b[], c = 1;\n"
+        "    int d[] = x, e = d;\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'L',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block',
+             (('LocalVarDecl', 'int[]', 'a', None),
+              ('LocalVarDecl', 'int[]', 'b', None),
+              ('LocalVarDecl', 'int[]', 'c', ('NumLit', '1')),
+              ('LocalVarDecl', 'int[]', 'd', ('Name', 'x')),
+              ('LocalVarDecl', 'int', 'e', ('Name', 'd')))),
+            False),)),),
+        [],
+        id="local-declarators",
+    ),
+    pytest.param(
+        "class F {\n"
+        "  int a = 1, ;\n"
+        "  int b;\n"
+        "}\n",
+        (('ClassDecl',
+          'F',
+          (),
+          (),
+          (('TypedName', 'int', 'a'), ('TypedName', 'int', 'b')),
+          ()),),
+        [(2, "expected 'identifier' but found ';'", (2, 2))],
+        id="field-second-declarator-fails",
+    ),
+    pytest.param(
+        "class L {\n"
+        "  void m() {\n"
+        "    int a = 1, ;\n"
+        "    a = 2;\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'L',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block',
+             (('LocalVarDecl', 'int', 'a', ('NumLit', '1')),
+              ('ExprStmt', ('Assign', ('Name', 'a'), ('NumLit', '2'))))),
+            False),)),),
+        [(3, "expected 'identifier' but found ';'", (3, 3))],
+        id="local-second-declarator-fails",
+    ),
+    pytest.param(
+        "class R {\n"
+        "  void m() {\n"
+        "    for (int i = 0, j = 0; i < n; i++) { }\n"
+        "    for (int k[] = x; ; ) { }\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'R',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block',
+             (('ExprStmt', ('Binary', '<', ('Name', 'i'), ('Name', 'n'))),
+              ('For',
+               ('LocalVarDecl', 'int[]', 'k', ('Name', 'x')),
+               None,
+               None,
+               ('Block', ())))),
+            False),)),),
+        [(3, "expected ';' but found ','", (3, 3)), (3, "expected ';' but found ')'", (3, 3))],
+        id="for-init",
+    ),
+    pytest.param(
+        "class Q {\n"
+        "  void m() {\n"
+        "    java.io.File f;\n"
+        "    a.b.c(x);\n"
+        "    a.b = c;\n"
+        "    java.io.File g = new java.io.File(p);\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'Q',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block',
+             (('LocalVarDecl', 'java.io.File', 'f', None),
+              ('ExprStmt',
+               ('MethodCall', ('FieldAccess', ('Name', 'a'), 'b'), 'c', (('Name', 'x'),))),
+              ('ExprStmt', ('Assign', ('FieldAccess', ('Name', 'a'), 'b'), ('Name', 'c'))),
+              ('LocalVarDecl',
+               'java.io.File',
+               'g',
+               ('New', 'java.io.File', (('Name', 'p'),))))),
+            False),)),),
+        [],
+        id="qualified-type-against-statements",
+    ),
+    pytest.param(
+        "class S {\n"
+        "  void m() {\n"
+        "    Foo[] ;\n"
+        "    int(x);\n"
+        "    ok();\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'S',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block', (('ExprStmt', ('MethodCall', None, 'ok', ())),)),
+            False),)),),
+        [(3, "expected ';' but found '['", (3, 3)),
+         (4, "unexpected 'int' in expression", (4, 4))],
+        id="array-type-and-primitive-call",
+    ),
+    pytest.param(
+        "class T extends A, B implements I, J.K {\n"
+        "  void m() throws E, F.G { }\n"
+        "  void n(int a, String b[]) throws E;\n"
+        "}\n",
+        (('ClassDecl',
+          'T',
+          ('A', 'B'),
+          ('I', 'J.K'),
+          (),
+          (('MethodDecl', 'm', (), ('Block', ()), False),
+           ('MethodDecl',
+            'n',
+            (('TypedName', 'int', 'a'), ('TypedName', 'String[]', 'b')),
+            ('Block', ()),
+            False))),),
+        [],
+        id="type-lists",
+    ),
+    pytest.param(
+        "class M {\n"
+        "  int ;\n"
+        "  String\n"
+        "  ;\n"
+        "  void p(int) { }\n"
+        "  void m() { int = 3; }\n"
+        "}\n",
+        (('ClassDecl', 'M', (), (), (), (('MethodDecl', 'm', (), ('Block', ()), False),)),),
+        [(2, "expected 'identifier' but found ';'", (2, 2)),
+         (3, "expected 'identifier' but found ';'", (3, 4)),
+         (5, "expected 'identifier' but found ')'", (5, 5)),
+         (6, "unexpected 'int' in expression", (6, 6))],
+        id="missing-identifier-after-type",
+    ),
+    pytest.param(
+        "class N {\n"
+        "  void m() {\n"
+        "    x = new int(1);\n"
+        "    y = new Foo[3];\n"
+        "    v = new Foo[](1);\n"
+        "    z = new a.B(1);\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'N',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block',
+             (('ExprStmt', ('Assign', ('Name', 'z'), ('New', 'a.B', (('NumLit', '1'),)))),)),
+            False),)),),
+        [(3, "expected a class name after 'new', found 'int'", (3, 3)),
+         (4, 'array creation is not supported', (4, 4)),
+         (5, 'array creation is not supported', (5, 5))],
+        id="new",
+    ),
+    pytest.param(
+        "class N {\n"
+        "  void m() {\n"
+        "    w = new",
+        (('ClassDecl', 'N', (), (), (), ()),),
+        [(3, "expected a class name after 'new', found 'end of file'", (3, 3)),
+         (2, "expected '}' but reached end of file", (2, 3)),
+         (3, "missing '}' for class N", (3, 3))],
+        id="new-at-end-of-file",
+    ),
+    pytest.param(
+        "class V {\n"
+        "  void x;\n"
+        "  void y[], z = 1;\n"
+        "}\n",
+        (('ClassDecl',
+          'V',
+          (),
+          (),
+          (('TypedName', 'void', 'x'),
+           ('TypedName', 'void[]', 'y'),
+           ('TypedName', 'void', 'z')),
+          ()),),
+        [],
+        id="void-field",
+    ),
+    pytest.param(
+        "import c.D\n"
+        "class P { int x; }\n"
+        "class Q { }\n",
+        (('ClassDecl', 'Q', (), (), (), ()),),
+        [(2, "unsupported top-level construct starting at '}'", (2, 2))],
+        id="directive-missing-semicolon",
+    ),
+    pytest.param(
+        "package a.b\n"
+        "class P { }\n",
+        (),
+        [],
+        id="package-missing-semicolon",
+    ),
+])
+def test_declarators_and_type_names(source, classes, diagnostics):
+    unit = parse_source(source, "T.java")
+    assert structure(unit.classes) == classes
+    assert [(d.line, d.message, d.skipped_span) for d in unit.diagnostics] == diagnostics
+
+
 NESTING_DEPTHS = (1, 50, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 500, 5000)
 
 

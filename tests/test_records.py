@@ -11,7 +11,7 @@ import pytest
 
 import faultlint.nodes as nodes
 from faultlint.cli import RunConfig, ScanResult, run_scan
-from faultlint.detectors import ALL_RULES, ERROR_CATALOG, Finding
+from faultlint.detectors import ALL_RULES, ERROR_CATALOG, Finding, run_all
 from faultlint.model import (
     DEFAULT_EXTENDS,
     DEFAULT_PURE_ACCESSORS,
@@ -24,7 +24,7 @@ from faultlint.nodes import Binary, Block, Empty, Name, NumLit, ParseDiagnostic
 from faultlint.record import Record
 from faultlint.store import AnalysisStore, ClassRecord, Cluster, Diagnostic
 
-from conftest import REFERENCE_CORPUS_DIR
+from conftest import REFERENCE_CORPUS_DIR, model_for_dir
 
 NODE_CLASSES = [
     cls for cls in vars(nodes).values()
@@ -34,7 +34,7 @@ NODE_CLASSES = [
 FROZEN_CLASSES = NODE_CLASSES + [
     ExternalHierarchySeed, ClassHierarchy, ProgramModel,
     ClassRecord, Cluster, Diagnostic, AnalysisStore,
-    RunConfig, Finding,
+    RunConfig, ScanResult, Finding,
 ]
 
 
@@ -49,7 +49,7 @@ def _finding(detail=None):
 
 def test_every_record_class_is_counted():
     assert len(NODE_CLASSES) == 28
-    assert len(FROZEN_CLASSES) + 1 == 38  # and ScanResult
+    assert len(FROZEN_CLASSES) == 38
 
 
 REPRS = [
@@ -109,13 +109,13 @@ def test_frozen_fields_refuse_assignment_and_deletion(cls):
         record.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls", FROZEN_CLASSES + [ScanResult], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
 def test_records_have_no_instance_dict(cls):
     assert not hasattr(_instance(cls), "__dict__")
     assert cls._fields == cls.__slots__
 
 
-@pytest.mark.parametrize("cls", FROZEN_CLASSES + [ScanResult], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
 def test_copy_and_pickle_rebuild_equal_records(cls):
     record = _instance(cls)
     assert copy.copy(record) == record
@@ -124,21 +124,11 @@ def test_copy_and_pickle_rebuild_equal_records(cls):
 
 
 def test_pickle_rebuilds_a_scanned_corpus():
-    result = run_scan(RunConfig(REFERENCE_CORPUS_DIR))
-    for value in (result.model.classes, result.store, result.findings):
+    model = model_for_dir(REFERENCE_CORPUS_DIR)
+    findings = run_all(model, ALL_RULES)
+    store = run_scan(RunConfig(REFERENCE_CORPUS_DIR)).store
+    for value in (model.classes, store, findings):
         assert pickle.loads(pickle.dumps(value)) == value
-
-
-def test_scan_result_is_assignable_and_unhashable():
-    result = ScanResult(0, "report", None)
-    result.exit_code = 1
-    assert result.exit_code == 1
-    del result.model
-    with pytest.raises(AttributeError):
-        result.model
-    with pytest.raises(TypeError):
-        hash(ScanResult(0, "report", None))
-    assert ScanResult(0, "r", None) == ScanResult(0, "r", None, [], [], None)
 
 
 def test_keyword_construction_and_defaults():
@@ -161,7 +151,3 @@ def test_keyword_construction_and_defaults():
     assert model.diagnostics == ()
 
     assert _finding().detail == {} and _finding().detail is not _finding().detail
-
-    result, other = ScanResult(0, "r", None), ScanResult(0, "r", None)
-    assert (result.clusters, result.findings, result.model) == ([], [], None)
-    assert result.clusters is not other.clusters and result.findings is not other.findings
