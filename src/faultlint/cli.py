@@ -15,7 +15,13 @@ from pathlib import Path
 
 from faultlint import __version__
 from faultlint.detectors import ALL_RULES, run_all
-from faultlint.model import ProgramModel, SeedError, build_model, default_seed, load_seed
+from faultlint.model import (
+    ExternalHierarchySeed,
+    SeedError,
+    build_model,
+    default_seed,
+    load_seed,
+)
 from faultlint.nodes import CompilationUnit, ParseDiagnostic
 from faultlint.parser import parse_source
 from faultlint.record import Record, _set
@@ -168,14 +174,22 @@ def _parse_corpus(root: Path, files: list[Path]) -> list[CompilationUnit]:
     return units
 
 
-def _collect_diagnostics(units: list[CompilationUnit], model: ProgramModel) -> list[Diagnostic]:
-    diags = [
+def _analyse(root: Path, seed: ExternalHierarchySeed, enabled_rules: frozenset[int]):
+    """Parse, model and detect. Returns the findings, the diagnostics, the
+    number of classes scanned and whether any file had a parse diagnostic:
+    nothing that holds a tree, so the trees and the model are freed on
+    return, before the report and the store are built."""
+    units = _parse_corpus(root, collect_java_files(root))
+    model = build_model(units, seed)
+    findings = run_all(model, enabled_rules)
+    diagnostics = [
         Diagnostic(message=d.message, file_path=d.file_path, line=d.line)
         for unit in units
         for d in unit.diagnostics
     ]
-    diags.extend(Diagnostic(message=m) for m in model.diagnostics)
-    return diags
+    parse_diagnostics = bool(diagnostics)
+    diagnostics.extend(Diagnostic(message=m) for m in model.diagnostics)
+    return findings, diagnostics, len(model.classes), parse_diagnostics
 
 
 def run_scan(config: RunConfig) -> ScanResult:
@@ -196,24 +210,22 @@ def run_scan(config: RunConfig) -> ScanResult:
     else:
         seed = default_seed()
 
-    units = _parse_corpus(root, collect_java_files(root))
-    model = build_model(units, seed)
-    findings = run_all(model, config.enabled_rules)
+    findings, diagnostics, scanned_classes, parse_diagnostics = _analyse(
+        root, seed, config.enabled_rules
+    )
     records = aggregate(findings)
     clusters = cluster(records)
 
     store = AnalysisStore(
         corpus_root=str(config.corpus_root),
         records=tuple(records),
-        diagnostics=tuple(_collect_diagnostics(units, model)),
+        diagnostics=tuple(diagnostics),
     )
-    report = render_report(
-        store, clusters, config.output_format, scanned_classes=len(model.classes)
-    )
+    report = render_report(store, clusters, config.output_format, scanned_classes=scanned_classes)
 
     if findings:
         exit_code = 1
-    elif config.strict_parse and any(unit.diagnostics for unit in units):
+    elif config.strict_parse and parse_diagnostics:
         exit_code = 1
     else:
         exit_code = 0
@@ -233,9 +245,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # The scan builds no reference cycles (tests/test_cli.py checks this):
     # reference counting frees everything it allocates, and the cyclic
-    # collector would only re-traverse the live AST, which lives for the
-    # whole run, and find nothing to free. Library callers of run_scan keep
-    # their own collector settings.
+    # collector would only re-traverse the live AST, which lives until the
+    # detectors have run, and find nothing to free. Library callers of
+    # run_scan keep their own collector settings.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

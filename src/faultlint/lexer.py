@@ -11,12 +11,15 @@ The loop dispatches on the first character of each lexeme. Runs of blanks
 and identifier tails are consumed with precompiled regular expressions;
 on str patterns `\\w` is exactly `str.isalnum()` plus `_`, so `[\\w$]` is the
 identifier-part test. First characters keep the `str` predicates: `\\d` is
-narrower than `str.isdigit()` (`²` starts a numeric literal).
+narrower than `str.isdigit()` (`²` starts a numeric literal). Identifier
+and keyword lexemes are interned: the trees, the model and the findings
+then share one string per distinct name, however often it occurs.
 """
 
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import NamedTuple
 
 __all__ = ["tokenize", "LexError", "Token", "scanner_backend"]
@@ -161,7 +164,7 @@ def tokenize(source_text: str) -> list[Token]:
         if ch.isalpha() or ch == "_" or ch == "$":
             start = pos
             pos = _ident_tail(text, pos + 1).end()
-            lexeme = text[start:pos]
+            lexeme = intern(text[start:pos])
             kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
             append(new(Token, (kind, lexeme, line, start - line_start + 1)))
             continue

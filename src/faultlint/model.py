@@ -218,14 +218,20 @@ def build_model(
         {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
     )
 
+    # A walk stops at a class already known to reach a root, so the check
+    # is linear in the classes; a chain that ends in a cycle is walked whole,
+    # because its diagnostic prints it.
+    reaches_root: set[str] = set()
     seen_cycles: set[frozenset[str]] = set()
     for name in sorted(classes):
-        chain = _first_superclasses(name, super_edges)
+        chain = _first_superclasses(name, super_edges, reaches_root)
         if _ends_in_cycle(chain):
             key = frozenset(chain)
             if key not in seen_cycles:
                 seen_cycles.add(key)
                 diagnostics.append(str(CycleError(chain)))
+        else:
+            reaches_root.update(chain)
 
     method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]] = {}
     for name, decl in classes.items():
@@ -243,18 +249,21 @@ def build_model(
     )
 
 
-def _first_superclasses(class_name: str,
-                        super_edges: dict[str, tuple[str, ...]]) -> list[str]:
+def _first_superclasses(class_name: str, super_edges: dict[str, tuple[str, ...]],
+                        stop_at: set[str] | frozenset[str] = frozenset()) -> list[str]:
     """class_name, then its first superclass, that one's, and so on.
 
     The one walk along first-superclass edges. An unknown external
     superclass ends the list but is included (its edge is real even if
     nothing more is known about it). On a cycle the list ends with the
-    first class it revisits.
+    first class it revisits. The list also ends at the first class in
+    stop_at, which is included.
     """
     chain = [class_name]
     visited = {class_name}
     while True:
+        if chain[-1] in stop_at:
+            return chain
         supers = super_edges.get(chain[-1])
         if not supers:
             return chain

@@ -65,6 +65,9 @@ _BINARY_PRECEDENCE = {
     "*": 6, "/": 6,
 }
 
+# What a package or import directive may hold besides names.
+_DIRECTIVE_PARTS = frozenset((".", "*", "static"))
+
 # The parser recurses into blocks, if/loop bodies, parentheses, argument
 # lists, the right side of `=`, prefix `++`/`--` and the right operand of a
 # tighter-binding operator. At most MAX_NESTING of these may be open at once
@@ -254,10 +257,27 @@ class _Parser:
         )
 
     def _skip_simple_directive(self) -> None:
-        # package/import: consume through the terminating semicolon
-        while self.pos < self.n:
-            if self.advance().lexeme == ";":
+        """package/import: consume through the terminating `;`.
+
+        A directive holds only names, `.`, `*` and `static`. At any other
+        token it ends before that token, with a diagnostic over its lines,
+        so a missing `;` cannot swallow the classes that follow.
+        """
+        tokens = self.tokens
+        start = self.pos
+        pos = start + 1
+        while pos < self.n:
+            tok = tokens[pos]
+            if tok.lexeme == ";":
+                self.pos = pos + 1
+                return
+            if tok.kind != IDENTIFIER and tok.lexeme not in _DIRECTIVE_PARTS:
                 break
+            pos += 1
+        self.pos = pos
+        found = f"found '{tokens[pos].lexeme}'" if pos < self.n else "reached end of file"
+        self.diagnose(f"expected ';' to end the {tokens[start].lexeme} directive but {found}",
+                      tokens[start].line, tokens[pos - 1].line)
 
     def parse_class(self) -> ClassDecl:
         class_tok = self.expect("class")

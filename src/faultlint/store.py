@@ -148,32 +148,36 @@ def store_to_dict(store: AnalysisStore) -> dict:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def _canonical_json(payload: dict) -> str:
-    """payload as canonical JSON: one line per top-level key, sorted, and
-    one line per element of a non-empty top-level list.
+def _canonical_lines(payload: dict):
+    """payload as canonical JSON, one newline-terminated line at a time: one
+    line per top-level key, sorted, and one line per element of a non-empty
+    top-level list.
 
     Every value goes through the C encoder: json's pure-Python encoder,
-    which any indent selects, costs about three times as much.
+    which any indent selects, costs about three times as much. A writer
+    takes the lines as they are encoded, so the document is never held
+    whole.
     """
-    lines = ["{"]
+    yield "{\n"
     last = len(payload) - 1
     for index, key in enumerate(sorted(payload)):
         value = payload[key]
-        comma = "," if index < last else ""
+        end = ",\n" if index < last else "\n"
         if type(value) is list and value:
-            lines.append(f"  {_encode(key)}: [")
-            lines.append(",\n".join(["    " + _encode(item) for item in value]))
-            lines.append("  ]" + comma)
+            yield f"  {_encode(key)}: [\n"
+            last_item = len(value) - 1
+            for position, item in enumerate(value):
+                yield f"    {_encode(item)}{',' if position < last_item else ''}\n"
+            yield "  ]" + end
         else:
-            lines.append(f"  {_encode(key)}: {_encode(value)}{comma}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  {_encode(key)}: {_encode(value)}{end}"
+    yield "}\n"
 
 
 def save_store(store: AnalysisStore, path) -> None:
-    """Write the canonical store document. OS errors propagate."""
+    """Write the canonical store document line by line. OS errors propagate."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_canonical_json(store_to_dict(store)))
+        handle.writelines(_canonical_lines(store_to_dict(store)))
 
 
 _REQUIRED = object()
@@ -329,7 +333,7 @@ def render_report(
             }
             for c in clusters
         ]
-        return _canonical_json(payload)
+        return "".join(_canonical_lines(payload))
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
 
@@ -362,4 +366,5 @@ def render_report(
             where = diag.file_path or "<model>"
             at = f":{diag.line}" if diag.line is not None else ""
             lines.append(f"  {where}{at}: {diag.message}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined report
+    return "\n".join(lines)

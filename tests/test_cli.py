@@ -411,6 +411,17 @@ def test_strict_parse_turns_diagnostics_into_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("directive", ["package a.b", "import c.D"])
+def test_class_after_directive_missing_semicolon_is_scanned(tmp_path, capsys, directive):
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    (corpus / "Pkg.java").write_text(f"{directive}\nclass C extends B, A {{ }}\n",
+                                      encoding="utf-8")
+    assert main([str(corpus)]) == 1
+    out = capsys.readouterr().out
+    assert "  C  (Pkg.java)\n    [2] Incorrect inheritance error\n" in out
+    assert f"Pkg.java:1: expected ';' to end the {directive.split()[0]} directive" in out
+
+
 # --- seed flag ---------------------------------------------------------------------
 
 

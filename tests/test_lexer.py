@@ -15,6 +15,7 @@ from faultlint.lexer import (
     Token,
     tokenize,
 )
+from faultlint.parser import parse_source
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
 
@@ -189,3 +190,10 @@ def test_tokenize_returns_tokens():
     assert (tok.kind, tok.lexeme, tok.line, tok.column) == (KEYWORD, "class", 1, 3)
     assert repr(tok) == "Token(keyword, 'class', 1:3)"
     assert tok == Token(KEYWORD, "class", 1, 3)
+
+
+def test_identifiers_from_two_sources_are_one_object():
+    first = parse_source("class SharedName { }", "a.java").classes[0]
+    second = parse_source("class B extends SharedName { SharedName f; }", "b.java").classes[0]
+    assert second.extends_list[0] is first.name
+    assert second.fields[0].type_name is first.name

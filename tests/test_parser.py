@@ -494,16 +494,30 @@ def test_lex_error_becomes_diagnostic_only_unit():
         "import c.D\n"
         "class P { int x; }\n"
         "class Q { }\n",
-        (('ClassDecl', 'Q', (), (), (), ()),),
-        [(2, "unsupported top-level construct starting at '}'", (2, 2))],
+        (('ClassDecl', 'P', (), (), (('TypedName', 'int', 'x'),), ()),
+         ('ClassDecl', 'Q', (), (), (), ())),
+        [(1, "expected ';' to end the import directive but found 'class'", (1, 1))],
         id="directive-missing-semicolon",
     ),
     pytest.param(
         "package a.b\n"
         "class P { }\n",
-        (),
-        [],
+        (('ClassDecl', 'P', (), (), (), ()),),
+        [(1, "expected ';' to end the package directive but found 'class'", (1, 1))],
         id="package-missing-semicolon",
+    ),
+    pytest.param(
+        "import static a.B.*;\n"
+        "import c\n"
+        "  .D = 1;\n"
+        "class P { }\n"
+        "import e.\n"
+        "  f",
+        (('ClassDecl', 'P', (), (), (), ()),),
+        [(2, "expected ';' to end the import directive but found '='", (2, 3)),
+         (3, "unsupported top-level construct starting at '='", (3, 3)),
+         (5, "expected ';' to end the import directive but reached end of file", (5, 6))],
+        id="directive-stops-at-foreign-token",
     ),
 ])
 def test_declarators_and_type_names(source, classes, diagnostics):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from faultlint.cli import RunConfig, run_scan
 from faultlint.detectors import ERROR_CATALOG, Finding, run_all
 from faultlint.store import (
     AnalysisStore,
@@ -19,7 +21,7 @@ from faultlint.store import (
     store_to_dict,
 )
 
-from conftest import REFERENCE_CORPUS_DIR, model_for_dir
+from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, model_for_dir
 
 EXPECTED_RECORDS = [
     ("A", [1, 6]),
@@ -464,3 +466,98 @@ def test_catalog_consistency_everywhere(reference_store, reference_records):
             assert finding.error_name == ERROR_CATALOG[finding.error_code]
             assert ERROR_CATALOG[finding.error_code] in text
     assert data["catalog"] == {str(k): v for k, v in ERROR_CATALOG.items()}
+
+
+# --- the line writer against the join-based reference ----------------------
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def reference_canonical_json(payload: dict) -> str:
+    """The store layout as first written: the whole document built in
+    memory, then joined. save_store and the JSON report stream the same
+    bytes one line at a time."""
+    lines = ["{"]
+    last = len(payload) - 1
+    for index, key in enumerate(sorted(payload)):
+        value = payload[key]
+        comma = "," if index < last else ""
+        if type(value) is list and value:
+            lines.append(f"  {_encode(key)}: [")
+            lines.append(",\n".join(["    " + _encode(item) for item in value]))
+            lines.append("  ]" + comma)
+        else:
+            lines.append(f"  {_encode(key)}: {_encode(value)}{comma}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_report(store: AnalysisStore, clusters) -> str:
+    payload = store_to_dict(store)
+    payload["clusters"] = [
+        {"error_codes": list(c.error_set), "error_names": list(c.error_names),
+         "classes": list(c.classes)}
+        for c in clusters
+    ]
+    return reference_canonical_json(payload)
+
+
+def assert_writers_match_reference(store: AnalysisStore, path) -> None:
+    clusters = cluster(list(store.records))
+    save_store(store, path)
+    assert path.read_bytes() == reference_canonical_json(store_to_dict(store)).encode("utf-8")
+    assert render_report(store, clusters, "json") == reference_json_report(store, clusters)
+
+
+def _non_ascii_store() -> AnalysisStore:
+    name = "Klasse\u00e9\u6f22"
+    finding = Finding(name, 2, ERROR_CATALOG[2], "d\u00ef/\u00c4.java", 3,
+                      "extends B, \u00c5 \u2192 two superclasses",
+                      {"supers": ["B", "\u00c5"], "note": "\U0001f600"})
+    return AnalysisStore(
+        corpus_root="c\u00f6rpus",
+        records=(ClassRecord(name, "d\u00ef/\u00c4.java", (2,), (finding,)),),
+        diagnostics=(Diagnostic("unexpected '\u00a7' \u2014 skipped", "\u00e9.java", 7),
+                     Diagnostic("inheritance cycle: \u00c9 -> \u00c9")),
+    )
+
+
+@pytest.mark.parametrize("corpus", [REFERENCE_CORPUS_DIR, CASES_DIR], ids=lambda p: p.name)
+def test_writers_match_reference_on_fixture_folders(corpus, tmp_path):
+    store = run_scan(RunConfig(corpus_root=corpus)).store
+    assert store.records
+    assert_writers_match_reference(store, tmp_path / "store.json")
+
+
+def test_writers_match_reference_on_generated_stores(tmp_path):
+    rng = random.Random(4242)
+    for index in range(60):
+        assert_writers_match_reference(_random_store(rng), tmp_path / f"store{index}.json")
+
+
+@pytest.mark.parametrize("store", [
+    AnalysisStore(corpus_root="", records=()),
+    AnalysisStore(corpus_root="x", records=(), diagnostics=(), catalog={}),
+    _non_ascii_store(),
+], ids=["empty", "empty-catalog", "non-ascii"])
+def test_writers_match_reference_on_edge_stores(store, tmp_path):
+    assert_writers_match_reference(store, tmp_path / "store.json")
+
+
+def test_save_store_peak_memory_is_a_fraction_of_the_document(tmp_path):
+    # the writer streams: at no time does it hold the encoded document whole
+    diagnostics = tuple(
+        Diagnostic(f"unsupported construct starting at 'switch' number {i}", f"f{i % 97}.java", i)
+        for i in range(20_000)
+    )
+    store = AnalysisStore(corpus_root="corpus", records=(), diagnostics=diagnostics)
+    path = tmp_path / "store.json"
+    tracemalloc.start()
+    try:
+        save_store(store, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < 2.5 * size, f"peak {peak} bytes for a {size}-byte store"
