@@ -13,9 +13,10 @@ Error codes and names (fixed catalog):
 Rules 2 and 3 read the class hierarchy, one function each. Rules 1, 4, 5
 and 6 read method bodies and share one pass, _scan_bodies: it walks each
 method body once with model.walk_body and runs every enabled rule's check
-on each entry and its subexpressions, dispatching on node type. Rule 4
-then checks the method's call sites against its callees, and computes
-each callee's mutation of a parameter once per pass. detect_lvalue_required,
+on each entry and its subexpressions, dispatching on node type. For rule
+4 the pass records each method's call sites, its name uses and its first
+mutation of each parameter; once every method is walked, each method's
+call sites are resolved against those summaries. detect_lvalue_required,
 detect_itu, detect_illicit_file_usage and detect_undefined_loop select
 one rule from that pass. Every detector reads an immutable ProgramModel,
 so none can change what another sees, and run_all merges their findings
@@ -27,7 +28,6 @@ from __future__ import annotations
 from faultlint.model import (
     CycleError,
     ProgramModel,
-    Scope,
     is_descendant,
     method_scope,
     resolve_callee,
@@ -44,7 +44,6 @@ from faultlint.nodes import (
     For,
     LocalVarDecl,
     MethodCall,
-    MethodDecl,
     Name,
     New,
     While,
@@ -133,34 +132,12 @@ def detect_spaghetti(model: ProgramModel) -> list[Finding]:
     return findings
 
 
-def _param_mutation(callee: MethodDecl, param_name: str,
-                    model: ProgramModel) -> tuple[str, int] | None:
-    """First non-accessor call or field write on param_name in the body."""
-    for _, exprs, _ in walk_body(callee.body, Scope()):
-        for top in exprs:
-            for expr in walk_exprs(top):
-                if (isinstance(expr, MethodCall)
-                        and isinstance(expr.receiver, Name)
-                        and expr.receiver.ident == param_name
-                        and not model.seed.is_pure_accessor(expr.name)):
-                    return f"{param_name}.{expr.name}(...)", expr.line
-                if (isinstance(expr, Assign)
-                        and isinstance(expr.lhs, FieldAccess)
-                        and isinstance(expr.lhs.target, Name)
-                        and expr.lhs.target.ident == param_name):
-                    return f"{param_name}.{expr.lhs.name} = ...", expr.line
-    return None
-
-
 def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                   call_sites: list, name_uses: list, mutations: dict,
                   findings: list[Finding]) -> None:
-    """Rule 4's post-pass over one method's call sites (see _scan_bodies).
-
-    mutations memoizes _param_mutation per (id(callee), parameter name)
-    for one _scan_bodies call, during which the model keeps every callee
-    alive. Identity, because hashing a MethodDecl would hash its whole body.
-    """
+    """Rule 4 over one method's call sites, after _scan_bodies has walked
+    every method: mutations maps id(method) to that method's first
+    mutation of each parameter, by parameter name."""
     for call, idents, types, receiver_type in call_sites:
         resolution = "name-arity" if receiver_type is None else "hierarchy"
         emitted = False
@@ -173,11 +150,7 @@ def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                 base_type = param.type_name
                 if not is_descendant(arg_type, base_type, model.hierarchy):
                     continue
-                key = (id(callee), param.name)
-                if key in mutations:
-                    mutation = mutations[key]
-                else:
-                    mutation = mutations[key] = _param_mutation(callee, param.name, model)
+                mutation = mutations.get(id(callee), {}).get(param.name)
                 if mutation is None:
                     continue
                 later_use = next(
@@ -222,7 +195,11 @@ def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
     One walk_body pass per method, with the class fields and the method
     parameters in scope. Each enabled rule checks the walk's entries and
     their subexpressions as they come, while the entry's scope is valid;
-    rules 4 and 5 finish each method after its walk. A rule's list is in
+    rule 5 finishes each method after its walk. Rule 4 records each
+    method's call sites, name uses and first mutation of each parameter (a
+    non-accessor call p.m(...) or a field write p.f = ..., shadowing
+    ignored), and resolves the call sites once every method is walked, so
+    a callee's summary is complete wherever it stands. A rule's list is in
     method order, then source order, and does not depend on which other
     rules run.
     """
@@ -235,10 +212,16 @@ def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
     loops = found.get(6)
     walk_expressions = lvalue is not None or itu is not None or files is not None
     resource_types = model.seed.resource_types
-    mutations: dict[tuple[int, str], tuple[str, int] | None] = {}
+    is_pure_accessor = model.seed.is_pure_accessor
+    itu_sites = []  # rule 4: (class name, file path, call sites, name uses) per method
+    # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
+    # hashing a MethodDecl would hash its body, and the model keeps each alive
+    mutations: dict[int, dict[str, tuple[str, int]]] = {}
     for class_name, file_path, decl, method in model.iter_methods():
         call_sites = []   # rule 4: (call, arg idents, arg declared types, receiver type)
         name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
+        params = {p.name for p in method.params} if itu is not None else ()
+        mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
         opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
         closed: set[str] = set()                 # rule 5: receivers of close()
         for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
@@ -268,7 +251,11 @@ def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
                         if itu is None:
                             continue
                         if type(receiver) is Name:
-                            name_uses.append((receiver.ident, expr.line, expr.name))
+                            ident = receiver.ident
+                            name_uses.append((ident, expr.line, expr.name))
+                            if (ident in params and ident not in mutated
+                                    and not is_pure_accessor(expr.name)):
+                                mutated[ident] = (f"{ident}.{expr.name}(...)", expr.line)
                         types = [scope.lookup(a.ident) if type(a) is Name else None
                                  for a in expr.args]
                         if all(t is None for t in types):
@@ -295,13 +282,19 @@ def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
                                 {"op": expr.op, "left_type": left, "right_type": right},
                             ))
                     elif expr_kind is Assign:
+                        lhs = expr.lhs
                         rhs = expr.rhs
-                        if (files is not None and type(expr.lhs) is Name
+                        if (files is not None and type(lhs) is Name
                                 and type(rhs) is New and rhs.type_name in resource_types):
-                            opened.setdefault(expr.lhs.ident, (rhs.type_name, rhs.line))
+                            opened.setdefault(lhs.ident, (rhs.type_name, rhs.line))
+                        elif (type(lhs) is FieldAccess and type(lhs.target) is Name
+                                and lhs.target.ident in params):
+                            ident = lhs.target.ident
+                            mutated.setdefault(ident, (f"{ident}.{lhs.name} = ...", expr.line))
         if call_sites:
-            _itu_findings(model, class_name, file_path, call_sites, name_uses,
-                          mutations, itu)
+            itu_sites.append((class_name, file_path, call_sites, name_uses))
+        if mutated:
+            mutations[id(method)] = mutated
         for var, (type_name, line) in opened.items():
             if var not in closed:
                 files.append(_finding(
@@ -310,6 +303,8 @@ def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
                     f"closed in this method",
                     {"variable": var, "resource_type": type_name},
                 ))
+    for class_name, file_path, call_sites, name_uses in itu_sites:
+        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations, itu)
     return found
 
 

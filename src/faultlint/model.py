@@ -102,7 +102,7 @@ def load_seed(path) -> ExternalHierarchySeed:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SeedError(f"seed file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise SeedError(f"seed file {path} must contain a JSON object")
@@ -406,8 +406,9 @@ def walk_body(block: Block, scope: Scope):
 
     Entries come in source order. exprs are the statement's own top-level
     expressions (walk_exprs walks into them); nested statements get
-    entries of their own. A for loop's condition and update and a
-    do-while's condition come as (None, exprs, scope) where they stand in
+    entries of their own. A for loop's init statements (one per declarator)
+    come first, in the loop's scope. A for loop's condition and update and
+    a do-while's condition come as (None, exprs, scope) where they stand in
     the source: after the for init and after the do-while body. scope
     holds the names in effect at the entry. Each block, block included,
     opens a child scope; a local declaration enters the scope once its
@@ -457,8 +458,7 @@ def walk_body(block: Block, scope: Scope):
             tail = tuple(e for e in (stmt.cond, stmt.update) if e is not None)
             if tail:
                 push(tail)
-            if stmt.init is not None:
-                push(stmt.init)
+            stack.extend(reversed(stmt.init))
             scope = scope.child()
         elif kind is DoWhile:
             yield stmt, (), scope

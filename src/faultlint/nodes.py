@@ -196,9 +196,10 @@ class DoWhile(Stmt):
 class For(Stmt):
     __slots__ = ("init", "cond", "update", "body", "line")
 
-    def __init__(self, init: Stmt | None, cond: Expr | None, update: Expr | None, body: Block,
-                 line: int):
-        _set(self, "init", init)  # LocalVarDecl or ExprStmt
+    def __init__(self, init: tuple[Stmt, ...], cond: Expr | None, update: Expr | None,
+                 body: Block, line: int):
+        # () without an init; else one ExprStmt, or one LocalVarDecl per declarator
+        _set(self, "init", init)
         _set(self, "cond", cond)
         _set(self, "update", update)
         _set(self, "body", body)

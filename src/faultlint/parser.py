@@ -550,16 +550,16 @@ class _Parser:
     def _parse_for(self) -> For:
         kw = self.expect("for")
         self.expect("(")
-        init: Stmt | None = None
+        init: tuple[Stmt, ...] = ()
         if self.at(";"):
             self.pos += 1
         else:
             type_name = self._decl_type()
             if type_name is None:
                 expr = self.parse_expr()
-                init = ExprStmt(expr, expr.line)
+                init = (ExprStmt(expr, expr.line),)
             else:
-                init = next(self._local_decls(type_name))
+                init = tuple(self._local_decls(type_name))
             self.expect(";")
         cond = None if self.at(";") else self.parse_expr()
         self.expect(";")

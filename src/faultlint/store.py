@@ -268,11 +268,10 @@ def load_store(path) -> AnalysisStore:
     or raises FormatError, and cluster and render_report accept what loads.
     The layout (line breaks, indentation) is free.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FormatError(f"{path}: not a valid store file: {err}") from err
     if not isinstance(data, dict):
         raise FormatError(f"{path}: not a valid store file: expected a JSON object")

@@ -98,15 +98,19 @@ def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
         lines.append(f"{pad}while ({unparse_expr(stmt.cond)});")
         return lines
     if isinstance(stmt, For):
-        if stmt.init is None:
+        if not stmt.init:
             init = ""
-        elif isinstance(stmt.init, LocalVarDecl):
-            init = f"{stmt.init.type_name} {stmt.init.name}"
-            if stmt.init.init is not None:
-                init += f" = {unparse_expr(stmt.init.init)}"
+        elif isinstance(stmt.init[0], LocalVarDecl):
+            # `int a[], b` declares an int[] and an int: name the shorter type
+            base = min((decl.type_name for decl in stmt.init), key=len)
+            init = base + " " + ", ".join(
+                decl.name + ("" if decl.type_name == base else "[]")
+                + ("" if decl.init is None else f" = {unparse_expr(decl.init)}")
+                for decl in stmt.init)
         else:
-            assert isinstance(stmt.init, ExprStmt)
-            init = unparse_expr(stmt.init.expr)
+            (expr_stmt,) = stmt.init
+            assert isinstance(expr_stmt, ExprStmt)
+            init = unparse_expr(expr_stmt.expr)
         cond = "" if stmt.cond is None else unparse_expr(stmt.cond)
         update = "" if stmt.update is None else unparse_expr(stmt.update)
         return [f"{pad}for ({init}; {cond}; {update})"] + _stmt_lines(stmt.body, depth)

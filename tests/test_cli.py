@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,16 @@ def test_bad_seed_file_exit_2(tmp_path, capsys):
     assert "faultlint: error:" in capsys.readouterr().err
 
 
+def test_non_utf8_seed_file_exit_2_with_one_line(tmp_path, capsys):
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    seed_file = tmp_path / "bad.json"
+    seed_file.write_bytes(b"\xff\xfe{}")
+    assert main([str(corpus), "--seed", str(seed_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"faultlint: error: seed file {seed_file} is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_seed_file_exit_2(tmp_path, capsys):
     corpus = make_clean_corpus(tmp_path / "c", count=1)
     assert main([str(corpus), "--seed", str(tmp_path / "nope.json")]) == 2
@@ -594,3 +605,26 @@ def test_scan_builds_no_reference_cycles(tmp_path):
         records[copies] = len(load_store(store).records)
     assert records[10] == 10 * records[1] > 0
     assert garbage[10] == garbage[1]
+
+
+# --- the benchmark's traced harness ------------------------------------------
+
+
+def test_benchmark_traced_scan_matches_the_cli_store(tmp_path, capsys):
+    # pipebench/traced.py re-calls the pipeline module by module; a change
+    # to a name it imports would otherwise only show in a traced bench run
+    traced = Path(__file__).resolve().parent.parent / "pipebench" / "traced.py"
+    trace_path = tmp_path / "trace.json"
+    proc = run_python([str(traced), str(REFERENCE_CORPUS_DIR), str(tmp_path / "traced_store.json"),
+                       str(trace_path)])
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(trace_path.read_text(encoding="utf-8"))
+
+    cli_store = tmp_path / "cli_store.json"
+    assert main([str(REFERENCE_CORPUS_DIR), "--store", str(cli_store)]) == 1
+    capsys.readouterr()
+    records = json.loads(cli_store.read_text(encoding="utf-8"))["records"]
+    assert trace["classes"] == {r["class_name"]: r["error_codes"] for r in records}
+    per_rule = Counter(str(f["error_code"]) for r in records for f in r["findings"])
+    assert trace["rule_findings"] == {str(code): per_rule[str(code)] for code in range(1, 7)}
+    assert trace["run_all_findings"] == sum(per_rule.values())

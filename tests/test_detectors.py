@@ -16,6 +16,7 @@ from faultlint.detectors import (
     run_all,
 )
 from faultlint.model import build_model
+from faultlint.parser import parse_source
 
 from conftest import (
     CASES_DIR,
@@ -595,6 +596,23 @@ def test_d6_for_with_only_empty_statements():
     )
     findings = detect_undefined_loop(model)
     assert [f.detail["loop_kind"] for f in findings] == ["for"]
+
+
+def test_for_init_with_several_declarators_is_analysed():
+    # every declarator is walked: r is closed in the body, s never is
+    source = (
+        "class f\n{\n"
+        "    void m()\n    {\n"
+        "        for (int i = 0, j = 0; i < n; i++) { }\n"
+        "        for (FileReader r = new FileReader(a), s = new FileReader(b); ; ) { r.close(); }\n"
+        "    }\n}\n"
+    )
+    unit = parse_source(source, "f.java")
+    assert unit.diagnostics == ()
+    assert [(f.error_code, f.line, f.detail) for f in run_all(build_model([unit]))] == [
+        (6, 5, {"loop_kind": "for"}),
+        (5, 6, {"variable": "s", "resource_type": "FileReader"}),
+    ]
 
 
 def test_d6_empty_bodies_property():

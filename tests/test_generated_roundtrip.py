@@ -70,7 +70,7 @@ def gen_stmt(rng, depth):
     if r < 0.80:
         return "do " + gen_block(rng, depth - 1) + " while (" + gen_expr(rng, depth - 1) + ");"
     if r < 0.90:
-        init = rng.choice(["int i = 0", "i = 0", ""])
+        init = rng.choice(["int i = 0", "i = 0", "", "int i = 0, j = i", "int k[] = x, i"])
         cond = rng.choice(["i < 10", ""])
         update = rng.choice(["i++", ""])
         return "for (" + init + "; " + cond + "; " + update + ") " + gen_block(rng, depth - 1)

@@ -326,6 +326,16 @@ def test_for_init_variable_scoped_to_the_loop(field, outside):
     assert _name_lookups(source, "i") == [outside, "String", "String", "String", outside]
 
 
+def test_for_init_declarators_enter_the_loop_scope_in_order():
+    # j's initializer sees i; the loop's j hides the field j until the loop ends
+    source = (
+        "class S { int j; void m() { j.before(); "
+        "for (String i = a, j = i; j == i; j.next()) { j.use(); } j.after(); } }"
+    )
+    assert _name_lookups(source, "i") == ["String", "String"]
+    assert _name_lookups(source, "j") == ["int", "String", "String", "String", "int"]
+
+
 def test_local_declaration_takes_effect_after_its_initializer():
     source = "class S { String d; void m() { int d = d.length(); d.use(); } }"
     assert _name_lookups(source, "d") == ["String", "int"]

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from faultlint import detectors
 from faultlint.detectors import (
     ERROR_CATALOG,
     Finding,
@@ -53,7 +54,13 @@ from faultlint.nodes import (
 from faultlint.parser import parse_source
 
 from ast_helpers import iter_scoped_exprs
-from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, model_for_dir, parse_fixture
+from conftest import (
+    CASES_DIR,
+    REFERENCE_CORPUS_DIR,
+    model_for_dir,
+    model_for_source,
+    parse_fixture,
+)
 from test_generated_roundtrip import gen_stmt
 
 
@@ -355,3 +362,68 @@ def test_callee_summaries_do_not_outlive_a_run():
         assert detect_itu(model) == reference_itu(model)
     assert detect_itu(mutating)
     assert detect_itu(pure) == []
+
+
+# --- rule 4's parameter mutations come from the one body pass ----------------
+
+def _itu_program(callee_params, callee_body, call="g(s);"):
+    """f passes its Stack s to g, then uses s again; g is written here."""
+    return (
+        "class T\n{\n"
+        "    void f(Stack s, Stack t)\n    {\n"
+        f"        {call}\n"
+        "        s.pop();\n    }\n"
+        f"    void g({callee_params})\n    {{\n"
+        + "".join(f"        {stmt}\n" for stmt in callee_body)
+        + "    }\n}\n"
+    )
+
+
+@pytest.mark.parametrize("source, expected", [
+    pytest.param(_itu_program("Vector p", ["p.f = p.push(1);"]),
+                 [(5, "p.f = ...", 10)], id="field-write-before-the-call-it-stores"),
+    pytest.param(_itu_program("Vector p", ["{", "Stack p = new Stack();", "p.push(1);", "}"]),
+                 [(5, "p.push(...)", 12)], id="local-shadowing-the-parameter"),
+    pytest.param(_itu_program("Vector p", ["try { } catch (Vector p) { p.f = 1; }",
+                                           "p.push(1);"]),
+                 [(5, "p.f = ...", 10)], id="catch-variable-shadowing-the-parameter"),
+    pytest.param(_itu_program("Vector p, Vector p", ["p.size();", "p.push(1);"], "g(t, s);"),
+                 [(5, "p.push(...)", 11)], id="two-parameters-of-one-name"),
+    pytest.param(_itu_program("Vector p", ["p.size();", "p.getTop();", "p.push(1);"]),
+                 [(5, "p.push(...)", 12)], id="accessor-calls-before-the-mutation"),
+    pytest.param(_itu_program("Vector p", ["Stack u = new Stack();", "g(u);", "u.pop();",
+                                           "p.push(1);"]),
+                 [(5, "p.push(...)", 13), (11, "p.push(...)", 13)], id="callee-calls-itself"),
+])
+def test_first_mutation_edge_cases_match_reference(source, expected):
+    model = model_for_source(source, "T.java")
+    findings = _assert_single_pass_matches(model)[4]
+    assert [(f.line, f.detail["mutation"], f.detail["mutation_line"])
+            for f in findings] == expected
+    _, _, _, callee = next(entry for entry in model.iter_methods() if entry[3].name == "g")
+    assert _reference_param_mutation(callee, "p", model) == expected[0][1:]
+
+
+def _count_body_walks(monkeypatch, model):
+    walked = []
+
+    def counting_walk_body(block, scope):
+        walked.append(id(block))
+        return walk_body(block, scope)
+
+    monkeypatch.setattr(detectors, "walk_body", counting_walk_body)
+    run_all(model)
+    monkeypatch.undo()
+    return sorted(walked), sorted(id(method.body) for *_, method in model.iter_methods())
+
+
+@pytest.mark.parametrize("directory", [REFERENCE_CORPUS_DIR, CASES_DIR], ids=lambda p: p.name)
+def test_run_all_walks_each_method_body_once_on_fixtures(monkeypatch, directory):
+    walked, bodies = _count_body_walks(monkeypatch, model_for_dir(directory))
+    assert bodies and walked == bodies
+
+
+def test_run_all_walks_each_method_body_once_on_generated_programs(monkeypatch):
+    for model in _generated_models():
+        walked, bodies = _count_body_walks(monkeypatch, model)
+        assert walked == bodies

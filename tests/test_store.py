@@ -192,6 +192,13 @@ def test_load_empty_file_is_format_error(tmp_path):
         load_store(path)
 
 
+def test_load_non_utf8_file_is_format_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FormatError, match="not a valid store file"):
+        load_store(path)
+
+
 def test_load_unknown_schema_version_names_it(tmp_path):
     path = tmp_path / "v999.json"
     payload = store_to_dict(AnalysisStore(corpus_root="x", records=()))
