@@ -10,17 +10,36 @@ Error codes and names (fixed catalog):
                                      opening method
     6  Undefined loop exception      loop with an empty body
 
-Rules 2 and 3 read the class hierarchy, one function each. Rules 1, 4, 5
-and 6 read method bodies and share one pass, _scan_bodies: it walks each
-method body once with model.walk_body and runs every enabled rule's check
-on each entry and its subexpressions, dispatching on node type. For rule
-4 the pass records each method's call sites, its name uses and its first
-mutation of each parameter; once every method is walked, each method's
-call sites are resolved against those summaries. detect_lvalue_required,
-detect_itu, detect_illicit_file_usage and detect_undefined_loop select
-one rule from that pass. Every detector reads an immutable ProgramModel,
-so none can change what another sees, and run_all merges their findings
-in a deterministic order.
+run_all is the one entry point: it walks the classes once. Rules 2 and 3
+read each class header: rule 3 follows the first-superclass chain and
+skips a class on a cycle, which is already a model diagnostic. Rules 1, 4,
+5 and 6 read method bodies: each body is walked once with
+model.walk_body, and every enabled rule checks each entry and its
+subexpressions as they come, dispatching on node type.
+
+Rule 4 flags a call site when all three hold: a Name argument's declared
+type is a strict descendant of the callee's declared parameter type there;
+the callee mutates that parameter (a non-accessor call p.m(...) or a field
+write p.f = ..., shadowing ignored); and the caller invokes any method on
+the same name on a later line. Callees resolve through the class
+hierarchy from the receiver's static type: the enclosing class for
+g(...) and this.g(...), the declared type of x for x.g(...). Any other
+receiver, or an x of unknown type, falls back to every method of the same
+name and arity. The body walk records each method's call sites, its name
+uses and its first mutation of each parameter; the call sites are
+resolved once every method is walked, so a callee's summary is complete
+wherever it stands.
+
+Rule 5 is path-insensitive: a close() on the name anywhere in the opening
+method's body (branches, catch and finally blocks included) counts.
+
+Rule 6 checks while, do-while and for loops: a body holding no statement
+but empty ones is flagged.
+
+Each rule's findings come in class order, then method order, then walk
+order, rule 4's after every method, whichever other rules run. The one
+sort by (file, line, code) ties only findings of one rule, so the merged
+list is deterministic. Every check reads an immutable ProgramModel.
 """
 
 from __future__ import annotations
@@ -60,6 +79,10 @@ ERROR_CATALOG: dict[int, str] = {
     6: "Undefined loop exception",
 }
 
+ALL_RULES = frozenset(ERROR_CATALOG)
+
+SPAGHETTI_DEPTH = 6
+
 
 class Finding(Record):
     __slots__ = ("class_name", "error_code", "error_name", "file_path", "line", "message",
@@ -96,48 +119,12 @@ def _finding(code: int, class_name: str, file_path: str, line: int,
     )
 
 
-def detect_incorrect_inheritance(model: ProgramModel) -> list[Finding]:
-    """Code 2: a class header extending more than one class."""
-    findings = []
-    for name, decl in model.classes.items():
-        if len(decl.extends_list) > 1:
-            supers = ", ".join(decl.extends_list)
-            findings.append(_finding(
-                2, name, model.class_files[name], decl.line,
-                f"class {name} extends multiple classes: {supers}",
-                {"superclasses": list(decl.extends_list)},
-            ))
-    return findings
-
-
-SPAGHETTI_DEPTH = 6
-
-
-def detect_spaghetti(model: ProgramModel) -> list[Finding]:
-    """Code 3: every class whose inheritance chain depth reaches six."""
-    findings = []
-    for name, decl in model.classes.items():
-        try:
-            chain = superclass_chain(name, model.hierarchy)
-        except CycleError:
-            continue  # already a model diagnostic, not a finding
-        depth = len(chain) - 1
-        if depth >= SPAGHETTI_DEPTH:
-            findings.append(_finding(
-                3, name, model.class_files[name], decl.line,
-                f"inheritance depth {depth} reaches the threshold of "
-                f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
-                {"depth": depth, "chain": chain},
-            ))
-    return findings
-
-
 def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                   call_sites: list, name_uses: list, mutations: dict,
                   findings: list[Finding]) -> None:
-    """Rule 4 over one method's call sites, after _scan_bodies has walked
-    every method: mutations maps id(method) to that method's first
-    mutation of each parameter, by parameter name."""
+    """Rule 4 over one method's call sites, after run_all has walked every
+    method: mutations maps id(method) to that method's first mutation of
+    each parameter, by parameter name."""
     for call, idents, types, receiver_type in call_sites:
         resolution = "name-arity" if receiver_type is None else "hierarchy"
         emitted = False
@@ -186,181 +173,134 @@ def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
 
 _LOOP_KINDS = {While: "while", DoWhile: "do-while", For: "for"}
 
-_BODY_RULES = frozenset({1, 4, 5, 6})
-
-
-def _scan_bodies(model: ProgramModel, rules) -> dict[int, list[Finding]]:
-    """Findings of the body rules in rules (codes 1, 4, 5, 6), by code.
-
-    One walk_body pass per method, with the class fields and the method
-    parameters in scope. Each enabled rule checks the walk's entries and
-    their subexpressions as they come, while the entry's scope is valid;
-    rule 5 finishes each method after its walk. Rule 4 records each
-    method's call sites, name uses and first mutation of each parameter (a
-    non-accessor call p.m(...) or a field write p.f = ..., shadowing
-    ignored), and resolves the call sites once every method is walked, so
-    a callee's summary is complete wherever it stands. A rule's list is in
-    method order, then source order, and does not depend on which other
-    rules run.
-    """
-    found: dict[int, list[Finding]] = {code: [] for code in sorted(rules)}
-    if not found:
-        return found
-    lvalue = found.get(1)
-    itu = found.get(4)
-    files = found.get(5)
-    loops = found.get(6)
-    walk_expressions = lvalue is not None or itu is not None or files is not None
-    resource_types = model.seed.resource_types
-    is_pure_accessor = model.seed.is_pure_accessor
-    itu_sites = []  # rule 4: (class name, file path, call sites, name uses) per method
-    # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
-    # hashing a MethodDecl would hash its body, and the model keeps each alive
-    mutations: dict[int, dict[str, tuple[str, int]]] = {}
-    for class_name, file_path, decl, method in model.iter_methods():
-        call_sites = []   # rule 4: (call, arg idents, arg declared types, receiver type)
-        name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
-        params = {p.name for p in method.params} if itu is not None else ()
-        mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
-        opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
-        closed: set[str] = set()                 # rule 5: receivers of close()
-        for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
-            kind = type(stmt)
-            if kind is LocalVarDecl:
-                init = stmt.init
-                if (files is not None and type(init) is New
-                        and init.type_name in resource_types):
-                    opened.setdefault(stmt.name, (init.type_name, init.line))
-            elif loops is not None and kind in _LOOP_KINDS:
-                if all(type(s) is Empty for s in stmt.body.stmts):
-                    loop_kind = _LOOP_KINDS[kind]
-                    loops.append(_finding(
-                        6, class_name, file_path, stmt.line,
-                        f"empty {loop_kind} loop body",
-                        {"loop_kind": loop_kind},
-                    ))
-            if not walk_expressions:
-                continue
-            for top in exprs:
-                for expr in walk_exprs(top):
-                    expr_kind = type(expr)
-                    if expr_kind is MethodCall:
-                        receiver = expr.receiver
-                        if files is not None and expr.name == "close" and type(receiver) is Name:
-                            closed.add(receiver.ident)
-                        if itu is None:
-                            continue
-                        if type(receiver) is Name:
-                            ident = receiver.ident
-                            name_uses.append((ident, expr.line, expr.name))
-                            if (ident in params and ident not in mutated
-                                    and not is_pure_accessor(expr.name)):
-                                mutated[ident] = (f"{ident}.{expr.name}(...)", expr.line)
-                        types = [scope.lookup(a.ident) if type(a) is Name else None
-                                 for a in expr.args]
-                        if all(t is None for t in types):
-                            continue  # no typed Name argument that could be flagged
-                        idents = [a.ident if type(a) is Name else None for a in expr.args]
-                        if receiver is None or (type(receiver) is Name
-                                                and receiver.ident == "this"):
-                            receiver_type = class_name
-                        elif type(receiver) is Name:
-                            receiver_type = scope.lookup(receiver.ident)
-                        else:
-                            receiver_type = None
-                        call_sites.append((expr, idents, types, receiver_type))
-                    elif expr_kind is Binary:
-                        if lvalue is None or (expr.op != "==" and expr.op != "!="):
-                            continue
-                        left = static_type_of(expr.lhs, scope)
-                        right = static_type_of(expr.rhs, scope)
-                        if left == "String" or right == "String":
-                            lvalue.append(_finding(
-                                1, class_name, file_path, expr.line,
-                                f"strings compared with '{expr.op}'; use .equals() "
-                                f"for value equality",
-                                {"op": expr.op, "left_type": left, "right_type": right},
-                            ))
-                    elif expr_kind is Assign:
-                        lhs = expr.lhs
-                        rhs = expr.rhs
-                        if (files is not None and type(lhs) is Name
-                                and type(rhs) is New and rhs.type_name in resource_types):
-                            opened.setdefault(lhs.ident, (rhs.type_name, rhs.line))
-                        elif (type(lhs) is FieldAccess and type(lhs.target) is Name
-                                and lhs.target.ident in params):
-                            ident = lhs.target.ident
-                            mutated.setdefault(ident, (f"{ident}.{lhs.name} = ...", expr.line))
-        if call_sites:
-            itu_sites.append((class_name, file_path, call_sites, name_uses))
-        if mutated:
-            mutations[id(method)] = mutated
-        for var, (type_name, line) in opened.items():
-            if var not in closed:
-                files.append(_finding(
-                    5, class_name, file_path, line,
-                    f"resource '{var}' of type {type_name} is opened but never "
-                    f"closed in this method",
-                    {"variable": var, "resource_type": type_name},
-                ))
-    for class_name, file_path, call_sites, name_uses in itu_sites:
-        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations, itu)
-    return found
-
-
-def detect_lvalue_required(model: ProgramModel) -> list[Finding]:
-    """Code 1: == or != applied where either operand is a String."""
-    return _scan_bodies(model, (1,))[1]
-
-
-def detect_itu(model: ProgramModel) -> list[Finding]:
-    """Code 4: inconsistent type usage across a call boundary.
-
-    Flags a call site when all three hold: a Name argument's declared type
-    is a strict descendant of the callee's declared parameter type there;
-    the callee mutates that parameter (non-accessor call or field write);
-    and the caller invokes any method on the same name on a later line.
-
-    Callees resolve through the class hierarchy from the receiver's static
-    type: the enclosing class for g(...) and this.g(...), the declared type
-    of x for x.g(...). Any other receiver, or an x of unknown type, falls
-    back to every method of the same name and arity.
-    """
-    return _scan_bodies(model, (4,))[4]
-
-
-def detect_illicit_file_usage(model: ProgramModel) -> list[Finding]:
-    """Code 5: a resource opened in a method without a close() on that name.
-
-    Path-insensitive: a close anywhere in the same method body (branches,
-    catch and finally blocks included) counts.
-    """
-    return _scan_bodies(model, (5,))[5]
-
-
-def detect_undefined_loop(model: ProgramModel) -> list[Finding]:
-    """Code 6: while/do-while/for whose body holds no real statement."""
-    return _scan_bodies(model, (6,))[6]
-
-
-_CLASS_DETECTORS = {
-    2: detect_incorrect_inheritance,
-    3: detect_spaghetti,
-}
-
-ALL_RULES = _BODY_RULES | frozenset(_CLASS_DETECTORS)
-
 
 def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
-    """Run the enabled detectors and merge, sorted by (file, line, code)."""
+    """Findings of the enabled rules (default: all six), sorted by
+    (file, line, code). ValueError on a code outside the catalog."""
     rules = ALL_RULES if enabled_rules is None else frozenset(enabled_rules)
     bad = rules - ALL_RULES
     if bad:
         raise ValueError(f"unknown rule codes: {sorted(bad)}")
+    lvalue, inheritance, spaghetti, itu, files, loops = (code in rules for code in range(1, 7))
+    walk_expressions = lvalue or itu or files
+    walk_bodies = walk_expressions or loops
+    resource_types = model.seed.resource_types
+    is_pure_accessor = model.seed.is_pure_accessor
     findings: list[Finding] = []
-    for code in sorted(rules - _BODY_RULES):
-        findings.extend(_CLASS_DETECTORS[code](model))
-    for body_findings in _scan_bodies(model, rules & _BODY_RULES).values():
-        findings.extend(body_findings)
+    itu_sites = []  # rule 4: (class name, file path, call sites, name uses) per method
+    # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
+    # hashing a MethodDecl would hash its body, and the model keeps each alive
+    mutations: dict[int, dict[str, tuple[str, int]]] = {}
+    for class_name, decl in model.classes.items():
+        file_path = model.class_files[class_name]
+        if inheritance and len(decl.extends_list) > 1:
+            findings.append(_finding(
+                2, class_name, file_path, decl.line,
+                f"class {class_name} extends multiple classes: {', '.join(decl.extends_list)}",
+                {"superclasses": list(decl.extends_list)},
+            ))
+        if spaghetti:
+            try:
+                chain = superclass_chain(class_name, model.hierarchy)
+            except CycleError:
+                chain = []  # already a model diagnostic, not a finding
+            depth = len(chain) - 1
+            if depth >= SPAGHETTI_DEPTH:
+                findings.append(_finding(
+                    3, class_name, file_path, decl.line,
+                    f"inheritance depth {depth} reaches the threshold of "
+                    f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
+                    {"depth": depth, "chain": chain},
+                ))
+        if not walk_bodies:
+            continue
+        for method in decl.methods:
+            call_sites = []   # rule 4: (call, arg idents, arg declared types, receiver type)
+            name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
+            params = {p.name for p in method.params} if itu else ()
+            mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
+            opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
+            closed: set[str] = set()                 # rule 5: receivers of close()
+            for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
+                kind = type(stmt)
+                if kind is LocalVarDecl:
+                    init = stmt.init
+                    if files and type(init) is New and init.type_name in resource_types:
+                        opened.setdefault(stmt.name, (init.type_name, init.line))
+                elif loops and kind in _LOOP_KINDS:
+                    if all(type(s) is Empty for s in stmt.body.stmts):
+                        loop_kind = _LOOP_KINDS[kind]
+                        findings.append(_finding(
+                            6, class_name, file_path, stmt.line,
+                            f"empty {loop_kind} loop body",
+                            {"loop_kind": loop_kind},
+                        ))
+                if not walk_expressions:
+                    continue
+                for top in exprs:
+                    for expr in walk_exprs(top):
+                        expr_kind = type(expr)
+                        if expr_kind is MethodCall:
+                            receiver = expr.receiver
+                            if files and expr.name == "close" and type(receiver) is Name:
+                                closed.add(receiver.ident)
+                            if not itu:
+                                continue
+                            if type(receiver) is Name:
+                                ident = receiver.ident
+                                name_uses.append((ident, expr.line, expr.name))
+                                if (ident in params and ident not in mutated
+                                        and not is_pure_accessor(expr.name)):
+                                    mutated[ident] = (f"{ident}.{expr.name}(...)", expr.line)
+                            types = [scope.lookup(a.ident) if type(a) is Name else None
+                                     for a in expr.args]
+                            if all(t is None for t in types):
+                                continue  # no typed Name argument that could be flagged
+                            idents = [a.ident if type(a) is Name else None for a in expr.args]
+                            if receiver is None or (type(receiver) is Name
+                                                    and receiver.ident == "this"):
+                                receiver_type = class_name
+                            elif type(receiver) is Name:
+                                receiver_type = scope.lookup(receiver.ident)
+                            else:
+                                receiver_type = None
+                            call_sites.append((expr, idents, types, receiver_type))
+                        elif expr_kind is Binary:
+                            if not lvalue or (expr.op != "==" and expr.op != "!="):
+                                continue
+                            left = static_type_of(expr.lhs, scope)
+                            right = static_type_of(expr.rhs, scope)
+                            if left == "String" or right == "String":
+                                findings.append(_finding(
+                                    1, class_name, file_path, expr.line,
+                                    f"strings compared with '{expr.op}'; use .equals() "
+                                    f"for value equality",
+                                    {"op": expr.op, "left_type": left, "right_type": right},
+                                ))
+                        elif expr_kind is Assign:
+                            lhs = expr.lhs
+                            rhs = expr.rhs
+                            if (files and type(lhs) is Name
+                                    and type(rhs) is New and rhs.type_name in resource_types):
+                                opened.setdefault(lhs.ident, (rhs.type_name, rhs.line))
+                            elif (type(lhs) is FieldAccess and type(lhs.target) is Name
+                                    and lhs.target.ident in params):
+                                ident = lhs.target.ident
+                                mutated.setdefault(ident,
+                                                   (f"{ident}.{lhs.name} = ...", expr.line))
+            if call_sites:
+                itu_sites.append((class_name, file_path, call_sites, name_uses))
+            if mutated:
+                mutations[id(method)] = mutated
+            for var, (type_name, line) in opened.items():
+                if var not in closed:
+                    findings.append(_finding(
+                        5, class_name, file_path, line,
+                        f"resource '{var}' of type {type_name} is opened but never "
+                        f"closed in this method",
+                        {"variable": var, "resource_type": type_name},
+                    ))
+    for class_name, file_path, call_sites, name_uses in itu_sites:
+        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations, findings)
     findings.sort(key=Finding.sort_key)
     return findings

@@ -102,7 +102,7 @@ def load_seed(path) -> ExternalHierarchySeed:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise SeedError(f"seed file {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise SeedError(f"seed file {path} must contain a JSON object")
@@ -159,13 +159,6 @@ class ProgramModel(Record):
         _set(self, "method_index", method_index)
         _set(self, "seed", seed)
         _set(self, "diagnostics", diagnostics)
-
-    def iter_methods(self):
-        """(class name, file path, ClassDecl, MethodDecl) in (file, line) order."""
-        for name, decl in self.classes.items():
-            file_path = self.class_files[name]
-            for method in decl.methods:
-                yield name, file_path, decl, method
 
 
 def build_model(
@@ -406,13 +399,14 @@ def walk_body(block: Block, scope: Scope):
 
     Entries come in source order. exprs are the statement's own top-level
     expressions (walk_exprs walks into them); nested statements get
-    entries of their own. A for loop's init statements (one per declarator)
-    come first, in the loop's scope. A for loop's condition and update and
-    a do-while's condition come as (None, exprs, scope) where they stand in
-    the source: after the for init and after the do-while body. scope
-    holds the names in effect at the entry. Each block, block included,
-    opens a child scope; a local declaration enters the scope once its
-    entry is consumed, so a scope is only valid until the next entry.
+    entries of their own. A for loop's init statements (one per declarator
+    or expression) come first, in the loop's scope. A for loop's condition
+    and update expressions and a do-while's condition come as (None,
+    exprs, scope) where they stand in the source: after the for init and
+    after the do-while body. scope holds the names in effect at the
+    entry. Each block, block included, opens a child scope; a local
+    declaration enters the scope once its entry is consumed, so a scope
+    is only valid until the next entry.
 
     The stack replaces recursion, so nesting of any depth is walked. It
     holds statements to visit, tuples of deferred loop conditions, and
@@ -455,7 +449,7 @@ def walk_body(block: Block, scope: Scope):
             yield stmt, (), scope
             push(scope)
             push(stmt.body)
-            tail = tuple(e for e in (stmt.cond, stmt.update) if e is not None)
+            tail = stmt.update if stmt.cond is None else (stmt.cond, *stmt.update)
             if tail:
                 push(tail)
             stack.extend(reversed(stmt.init))

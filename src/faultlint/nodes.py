@@ -196,12 +196,13 @@ class DoWhile(Stmt):
 class For(Stmt):
     __slots__ = ("init", "cond", "update", "body", "line")
 
-    def __init__(self, init: tuple[Stmt, ...], cond: Expr | None, update: Expr | None,
-                 body: Block, line: int):
-        # () without an init; else one ExprStmt, or one LocalVarDecl per declarator
+    def __init__(self, init: tuple[Stmt, ...], cond: Expr | None,
+                 update: tuple[Expr, ...], body: Block, line: int):
+        # () without an init; else one ExprStmt per expression, or one
+        # LocalVarDecl per declarator
         _set(self, "init", init)
         _set(self, "cond", cond)
-        _set(self, "update", update)
+        _set(self, "update", update)  # one Expr per comma-separated expression
         _set(self, "body", body)
         _set(self, "line", line)
 

@@ -556,14 +556,13 @@ class _Parser:
         else:
             type_name = self._decl_type()
             if type_name is None:
-                expr = self.parse_expr()
-                init = (ExprStmt(expr, expr.line),)
+                init = tuple(ExprStmt(expr, expr.line) for expr in self._expr_list())
             else:
                 init = tuple(self._local_decls(type_name))
             self.expect(";")
         cond = None if self.at(";") else self.parse_expr()
         self.expect(";")
-        update = None if self.at(")") else self.parse_expr()
+        update = () if self.at(")") else self._expr_list()
         self.expect(")")
         return For(init, cond, update, self._substatement(), kw.line)
 
@@ -663,15 +662,19 @@ class _Parser:
     def _parse_args(self) -> tuple[Expr, ...]:
         self.expect("(")
         depth = self._nest()
-        args: list[Expr] = []
-        if not self.at(")"):
-            args.append(self.parse_expr())
-            while self.at(","):
-                self.pos += 1
-                args.append(self.parse_expr())
+        args = () if self.at(")") else self._expr_list()
         self.expect(")")
         self.depth = depth - 1
-        return tuple(args)
+        return args
+
+    def _expr_list(self) -> tuple[Expr, ...]:
+        """One or more comma-separated expressions: call arguments, or a
+        for loop's init or update."""
+        exprs = [self.parse_expr()]
+        while self.at(","):
+            self.pos += 1
+            exprs.append(self.parse_expr())
+        return tuple(exprs)
 
     def _parse_primary(self) -> Expr:
         pos = self.pos

@@ -271,7 +271,7 @@ def load_store(path) -> AnalysisStore:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise FormatError(f"{path}: not a valid store file: {err}") from err
     if not isinstance(data, dict):
         raise FormatError(f"{path}: not a valid store file: expected a JSON object")

@@ -108,11 +108,10 @@ def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
                 + ("" if decl.init is None else f" = {unparse_expr(decl.init)}")
                 for decl in stmt.init)
         else:
-            (expr_stmt,) = stmt.init
-            assert isinstance(expr_stmt, ExprStmt)
-            init = unparse_expr(expr_stmt.expr)
+            assert all(isinstance(expr_stmt, ExprStmt) for expr_stmt in stmt.init)
+            init = ", ".join(unparse_expr(expr_stmt.expr) for expr_stmt in stmt.init)
         cond = "" if stmt.cond is None else unparse_expr(stmt.cond)
-        update = "" if stmt.update is None else unparse_expr(stmt.update)
+        update = ", ".join(unparse_expr(expr) for expr in stmt.update)
         return [f"{pad}for ({init}; {cond}; {update})"] + _stmt_lines(stmt.body, depth)
     if isinstance(stmt, TryCatch):
         lines = [pad + "try"] + _stmt_lines(stmt.try_block, depth)

@@ -16,10 +16,6 @@ from faultlint.cli import main
 from faultlint.detectors import (
     ERROR_CATALOG,
     Finding,
-    detect_illicit_file_usage,
-    detect_itu,
-    detect_lvalue_required,
-    detect_spaghetti,
     run_all,
 )
 from faultlint.parser import parse_source
@@ -85,15 +81,15 @@ def test_c2_reference_program_behavior():
     with criterion("C2", "single-fault reference programs: exact counts and lines"):
         # seven-class chain: exactly one code-3 finding, on the deepest class
         chain6 = model_for_files(CASES_DIR / "deep_chain.java")
-        spaghetti = detect_spaghetti(chain6)
+        spaghetti = run_all(chain6, {3})
         assert [(f.class_name, f.error_code) for f in spaghetti] == [("ML_G", 3)]
 
         itu_case = model_for_files(CASES_DIR / "stack_vector_itu.java")
-        itu = detect_itu(itu_case)
+        itu = run_all(itu_case, {4})
         assert [(f.error_code, f.line) for f in itu] == [(4, 11)]  # the g(s) call
 
         streq_case = model_for_files(CASES_DIR / "string_equality.java")
-        lvalue = detect_lvalue_required(streq_case)
+        lvalue = run_all(streq_case, {1})
         assert [(f.error_code, f.line) for f in lvalue] == [(1, 8)]  # if(d==e)
 
         emptyloop_case = model_for_files(CASES_DIR / "empty_do_while.java")
@@ -102,7 +98,7 @@ def test_c2_reference_program_behavior():
         assert not any(f.error_code == 1 for f in loop_findings)
 
         stream_case = model_for_files(CASES_DIR / "unclosed_stream.java")
-        illicit = detect_illicit_file_usage(stream_case)
+        illicit = run_all(stream_case, {5})
         assert [(f.detail["variable"], f.line) for f in illicit] == [("data_out", 10)]
         assert not any(f.detail["variable"] == "file_output" for f in illicit)
 
@@ -280,7 +276,7 @@ def test_c6_d3_threshold_1000_chains():
                 return count
 
             model = model_for_source(linear_chain_source(names), "chain.java")
-            flagged = {f.class_name for f in detect_spaghetti(model)}
+            flagged = {f.class_name for f in run_all(model, {3})}
             expected = {n for n in names if oracle_depth(n) >= 6}
             assert flagged == expected
 
@@ -304,7 +300,7 @@ def test_c6_d1_exhaustive_truth_table():
                         f"class T {{ void m() {{ {body} }} }}", "t.java"
                     )
                     expected = op in ("==", "!=") and "String" in (left, right)
-                    assert bool(detect_lvalue_required(model)) == expected, \
+                    assert bool(run_all(model, {1})) == expected, \
                         (left, right, op)
 
 
@@ -332,7 +328,7 @@ def test_c6_d5_500_open_close_sequences():
             source = f"class g\n{{\n    void m()\n    {{\n        {body}\n    }}\n}}\n"
             expected = {n for n in names if f"{n}.close()" not in source}
             model = model_for_source(source, "g.java")
-            flagged = {f.detail["variable"] for f in detect_illicit_file_usage(model)}
+            flagged = {f.detail["variable"] for f in run_all(model, {5})}
             assert flagged == expected
 
 
@@ -370,7 +366,7 @@ def test_c6_d4_three_condition_ablation():
             )
             model = model_for_source(source, f"shape{index}.java")
             expected = descendant and mutating and post_use
-            assert bool(detect_itu(model)) == expected, \
+            assert bool(run_all(model, {4})) == expected, \
                 (descendant, mutating, post_use)
 
 

@@ -460,6 +460,16 @@ def test_non_utf8_seed_file_exit_2_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_deeply_nested_seed_file_exit_2_with_one_line(tmp_path, capsys):
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    seed_file = tmp_path / "deep.json"
+    seed_file.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([str(corpus), "--seed", str(seed_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"faultlint: error: seed file {seed_file} is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_seed_file_exit_2(tmp_path, capsys):
     corpus = make_clean_corpus(tmp_path / "c", count=1)
     assert main([str(corpus), "--seed", str(tmp_path / "nope.json")]) == 2
@@ -496,6 +506,8 @@ def test_readme_library_use_block_runs():
     exec(code, namespace)
     assert [(r.class_name, r.error_codes) for r in namespace["records"]] == [("A", (1, 6))]
     assert [c.classes for c in namespace["clusters"]] == [("A",)]
+    assert namespace["subset"] == [f for f in namespace["findings"] if f.error_code in (1, 5)]
+    assert namespace["subset"]
     # the names the "Result store" section documents come from the package too
     assert {"load_store", "FormatError", "render_report", "cluster"} <= set(faultlint.__all__)
 

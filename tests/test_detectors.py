@@ -7,12 +7,6 @@ import pytest
 from faultlint.detectors import (
     ERROR_CATALOG,
     Finding,
-    detect_illicit_file_usage,
-    detect_incorrect_inheritance,
-    detect_itu,
-    detect_lvalue_required,
-    detect_spaghetti,
-    detect_undefined_loop,
     run_all,
 )
 from faultlint.model import build_model
@@ -49,13 +43,13 @@ def test_catalog_is_bijective_and_spelled_exactly():
 
 
 def test_d1_string_field_equality_case():
-    findings = detect_lvalue_required(case_model("string_equality.java"))
+    findings = run_all(case_model("string_equality.java"), {1})
     assert [(f.class_name, f.line) for f in findings] == [("A", 8)]
     assert findings[0].error_name == "Lvalue required"
 
 
 def test_d1_int_comparison_not_flagged():
-    findings = detect_lvalue_required(case_model("empty_do_while.java"))
+    findings = run_all(case_model("empty_do_while.java"), {1})
     assert findings == []
 
 
@@ -63,7 +57,7 @@ def test_d1_literal_operand_suffices():
     model = model_for_source(
         'class W { void m() { if ("x" == name) { } } }', "w.java"
     )
-    findings = detect_lvalue_required(model)
+    findings = run_all(model, {1})
     assert len(findings) == 1
     assert findings[0].detail["left_type"] == "String"
     assert findings[0].detail["right_type"] is None
@@ -73,7 +67,7 @@ def test_d1_not_equal_also_flagged():
     model = model_for_source(
         'class W { String a; String b; void m() { if (a != b) { } } }', "w.java"
     )
-    assert [f.detail["op"] for f in detect_lvalue_required(model)] == ["!="]
+    assert [f.detail["op"] for f in run_all(model, {1})] == ["!="]
 
 
 def test_d1_exhaustive_operand_type_and_op_table():
@@ -95,7 +89,7 @@ def test_d1_exhaustive_operand_type_and_op_table():
                     f"class T {{ void m() {{ {body} }} }}", "t.java"
                 )
                 expected = op in ("==", "!=") and "String" in (left, right)
-                found = bool(detect_lvalue_required(model))
+                found = bool(run_all(model, {1}))
                 assert found == expected, (left, right, op)
 
 
@@ -103,19 +97,19 @@ def test_d1_exhaustive_operand_type_and_op_table():
 
 
 def test_d2_multiple_extends_flagged_at_header():
-    findings = detect_incorrect_inheritance(case_model("double_extends.java"))
+    findings = run_all(case_model("double_extends.java"), {2})
     assert [(f.class_name, f.line) for f in findings] == [("C", 1)]
     assert "B, A" in findings[0].message
 
 
 def test_d2_single_extends_not_flagged():
     model = model_for_source("class C extends B { }", "c.java")
-    assert detect_incorrect_inheritance(model) == []
+    assert run_all(model, {2}) == []
 
 
 def test_d2_plural_interfaces_are_legal():
     model = model_for_source("class C extends B implements I, J { }", "c.java")
-    assert detect_incorrect_inheritance(model) == []
+    assert run_all(model, {2}) == []
 
 
 def test_d2_iff_extends_list_length_property():
@@ -126,7 +120,7 @@ def test_d2_iff_extends_list_length_property():
         model = model_for_source(
             f"class H extends {', '.join(names)} {{ }}", "h.java"
         )
-        findings = detect_incorrect_inheritance(model)
+        findings = run_all(model, {2})
         assert bool(findings) == (n > 1)
         if findings:
             assert findings[0].detail["superclasses"] == names
@@ -136,7 +130,7 @@ def test_d2_iff_extends_list_length_property():
 
 
 def test_d3_seven_class_chain_flags_only_deepest():
-    findings = detect_spaghetti(case_model("deep_chain.java"))
+    findings = run_all(case_model("deep_chain.java"), {3})
     assert [(f.class_name, f.error_code) for f in findings] == [("ML_G", 3)]
     assert findings[0].detail["depth"] == 6
     assert findings[0].detail["chain"] == [
@@ -148,13 +142,13 @@ def test_d3_five_class_chain_not_flagged():
     model = model_for_source(
         linear_chain_source(["K0", "K1", "K2", "K3", "K4"]), "k.java"
     )
-    assert detect_spaghetti(model) == []
+    assert run_all(model, {3}) == []
 
 
 def test_d3_eight_class_chain_flags_both_deep_classes():
     names = [f"E{i}" for i in range(8)]
     model = model_for_source(linear_chain_source(names), "e.java")
-    flagged = [f.class_name for f in detect_spaghetti(model)]
+    flagged = [f.class_name for f in run_all(model, {3})]
     assert flagged == ["E6", "E7"]
 
 
@@ -165,7 +159,7 @@ def test_d3_threshold_randomized_chains():
         k = rng.randint(0, 10)
         names = [f"C{i}" for i in range(k + 1)]
         model = model_for_source(linear_chain_source(names), "c.java")
-        flagged = {f.class_name for f in detect_spaghetti(model)}
+        flagged = {f.class_name for f in run_all(model, {3})}
         assert flagged == {names[i] for i in range(k + 1) if i >= 6}
 
 
@@ -173,7 +167,7 @@ def test_d3_cycles_are_skipped_not_findings():
     model = model_for_source(
         "class A extends B { }\nclass B extends A { }", "cyc.java"
     )
-    assert detect_spaghetti(model) == []
+    assert run_all(model, {3}) == []
     assert any("inheritance cycle" in d for d in model.diagnostics)
 
 
@@ -209,7 +203,7 @@ def _itu_model(param_type="Vector", callee_body="v.removeElementAt (v.size()-1);
 
 
 def test_d4_stack_vector_case_finding_at_call_site():
-    findings = detect_itu(case_model("stack_vector_itu.java"))
+    findings = run_all(case_model("stack_vector_itu.java"), {4})
     assert [(f.class_name, f.line) for f in findings] == [("ituDemo", 11)]
     detail = findings[0].detail
     assert detail["descendant_type"] == "Stack"
@@ -218,19 +212,19 @@ def test_d4_stack_vector_case_finding_at_call_site():
 
 
 def test_d4_no_post_call_use_no_finding():
-    assert detect_itu(_itu_model(post_call=";")) == []
+    assert run_all(_itu_model(post_call=";"), {4}) == []
 
 
 def test_d4_same_type_param_no_finding():
-    assert detect_itu(_itu_model(param_type="Stack")) == []
+    assert run_all(_itu_model(param_type="Stack"), {4}) == []
 
 
 def test_d4_pure_accessor_callee_no_finding():
-    assert detect_itu(_itu_model(callee_body="v.size();")) == []
+    assert run_all(_itu_model(callee_body="v.size();"), {4}) == []
 
 
 def test_d4_field_assignment_counts_as_mutation():
-    findings = detect_itu(_itu_model(callee_body="v.count = 0;"))
+    findings = run_all(_itu_model(callee_body="v.count = 0;"), {4})
     assert len(findings) == 1
     assert "count" in findings[0].detail["mutation"]
 
@@ -239,13 +233,13 @@ def test_d4_unresolved_callee_no_finding():
     model = model_for_source(
         "class U { void f(Stack s) { mystery(s); s.pop(); } }", "u.java"
     )
-    assert detect_itu(model) == []
+    assert run_all(model, {4}) == []
 
 
 def test_d4_argument_must_be_a_plain_name():
     # a parenthesized name is not the Name argument the rule asks for
-    assert detect_itu(_itu_model_with_call("g ((s));")) == []
-    assert detect_itu(_itu_model_with_call("g (s);"))
+    assert run_all(_itu_model_with_call("g ((s));"), {4}) == []
+    assert run_all(_itu_model_with_call("g (s);"), {4})
 
 
 def _itu_mutation(param, callee_body):
@@ -258,7 +252,7 @@ def _itu_mutation(param, callee_body):
         f"{callee_body}"
         "    }\n}\n"
     )
-    findings = detect_itu(model_for_source(source, "ord.java"))
+    findings = run_all(model_for_source(source, "ord.java"), {4})
     assert len(findings) == 1
     return findings[0].detail["mutation"], findings[0].detail["mutation_line"]
 
@@ -305,7 +299,7 @@ def test_d4_three_condition_ablation():
             post_call="s.pop();" if post_use else ";",
         )
         expected = descendant and mutating and post_use
-        assert bool(detect_itu(model)) == expected, (descendant, mutating, post_use)
+        assert bool(run_all(model, {4})) == expected, (descendant, mutating, post_use)
 
 
 def test_d4_descendant_relation_may_come_from_corpus():
@@ -325,7 +319,7 @@ class User
     }
 }
 """
-    findings = detect_itu(model_for_source(source, "corp.java"))
+    findings = run_all(model_for_source(source, "corp.java"), {4})
     assert [(f.class_name, f.line) for f in findings] == [("User", 7)]
 
 
@@ -352,7 +346,7 @@ class Mutator
     }}
 }}
 """
-    assert detect_itu(model_for_source(source, "two.java")) == []
+    assert run_all(model_for_source(source, "two.java"), {4}) == []
 
 
 def test_d4_mutating_subclass_override_flagged_through_base_type():
@@ -380,7 +374,7 @@ class User
     }
 }
 """
-    findings = detect_itu(model_for_source(source, "override.java"))
+    findings = run_all(model_for_source(source, "override.java"), {4})
     assert [(f.class_name, f.line) for f in findings] == [("User", 19)]
     assert findings[0].detail["callee"] == "Derived.g"
     assert findings[0].detail["resolution"] == "hierarchy"
@@ -404,14 +398,14 @@ class Elsewhere
     }
 }
 """
-    findings = detect_itu(model_for_source(source, "chained.java"))
+    findings = run_all(model_for_source(source, "chained.java"), {4})
     assert [(f.class_name, f.line) for f in findings] == [("Chained", 5)]
     assert findings[0].detail["callee"] == "Elsewhere.g"
     assert findings[0].detail["resolution"] == "name-arity"
 
 
 def test_finding_is_hashable_and_compares_detail():
-    finding = detect_itu(case_model("stack_vector_itu.java"))[0]
+    finding = run_all(case_model("stack_vector_itu.java"), {4})[0]
 
     def copy(detail):
         return Finding(finding.class_name, finding.error_code, finding.error_name,
@@ -429,7 +423,7 @@ def test_finding_is_hashable_and_compares_detail():
 
 
 def test_d5_case_flags_only_data_out():
-    findings = detect_illicit_file_usage(case_model("unclosed_stream.java"))
+    findings = run_all(case_model("unclosed_stream.java"), {5})
     assert [(f.detail["variable"], f.line) for f in findings] == [("data_out", 10)]
     assert findings[0].detail["resource_type"] == "DataOutputStream"
 
@@ -447,7 +441,7 @@ class ok
     }
 }
 """
-    assert detect_illicit_file_usage(model_for_source(source, "ok.java")) == []
+    assert run_all(model_for_source(source, "ok.java"), {5}) == []
 
 
 def test_d5_close_in_other_branch_still_counts():
@@ -469,7 +463,7 @@ class branchy
     }
 }
 """
-    assert detect_illicit_file_usage(model_for_source(source, "b.java")) == []
+    assert run_all(model_for_source(source, "b.java"), {5}) == []
 
 
 def test_d5_close_in_finally_counts():
@@ -490,7 +484,7 @@ class fin
     }
 }
 """
-    assert detect_illicit_file_usage(model_for_source(source, "f.java")) == []
+    assert run_all(model_for_source(source, "f.java"), {5}) == []
 
 
 def test_d5_assignment_initialization_counts_as_open():
@@ -504,7 +498,7 @@ class assign
     }
 }
 """
-    findings = detect_illicit_file_usage(model_for_source(source, "a.java"))
+    findings = run_all(model_for_source(source, "a.java"), {5})
     assert [f.detail["variable"] for f in findings] == ["s"]
     assert findings[0].line == 6
 
@@ -513,7 +507,7 @@ def test_d5_non_resource_new_ignored():
     model = model_for_source(
         "class n { void m() { Thing t = new Thing(); } }", "n.java"
     )
-    assert detect_illicit_file_usage(model) == []
+    assert run_all(model, {5}) == []
 
 
 def test_d5_for_header_records_the_init_open():
@@ -529,7 +523,7 @@ class loop
     }
 }
 """
-    findings = detect_illicit_file_usage(model_for_source(source, "l.java"))
+    findings = run_all(model_for_source(source, "l.java"), {5})
     assert [(f.detail["resource_type"], f.line) for f in findings] == [("FileReader", 5)]
 
 
@@ -547,7 +541,7 @@ class again
     }
 }
 """
-    findings = detect_illicit_file_usage(model_for_source(source, "a.java"))
+    findings = run_all(model_for_source(source, "a.java"), {5})
     assert [(f.detail["variable"], f.line) for f in findings] == [("r", 7)]
 
 
@@ -571,7 +565,7 @@ def test_d5_generated_open_close_sequences_vs_text_oracle():
             name for name in names if f"{name}.close()" not in source
         }
         model = model_for_source(source, "gen.java")
-        flagged = {f.detail["variable"] for f in detect_illicit_file_usage(model)}
+        flagged = {f.detail["variable"] for f in run_all(model, {5})}
         assert flagged == expected
 
 
@@ -579,7 +573,7 @@ def test_d5_generated_open_close_sequences_vs_text_oracle():
 
 
 def test_d6_case_empty_do_while():
-    findings = detect_undefined_loop(case_model("empty_do_while.java"))
+    findings = run_all(case_model("empty_do_while.java"), {6})
     assert [(f.detail["loop_kind"], f.line) for f in findings] == [("do-while", 10)]
 
 
@@ -587,14 +581,14 @@ def test_d6_non_empty_while_not_flagged():
     model = model_for_source(
         "class w { void m() { while(a>0){a--;} } }", "w.java"
     )
-    assert detect_undefined_loop(model) == []
+    assert run_all(model, {6}) == []
 
 
 def test_d6_for_with_only_empty_statements():
     model = model_for_source(
         "class f { void m() { for(i=0;i<10;i++){;} } }", "f.java"
     )
-    findings = detect_undefined_loop(model)
+    findings = run_all(model, {6})
     assert [f.detail["loop_kind"] for f in findings] == ["for"]
 
 
@@ -612,6 +606,24 @@ def test_for_init_with_several_declarators_is_analysed():
     assert [(f.error_code, f.line, f.detail) for f in run_all(build_model([unit]))] == [
         (6, 5, {"loop_kind": "for"}),
         (5, 6, {"variable": "s", "resource_type": "FileReader"}),
+    ]
+
+
+def test_for_header_expression_lists_are_analysed():
+    # every init and update expression is walked: r is closed in the update, s never is
+    source = (
+        "class f\n{\n"
+        "    void m()\n    {\n"
+        "        for (r = new FileReader(a), s = new FileReader(b); ; r.close(), i++) { }\n"
+        "        for (i = 0, j = 0; i < n; i++, j--) { }\n"
+        "    }\n}\n"
+    )
+    unit = parse_source(source, "f.java")
+    assert unit.diagnostics == ()
+    assert [(f.error_code, f.line, f.detail) for f in run_all(build_model([unit]))] == [
+        (5, 5, {"variable": "s", "resource_type": "FileReader"}),
+        (6, 5, {"loop_kind": "for"}),
+        (6, 6, {"loop_kind": "for"}),
     ]
 
 
@@ -633,14 +645,14 @@ def test_d6_empty_bodies_property():
             f"class L {{ void m() {{ {loop} }} }}", "l.java"
         )
         expected = body.replace(";", "").strip() == ""
-        assert bool(detect_undefined_loop(model)) == expected, loop
+        assert bool(run_all(model, {6})) == expected, loop
 
 
 def test_d6_nested_empty_loop_found_anywhere():
     model = model_for_source(
         "class n { void m() { if (a > 0) { while (b > 0) { } } } }", "n.java"
     )
-    assert len(detect_undefined_loop(model)) == 1
+    assert len(run_all(model, {6})) == 1
 
 
 # --- run_all ---------------------------------------------------------------------

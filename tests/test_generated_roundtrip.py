@@ -70,9 +70,10 @@ def gen_stmt(rng, depth):
     if r < 0.80:
         return "do " + gen_block(rng, depth - 1) + " while (" + gen_expr(rng, depth - 1) + ");"
     if r < 0.90:
-        init = rng.choice(["int i = 0", "i = 0", "", "int i = 0, j = i", "int k[] = x, i"])
+        init = rng.choice(["int i = 0", "i = 0", "", "int i = 0, j = i", "int k[] = x, i",
+                           "i = 0, j = i"])
         cond = rng.choice(["i < 10", ""])
-        update = rng.choice(["i++", ""])
+        update = rng.choice(["i++", "", "i++, j--"])
         return "for (" + init + "; " + cond + "; " + update + ") " + gen_block(rng, depth - 1)
     catches = "".join(
         f" catch (IOException e{j}) " + gen_block(rng, depth - 1)

@@ -493,6 +493,7 @@ def test_load_seed_missing_keys_fall_back_to_defaults(tmp_path):
     '{"extends": "Stack,Vector"}',
     '{"resource_types": [1, 2]}',
     '{"pure_accessors": {"get": true}}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
 ])
 def test_load_seed_rejects_malformed(tmp_path, payload):
     path = tmp_path / "seed.json"

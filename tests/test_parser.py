@@ -347,16 +347,48 @@ def test_lex_error_becomes_diagnostic_only_unit():
                (('LocalVarDecl', 'int', 'i', ('NumLit', '0')),
                 ('LocalVarDecl', 'int', 'j', ('NumLit', '0'))),
                ('Binary', '<', ('Name', 'i'), ('Name', 'n')),
-               ('UnaryIncDec', '++', ('Name', 'i'), False),
+               (('UnaryIncDec', '++', ('Name', 'i'), False),),
                ('Block', ())),
               ('For',
                (('LocalVarDecl', 'int[]', 'k', ('Name', 'x')),),
                None,
-               None,
+               (),
                ('Block', ())))),
             False),)),),
         [],
         id="for-init",
+    ),
+    pytest.param(
+        "class R {\n"
+        "  void m() {\n"
+        "    for (i = 0, j = 0; i < n; i++) { }\n"
+        "    for (int i = 0; i < n; i++, j--) { }\n"
+        "  }\n"
+        "}\n",
+        (('ClassDecl',
+          'R',
+          (),
+          (),
+          (),
+          (('MethodDecl',
+            'm',
+            (),
+            ('Block',
+             (('For',
+               (('ExprStmt', ('Assign', ('Name', 'i'), ('NumLit', '0'))),
+                ('ExprStmt', ('Assign', ('Name', 'j'), ('NumLit', '0')))),
+               ('Binary', '<', ('Name', 'i'), ('Name', 'n')),
+               (('UnaryIncDec', '++', ('Name', 'i'), False),),
+               ('Block', ())),
+              ('For',
+               (('LocalVarDecl', 'int', 'i', ('NumLit', '0')),),
+               ('Binary', '<', ('Name', 'i'), ('Name', 'n')),
+               (('UnaryIncDec', '++', ('Name', 'i'), False),
+                ('UnaryIncDec', '--', ('Name', 'j'), False)),
+               ('Block', ())))),
+            False),)),),
+        [],
+        id="for-comma-expressions",
     ),
     pytest.param(
         "class Q {\n"
@@ -651,7 +683,7 @@ def _scoped_stmt_reference(stmt, scope):
         inner = scope.child()
         for init in stmt.init:
             yield from _scoped_stmt_reference(init, inner)
-        for part in (stmt.cond, stmt.update):
+        for part in (stmt.cond, *stmt.update):
             if part is not None:
                 for expr in _walk_exprs_recursive(part):
                     yield expr, inner

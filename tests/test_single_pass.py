@@ -1,11 +1,13 @@
-"""The shared body pass against the per-rule detectors it replaced.
+"""run_all's one pass over the classes against per-rule references.
 
-Rules 1, 4, 5 and 6 run in one walk per method (detectors._scan_bodies).
-The functions below are the four detectors as they were when each walked
-every method body on its own, kept as the reference: run_all must return
-the same findings (order and detail included) for every rule subset, on
-both fixture folders and on generated programs whose classes call each
-other so that rule 4 fires.
+run_all checks rules 2 and 3 on each class header and rules 1, 4, 5 and 6
+in one walk per method body. The functions below are the six detectors as
+they were when each ran on its own (rules 1, 4, 5 and 6 walking every
+method body themselves), kept as the reference: run_all must return the
+same findings (order and detail included) for every rule subset, on both
+fixture folders and on generated programs whose classes call each other
+so that rule 4 fires, and whose hierarchies hold multi-superclass
+headers, deep chains across files, a cycle and a duplicate class.
 """
 
 from __future__ import annotations
@@ -16,18 +18,9 @@ import random
 import pytest
 
 from faultlint import detectors
-from faultlint.detectors import (
-    ERROR_CATALOG,
-    Finding,
-    detect_illicit_file_usage,
-    detect_incorrect_inheritance,
-    detect_itu,
-    detect_lvalue_required,
-    detect_spaghetti,
-    detect_undefined_loop,
-    run_all,
-)
+from faultlint.detectors import ERROR_CATALOG, SPAGHETTI_DEPTH, Finding, run_all
 from faultlint.model import (
+    CycleError,
     ExternalHierarchySeed,
     Scope,
     build_model,
@@ -35,6 +28,7 @@ from faultlint.model import (
     is_descendant,
     resolve_callee,
     static_type_of,
+    superclass_chain,
     walk_body,
 )
 from faultlint.nodes import (
@@ -68,9 +62,16 @@ def _finding(code, class_name, file_path, line, message, detail):
     return Finding(class_name, code, ERROR_CATALOG[code], file_path, line, message, detail)
 
 
+def _methods(model):
+    """(class name, file path, ClassDecl, MethodDecl) in (file, line) order."""
+    for name, decl in model.classes.items():
+        for method in decl.methods:
+            yield name, model.class_files[name], decl, method
+
+
 def reference_lvalue_required(model):
     findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
+    for class_name, file_path, decl, method in _methods(model):
         for expr, scope in iter_scoped_exprs(decl, method):
             if not (isinstance(expr, Binary) and expr.op in ("==", "!=")):
                 continue
@@ -102,9 +103,40 @@ def _reference_param_mutation(callee, param_name, model):
     return None
 
 
+def reference_incorrect_inheritance(model):
+    findings = []
+    for name, decl in model.classes.items():
+        if len(decl.extends_list) > 1:
+            supers = ", ".join(decl.extends_list)
+            findings.append(_finding(
+                2, name, model.class_files[name], decl.line,
+                f"class {name} extends multiple classes: {supers}",
+                {"superclasses": list(decl.extends_list)},
+            ))
+    return findings
+
+
+def reference_spaghetti(model):
+    findings = []
+    for name, decl in model.classes.items():
+        try:
+            chain = superclass_chain(name, model.hierarchy)
+        except CycleError:
+            continue
+        depth = len(chain) - 1
+        if depth >= SPAGHETTI_DEPTH:
+            findings.append(_finding(
+                3, name, model.class_files[name], decl.line,
+                f"inheritance depth {depth} reaches the threshold of "
+                f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
+                {"depth": depth, "chain": chain},
+            ))
+    return findings
+
+
 def reference_itu(model):
     findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
+    for class_name, file_path, decl, method in _methods(model):
         call_sites = []
         name_uses = []
         for expr, scope in iter_scoped_exprs(decl, method):
@@ -175,7 +207,7 @@ def reference_itu(model):
 
 def reference_illicit_file_usage(model):
     findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
+    for class_name, file_path, decl, method in _methods(model):
         opened = {}
         closed = set()
         for stmt, exprs, _ in walk_body(method.body, Scope()):
@@ -208,7 +240,7 @@ def reference_illicit_file_usage(model):
 
 def reference_undefined_loop(model):
     findings = []
-    for class_name, file_path, decl, method in model.iter_methods():
+    for class_name, file_path, decl, method in _methods(model):
         for stmt, _, _ in walk_body(method.body, Scope()):
             if isinstance(stmt, While):
                 kind, body = "while", stmt.body
@@ -229,18 +261,11 @@ def reference_undefined_loop(model):
 
 REFERENCE_DETECTORS = {
     1: reference_lvalue_required,
-    2: detect_incorrect_inheritance,
-    3: detect_spaghetti,
+    2: reference_incorrect_inheritance,
+    3: reference_spaghetti,
     4: reference_itu,
     5: reference_illicit_file_usage,
     6: reference_undefined_loop,
-}
-
-SELECTORS = {
-    1: detect_lvalue_required,
-    4: detect_itu,
-    5: detect_illicit_file_usage,
-    6: detect_undefined_loop,
 }
 
 SUBSETS = [frozenset(s) for r in range(1, 7) for s in itertools.combinations(range(1, 7), r)]
@@ -302,7 +327,15 @@ def _gen_class(rng, name, superclass, peer):
 
 
 def _generated_models():
-    """200 generated programs, one file each, as 10 models of 20 files."""
+    """200 generated programs, one file each, as 10 models of 20 files.
+
+    In each model the first class of files 2 to 10 extends the first class
+    of the file before, a chain across files that reaches depth 9; every
+    fifth file holds a header listing two superclasses; the first two
+    classes of the last file extend each other, a cycle; and the second
+    file declares again a class of the first, with a header and a body
+    that would be flagged if the duplicate were not ignored.
+    """
     rng = random.Random(2718)
     models = []
     for first in range(0, 200, 20):
@@ -312,7 +345,16 @@ def _generated_models():
             classes = [f"class B{index}\n{{\n}}\nclass D{index} extends B{index}\n{{\n}}"]
             for k, name in enumerate(names):
                 superclass = names[k - 1] if k and rng.random() < 0.6 else None
+                if k == 0 and first < index < first + 10:
+                    superclass = f"C{index - 1}_0"
+                elif k < 2 and index == first + 19:
+                    superclass = names[1 - k]
+                if k == 1 and index % 5 == 1:
+                    superclass = f"{superclass or names[0]}, Derived"
                 classes.append(_gen_class(rng, name, superclass, names[(k + 1) % 3]))
+            if index == first + 1:
+                classes.append(f"class C{first}_0 extends Base, Derived\n{{\n"
+                               "void g(Stack p0)\n{\np0.push(x);\nwhile (p0 != null) { }\n}\n}")
             source = ("\n".join(classes).replace("Base", f"B{index}")
                       .replace("Derived", f"D{index}"))
             unit = parse_source(source, f"gen{index}.java")
@@ -324,8 +366,6 @@ def _generated_models():
 
 def _assert_single_pass_matches(model):
     per_rule = {code: detector(model) for code, detector in REFERENCE_DETECTORS.items()}
-    for code, selector in SELECTORS.items():
-        assert selector(model) == per_rule[code], code
     for rules in SUBSETS:
         expected = sorted((f for code in sorted(rules) for f in per_rule[code]),
                           key=Finding.sort_key)
@@ -347,8 +387,8 @@ def test_single_pass_matches_reference_on_generated_programs():
         for code, findings in per_rule.items():
             counts[code] += len(findings)
         resolutions.update(f.detail["resolution"] for f in per_rule[4])
-    # every body rule fires, rule 4 by both resolution paths
-    assert all(counts[code] > 20 for code in (1, 4, 5, 6)), counts
+    # every rule fires, rule 4 by both resolution paths
+    assert all(counts[code] > 20 for code in range(1, 7)), counts
     assert resolutions == {"hierarchy", "name-arity"}
 
 
@@ -359,9 +399,9 @@ def test_callee_summaries_do_not_outlive_a_run():
     mutating = build_model(units, default_seed())
     pure = build_model(units, ExternalHierarchySeed(pure_accessor_names=("*",)))
     for model in (mutating, pure, mutating):
-        assert detect_itu(model) == reference_itu(model)
-    assert detect_itu(mutating)
-    assert detect_itu(pure) == []
+        assert run_all(model, {4}) == reference_itu(model)
+    assert run_all(mutating, {4})
+    assert run_all(pure, {4}) == []
 
 
 # --- rule 4's parameter mutations come from the one body pass ----------------
@@ -400,7 +440,7 @@ def test_first_mutation_edge_cases_match_reference(source, expected):
     findings = _assert_single_pass_matches(model)[4]
     assert [(f.line, f.detail["mutation"], f.detail["mutation_line"])
             for f in findings] == expected
-    _, _, _, callee = next(entry for entry in model.iter_methods() if entry[3].name == "g")
+    _, _, _, callee = next(entry for entry in _methods(model) if entry[3].name == "g")
     assert _reference_param_mutation(callee, "p", model) == expected[0][1:]
 
 
@@ -414,7 +454,7 @@ def _count_body_walks(monkeypatch, model):
     monkeypatch.setattr(detectors, "walk_body", counting_walk_body)
     run_all(model)
     monkeypatch.undo()
-    return sorted(walked), sorted(id(method.body) for *_, method in model.iter_methods())
+    return sorted(walked), sorted(id(method.body) for *_, method in _methods(model))
 
 
 @pytest.mark.parametrize("directory", [REFERENCE_CORPUS_DIR, CASES_DIR], ids=lambda p: p.name)

@@ -303,6 +303,7 @@ def test_codes_in_detection_order_load(tmp_path):
     pytest.param(_doc(records=[_record(error_codes=[1, 4], findings=[
         _finding_with(error_code=4, line=3), _finding_with(error_code=1, line=5)])],
         catalog=_CATALOG), id="codes-out-of-detection-order"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
 ])
 def test_load_rejects_foreign_documents(tmp_path, payload):
     path = tmp_path / "foreign.json"
