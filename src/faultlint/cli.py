@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -139,25 +140,43 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
+def _java_files(root: Path) -> list[tuple[str, str]]:
+    """(relative posix path, filesystem path) of every *.java file under
+    root, sorted by the relative path.
+
+    Directories whose names start with '.' are not entered, nor are
+    symlinked directories. An entry counts when its name ends in `.java`
+    (case-sensitive; hidden names too) and it is a file or a link to one.
+    The filesystem path is `root / relative path` as a string.
+    """
+    top = os.fspath(root)
+    base = "" if top == "." else top.rstrip("/") + "/"
+    found = []
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [name for name in dirnames if not name.startswith(".")]
+        rel_dir = dirpath[len(top):].lstrip("/")
+        prefix = rel_dir + "/" if rel_dir else ""
+        for name in filenames:
+            if name.endswith(".java"):
+                rel = prefix + name
+                path = base + rel
+                if os.path.isfile(path):
+                    found.append((rel, path))
+    found.sort()
+    return found
+
+
 def collect_java_files(root: Path) -> list[Path]:
-    """All *.java under root, sorted by relative path; hidden dirs skipped."""
-    files = []
-    for path in root.rglob("*.java"):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(root)
-        if any(part.startswith(".") for part in rel.parts[:-1]):
-            continue
-        files.append(path)
-    return sorted(files, key=lambda p: p.relative_to(root).as_posix())
+    """The files of the CLI's walk (_java_files) as Paths, sorted by relative path."""
+    return [Path(path) for _, path in _java_files(root)]
 
 
-def _parse_corpus(root: Path, files: list[Path]) -> list[CompilationUnit]:
+def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
     units = []
-    for path in files:
-        rel = path.relative_to(root).as_posix()
+    for rel, path in files:
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
         except (OSError, UnicodeDecodeError) as err:
             diag = ParseDiagnostic(rel, 1, f"could not read file: {err}", (1, 1))
             units.append(CompilationUnit(rel, (), (diag,)))
@@ -179,7 +198,7 @@ def _analyse(root: Path, seed: ExternalHierarchySeed, enabled_rules: frozenset[i
     number of classes scanned and whether any file had a parse diagnostic:
     nothing that holds a tree, so the trees and the model are freed on
     return, before the report and the store are built."""
-    units = _parse_corpus(root, collect_java_files(root))
+    units = _parse_corpus(_java_files(root))
     model = build_model(units, seed)
     findings = run_all(model, enabled_rules)
     diagnostics = [

@@ -12,8 +12,9 @@ Error codes and names (fixed catalog):
 
 run_all is the one entry point: it walks the classes once. Rules 2 and 3
 read each class header: rule 3 follows the first-superclass chain and
-skips a class on a cycle, which is already a model diagnostic. Rules 1, 4,
-5 and 6 read method bodies: each body is walked once with
+skips a class on or leading into a cycle, which is already a model
+diagnostic; its walk stops at a class already known to lead into one.
+Rules 1, 4, 5 and 6 read method bodies: each body is walked once with
 model.walk_body, and every enabled rule checks each entry and its
 subexpressions as they come, dispatching on node type.
 
@@ -45,13 +46,13 @@ list is deterministic. Every check reads an immutable ProgramModel.
 from __future__ import annotations
 
 from faultlint.model import (
-    CycleError,
     ProgramModel,
+    _ends_in_cycle,
+    _first_superclasses,
     is_descendant,
     method_scope,
     resolve_callee,
     static_type_of,
-    superclass_chain,
     walk_body,
 )
 from faultlint.nodes import (
@@ -191,6 +192,10 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
     # hashing a MethodDecl would hash its body, and the model keeps each alive
     mutations: dict[int, dict[str, tuple[str, int]]] = {}
+    # rule 3: classes known to lead into an inheritance cycle; a walk stops
+    # at the first one, so each lead-in class is walked once
+    leads_to_cycle: set[str] = set()
+    super_edges = model.hierarchy.super_edges
     for class_name, decl in model.classes.items():
         file_path = model.class_files[class_name]
         if inheritance and len(decl.extends_list) > 1:
@@ -200,9 +205,9 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 {"superclasses": list(decl.extends_list)},
             ))
         if spaghetti:
-            try:
-                chain = superclass_chain(class_name, model.hierarchy)
-            except CycleError:
+            chain = _first_superclasses(class_name, super_edges, leads_to_cycle)
+            if chain[-1] in leads_to_cycle or _ends_in_cycle(chain):
+                leads_to_cycle.update(chain)
                 chain = []  # already a model diagnostic, not a finding
             depth = len(chain) - 1
             if depth >= SPAGHETTI_DEPTH:

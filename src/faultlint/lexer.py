@@ -1,11 +1,15 @@
-"""Tokenizer: the token model, the lexical tables and one pure-Python scan
-loop that emits Tokens directly.
+"""Tokenizer: the token layout, the lexical tables and one pure-Python scan
+loop that emits tokens directly.
 
-A Token is a named tuple of kind, lexeme and 1-based line and column. The
-kinds are the seven constants below; `KEYWORDS` decides keyword against
-identifier, and the operator tables give the longest match first. Every
-punctuator, operator and keyword lexeme occurs with one kind only, which
-the parser relies on.
+A token is a plain 4-tuple `(kind, lexeme, line, column)`, line and column
+1-based; the parser reads its fields by constant index (`tok[1]` is the
+lexeme). There is no record type: a named tuple built through
+`tuple.__new__` made a temporary tuple and then a copy of it for every
+token, and each field read went through a descriptor (README "Scanner"
+gives the measured cost). The kinds are the seven constants below;
+`KEYWORDS` decides keyword against identifier, and the operator tables
+give the longest match first. Every punctuator, operator and keyword
+lexeme occurs with one kind only, which the parser relies on.
 
 The loop dispatches on the first character of each lexeme. Runs of blanks
 and identifier tails are consumed with precompiled regular expressions;
@@ -20,9 +24,8 @@ from __future__ import annotations
 
 import re
 from sys import intern
-from typing import NamedTuple
 
-__all__ = ["tokenize", "LexError", "Token", "scanner_backend"]
+__all__ = ["tokenize", "LexError", "scanner_backend"]
 
 KEYWORD = "keyword"
 IDENTIFIER = "identifier"
@@ -63,22 +66,6 @@ class LexError(Exception):
         self.column = column
 
 
-class Token(NamedTuple):
-    """One lexeme with its 1-based source position.
-
-    A tuple, so the scan loop builds each token in one step and the parser
-    reads fields without a per-token object layer.
-    """
-
-    kind: str
-    lexeme: str
-    line: int
-    column: int
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.lexeme!r}, {self.line}:{self.column})"
-
-
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _NUM_SUFFIXES = "lLfFdD"
 # Punctuators that never start a longer lexeme.
@@ -98,7 +85,7 @@ def scanner_backend() -> str:
     return "python"
 
 
-def tokenize(source_text: str) -> list[Token]:
+def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
     """Tokenize source text.
 
     Comments and whitespace are consumed but not emitted; string and char
@@ -106,9 +93,8 @@ def tokenize(source_text: str) -> list[Token]:
     and column) on an unterminated string/char literal or block comment.
     """
     text = source_text
-    tokens: list[Token] = []
+    tokens: list[tuple[str, str, int, int]] = []
     append = tokens.append
-    new = tuple.__new__
     n = len(text)
     pos = 0
     line = 1
@@ -117,7 +103,7 @@ def tokenize(source_text: str) -> list[Token]:
         ch = text[pos]
 
         if ch in _SIMPLE_PUNCTUATORS:
-            append(new(Token, (PUNCTUATOR, ch, line, pos - line_start + 1)))
+            append((PUNCTUATOR, ch, line, pos - line_start + 1))
             pos += 1
             continue
 
@@ -158,7 +144,7 @@ def tokenize(source_text: str) -> list[Token]:
                         pos = mark
             if pos < n and text[pos] in _NUM_SUFFIXES:
                 pos += 1
-            append(new(Token, (NUMBER, text[start:pos], line, start - line_start + 1)))
+            append((NUMBER, text[start:pos], line, start - line_start + 1))
             continue
 
         if ch.isalpha() or ch == "_" or ch == "$":
@@ -166,7 +152,7 @@ def tokenize(source_text: str) -> list[Token]:
             pos = _ident_tail(text, pos + 1).end()
             lexeme = intern(text[start:pos])
             kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
-            append(new(Token, (kind, lexeme, line, start - line_start + 1)))
+            append((kind, lexeme, line, start - line_start + 1))
             continue
 
         if ch == "/" and pos + 1 < n:
@@ -192,24 +178,24 @@ def tokenize(source_text: str) -> list[Token]:
                 kind = "string" if ch == '"' else "char"
                 raise LexError(f"unterminated {kind} literal", line, pos - line_start + 1)
             end = match.end()
-            append(new(Token, (STRING if ch == '"' else CHAR, text[pos:end],
-                               line, pos - line_start + 1)))
+            append((STRING if ch == '"' else CHAR, text[pos:end], line,
+                    pos - line_start + 1))
             pos = end
             continue
 
         col = pos - line_start + 1
         pair = text[pos:pos + 2]
         if pair in TWO_CHAR_OPERATORS:
-            append(new(Token, (OPERATOR, pair, line, col)))
+            append((OPERATOR, pair, line, col))
             pos += 2
             continue
         if ch in ONE_CHAR_OPERATORS:
-            append(new(Token, (OPERATOR, ch, line, col)))
+            append((OPERATOR, ch, line, col))
         else:
             # Anything else (including out-of-subset characters like '#')
             # becomes a one-character punctuator; the parser's recovery
             # deals with it.
-            append(new(Token, (PUNCTUATOR, ch, line, col)))
+            append((PUNCTUATOR, ch, line, col))
         pos += 1
 
     return tokens

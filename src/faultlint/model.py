@@ -211,20 +211,26 @@ def build_model(
         {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
     )
 
-    # A walk stops at a class already known to reach a root, so the check
-    # is linear in the classes; a chain that ends in a cycle is walked whole,
-    # because its diagnostic prints it.
-    reaches_root: set[str] = set()
-    seen_cycles: set[frozenset[str]] = set()
+    # One diagnostic per cycle, when the sorted walk first reaches it, printed
+    # from its least-named member; a class that only leads into a cycle adds
+    # none. A walk stops at a class already known to reach a root or a
+    # cycle, so the check is linear in the classes.
+    settled: set[str] = set()
+    leads_to_cycle: set[str] = set()
     for name in sorted(classes):
-        chain = _first_superclasses(name, super_edges, reaches_root)
-        if _ends_in_cycle(chain):
-            key = frozenset(chain)
-            if key not in seen_cycles:
-                seen_cycles.add(key)
-                diagnostics.append(str(CycleError(chain)))
+        chain = _first_superclasses(name, super_edges, settled)
+        if chain[-1] in settled:
+            cyclic = chain[-1] in leads_to_cycle
         else:
-            reaches_root.update(chain)
+            cyclic = _ends_in_cycle(chain)
+            if cyclic:
+                cycle = chain[chain.index(chain[-1]):-1]
+                least = cycle.index(min(cycle))
+                cycle = cycle[least:] + cycle[:least]
+                diagnostics.append(str(CycleError(cycle + cycle[:1])))
+        settled.update(chain)
+        if cyclic:
+            leads_to_cycle.update(chain)
 
     method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]] = {}
     for name, decl in classes.items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from faultlint.lexer import CHAR, IDENTIFIER, NUMBER, STRING, LexError, Token, tokenize
+from faultlint.lexer import CHAR, IDENTIFIER, NUMBER, STRING, LexError, tokenize
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -82,13 +82,15 @@ class _ParseFailure(Exception):
 
 
 class _Parser:
+    # A token is the lexer's tuple (kind, lexeme, line, column): tok[0] is
+    # the kind, tok[1] the lexeme, tok[2] the line; the column is not read.
     # Punctuator, operator and keyword lexemes each occur with one token kind
     # only, so the cursor compares lexemes alone: `at`/`expect` take a
     # lexeme, and only identifiers, literals and numbers are told apart by
     # kind (`at_ident`, `expect_ident`). `_type_name` is the one reader of
     # the type grammar and `_declarators` the one reader of declarators.
 
-    def __init__(self, tokens: list[Token], file_path: str):
+    def __init__(self, tokens: list[tuple], file_path: str):
         self.tokens = tokens
         self.n = len(tokens)
         self.pos = 0
@@ -99,43 +101,43 @@ class _Parser:
 
     # -- cursor ---------------------------------------------------------
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
         i = self.pos + offset
-        return i < self.n and self.tokens[i].lexeme == lexeme
+        return i < self.n and self.tokens[i][1] == lexeme
 
     def at_ident(self, offset: int = 0) -> bool:
         i = self.pos + offset
-        return i < self.n and self.tokens[i].kind == IDENTIFIER
+        return i < self.n and self.tokens[i][0] == IDENTIFIER
 
-    def expect(self, lexeme: str) -> Token:
+    def expect(self, lexeme: str) -> tuple:
         pos = self.pos
         if pos >= self.n:
             raise _ParseFailure(f"expected '{lexeme}' but reached end of file")
         tok = self.tokens[pos]
-        if tok.lexeme != lexeme:
-            raise _ParseFailure(f"expected '{lexeme}' but found '{tok.lexeme}'")
+        if tok[1] != lexeme:
+            raise _ParseFailure(f"expected '{lexeme}' but found '{tok[1]}'")
         self.pos = pos + 1
         return tok
 
-    def expect_ident(self) -> Token:
+    def expect_ident(self) -> tuple:
         pos = self.pos
         if pos >= self.n:
             raise _ParseFailure("expected 'identifier' but reached end of file")
         tok = self.tokens[pos]
-        if tok.kind != IDENTIFIER:
-            raise _ParseFailure(f"expected 'identifier' but found '{tok.lexeme}'")
+        if tok[0] != IDENTIFIER:
+            raise _ParseFailure(f"expected 'identifier' but found '{tok[1]}'")
         self.pos = pos + 1
         return tok
 
     def _last_line(self) -> int:
         if not self.tokens:
             return 1
-        return self.tokens[min(self.pos, self.n - 1)].line
+        return self.tokens[min(self.pos, self.n - 1)][2]
 
     def _nest(self) -> int:
         """Open one nested construct; returns the new depth."""
@@ -148,7 +150,7 @@ class _Parser:
     def _skip_modifiers(self) -> None:
         tokens = self.tokens
         pos = self.pos
-        while pos < self.n and tokens[pos].lexeme in MODIFIER_KEYWORDS:
+        while pos < self.n and tokens[pos][1] in MODIFIER_KEYWORDS:
             pos += 1
         self.pos = pos
 
@@ -178,27 +180,27 @@ class _Parser:
         first = True
         while pos < n:
             tok = tokens[pos]
-            lexeme = tok.lexeme
+            lexeme = tok[1]
             if lexeme == "}":
                 if depth == 0:
                     if first:
-                        end_line = tok.line
+                        end_line = tok[2]
                     break
                 depth -= 1
-                end_line = tok.line
+                end_line = tok[2]
                 pos += 1
                 if depth == 0:
                     break
             elif lexeme == "{":
                 depth += 1
-                end_line = tok.line
+                end_line = tok[2]
                 pos += 1
             elif depth == 0 and lexeme == ";":
-                end_line = tok.line
+                end_line = tok[2]
                 pos += 1
                 break
             else:
-                end_line = tok.line
+                end_line = tok[2]
                 pos += 1
             first = False
         self.pos = pos
@@ -217,14 +219,14 @@ class _Parser:
         first = True
         while pos < n:
             tok = tokens[pos]
-            lexeme = tok.lexeme
+            lexeme = tok[1]
             if depth == 0 and lexeme == "class" and not first:
                 break
             if lexeme == "{":
                 depth += 1
             elif lexeme == "}":
                 depth = max(0, depth - 1)
-            end_line = tok.line
+            end_line = tok[2]
             pos += 1
             first = False
         self.pos = pos
@@ -236,7 +238,7 @@ class _Parser:
         tokens = self.tokens
         while self.pos < self.n:
             start_pos = self.pos
-            if tokens[start_pos].lexeme in ("package", "import"):
+            if tokens[start_pos][1] in ("package", "import"):
                 self._skip_simple_directive()
                 continue
             try:
@@ -245,7 +247,7 @@ class _Parser:
                     self.classes.append(self.parse_class())
                 elif self.pos < self.n:
                     raise _ParseFailure("unsupported top-level construct starting at "
-                                        f"'{tokens[self.pos].lexeme}'")
+                                        f"'{tokens[self.pos][1]}'")
                 else:
                     break
             except _ParseFailure as failure:
@@ -268,16 +270,16 @@ class _Parser:
         pos = start + 1
         while pos < self.n:
             tok = tokens[pos]
-            if tok.lexeme == ";":
+            if tok[1] == ";":
                 self.pos = pos + 1
                 return
-            if tok.kind != IDENTIFIER and tok.lexeme not in _DIRECTIVE_PARTS:
+            if tok[0] != IDENTIFIER and tok[1] not in _DIRECTIVE_PARTS:
                 break
             pos += 1
         self.pos = pos
-        found = f"found '{tokens[pos].lexeme}'" if pos < self.n else "reached end of file"
-        self.diagnose(f"expected ';' to end the {tokens[start].lexeme} directive but {found}",
-                      tokens[start].line, tokens[pos - 1].line)
+        found = f"found '{tokens[pos][1]}'" if pos < self.n else "reached end of file"
+        self.diagnose(f"expected ';' to end the {tokens[start][1]} directive but {found}",
+                      tokens[start][2], tokens[pos - 1][2])
 
     def parse_class(self) -> ClassDecl:
         class_tok = self.expect("class")
@@ -291,10 +293,10 @@ class _Parser:
         fields: list[TypedName] = []
         methods: list[MethodDecl] = []
         tokens = self.tokens
-        while self.pos < self.n and tokens[self.pos].lexeme != "}":
+        while self.pos < self.n and tokens[self.pos][1] != "}":
             start_pos = self.pos
             try:
-                self.parse_member(name_tok.lexeme, fields, methods)
+                self.parse_member(name_tok[1], fields, methods)
             except _ParseFailure as failure:
                 self.depth = 0
                 span = self.skip_to_sync(start_pos)
@@ -303,17 +305,17 @@ class _Parser:
             self.pos += 1
         else:
             self.diagnose(
-                f"missing '}}' for class {name_tok.lexeme}",
+                f"missing '}}' for class {name_tok[1]}",
                 self._last_line(),
                 self._last_line(),
             )
         return ClassDecl(
-            name=name_tok.lexeme,
+            name=name_tok[1],
             extends_list=extends_list,
             implements_list=implements_list,
             fields=tuple(fields),
             methods=tuple(methods),
-            line=class_tok.line,
+            line=class_tok[2],
         )
 
     def _type_list(self, keyword: str) -> tuple[str, ...]:
@@ -356,7 +358,7 @@ class _Parser:
             methods.append(self._parse_method_rest(name_tok, is_constructor=False))
             return
         for name_tok, declared in self._declarators(type_name):
-            fields.append(TypedName(declared, name_tok.lexeme))
+            fields.append(TypedName(declared, name_tok[1]))
             if self.at("="):  # parsed for syntax, not retained
                 self.pos += 1
                 self.parse_expr()
@@ -371,15 +373,15 @@ class _Parser:
         if pos >= n:
             return None
         tok = tokens[pos]
-        name = tok.lexeme
+        name = tok[1]
         pos += 1
-        if tok.kind == IDENTIFIER:
-            while pos + 1 < n and tokens[pos].lexeme == "." and tokens[pos + 1].kind == IDENTIFIER:
-                name += "." + tokens[pos + 1].lexeme
+        if tok[0] == IDENTIFIER:
+            while pos + 1 < n and tokens[pos][1] == "." and tokens[pos + 1][0] == IDENTIFIER:
+                name += "." + tokens[pos + 1][1]
                 pos += 2
         elif name not in PRIMITIVE_TYPES:
             return None
-        if pos + 1 < n and tokens[pos].lexeme == "[" and tokens[pos + 1].lexeme == "]":
+        if pos + 1 < n and tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
             name += "[]"
             pos += 2
         self.pos = pos
@@ -391,11 +393,11 @@ class _Parser:
             if self.pos >= self.n:
                 raise _ParseFailure("expected a type name but reached end of file")
             raise _ParseFailure(
-                f"expected a type name but found '{self.tokens[self.pos].lexeme}'"
+                f"expected a type name but found '{self.tokens[self.pos][1]}'"
             )
         return name
 
-    def _declarators(self, type_name: str) -> Iterator[tuple[Token, str]]:
+    def _declarators(self, type_name: str) -> Iterator[tuple[tuple, str]]:
         """Yield each `name` or C-style `name[]` of a comma-separated list
         with its declared type, the cursor just after it.
 
@@ -415,13 +417,13 @@ class _Parser:
                 return
             self.pos += 1
 
-    def _parse_method_rest(self, name_tok: Token, is_constructor: bool) -> MethodDecl:
+    def _parse_method_rest(self, name_tok: tuple, is_constructor: bool) -> MethodDecl:
         params: list[TypedName] = []
         self.expect("(")
         if not self.at(")"):
             while True:
                 p_name, p_type = next(self._declarators(self.parse_type_name()))
-                params.append(TypedName(p_type, p_name.lexeme))
+                params.append(TypedName(p_type, p_name[1]))
                 if not self.at(","):
                     break
                 self.pos += 1
@@ -429,15 +431,15 @@ class _Parser:
         self._type_list("throws")
         if self.at(";"):
             semi = self.advance()
-            body = Block((), semi.line)
+            body = Block((), semi[2])
         else:
             body = self.parse_block()
         return MethodDecl(
-            name=name_tok.lexeme,
+            name=name_tok[1],
             params=tuple(params),
             body=body,
             is_constructor=is_constructor,
-            line=name_tok.line,
+            line=name_tok[2],
         )
 
     # -- statements ---------------------------------------------------------
@@ -448,7 +450,7 @@ class _Parser:
         stmts: list[Stmt] = []
         tokens = self.tokens
         n = self.n
-        while self.pos < n and tokens[self.pos].lexeme != "}":
+        while self.pos < n and tokens[self.pos][1] != "}":
             start_pos = self.pos
             try:
                 self.parse_statement_into(stmts)
@@ -458,7 +460,7 @@ class _Parser:
                 self.diagnose(str(failure), *span)
         self.expect("}")
         self.depth = depth - 1
-        return Block(tuple(stmts), open_tok.line)
+        return Block(tuple(stmts), open_tok[2])
 
     def _substatement(self) -> Block:
         """Loop bodies and if branches are always Blocks."""
@@ -474,12 +476,12 @@ class _Parser:
     def parse_statement_into(self, out: list[Stmt]) -> None:
         if self.pos >= self.n:
             raise _ParseFailure("expected a statement but reached end of file")
-        lexeme = self.tokens[self.pos].lexeme
+        lexeme = self.tokens[self.pos][1]
 
         if lexeme == "{":
             out.append(self.parse_block())
         elif lexeme == ";":
-            out.append(Empty(self.advance().line))
+            out.append(Empty(self.advance()[2]))
         elif lexeme == "if":
             out.append(self._parse_if())
         elif lexeme == "while":
@@ -487,7 +489,7 @@ class _Parser:
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
-            out.append(While(cond, self._substatement(), kw.line))
+            out.append(While(cond, self._substatement(), kw[2]))
         elif lexeme == "do":
             kw = self.advance()
             body = self._substatement()
@@ -496,7 +498,7 @@ class _Parser:
             cond = self.parse_expr()
             self.expect(")")
             self.expect(";")
-            out.append(DoWhile(body, cond, kw.line))
+            out.append(DoWhile(body, cond, kw[2]))
         elif lexeme == "for":
             out.append(self._parse_for())
         elif lexeme == "try":
@@ -505,7 +507,7 @@ class _Parser:
             kw = self.advance()
             expr = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            out.append(Return(expr, kw.line))
+            out.append(Return(expr, kw[2]))
         else:
             type_name = self._decl_type()
             if type_name is None:
@@ -533,7 +535,7 @@ class _Parser:
             if self.at("="):
                 self.pos += 1
                 init = self.parse_expr()
-            yield LocalVarDecl(declared, name_tok.lexeme, init, name_tok.line)
+            yield LocalVarDecl(declared, name_tok[1], init, name_tok[2])
 
     def _parse_if(self) -> If:
         kw = self.expect("if")
@@ -545,7 +547,7 @@ class _Parser:
         if self.at("else"):
             self.pos += 1
             else_block = self._substatement()
-        return If(cond, then_block, else_block, kw.line)
+        return If(cond, then_block, else_block, kw[2])
 
     def _parse_for(self) -> For:
         kw = self.expect("for")
@@ -564,7 +566,7 @@ class _Parser:
         self.expect(";")
         update = () if self.at(")") else self._expr_list()
         self.expect(")")
-        return For(init, cond, update, self._substatement(), kw.line)
+        return For(init, cond, update, self._substatement(), kw[2])
 
     def _parse_try(self) -> TryCatch:
         kw = self.expect("try")
@@ -577,24 +579,24 @@ class _Parser:
             ex_name = self.expect_ident()
             self.expect(")")
             body = self.parse_block()
-            catches.append(CatchClause(ex_type, ex_name.lexeme, body, catch_tok.line))
+            catches.append(CatchClause(ex_type, ex_name[1], body, catch_tok[2]))
         finally_block = None
         if self.at("finally"):
             self.pos += 1
             finally_block = self.parse_block()
-        return TryCatch(try_block, tuple(catches), finally_block, kw.line)
+        return TryCatch(try_block, tuple(catches), finally_block, kw[2])
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         lhs = self._parse_binary(1)
         pos = self.pos
-        if pos < self.n and self.tokens[pos].lexeme == "=":
+        if pos < self.n and self.tokens[pos][1] == "=":
             eq = self.advance()
             depth = self._nest()
             rhs = self.parse_expr()
             self.depth = depth - 1
-            return Assign(lhs, rhs, eq.line)
+            return Assign(lhs, rhs, eq[2])
         return lhs
 
     def _parse_binary(self, min_prec: int) -> Expr:
@@ -604,7 +606,7 @@ class _Parser:
         n = self.n
         while self.pos < n:
             op = tokens[self.pos]
-            prec = _BINARY_PRECEDENCE.get(op.lexeme)
+            prec = _BINARY_PRECEDENCE.get(op[1])
             if prec is None or prec < min_prec:
                 break
             self.pos += 1
@@ -612,23 +614,23 @@ class _Parser:
             # left-associative: the right operand binds strictly tighter
             rhs = self._parse_binary(prec + 1)
             self.depth = depth - 1
-            lhs = Binary(op.lexeme, lhs, rhs, op.line)
+            lhs = Binary(op[1], lhs, rhs, op[2])
         return lhs
 
     def _parse_unary(self) -> Expr:
         pos = self.pos
         if pos < self.n:
             tok = self.tokens[pos]
-            lexeme = tok.lexeme
+            lexeme = tok[1]
             if lexeme == "++" or lexeme == "--":
                 self.pos = pos + 1
                 depth = self._nest()
                 operand = self._parse_unary()
                 self.depth = depth - 1
-                return UnaryIncDec(lexeme, operand, True, tok.line)
-            if lexeme == "-" and pos + 1 < self.n and self.tokens[pos + 1].kind == NUMBER:
+                return UnaryIncDec(lexeme, operand, True, tok[2])
+            if lexeme == "-" and pos + 1 < self.n and self.tokens[pos + 1][0] == NUMBER:
                 self.pos = pos + 2
-                return NumLit("-" + self.tokens[pos + 1].lexeme, tok.line)
+                return NumLit("-" + self.tokens[pos + 1][1], tok[2])
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
@@ -639,23 +641,23 @@ class _Parser:
             pos = self.pos
             if pos >= n:
                 return expr
-            lexeme = tokens[pos].lexeme
+            lexeme = tokens[pos][1]
             if lexeme == ".":
-                if pos + 1 >= n or tokens[pos + 1].kind != IDENTIFIER:
+                if pos + 1 >= n or tokens[pos + 1][0] != IDENTIFIER:
                     return expr
                 name_tok = tokens[pos + 1]
                 self.pos = pos + 2
-                if pos + 2 < n and tokens[pos + 2].lexeme == "(":
+                if pos + 2 < n and tokens[pos + 2][1] == "(":
                     args = self._parse_args()
-                    expr = MethodCall(expr, name_tok.lexeme, args, name_tok.line)
+                    expr = MethodCall(expr, name_tok[1], args, name_tok[2])
                 else:
-                    expr = FieldAccess(expr, name_tok.lexeme, name_tok.line)
+                    expr = FieldAccess(expr, name_tok[1], name_tok[2])
             elif lexeme == "(" and isinstance(expr, Name):
                 args = self._parse_args()
                 expr = MethodCall(None, expr.ident, args, expr.line)
             elif lexeme == "++" or lexeme == "--":
                 self.pos = pos + 1
-                expr = UnaryIncDec(lexeme, expr, False, tokens[pos].line)
+                expr = UnaryIncDec(lexeme, expr, False, tokens[pos][2])
             else:
                 return expr
 
@@ -680,48 +682,46 @@ class _Parser:
         pos = self.pos
         if pos >= self.n:
             raise _ParseFailure("expected an expression but reached end of file")
-        tok = self.tokens[pos]
-        kind = tok.kind
+        kind, lexeme, line, _ = self.tokens[pos]
         if kind == IDENTIFIER:
             self.pos = pos + 1
-            return Name(tok.lexeme, tok.line)
+            return Name(lexeme, line)
         if kind == STRING:
             self.pos = pos + 1
-            return StringLit(tok.lexeme, tok.line)
+            return StringLit(lexeme, line)
         if kind == CHAR:
             self.pos = pos + 1
-            return CharLit(tok.lexeme, tok.line)
+            return CharLit(lexeme, line)
         if kind == NUMBER:
             self.pos = pos + 1
-            return NumLit(tok.lexeme, tok.line)
-        lexeme = tok.lexeme
+            return NumLit(lexeme, line)
         if lexeme == "true" or lexeme == "false":
             self.pos = pos + 1
-            return BoolLit(lexeme == "true", tok.line)
+            return BoolLit(lexeme == "true", line)
         if lexeme == "null" or lexeme == "this" or lexeme == "super":
             # modeled as plain names; no detector gives them special meaning
             self.pos = pos + 1
-            return Name(lexeme, tok.line)
+            return Name(lexeme, line)
         if lexeme == "new":
             self.pos = pos + 1
             if not self.at_ident():
-                found = self.tokens[pos + 1].lexeme if pos + 1 < self.n else "end of file"
+                found = self.tokens[pos + 1][1] if pos + 1 < self.n else "end of file"
                 raise _ParseFailure(f"expected a class name after 'new', found '{found}'")
             type_name = self._type_name()
             if type_name.endswith("[]") or self.at("["):
                 raise _ParseFailure("array creation is not supported")
-            return New(type_name, self._parse_args(), tok.line)
+            return New(type_name, self._parse_args(), line)
         if lexeme == "(":
             self.pos = pos + 1
             depth = self._nest()
             inner = self.parse_expr()
             self.expect(")")
             self.depth = depth - 1
-            return Paren(inner, tok.line)
+            return Paren(inner, line)
         raise _ParseFailure(f"unexpected '{lexeme}' in expression")
 
 
-def parse_unit(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:
+def parse_unit(tokens: list[tuple], file_path: str = "<memory>") -> CompilationUnit:
     """Parse a token list into a CompilationUnit. Never raises."""
     return _Parser(tokens, file_path).parse_unit()
 

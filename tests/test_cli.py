@@ -392,6 +392,53 @@ def test_collect_java_files_recursive_sorted_hidden_skipped(tmp_path):
     ]
 
 
+def reference_collect_java_files(root):
+    # the pathlib walk the CLI used before its os.walk walker, kept as the reference
+    files = []
+    for path in root.rglob("*.java"):
+        if not path.is_file():
+            continue
+        rel = path.relative_to(root)
+        if any(part.startswith(".") for part in rel.parts[:-1]):
+            continue
+        files.append(path)
+    return sorted(files, key=lambda p: p.relative_to(root).as_posix())
+
+
+def _walker_tree(corpus):
+    # every file fails to parse, so each one kept is exactly one store diagnostic
+    for rel in ("Top.java", "a/b/X.java", "a-b/X.java", "a/A.java", "s/t/u/Deep.java",
+                ".hidden/H.java", ".hidden/in/I.java", "a/.h/J.java",
+                ".h.java", ".java", "a/.k.java", "Y.JAVA", "d.java/In.java"):
+        (corpus / rel).parent.mkdir(parents=True, exist_ok=True)
+        (corpus / rel).write_text("# ;\n", encoding="utf-8")
+    os.symlink(corpus / "a", corpus / "linkdir")
+    os.symlink(corpus / "a", corpus / "linkdir.java")
+    os.symlink(corpus / "a" / "A.java", corpus / "Linked.java")
+    os.symlink(corpus / "missing.java", corpus / "Broken.java")
+    return [
+        ".h.java", ".java", "Linked.java", "Top.java", "a-b/X.java", "a/.k.java",
+        "a/A.java", "a/b/X.java", "d.java/In.java", "s/t/u/Deep.java",
+    ]
+
+
+@pytest.mark.parametrize("root_arg", ["c", "c/", "./c", "absolute"])
+def test_walk_matches_the_rglob_reference(tmp_path, monkeypatch, capsys, root_arg):
+    expected = _walker_tree(make_clean_corpus(tmp_path / "c", count=0))
+    monkeypatch.chdir(tmp_path)
+    root = str(tmp_path / "c") if root_arg == "absolute" else root_arg
+    reference = reference_collect_java_files(Path(root))
+    assert [p.relative_to(Path(root)).as_posix() for p in reference] == expected
+    assert collect_java_files(Path(root)) == reference
+    # the CLI opens each file by this string, which a read error message quotes
+    assert [path for _, path in faultlint.cli._java_files(Path(root))] == \
+        [str(p) for p in reference]
+    store_path = tmp_path / "store.json"
+    assert main([root, "--store", str(store_path)]) == 0
+    capsys.readouterr()
+    assert [d.file_path for d in load_store(store_path).diagnostics] == expected
+
+
 def test_unreadable_java_file_is_diagnostic_not_abort(tmp_path, capsys):
     corpus = make_clean_corpus(tmp_path / "c", count=1)
     (corpus / "bad.java").write_bytes(b"\xff\xfe\x00bogus")

@@ -134,16 +134,22 @@ def reference_resolve_callee(name, arity, model, hierarchy, receiver_type=None):
 
 
 def reference_cycle_diagnostics(classes, hierarchy):
+    # one diagnostic per distinct cycle, in the order the sorted walk first
+    # reaches it, printed from its least-named member; the classes leading
+    # into a cycle are not printed
     diagnostics = []
     seen_cycles = set()
     for name in sorted(classes):
         try:
             reference_superclass_chain(name, hierarchy)
         except CycleError as err:
-            key = frozenset(err.cycle)
+            cycle = err.cycle[err.cycle.index(err.cycle[-1]):-1]
+            key = frozenset(cycle)
             if key not in seen_cycles:
                 seen_cycles.add(key)
-                diagnostics.append(str(err))
+                least = cycle.index(min(cycle))
+                cycle = cycle[least:] + cycle[:least]
+                diagnostics.append(str(CycleError(cycle + cycle[:1])))
     return diagnostics
 
 
@@ -295,3 +301,32 @@ def test_long_chain_and_cycle_match_the_reference(depth):
             _outcome(reference_superclass_chain, deepest, reference)
         assert is_descendant(deepest, names[0], model.hierarchy) == \
             reference_is_descendant(deepest, names[0], reference)
+
+
+def test_cycle_under_a_long_chain_is_one_diagnostic_and_walked_once(monkeypatch):
+    # 2,000 classes lead into the cycle Q -> P -> Q: one diagnostic, printed
+    # from P, and every first-superclass walk (the model's cycle check and
+    # rule 3's) stops at a class already settled, so the steps stay linear
+    import faultlint.detectors
+    import faultlint.model
+    from faultlint.detectors import run_all
+
+    steps = []
+    walk = faultlint.model._first_superclasses
+
+    def counting_walk(*args):
+        chain = walk(*args)
+        steps.append(len(chain) - 1)  # edges followed
+        return chain
+
+    monkeypatch.setattr(faultlint.model, "_first_superclasses", counting_walk)
+    monkeypatch.setattr(faultlint.detectors, "_first_superclasses", counting_walk)
+    count = 2000
+    names = [f"K{i}" for i in range(count)] + ["Q"]
+    source = "\n".join(f"class {name} extends {names[i + 1]} {{ }}"
+                       for i, name in enumerate(names[:-1]))
+    source += "\nclass Q extends P { }\nclass P extends Q { }"
+    model = build_model([parse_source(source, "chain.java")])
+    assert model.diagnostics == ("inheritance cycle: P -> Q -> P",)
+    assert run_all(model, {3}) == []
+    assert sum(steps) <= 2 * (count + 3)  # each edge once per walker

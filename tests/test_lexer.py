@@ -12,7 +12,6 @@ from faultlint.lexer import (
     PUNCTUATOR,
     STRING,
     LexError,
-    Token,
     tokenize,
 )
 from faultlint.parser import parse_source
@@ -21,7 +20,7 @@ from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
 
 
 def kinds_and_lexemes(text):
-    return [(t.kind, t.lexeme) for t in tokenize(text)]
+    return [(t[0], t[1]) for t in tokenize(text)]
 
 
 def test_minimal_class():
@@ -78,25 +77,25 @@ def test_comments_and_whitespace_not_emitted():
 
 def test_string_escapes_kept_verbatim():
     toks = tokenize(r'String s = "a\"b\\";')
-    assert toks[3].lexeme == r'"a\"b\\"'
+    assert toks[3][1] == r'"a\"b\\"'
 
 
 def test_two_char_operators_max_munch():
-    ops = [t.lexeme for t in tokenize("a==b!=c<=d>=e&&f||g++ --h")
-           if t.kind == OPERATOR]
+    ops = [t[1] for t in tokenize("a==b!=c<=d>=e&&f||g++ --h")
+           if t[0] == OPERATOR]
     assert ops == ["==", "!=", "<=", ">=", "&&", "||", "++", "--"]
 
 
 def test_numeric_literals():
     toks = tokenize("0 42 3.14 1e9 2.5e-3 10L 1.5f 0xFF")
-    assert [t.lexeme for t in toks] == [
+    assert [t[1] for t in toks] == [
         "0", "42", "3.14", "1e9", "2.5e-3", "10L", "1.5f", "0xFF"
     ]
 
 
 def test_line_and_column_point_at_lexeme_start():
     toks = tokenize("class A\n{\n  int x;\n}")
-    by_lexeme = {t.lexeme: (t.line, t.column) for t in toks}
+    by_lexeme = {t[1]: (t[2], t[3]) for t in toks}
     assert by_lexeme["class"] == (1, 1)
     assert by_lexeme["A"] == (1, 7)
     assert by_lexeme["{"] == (2, 1)
@@ -110,12 +109,12 @@ def assert_tokens_cover_positions(text):
     # and tokens appear in strictly increasing source order
     lines = text.split("\n")
     previous = (0, 0)
-    for tok in tokenize(text):
-        line_text = lines[tok.line - 1]
-        start = tok.column - 1
-        assert line_text[start:start + len(tok.lexeme)] == tok.lexeme
-        assert (tok.line, tok.column) > previous
-        previous = (tok.line, tok.column)
+    for _, lexeme, line, column in tokenize(text):
+        line_text = lines[line - 1]
+        start = column - 1
+        assert line_text[start:start + len(lexeme)] == lexeme
+        assert (line, column) > previous
+        previous = (line, column)
 
 
 @pytest.mark.parametrize(
@@ -165,14 +164,14 @@ def test_non_ascii_characters(text, expected):
 
 def test_columns_count_every_blank_character():
     toks = tokenize("a\t\f\v\r b\r\n\t\tc \f\vd")
-    assert [(t.lexeme, t.line, t.column) for t in toks] == [
+    assert [t[1:] for t in toks] == [
         ("a", 1, 1), ("b", 1, 7), ("c", 2, 3), ("d", 2, 7),
     ]
 
 
 def test_columns_after_multiline_block_comment():
     toks = tokenize("a /* one\n two\n*/ b\n  c")
-    assert [(t.lexeme, t.line, t.column) for t in toks] == [
+    assert [t[1:] for t in toks] == [
         ("a", 1, 1), ("b", 3, 4), ("c", 4, 3),
     ]
 
@@ -185,11 +184,10 @@ def test_unterminated_block_comment_after_tokens():
 
 
 def test_tokenize_returns_tokens():
+    # a token is a plain (kind, lexeme, line, column) tuple, no record type
     tok = tokenize("  class")[0]
-    assert isinstance(tok, Token)
-    assert (tok.kind, tok.lexeme, tok.line, tok.column) == (KEYWORD, "class", 1, 3)
-    assert repr(tok) == "Token(keyword, 'class', 1:3)"
-    assert tok == Token(KEYWORD, "class", 1, 3)
+    assert type(tok) is tuple
+    assert tok == (KEYWORD, "class", 1, 3)
 
 
 def test_identifiers_from_two_sources_are_one_object():
