@@ -29,7 +29,10 @@ receiver, or an x of unknown type, falls back to every method of the same
 name and arity. The body walk records each method's call sites, its name
 uses and its first mutation of each parameter; the call sites are
 resolved once every method is walked, so a callee's summary is complete
-wherever it stands.
+wherever it stands. A call site is resolved only when some corpus method
+of its name and arity mutates a parameter, since every callee either
+resolution returns has that name and arity; a later use is found by
+bisection in an index of the method's name uses, built once per method.
 
 Rule 5 is path-insensitive: a close() on the name anywhere in the opening
 method's body (branches, catch and finally blocks included) counts.
@@ -44,6 +47,8 @@ list is deterministic. Every check reads an immutable ProgramModel.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from faultlint.model import (
     ProgramModel,
@@ -120,34 +125,63 @@ def _finding(code: int, class_name: str, file_path: str, line: int,
     )
 
 
+def _uses_by_ident(name_uses: list) -> dict[str, tuple[list[int], list]]:
+    """Rule 4: ident -> (running maximum of the lines, uses) of one method's
+    name uses, each in walk order."""
+    index: dict[str, tuple[list[int], list]] = {}
+    for use in name_uses:
+        entry = index.get(use[0])
+        if entry is None:
+            index[use[0]] = ([use[1]], [use])
+        else:
+            maxima, uses = entry
+            maxima.append(max(maxima[-1], use[1]))
+            uses.append(use)
+    return index
+
+
 def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                   call_sites: list, name_uses: list, mutations: dict,
-                  findings: list[Finding]) -> None:
+                  mutating_keys: set, findings: list[Finding]) -> None:
     """Rule 4 over one method's call sites, after run_all has walked every
     method: mutations maps id(method) to that method's first mutation of
-    each parameter, by parameter name."""
+    each parameter, by parameter name; mutating_keys holds the (name,
+    arity) of every method with one. A call site no such method could
+    answer is not resolved: every callee resolve_callee returns has the
+    call's name and arity."""
+    uses_by_ident = None  # built on the first candidate that needs a later use
     for call, idents, types, receiver_type in call_sites:
+        if (call.name, len(call.args)) not in mutating_keys:
+            continue
         resolution = "name-arity" if receiver_type is None else "hierarchy"
         emitted = False
         for callee_class, callee in resolve_callee(
                 call.name, len(call.args), model, receiver_type):
+            mutated = mutations.get(id(callee))
+            if mutated is None:
+                continue
             for position, (ident, arg_type) in enumerate(zip(idents, types)):
                 if ident is None or arg_type is None:
                     continue
                 param = callee.params[position]
+                mutation = mutated.get(param.name)
+                if mutation is None:
+                    continue
                 base_type = param.type_name
                 if not is_descendant(arg_type, base_type, model.hierarchy):
                     continue
-                mutation = mutations.get(id(callee), {}).get(param.name)
-                if mutation is None:
+                if uses_by_ident is None:
+                    uses_by_ident = _uses_by_ident(name_uses)
+                entry = uses_by_ident.get(ident)
+                if entry is None:
                     continue
-                later_use = next(
-                    (use for use in name_uses
-                     if use[0] == ident and use[1] > call.line),
-                    None,
-                )
-                if later_use is None:
+                # the first use in walk order on a line after the call: the
+                # first whose running maximum passes the call's line
+                maxima, uses = entry
+                index = bisect_right(maxima, call.line)
+                if index == len(uses):
                     continue
+                later_use = uses[index]
                 mut_desc, mut_line = mutation
                 findings.append(_finding(
                     4, class_name, file_path, call.line,
@@ -192,6 +226,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
     # hashing a MethodDecl would hash its body, and the model keeps each alive
     mutations: dict[int, dict[str, tuple[str, int]]] = {}
+    mutating_keys: set[tuple[str, int]] = set()  # rule 4: (name, arity) of those methods
     # rule 3: classes known to lead into an inheritance cycle; a walk stops
     # at the first one, so each lead-in class is walked once
     leads_to_cycle: set[str] = set()
@@ -297,6 +332,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 itu_sites.append((class_name, file_path, call_sites, name_uses))
             if mutated:
                 mutations[id(method)] = mutated
+                mutating_keys.add((method.name, len(method.params)))
             for var, (type_name, line) in opened.items():
                 if var not in closed:
                     findings.append(_finding(
@@ -306,6 +342,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         {"variable": var, "resource_type": type_name},
                     ))
     for class_name, file_path, call_sites, name_uses in itu_sites:
-        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations, findings)
+        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations,
+                      mutating_keys, findings)
     findings.sort(key=Finding.sort_key)
     return findings

@@ -7,7 +7,8 @@ method body themselves), kept as the reference: run_all must return the
 same findings (order and detail included) for every rule subset, on both
 fixture folders and on generated programs whose classes call each other
 so that rule 4 fires, and whose hierarchies hold multi-superclass
-headers, deep chains across files, a cycle and a duplicate class.
+headers, deep chains across files, a cycle and a duplicate class, and on
+hierarchy-shaped programs of eight-class chains sharing method names.
 """
 
 from __future__ import annotations
@@ -364,6 +365,59 @@ def _generated_models():
     return models
 
 
+_HIERARCHY_CLASS = """\
+class {name}{extends}
+{{
+    int level;
+    public void accept({name} peer)
+    {{
+        {accept}
+    }}
+    public int getLevel()
+    {{
+        return level;
+    }}
+    public void visit({name} peer)
+    {{
+        {name} other = new {name}();
+        {call}
+        level = other.getLevel() + {bump};
+    }}
+}}
+"""
+
+
+def _hierarchy_models(mutating):
+    """Hierarchy-shaped programs: four models of six files, each file one
+    chain of eight classes, every class declaring accept(T), getLevel() and
+    visit(T) for its own type T, and visit passing a new T to accept and
+    using it again. Unless mutating, no method mutates a parameter; if
+    mutating, a random third of the accept methods mutate peer."""
+    rng = random.Random(f"hierarchy:{mutating}")
+    models = []
+    for first in range(0, 24, 6):
+        units = []
+        for chain in range(first, first + 6):
+            parts = []
+            for depth in range(8):
+                accept = "level = peer.getLevel();"
+                if mutating and rng.random() < 1 / 3:
+                    accept = rng.choice(["peer.level = level;", "peer.reset();"])
+                parts.append(_HIERARCHY_CLASS.format(
+                    name=f"H{chain}_{depth}",
+                    extends=f" extends H{chain}_{depth - 1}" if depth else "",
+                    accept=accept,
+                    call=rng.choice(["accept(other);", "this.accept(other);",
+                                     "peer.accept(other);", "mystery.accept(other);"]),
+                    bump=rng.randrange(10),
+                ))
+            unit = parse_source("".join(parts), f"chain{chain}.java")
+            assert unit.diagnostics == ()
+            units.append(unit)
+        models.append(build_model(units, default_seed()))
+    return models
+
+
 def _assert_single_pass_matches(model):
     per_rule = {code: detector(model) for code, detector in REFERENCE_DETECTORS.items()}
     for rules in SUBSETS:
@@ -390,6 +444,17 @@ def test_single_pass_matches_reference_on_generated_programs():
     # every rule fires, rule 4 by both resolution paths
     assert all(counts[code] > 20 for code in range(1, 7)), counts
     assert resolutions == {"hierarchy", "name-arity"}
+
+
+@pytest.mark.parametrize("mutating", [False, True], ids=["no-mutation", "accept-mutates"])
+def test_single_pass_matches_reference_on_hierarchy_programs(mutating):
+    resolutions = set()
+    for model in _hierarchy_models(mutating):
+        per_rule = _assert_single_pass_matches(model)
+        assert per_rule[3]  # depths 6 and 7
+        assert bool(per_rule[4]) == mutating
+        resolutions.update(f.detail["resolution"] for f in per_rule[4])
+    assert resolutions == ({"hierarchy", "name-arity"} if mutating else set())
 
 
 def test_callee_summaries_do_not_outlive_a_run():
@@ -467,3 +532,143 @@ def test_run_all_walks_each_method_body_once_on_generated_programs(monkeypatch):
     for model in _generated_models():
         walked, bodies = _count_body_walks(monkeypatch, model)
         assert walked == bodies
+
+
+# --- rule 4 resolves only what a mutating method could answer ----------------
+
+def _reference_call_sites(model):
+    """(name, arity) of every call with a typed Name argument, and of those
+    whose (name, arity) some corpus method mutating a parameter has."""
+    mutating = {(method.name, len(method.params)) for *_, method in _methods(model)
+                if any(_reference_param_mutation(method, p.name, model)
+                       for p in method.params)}
+    sites = []
+    for _, _, decl, method in _methods(model):
+        for expr, scope in iter_scoped_exprs(decl, method):
+            if isinstance(expr, MethodCall) and any(
+                    isinstance(a, Name) and static_type_of(a, scope) for a in expr.args):
+                sites.append((expr.name, len(expr.args)))
+    return sites, [site for site in sites if site in mutating]
+
+
+def _count_resolutions(monkeypatch, model):
+    resolved = []
+
+    def counting_resolve_callee(name, arity, *args):
+        resolved.append((name, arity))
+        return resolve_callee(name, arity, *args)
+
+    monkeypatch.setattr(detectors, "resolve_callee", counting_resolve_callee)
+    findings = run_all(model, {4})
+    monkeypatch.undo()
+    return resolved, findings
+
+
+def test_rule4_resolves_nothing_when_no_method_mutates(monkeypatch):
+    for model in _hierarchy_models(mutating=False):
+        resolved, findings = _count_resolutions(monkeypatch, model)
+        sites, answerable = _reference_call_sites(model)
+        assert len(sites) == 48 and answerable == []
+        assert resolved == [] and findings == []
+
+
+_OVERLOADS = """\
+class Base
+{
+    int f;
+}
+class Derived extends Base
+{
+}
+class Sink
+{
+    void put(Base b, int n)
+    {
+        b.f = n;
+    }
+    void take(Base b)
+    {
+        b.push(1);
+    }
+}
+class Node
+{
+    void put(Base b)
+    {
+        b.size();
+    }
+    void take(Base b)
+    {
+        count = b.getTop();
+    }
+    void run(Derived d, Node n, Sink sink)
+    {
+        put(d);
+        this.put(d);
+        n.put(d);
+        put(d, 2);
+        take(d);
+        n.take(d);
+        sink.take(d);
+        mystery.take(d);
+        d.size();
+    }
+}
+"""
+
+
+def test_rule4_resolves_only_call_sites_a_mutating_method_could_answer(monkeypatch):
+    # put/2 mutates but put/1 does not; take/1 mutates only in Sink, which
+    # Node does not extend: only take(...) and put(d, 2) are resolved
+    model = model_for_source(_OVERLOADS, "O.java")
+    resolved, findings = _count_resolutions(monkeypatch, model)
+    sites, answerable = _reference_call_sites(model)
+    assert (len(sites), len(answerable)) == (8, 5)
+    assert sorted(resolved) == sorted(answerable)
+    assert findings == reference_itu(model)
+    assert [(f.line, f.detail["callee"], f.detail["resolution"]) for f in findings] == [
+        (37, "Sink.take", "hierarchy"), (38, "Sink.take", "name-arity")]
+    for model in _hierarchy_models(mutating=True):
+        resolved, findings = _count_resolutions(monkeypatch, model)
+        sites, answerable = _reference_call_sites(model)
+        assert sorted(resolved) == sorted(answerable)
+        assert findings == reference_itu(model)
+
+
+def test_later_use_lookup_reads_each_name_use_once(monkeypatch):
+    # 1,000 calls drain(s), each followed by s.pop(): the first use of s
+    # after each call is found without reading the method's uses from the
+    # start for every call, so the reads stay linear in the uses
+    count = 1000
+    source = (
+        "class T\n{\n    void drain(Vector v)\n    {\n        v.removeElementAt(0);\n    }\n"
+        "    void f(Stack s)\n    {\n"
+        + "        drain(s);\n        s.pop();\n" * count
+        + "    }\n}\n"
+    )
+    model = model_for_source(source, "T.java")
+    uses = []
+    reads = []
+
+    class CountingUses(list):
+        def __iter__(self):
+            for use in list.__iter__(self):
+                reads.append(use)
+                yield use
+
+        def __getitem__(self, index):
+            reads.append(index)
+            return list.__getitem__(self, index)
+
+    itu_findings = detectors._itu_findings
+
+    def counting_itu_findings(model, class_name, file_path, call_sites, name_uses, *rest):
+        uses.append(len(name_uses))
+        itu_findings(model, class_name, file_path, call_sites, CountingUses(name_uses), *rest)
+
+    monkeypatch.setattr(detectors, "_itu_findings", counting_itu_findings)
+    findings = run_all(model, {4})
+    monkeypatch.undo()
+    assert len(findings) == count
+    assert findings == reference_itu(model)
+    assert uses == [count] and len(reads) <= count
