@@ -140,19 +140,29 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
-def _java_files(root: Path) -> list[tuple[str, str]]:
+def _java_files(root: Path, unreadable: list[tuple[str, OSError]] | None = None
+                ) -> list[tuple[str, str]]:
     """(relative posix path, filesystem path) of every *.java file under
     root, sorted by the relative path.
 
     Directories whose names start with '.' are not entered, nor are
     symlinked directories. An entry counts when its name ends in `.java`
     (case-sensitive; hidden names too) and it is a file or a link to one.
-    The filesystem path is `root / relative path` as a string.
+    The filesystem path is `root / relative path` as a string. ScanError
+    when root cannot be listed; a subdirectory that cannot be listed is
+    left out, and its (relative posix path, error) appended to unreadable.
     """
     top = os.fspath(root)
     base = "" if top == "." else top.rstrip("/") + "/"
+
+    def onerror(err: OSError) -> None:
+        if err.filename == top:
+            raise ScanError(f"cannot read corpus root: {err}") from err
+        if unreadable is not None:
+            unreadable.append((err.filename[len(top):].lstrip("/"), err))
+
     found = []
-    for dirpath, dirnames, filenames in os.walk(top):
+    for dirpath, dirnames, filenames in os.walk(top, onerror=onerror):
         dirnames[:] = [name for name in dirnames if not name.startswith(".")]
         rel_dir = dirpath[len(top):].lstrip("/")
         prefix = rel_dir + "/" if rel_dir else ""
@@ -198,7 +208,11 @@ def _analyse(root: Path, seed: ExternalHierarchySeed, enabled_rules: frozenset[i
     number of classes scanned and whether any file had a parse diagnostic:
     nothing that holds a tree, so the trees and the model are freed on
     return, before the report and the store are built."""
-    units = _parse_corpus(_java_files(root))
+    unreadable: list[tuple[str, OSError]] = []
+    units = _parse_corpus(_java_files(root, unreadable))
+    for rel, err in sorted(unreadable, key=lambda entry: entry[0]):
+        diag = ParseDiagnostic(rel, 1, f"could not read directory: {err}", (1, 1))
+        units.append(CompilationUnit(rel, (), (diag,)))
     model = build_model(units, seed)
     findings = run_all(model, enabled_rules)
     diagnostics = [

@@ -11,9 +11,10 @@ Error codes and names (fixed catalog):
     6  Undefined loop exception      loop with an empty body
 
 run_all is the one entry point: it walks the classes once. Rules 2 and 3
-read each class header: rule 3 follows the first-superclass chain and
-skips a class on or leading into a cycle, which is already a model
-diagnostic; its walk stops at a class already known to lead into one.
+read each class header. Rule 3 counts the edges of a class's
+first-superclass chain, seeded edges included; an unknown external
+superclass counts one edge. It skips a class in hierarchy.cyclic, on or
+leading into a cycle, which is already a model diagnostic.
 Rules 1, 4, 5 and 6 read method bodies: each body is walked once with
 model.walk_body, and every enabled rule checks each entry and its
 subexpressions as they come, dispatching on node type.
@@ -52,7 +53,6 @@ from bisect import bisect_right
 
 from faultlint.model import (
     ProgramModel,
-    _ends_in_cycle,
     _first_superclasses,
     is_descendant,
     method_scope,
@@ -227,10 +227,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     # hashing a MethodDecl would hash its body, and the model keeps each alive
     mutations: dict[int, dict[str, tuple[str, int]]] = {}
     mutating_keys: set[tuple[str, int]] = set()  # rule 4: (name, arity) of those methods
-    # rule 3: classes known to lead into an inheritance cycle; a walk stops
-    # at the first one, so each lead-in class is walked once
-    leads_to_cycle: set[str] = set()
-    super_edges = model.hierarchy.super_edges
+    parent = model.hierarchy.parent
+    cyclic = model.hierarchy.cyclic
     for class_name, decl in model.classes.items():
         file_path = model.class_files[class_name]
         if inheritance and len(decl.extends_list) > 1:
@@ -239,11 +237,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 f"class {class_name} extends multiple classes: {', '.join(decl.extends_list)}",
                 {"superclasses": list(decl.extends_list)},
             ))
-        if spaghetti:
-            chain = _first_superclasses(class_name, super_edges, leads_to_cycle)
-            if chain[-1] in leads_to_cycle or _ends_in_cycle(chain):
-                leads_to_cycle.update(chain)
-                chain = []  # already a model diagnostic, not a finding
+        if spaghetti and class_name not in cyclic:  # a cycle is a model diagnostic
+            chain = _first_superclasses(class_name, parent)
             depth = len(chain) - 1
             if depth >= SPAGHETTI_DEPTH:
                 findings.append(_finding(

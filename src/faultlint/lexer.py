@@ -70,7 +70,7 @@ _HEX_DIGITS = "0123456789abcdefABCDEF"
 _NUM_SUFFIXES = "lLfFdD"
 # Punctuators that never start a longer lexeme.
 _SIMPLE_PUNCTUATORS = frozenset("{}();,.[]")
-_BLANKS = " \t\r\f\v"
+_BLANKS = " \t\f\v"
 
 _skip_blanks = re.compile(f"[{_BLANKS}]*").match
 _ident_tail = re.compile(r"[\w$]*").match
@@ -93,6 +93,8 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
     and column) on an unterminated string/char literal or block comment.
     """
     text = source_text
+    if "\r" in text:  # CR LF and a lone CR end a line, as LF does (JLS 3.4)
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     tokens: list[tuple[str, str, int, int]] = []
     append = tokens.append
     n = len(text)

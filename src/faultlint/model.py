@@ -2,12 +2,12 @@
 
 The hierarchy merges extends-edges found in the scanned corpus with a
 seeded set of external edges (library classes such as Stack -> Vector
-live outside any scanned file). Classes that list several superclasses
-keep the full list for the inheritance detector, but depth, descendant and
-callee queries follow only the first superclass: the construct is illegal
-in the analyzed language and has no deeper semantics here. That policy
-lives in one place, _first_superclasses; every query that walks upwards
-reads its list.
+live outside any scanned file). It keeps one superclass per class, the
+first one named: depth, descendant and callee queries follow only that
+edge. Listing several superclasses is illegal in the analyzed language
+and has no deeper semantics here; the inheritance detector (rule 2) reads
+the full list from ClassDecl.extends_list. Every query that walks upwards
+reads _first_superclasses.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ DEFAULT_PURE_ACCESSORS = (
 )
 
 
-class CycleError(Exception):
-    """Raised when a superclass chain revisits a class."""
-
-    def __init__(self, cycle: list[str]):
-        super().__init__("inheritance cycle: " + " -> ".join(cycle))
-        self.cycle = cycle
-
-
 class SeedError(ValueError):
     """Malformed external hierarchy seed file."""
 
@@ -117,32 +109,33 @@ def load_seed(path) -> ExternalHierarchySeed:
             raise SeedError(f"seed file {path}: 'extends' must be a list of [sub, super] name pairs")
         extends = tuple((e[0], e[1]) for e in raw)
 
-    resources = DEFAULT_RESOURCE_TYPES
-    if "resource_types" in data:
-        raw = data["resource_types"]
-        if not isinstance(raw, list) or any(not isinstance(n, str) or not n for n in raw):
-            raise SeedError(f"seed file {path}: 'resource_types' must be a list of type names")
-        resources = frozenset(raw)
+    resources = _seed_names(data, "resource_types", DEFAULT_RESOURCE_TYPES, path, "type names")
+    accessors = _seed_names(data, "pure_accessors", DEFAULT_PURE_ACCESSORS, path,
+                            "name patterns")
+    return ExternalHierarchySeed(extends, frozenset(resources), tuple(accessors))
 
-    accessors = DEFAULT_PURE_ACCESSORS
-    if "pure_accessors" in data:
-        raw = data["pure_accessors"]
-        if not isinstance(raw, list) or any(not isinstance(n, str) or not n for n in raw):
-            raise SeedError(f"seed file {path}: 'pure_accessors' must be a list of name patterns")
-        accessors = tuple(raw)
 
-    return ExternalHierarchySeed(extends, resources, accessors)
+def _seed_names(data: dict, key: str, default, path, what: str):
+    """data[key], which must be a list of non-empty strings, or default
+    when the seed file has no such key."""
+    if key not in data:
+        return default
+    raw = data[key]
+    if not isinstance(raw, list) or any(not isinstance(n, str) or not n for n in raw):
+        raise SeedError(f"seed file {path}: '{key}' must be a list of {what}")
+    return raw
 
 
 class ClassHierarchy(Record):
-    __slots__ = ("nodes", "super_edges", "subclasses")
+    __slots__ = ("parent", "subclasses", "cyclic")
 
-    def __init__(self, nodes: frozenset[str], super_edges: dict[str, tuple[str, ...]],
-                 subclasses: dict[str, tuple[str, ...]]):
-        # corpus classes, seeded subclasses and their seeded superclasses
-        _set(self, "nodes", nodes)
-        _set(self, "super_edges", super_edges)
+    def __init__(self, parent: dict[str, str], subclasses: dict[str, tuple[str, ...]],
+                 cyclic: frozenset[str]):
+        _set(self, "parent", parent)  # class -> its first superclass
         _set(self, "subclasses", subclasses)  # first superclass -> sorted subclasses
+        # the classes on or leading into an inheritance cycle, as far as the
+        # first-superclass chains of the corpus classes reach
+        _set(self, "cyclic", cyclic)
 
 
 class ProgramModel(Record):
@@ -189,48 +182,40 @@ def build_model(
             classes[decl.name] = decl
             class_files[decl.name] = unit.file_path
 
-    super_edges: dict[str, tuple[str, ...]] = {}
-    for name, decl in classes.items():
-        if decl.extends_list:
-            super_edges[name] = tuple(decl.extends_list)
-
-    nodes = set(classes)
-    seed_edges: dict[str, list[str]] = {}
+    parent = {name: decl.extends_list[0] for name, decl in classes.items()
+              if decl.extends_list}
     for sub, sup in seed.extends_entries:
-        if sub not in classes:  # corpus declaration wins over seeded edges
-            seed_edges.setdefault(sub, []).append(sup)
-            nodes.update((sub, sup))
-    for sub, sups in seed_edges.items():
-        super_edges[sub] = tuple(sups)
-
+        if sub not in classes:  # the corpus declaration wins, then the first seed entry
+            parent.setdefault(sub, sup)
     subclasses: dict[str, list[str]] = {}
-    for sub, sups in super_edges.items():
-        subclasses.setdefault(sups[0], []).append(sub)
-    hierarchy = ClassHierarchy(
-        frozenset(nodes), super_edges,
-        {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
-    )
+    for sub, sup in parent.items():
+        subclasses.setdefault(sup, []).append(sub)
 
     # One diagnostic per cycle, when the sorted walk first reaches it, printed
     # from its least-named member; a class that only leads into a cycle adds
     # none. A walk stops at a class already known to reach a root or a
     # cycle, so the check is linear in the classes.
     settled: set[str] = set()
-    leads_to_cycle: set[str] = set()
+    cyclic: set[str] = set()
     for name in sorted(classes):
-        chain = _first_superclasses(name, super_edges, settled)
+        chain = _first_superclasses(name, parent, settled)
         if chain[-1] in settled:
-            cyclic = chain[-1] in leads_to_cycle
+            on_cycle = chain[-1] in cyclic
         else:
-            cyclic = _ends_in_cycle(chain)
-            if cyclic:
-                cycle = chain[chain.index(chain[-1]):-1]
+            start = chain.index(chain[-1])
+            on_cycle = start != len(chain) - 1
+            if on_cycle:
+                cycle = chain[start:-1]
                 least = cycle.index(min(cycle))
                 cycle = cycle[least:] + cycle[:least]
-                diagnostics.append(str(CycleError(cycle + cycle[:1])))
+                diagnostics.append("inheritance cycle: " + " -> ".join(cycle + cycle[:1]))
         settled.update(chain)
-        if cyclic:
-            leads_to_cycle.update(chain)
+        if on_cycle:
+            cyclic.update(chain)
+    hierarchy = ClassHierarchy(
+        parent, {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
+        frozenset(cyclic),
+    )
 
     method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]] = {}
     for name, decl in classes.items():
@@ -248,7 +233,7 @@ def build_model(
     )
 
 
-def _first_superclasses(class_name: str, super_edges: dict[str, tuple[str, ...]],
+def _first_superclasses(class_name: str, parent: dict[str, str],
                         stop_at: set[str] | frozenset[str] = frozenset()) -> list[str]:
     """class_name, then its first superclass, that one's, and so on.
 
@@ -263,42 +248,18 @@ def _first_superclasses(class_name: str, super_edges: dict[str, tuple[str, ...]]
     while True:
         if chain[-1] in stop_at:
             return chain
-        supers = super_edges.get(chain[-1])
-        if not supers:
+        first = parent.get(chain[-1])
+        if first is None:
             return chain
-        first = supers[0]
         chain.append(first)
         if first in visited:
             return chain
         visited.add(first)
 
 
-def _ends_in_cycle(chain: list[str]) -> bool:
-    return chain.index(chain[-1]) != len(chain) - 1
-
-
-def superclass_chain(class_name: str, hierarchy: ClassHierarchy) -> list[str]:
-    """Chain from class_name along first superclasses, including the start.
-
-    Raises KeyError for a class the hierarchy does not know and CycleError
-    when the chain revisits a class.
-    """
-    if class_name not in hierarchy.nodes:
-        raise KeyError(class_name)
-    chain = _first_superclasses(class_name, hierarchy.super_edges)
-    if _ends_in_cycle(chain):
-        raise CycleError(chain)
-    return chain
-
-
-def inheritance_depth(class_name: str, hierarchy: ClassHierarchy) -> int:
-    """Edge count of the first-superclass chain. Raises CycleError on cycles."""
-    return len(superclass_chain(class_name, hierarchy)) - 1
-
-
 def is_descendant(a: str, b: str, hierarchy: ClassHierarchy) -> bool:
     """True iff b is a strict ancestor of a along first-superclass edges."""
-    return a != b and b in _first_superclasses(a, hierarchy.super_edges)
+    return a != b and b in _first_superclasses(a, hierarchy.parent)
 
 
 class Scope:
@@ -368,7 +329,7 @@ def resolve_callee(name: str, arity: int, model: ProgramModel,
     hierarchy = model.hierarchy
     found: list[tuple[str, MethodDecl]] = []
     signatures: set[tuple[str, ...]] = set()
-    upward = _first_superclasses(receiver_type, hierarchy.super_edges)
+    upward = _first_superclasses(receiver_type, hierarchy.parent)
     for current in upward:
         for entry in _declared_methods(current, name, arity, model):
             signature = tuple(p.type_name for p in entry[1].params)

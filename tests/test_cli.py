@@ -448,6 +448,50 @@ def test_unreadable_java_file_is_diagnostic_not_abort(tmp_path, capsys):
     assert "could not read file" in out
 
 
+def _deny_listing(monkeypatch, denied):
+    # a read-protected directory, whatever the user's privileges: chmod does
+    # not stop a superuser from listing it
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if os.fspath(path) == denied:
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+
+
+def test_unreadable_corpus_root_is_exit_2(tmp_path, monkeypatch, capsys):
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    _deny_listing(monkeypatch, str(corpus))
+    assert main([str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"faultlint: error: cannot read corpus root: "
+                            f"[Errno 13] Permission denied: '{corpus}'\n")
+
+
+def test_unreadable_subdirectory_is_one_diagnostic_not_abort(tmp_path, monkeypatch, capsys):
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    for rel in ("sub/B.java", "sub/in/C.java", "z/D.java"):
+        (corpus / rel).parent.mkdir(parents=True, exist_ok=True)
+        name = Path(rel).stem
+        (corpus / rel).write_text(f"class {name} extends X, Y {{ }}\n", encoding="utf-8")
+    _deny_listing(monkeypatch, str(corpus / "sub"))
+    store_path = tmp_path / "store.json"
+    assert main([str(corpus), "--store", str(store_path)]) == 1
+    out = capsys.readouterr().out
+    store = load_store(store_path)
+    assert [r.class_name for r in store.records] == ["D"]
+    assert [(d.file_path, d.line, d.message) for d in store.diagnostics] == [
+        ("sub", 1, f"could not read directory: [Errno 13] Permission denied: "
+                   f"'{corpus / 'sub'}'"),
+    ]
+    assert "Classes scanned: 2 | faulty: 1" in out
+    assert main([str(corpus), "--strict-parse", "--rules", "1"]) == 1
+    capsys.readouterr()
+
+
 def test_strict_parse_turns_diagnostics_into_exit_1(tmp_path, capsys):
     corpus = make_clean_corpus(tmp_path / "c", count=1)
     (corpus / "odd.java").write_text(

@@ -1,14 +1,19 @@
 """The one first-superclass walk against the loops it replaced.
 
 model._first_superclasses is the only code that follows first-superclass
-edges. Before it, superclass_chain, is_descendant and the upward half of
-resolve_callee each had a loop of their own, with its own cycle guard,
-and the hierarchy kept an `origin` map from which its node set was read.
-The functions below are those loops and that construction as they were,
-kept as the reference: on generated hierarchies with self-extends, longer
-cycles, classes leading into a cycle, multi-extends, seeded edges (one of
-them on a class the corpus declares) and unknown external superclasses,
-the model must give the same answers and the same cycle diagnostics.
+edges, and the hierarchy keeps one superclass per class (`parent`) and
+the classes on or leading into a cycle (`cyclic`). Before, a chain
+function, is_descendant and the upward half of resolve_callee each had a
+loop of their own, with its own cycle guard; the hierarchy kept every
+superclass a class names, and an `origin` map from which its node set was
+read; and a chain that revisited a class raised an exception. The
+functions below are those loops and that construction as they were, with
+a test-local exception for a cycle, kept as the reference: on generated
+hierarchies with self-extends, longer cycles, classes leading into a
+cycle, multi-extends, seeded edges (one of them on a class the corpus
+declares) and unknown external superclasses, the model must give the
+same chains, cyclic classes, rule-3 findings, descendant answers, callees
+and cycle diagnostics.
 """
 
 from __future__ import annotations
@@ -18,18 +23,25 @@ from types import SimpleNamespace
 
 import pytest
 
+from faultlint.detectors import SPAGHETTI_DEPTH, run_all
 from faultlint.model import (
-    CycleError,
     ExternalHierarchySeed,
+    _first_superclasses,
     build_model,
-    inheritance_depth,
     is_descendant,
     resolve_callee,
-    superclass_chain,
 )
 from faultlint.parser import parse_source
 
 ORIGIN_SEED = "external-seed"
+
+
+class CycleError(Exception):
+    """Raised by the reference chain when it revisits a class."""
+
+    def __init__(self, cycle):
+        super().__init__("inheritance cycle: " + " -> ".join(cycle))
+        self.cycle = cycle
 
 
 def reference_hierarchy(classes, class_files, seed):
@@ -212,6 +224,29 @@ def _outcome(function, *args):
         return "CycleError", err.cycle, str(err)
 
 
+def _check_chains(model, names, reference):
+    """Each name's chain, the cyclic classes and the rule-3 findings
+    against reference_superclass_chain."""
+    hierarchy = model.hierarchy
+    cyclic = set()
+    spaghetti = {}
+    for name in names:
+        expected = _outcome(reference_superclass_chain, name, reference)
+        chain = _first_superclasses(name, hierarchy.parent)
+        if expected[0] == "KeyError":  # a name the hierarchy does not know
+            assert chain == [name], name
+            continue
+        assert chain == expected[1], name
+        if name not in model.classes:
+            continue
+        if expected[0] == "CycleError":
+            cyclic.update(chain)
+        elif len(chain) - 1 >= SPAGHETTI_DEPTH:
+            spaghetti[name] = {"depth": len(chain) - 1, "chain": chain}
+    assert hierarchy.cyclic == cyclic
+    assert {f.class_name: f.detail for f in run_all(model, {3})} == spaghetti
+
+
 def _generated_cases(count):
     rng = random.Random(8086)
     for _ in range(count):
@@ -225,20 +260,14 @@ def test_generated_hierarchies_match_the_reference_loops():
     for model, names, source in _generated_cases(300):
         reference = reference_hierarchy(model.classes, model.class_files, model.seed)
         hierarchy = model.hierarchy
-        assert hierarchy.nodes == reference.nodes, source
-        assert hierarchy.super_edges == reference.super_edges, source
+        assert hierarchy.parent == {
+            sub: sups[0] for sub, sups in reference.super_edges.items()}, source
         assert hierarchy.subclasses == reference.subclasses, source
         assert list(model.diagnostics) == reference_cycle_diagnostics(
             model.classes, reference), source
+        _check_chains(model, names, reference)
 
         for name in names:
-            expected = _outcome(reference_superclass_chain, name, reference)
-            assert _outcome(superclass_chain, name, hierarchy) == expected, (source, name)
-            depth = _outcome(inheritance_depth, name, hierarchy)
-            if expected[0] == "value":
-                assert depth == ("value", len(expected[1]) - 1)
-            else:
-                assert depth == expected
             for other in names:
                 assert is_descendant(name, other, hierarchy) == \
                     reference_is_descendant(name, other, reference), (source, name, other)
@@ -297,8 +326,7 @@ def test_long_chain_and_cycle_match_the_reference(depth):
         reference = reference_hierarchy(model.classes, model.class_files, model.seed)
         assert list(model.diagnostics) == reference_cycle_diagnostics(model.classes, reference)
         deepest = names[-1]
-        assert _outcome(superclass_chain, deepest, model.hierarchy) == \
-            _outcome(reference_superclass_chain, deepest, reference)
+        _check_chains(model, names, reference)
         assert is_descendant(deepest, names[0], model.hierarchy) == \
             reference_is_descendant(deepest, names[0], reference)
 
@@ -330,3 +358,28 @@ def test_cycle_under_a_long_chain_is_one_diagnostic_and_walked_once(monkeypatch)
     assert model.diagnostics == ("inheritance cycle: P -> Q -> P",)
     assert run_all(model, {3}) == []
     assert sum(steps) <= 2 * (count + 3)  # each edge once per walker
+
+
+def test_seed_listing_a_subclass_twice_keeps_its_first_superclass():
+    # L -> M2 would put A six edges deep; the first entry, L -> M1, wins
+    seed = ExternalHierarchySeed(extends_entries=(
+        ("L", "M1"), ("L", "M2"), ("M2", "N1"), ("N1", "N2"), ("N2", "N3"), ("N3", "N4")))
+    model = build_model([parse_source("class A extends L { }", "A.java")], seed)
+    assert model.hierarchy.parent["L"] == "M1"
+    assert model.hierarchy.subclasses["M1"] == ("L",)
+    assert "M2" not in model.hierarchy.subclasses
+    assert _first_superclasses("A", model.hierarchy.parent) == ["A", "L", "M1"]
+    assert run_all(model, {2, 3}) == []
+    assert model.diagnostics == ()
+
+
+def test_corpus_chain_into_a_cycle_of_the_seed_is_one_diagnostic():
+    # B5 -> ... -> A -> SX -> SY -> SX: eight edges, but a cycle, not a finding
+    names = ["A", "B1", "B2", "B3", "B4", "B5"]
+    source = "class A extends SX { }\n" + "\n".join(
+        f"class {name} extends {names[i]} {{ }}" for i, name in enumerate(names[1:]))
+    seed = ExternalHierarchySeed(extends_entries=(("SY", "SX"), ("SX", "SY")))
+    model = build_model([parse_source(source, "chain.java")], seed)
+    assert model.diagnostics == ("inheritance cycle: SX -> SY -> SX",)
+    assert model.hierarchy.cyclic == {*names, "SX", "SY"}
+    assert run_all(model, {3}) == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,8 @@ from faultlint.lexer import (
     LexError,
     tokenize,
 )
+from faultlint.detectors import run_all
+from faultlint.model import build_model
 from faultlint.parser import parse_source
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
@@ -106,8 +109,9 @@ def test_line_and_column_point_at_lexeme_start():
 
 def assert_tokens_cover_positions(text):
     # every token's (line, column) slice of the source equals its lexeme,
-    # and tokens appear in strictly increasing source order
-    lines = text.split("\n")
+    # and tokens appear in strictly increasing source order; CR LF, CR and
+    # LF each end a line
+    lines = re.split("\r\n?|\n", text)
     previous = (0, 0)
     for _, lexeme, line, column in tokenize(text):
         line_text = lines[line - 1]
@@ -163,10 +167,25 @@ def test_non_ascii_characters(text, expected):
 
 
 def test_columns_count_every_blank_character():
+    # the lone CR after the blanks ends line 1, as CR LF ends line 2
     toks = tokenize("a\t\f\v\r b\r\n\t\tc \f\vd")
     assert [t[1:] for t in toks] == [
-        ("a", 1, 1), ("b", 1, 7), ("c", 2, 3), ("d", 2, 7),
+        ("a", 1, 1), ("b", 2, 2), ("c", 3, 3), ("d", 3, 7),
     ]
+
+
+def test_cr_and_crlf_line_ends_read_as_lf():
+    lf = "class A {\n  // note\n  void f() {\n    while (true) ;\n  }\n}\n"
+    outcomes = []
+    for end in ("\n", "\r\n", "\r"):
+        text = lf.replace("\n", end)
+        unit = parse_source(text, "A.java")
+        assert unit.diagnostics == ()
+        findings = [(f.error_code, f.line) for f in run_all(build_model([unit]))]
+        outcomes.append((tokenize(text), findings))
+    assert outcomes[0][1] == [(6, 4)]
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
 
 
 def test_columns_after_multiline_block_comment():

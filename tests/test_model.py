@@ -6,18 +6,16 @@ import random
 import pytest
 
 from faultlint.model import (
-    CycleError,
     ExternalHierarchySeed,
     SeedError,
+    _first_superclasses,
     build_model,
     default_seed,
-    inheritance_depth,
     is_descendant,
     load_seed,
     method_scope,
     resolve_callee,
     static_type_of,
-    superclass_chain,
 )
 from faultlint.nodes import MethodCall, Name, New, Paren, StringLit
 from faultlint.parser import parse_source
@@ -38,13 +36,21 @@ def chain_model():
     return model_for_source(linear_chain_source(CHAIN_NAMES), "chain.java")
 
 
+def _chain(name, model):
+    return _first_superclasses(name, model.hierarchy.parent)
+
+
+def _depth(name, model):
+    return len(_chain(name, model)) - 1
+
+
 # --- build_model -------------------------------------------------------------
 
 
 def test_chain_edges_built_per_class(chain_model):
-    edges = chain_model.hierarchy.super_edges
+    edges = chain_model.hierarchy.parent
     for child, parent in zip(CHAIN_NAMES[1:], CHAIN_NAMES[:-1]):
-        assert edges[child] == (parent,)
+        assert edges[child] == parent
     assert "ML_A" not in edges
 
 
@@ -53,18 +59,18 @@ def test_empty_unit_list_gives_empty_model():
     assert model.classes == {}
     assert model.method_index == {}
     # only the seed remains
-    assert model.hierarchy.super_edges == {"Stack": ("Vector",)}
+    assert model.hierarchy.parent == {"Stack": "Vector"}
 
 
 def test_seeded_chain_continues_into_vector():
     # oracle: hand-built adjacency union of corpus + default seed
     model = model_for_source("class S extends Vector { }", "S.java")
-    oracle = {"S": ("Vector",), "Stack": ("Vector",)}
-    assert model.hierarchy.super_edges == oracle
-    assert superclass_chain("S", model.hierarchy) == ["S", "Vector"]
-    assert inheritance_depth("S", model.hierarchy) == 1
+    oracle = {"S": "Vector", "Stack": "Vector"}
+    assert model.hierarchy.parent == oracle
+    assert _chain("S", model) == ["S", "Vector"]
+    assert _depth("S", model) == 1
     # Vector is known only from the seed and extends nothing
-    assert superclass_chain("Vector", model.hierarchy) == ["Vector"]
+    assert _chain("Vector", model) == ["Vector"]
 
 
 def test_duplicate_class_keeps_first_by_sorted_path():
@@ -89,15 +95,15 @@ def test_build_model_deterministic_under_permutation():
     assert a.diagnostics == b.diagnostics
 
 
-# --- inheritance_depth -------------------------------------------------------
+# --- inheritance depth -------------------------------------------------------
 
 
 def test_depth_of_root_is_zero(chain_model):
-    assert inheritance_depth("ML_A", chain_model.hierarchy) == 0
+    assert _depth("ML_A", chain_model) == 0
 
 
 def test_depth_of_full_chain_is_six(chain_model):
-    assert inheritance_depth("ML_G", chain_model.hierarchy) == 6
+    assert _depth("ML_G", chain_model) == 6
 
 
 def test_depth_random_linear_chains():
@@ -119,38 +125,29 @@ def test_depth_random_linear_chains():
         model = model_for_source(linear_chain_source(names), "chain.java")
         deepest = names[-1]
         assert oracle_depth(deepest) == k
-        assert inheritance_depth(deepest, model.hierarchy) == k
+        assert _depth(deepest, model) == k
 
 
 def test_unknown_external_superclass_counts_one_edge():
     model = model_for_source("class X extends SomeLibClass { }", "X.java")
-    assert inheritance_depth("X", model.hierarchy) == 1
-    assert superclass_chain("X", model.hierarchy) == ["X", "SomeLibClass"]
-    with pytest.raises(KeyError):
-        superclass_chain("SomeLibClass", model.hierarchy)
+    assert _depth("X", model) == 1
+    assert _chain("X", model) == ["X", "SomeLibClass"]
 
 
-def test_cycle_raises_cycle_error_and_is_model_diagnostic():
+def test_cycle_is_cyclic_and_one_model_diagnostic():
     model = model_for_source(
-        "class A extends B { }\nclass B extends A { }", "cycle.java"
+        "class A extends B { }\nclass B extends A { }\nclass C extends A { }\n"
+        "class D { }", "cycle.java"
     )
-    with pytest.raises(CycleError) as err:
-        inheritance_depth("A", model.hierarchy)
-    assert set(err.value.cycle) == {"A", "B"}
-    assert sum("inheritance cycle" in d for d in model.diagnostics) == 1
-
-
-def test_depth_requires_known_class():
-    model = build_model([])
-    with pytest.raises(KeyError):
-        inheritance_depth("Ghost", model.hierarchy)
+    assert model.hierarchy.cyclic == {"A", "B", "C"}
+    assert model.diagnostics == ("inheritance cycle: A -> B -> A",)
 
 
 def test_multi_extends_uses_first_superclass_only():
     source = linear_chain_source(["R0", "R1", "R2", "R3", "R4", "R5"]) + \
         "\nclass M extends R5, R0 { }"
     model = model_for_source(source, "m.java")
-    assert inheritance_depth("M", model.hierarchy) == 6
+    assert _depth("M", model) == 6
     assert model.classes["M"].extends_list == ("R5", "R0")
 
 
@@ -443,8 +440,7 @@ def test_resolve_terminates_on_inheritance_cycle():
 
 def test_depth_monotonic_along_chain(chain_model):
     for child, parent in zip(CHAIN_NAMES[1:], CHAIN_NAMES[:-1]):
-        assert inheritance_depth(child, chain_model.hierarchy) == \
-            inheritance_depth(parent, chain_model.hierarchy) + 1
+        assert _depth(child, chain_model) == _depth(parent, chain_model) + 1
 
 
 # --- external seed file ------------------------------------------------------

@@ -21,7 +21,6 @@ import pytest
 from faultlint import detectors
 from faultlint.detectors import ERROR_CATALOG, SPAGHETTI_DEPTH, Finding, run_all
 from faultlint.model import (
-    CycleError,
     ExternalHierarchySeed,
     Scope,
     build_model,
@@ -29,7 +28,6 @@ from faultlint.model import (
     is_descendant,
     resolve_callee,
     static_type_of,
-    superclass_chain,
     walk_body,
 )
 from faultlint.nodes import (
@@ -119,11 +117,13 @@ def reference_incorrect_inheritance(model):
 
 def reference_spaghetti(model):
     findings = []
+    parent = model.hierarchy.parent
     for name, decl in model.classes.items():
-        try:
-            chain = superclass_chain(name, model.hierarchy)
-        except CycleError:
-            continue
+        chain = [name]
+        while chain[-1] in parent and parent[chain[-1]] not in chain:
+            chain.append(parent[chain[-1]])
+        if chain[-1] in parent:
+            continue  # on or leading into a cycle
         depth = len(chain) - 1
         if depth >= SPAGHETTI_DEPTH:
             findings.append(_finding(
