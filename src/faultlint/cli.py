@@ -185,7 +185,8 @@ def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
     units = []
     for rel, path in files:
         try:
-            with open(path, encoding="utf-8") as handle:
+            # utf-8-sig drops a leading byte order mark, which is no token
+            with open(path, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as err:
             diag = ParseDiagnostic(rel, 1, f"could not read file: {err}", (1, 1))

@@ -16,8 +16,13 @@ first-superclass chain, seeded edges included; an unknown external
 superclass counts one edge. It skips a class in hierarchy.cyclic, on or
 leading into a cycle, which is already a model diagnostic.
 Rules 1, 4, 5 and 6 read method bodies: each body is walked once with
-model.walk_body, and every enabled rule checks each entry and its
-subexpressions as they come, dispatching on node type.
+model.walk_body, which yields every statement and expression with its
+scope, and every enabled rule checks each node as it comes, in one
+dispatch on node type.
+
+Rule 1 flags == and != when either side has the declared type String,
+unless either side is the null literal: a null check is no string
+comparison.
 
 Rule 4 flags a call site when all three hold: a Name argument's declared
 type is a strict descendant of the callee's declared parameter type there;
@@ -71,8 +76,8 @@ from faultlint.nodes import (
     MethodCall,
     Name,
     New,
+    Paren,
     While,
-    walk_exprs,
 )
 from faultlint.record import Record, _set
 
@@ -209,6 +214,14 @@ def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
 _LOOP_KINDS = {While: "while", DoWhile: "do-while", For: "for"}
 
 
+def _is_null(expr) -> bool:
+    """Rule 1: expr is the null literal, which the parser reads as a Name,
+    in any parentheses."""
+    while type(expr) is Paren:
+        expr = expr.inner
+    return type(expr) is Name and expr.ident == "null"
+
+
 def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     """Findings of the enabled rules (default: all six), sorted by
     (file, line, code). ValueError on a code outside the catalog."""
@@ -217,8 +230,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     if bad:
         raise ValueError(f"unknown rule codes: {sorted(bad)}")
     lvalue, inheritance, spaghetti, itu, files, loops = (code in rules for code in range(1, 7))
-    walk_expressions = lvalue or itu or files
-    walk_bodies = walk_expressions or loops
+    walk_bodies = lvalue or itu or files or loops
     resource_types = model.seed.resource_types
     is_pure_accessor = model.seed.is_pure_accessor
     findings: list[Finding] = []
@@ -256,73 +268,68 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
             mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
             opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
             closed: set[str] = set()                 # rule 5: receivers of close()
-            for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
-                kind = type(stmt)
-                if kind is LocalVarDecl:
-                    init = stmt.init
+            for node, scope in walk_body(method.body, method_scope(decl, method)):
+                kind = type(node)
+                if kind is MethodCall:
+                    receiver = node.receiver
+                    if files and node.name == "close" and type(receiver) is Name:
+                        closed.add(receiver.ident)
+                    if not itu:
+                        continue
+                    if type(receiver) is Name:
+                        ident = receiver.ident
+                        name_uses.append((ident, node.line, node.name))
+                        if (ident in params and ident not in mutated
+                                and not is_pure_accessor(node.name)):
+                            mutated[ident] = (f"{ident}.{node.name}(...)", node.line)
+                    types = [scope.lookup(a.ident) if type(a) is Name else None
+                             for a in node.args]
+                    if all(t is None for t in types):
+                        continue  # no typed Name argument that could be flagged
+                    idents = [a.ident if type(a) is Name else None for a in node.args]
+                    if receiver is None or (type(receiver) is Name
+                                            and receiver.ident == "this"):
+                        receiver_type = class_name
+                    elif type(receiver) is Name:
+                        receiver_type = scope.lookup(receiver.ident)
+                    else:
+                        receiver_type = None
+                    call_sites.append((node, idents, types, receiver_type))
+                elif kind is Binary:
+                    if not lvalue or (node.op != "==" and node.op != "!="):
+                        continue
+                    left = static_type_of(node.lhs, scope)
+                    right = static_type_of(node.rhs, scope)
+                    if ((left == "String" or right == "String")
+                            and not _is_null(node.lhs) and not _is_null(node.rhs)):
+                        findings.append(_finding(
+                            1, class_name, file_path, node.line,
+                            f"strings compared with '{node.op}'; use .equals() "
+                            f"for value equality",
+                            {"op": node.op, "left_type": left, "right_type": right},
+                        ))
+                elif kind is LocalVarDecl:
+                    init = node.init
                     if files and type(init) is New and init.type_name in resource_types:
-                        opened.setdefault(stmt.name, (init.type_name, init.line))
+                        opened.setdefault(node.name, (init.type_name, init.line))
+                elif kind is Assign:
+                    lhs = node.lhs
+                    rhs = node.rhs
+                    if (files and type(lhs) is Name
+                            and type(rhs) is New and rhs.type_name in resource_types):
+                        opened.setdefault(lhs.ident, (rhs.type_name, rhs.line))
+                    elif (type(lhs) is FieldAccess and type(lhs.target) is Name
+                            and lhs.target.ident in params):
+                        ident = lhs.target.ident
+                        mutated.setdefault(ident, (f"{ident}.{lhs.name} = ...", node.line))
                 elif loops and kind in _LOOP_KINDS:
-                    if all(type(s) is Empty for s in stmt.body.stmts):
+                    if all(type(s) is Empty for s in node.body.stmts):
                         loop_kind = _LOOP_KINDS[kind]
                         findings.append(_finding(
-                            6, class_name, file_path, stmt.line,
+                            6, class_name, file_path, node.line,
                             f"empty {loop_kind} loop body",
                             {"loop_kind": loop_kind},
                         ))
-                if not walk_expressions:
-                    continue
-                for top in exprs:
-                    for expr in walk_exprs(top):
-                        expr_kind = type(expr)
-                        if expr_kind is MethodCall:
-                            receiver = expr.receiver
-                            if files and expr.name == "close" and type(receiver) is Name:
-                                closed.add(receiver.ident)
-                            if not itu:
-                                continue
-                            if type(receiver) is Name:
-                                ident = receiver.ident
-                                name_uses.append((ident, expr.line, expr.name))
-                                if (ident in params and ident not in mutated
-                                        and not is_pure_accessor(expr.name)):
-                                    mutated[ident] = (f"{ident}.{expr.name}(...)", expr.line)
-                            types = [scope.lookup(a.ident) if type(a) is Name else None
-                                     for a in expr.args]
-                            if all(t is None for t in types):
-                                continue  # no typed Name argument that could be flagged
-                            idents = [a.ident if type(a) is Name else None for a in expr.args]
-                            if receiver is None or (type(receiver) is Name
-                                                    and receiver.ident == "this"):
-                                receiver_type = class_name
-                            elif type(receiver) is Name:
-                                receiver_type = scope.lookup(receiver.ident)
-                            else:
-                                receiver_type = None
-                            call_sites.append((expr, idents, types, receiver_type))
-                        elif expr_kind is Binary:
-                            if not lvalue or (expr.op != "==" and expr.op != "!="):
-                                continue
-                            left = static_type_of(expr.lhs, scope)
-                            right = static_type_of(expr.rhs, scope)
-                            if left == "String" or right == "String":
-                                findings.append(_finding(
-                                    1, class_name, file_path, expr.line,
-                                    f"strings compared with '{expr.op}'; use .equals() "
-                                    f"for value equality",
-                                    {"op": expr.op, "left_type": left, "right_type": right},
-                                ))
-                        elif expr_kind is Assign:
-                            lhs = expr.lhs
-                            rhs = expr.rhs
-                            if (files and type(lhs) is Name
-                                    and type(rhs) is New and rhs.type_name in resource_types):
-                                opened.setdefault(lhs.ident, (rhs.type_name, rhs.line))
-                            elif (type(lhs) is FieldAccess and type(lhs.target) is Name
-                                    and lhs.target.ident in params):
-                                ident = lhs.target.ident
-                                mutated.setdefault(ident,
-                                                   (f"{ident}.{lhs.name} = ...", expr.line))
             if call_sites:
                 itu_sites.append((class_name, file_path, call_sites, name_uses))
             if mutated:

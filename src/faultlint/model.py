@@ -16,22 +16,28 @@ import json
 from fnmatch import fnmatchcase
 
 from faultlint.nodes import (
+    Assign,
+    Binary,
     Block,
     ClassDecl,
     CompilationUnit,
     DoWhile,
     Expr,
     ExprStmt,
+    FieldAccess,
     For,
     If,
     LocalVarDecl,
+    MethodCall,
     MethodDecl,
     Name,
     New,
+    NumLit,
     Paren,
     Return,
     StringLit,
     TryCatch,
+    UnaryIncDec,
     While,
 )
 from faultlint.record import Record, _set
@@ -362,79 +368,104 @@ def _declared_methods(class_name: str, name: str, arity: int,
 
 
 def walk_body(block: Block, scope: Scope):
-    """Yield (stmt, exprs, scope) for block and every statement under it.
+    """Yield (node, scope) for block and every statement and expression
+    under it.
 
-    Entries come in source order. exprs are the statement's own top-level
-    expressions (walk_exprs walks into them); nested statements get
-    entries of their own. A for loop's init statements (one per declarator
-    or expression) come first, in the loop's scope. A for loop's condition
-    and update expressions and a do-while's condition come as (None,
-    exprs, scope) where they stand in the source: after the for init and
-    after the do-while body. scope holds the names in effect at the
-    entry. Each block, block included, opens a child scope; a local
-    declaration enters the scope once its entry is consumed, so a scope
-    is only valid until the next entry.
+    Nodes come in source order: a statement, then its own expressions in
+    preorder, then the statements nested in it. A for loop gives its init
+    statements (one per declarator or expression), then its condition and
+    update expressions, then its body, all in the loop's scope; a do-while
+    gives its body, then its condition. A catch clause is not yielded, its
+    block is. scope holds the names in effect at the node. Each block,
+    block included, opens a child scope; a local declaration enters the
+    scope after its initializer's expressions have been yielded, so a
+    scope is only valid until the next node.
 
-    The stack replaces recursion, so nesting of any depth is walked. It
-    holds statements to visit, tuples of deferred loop conditions, and
+    The stack replaces recursion, so statements nested and expressions
+    chained to any depth, such as a long `a + a + ... + a` or `a.f().f()...`
+    chain, are walked. Besides nodes to visit it holds (name, type)
+    tuples, a local declaration made once its initializer is walked, and
     scopes to switch to: a catch variable's, made current before its
     block, and the enclosing one, restored when a block, a for loop or the
-    catch clauses of a try end.
+    catch clauses of a try end. Children go on the stack last-first, so
+    they come off in source order.
     """
     stack = [block]
     pop = stack.pop
     push = stack.append
     while stack:
-        stmt = pop()
+        node = pop()
         # commonest types first; no node type is subclassed
-        kind = type(stmt)
-        if kind is ExprStmt:
-            yield stmt, (stmt.expr,), scope
-        elif kind is Block:
-            yield stmt, (), scope
+        kind = type(node)
+        if kind is Name:
+            yield node, scope
+            continue
+        if kind is Scope:
+            scope = node
+            continue
+        if kind is tuple:
+            scope.declare(*node)
+            continue
+        yield node, scope
+        if kind is Block:
             push(scope)
-            stack.extend(reversed(stmt.stmts))
+            stack.extend(reversed(node.stmts))
             scope = scope.child()
-        elif kind is Scope:
-            scope = stmt
+        elif kind is ExprStmt:
+            push(node.expr)
+        elif kind is MethodCall:
+            stack.extend(reversed(node.args))
+            if node.receiver is not None:
+                push(node.receiver)
+        elif kind is Binary or kind is Assign:
+            push(node.rhs)
+            push(node.lhs)
         elif kind is LocalVarDecl:
-            yield stmt, (() if stmt.init is None else (stmt.init,)), scope
-            scope.declare(stmt.name, stmt.type_name)
+            if node.init is None:
+                scope.declare(node.name, node.type_name)
+            else:
+                push((node.name, node.type_name))
+                push(node.init)
+        elif kind is NumLit or kind is StringLit:
+            pass  # leaves, common enough to end the tests here
+        elif kind is FieldAccess:
+            push(node.target)
+        elif kind is New:
+            stack.extend(reversed(node.args))
         elif kind is If:
-            yield stmt, (stmt.cond,), scope
-            if stmt.else_block is not None:
-                push(stmt.else_block)
-            push(stmt.then_block)
+            if node.else_block is not None:
+                push(node.else_block)
+            push(node.then_block)
+            push(node.cond)
+        elif kind is UnaryIncDec:
+            push(node.operand)
         elif kind is While:
-            yield stmt, (stmt.cond,), scope
-            push(stmt.body)
+            push(node.body)
+            push(node.cond)
         elif kind is Return:
-            yield stmt, (() if stmt.expr is None else (stmt.expr,)), scope
-        elif kind is tuple:
-            yield None, stmt, scope
+            if node.expr is not None:
+                push(node.expr)
+        elif kind is Paren:
+            push(node.inner)
         elif kind is For:
-            yield stmt, (), scope
             push(scope)
-            push(stmt.body)
-            tail = stmt.update if stmt.cond is None else (stmt.cond, *stmt.update)
-            if tail:
-                push(tail)
-            stack.extend(reversed(stmt.init))
+            push(node.body)
+            stack.extend(reversed(node.update))
+            if node.cond is not None:
+                push(node.cond)
+            stack.extend(reversed(node.init))
             scope = scope.child()
         elif kind is DoWhile:
-            yield stmt, (), scope
-            push((stmt.cond,))
-            push(stmt.body)
+            push(node.cond)
+            push(node.body)
         elif kind is TryCatch:
-            yield stmt, (), scope
-            if stmt.finally_block is not None:
-                push(stmt.finally_block)
+            if node.finally_block is not None:
+                push(node.finally_block)
             push(scope)
-            for clause in reversed(stmt.catches):
+            for clause in reversed(node.catches):
                 catch_scope = scope.child()
                 catch_scope.declare(clause.var_name, clause.type_name)
                 push(clause.body)
                 push(catch_scope)
-            push(stmt.try_block)
-        else:  # Empty
-            yield stmt, (), scope
+            push(node.try_block)
+        # the other literals and Empty are leaves

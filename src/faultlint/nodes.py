@@ -11,10 +11,10 @@ constructor order, as `_fields`. The `Expr` and `Stmt` bases declare empty
 carries the 1-based source line of its anchor token: the operator for
 Binary/Assign, the keyword for loops and `new`, the name for calls.
 
-`walk_exprs` uses an explicit stack, not recursion, so expressions of any
-depth can be walked: the parser builds arbitrarily deep trees from flat
+`model.walk_body` walks a method body: every statement and expression,
+with the scope in effect at each. It uses an explicit stack, not
+recursion, because the parser builds arbitrarily deep trees from flat
 input, such as a long `a + a + ... + a` chain or `a.f().f()...` call chain.
-Statements are walked by `model.walk_body`, which also tracks scopes.
 """
 
 from __future__ import annotations
@@ -297,33 +297,3 @@ class CompilationUnit(Record):
         _set(self, "classes", classes)
         _set(self, "diagnostics", diagnostics)
 
-
-# --- traversal helpers -----------------------------------------------------
-
-def walk_exprs(expr: Expr):
-    """Yield expr and all its subexpressions, preorder, source order."""
-    stack = [expr]
-    push = stack.append
-    while stack:
-        expr = stack.pop()
-        yield expr
-        # commonest types first (no node type is subclassed); children go
-        # on the stack last-first, so they come off in source order
-        kind = type(expr)
-        if kind is Name:
-            continue  # a leaf
-        if kind is MethodCall:
-            stack.extend(reversed(expr.args))
-            if expr.receiver is not None:
-                push(expr.receiver)
-        elif kind is Binary or kind is Assign:
-            push(expr.rhs)
-            push(expr.lhs)
-        elif kind is FieldAccess:
-            push(expr.target)
-        elif kind is New:
-            stack.extend(reversed(expr.args))
-        elif kind is UnaryIncDec:
-            push(expr.operand)
-        elif kind is Paren:
-            push(expr.inner)

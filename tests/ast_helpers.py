@@ -38,7 +38,6 @@ from faultlint.nodes import (
     TryCatch,
     UnaryIncDec,
     While,
-    walk_exprs,
 )
 from faultlint.record import Record
 
@@ -194,7 +193,6 @@ def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):
     effect at that point and is only valid at yield time (it keeps mutating
     as the walk proceeds).
     """
-    for _, exprs, scope in walk_body(method.body, method_scope(class_decl, method)):
-        for top in exprs:
-            for expr in walk_exprs(top):
-                yield expr, scope
+    for node, scope in walk_body(method.body, method_scope(class_decl, method)):
+        if isinstance(node, Expr):
+            yield node, scope

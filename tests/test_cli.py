@@ -503,6 +503,23 @@ def test_strict_parse_turns_diagnostics_into_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    assert main([str(corpus), "--strict-parse"]) == 0
+    clean = capsys.readouterr().out
+    for path in corpus.glob("*.java"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main([str(corpus), "--strict-parse"]) == 0
+    assert capsys.readouterr().out == clean
+    (corpus / "Multi.java").write_text("\ufeffclass M extends X, Y { }\n", encoding="utf-8")
+    store_path = tmp_path / "store.json"
+    assert main([str(corpus), "--store", str(store_path)]) == 1
+    capsys.readouterr()
+    store = load_store(store_path)
+    assert [(r.class_name, r.error_codes) for r in store.records] == [("M", (2,))]
+    assert store.diagnostics == ()
+
+
 @pytest.mark.parametrize("directive", ["package a.b", "import c.D"])
 def test_class_after_directive_missing_semicolon_is_scanned(tmp_path, capsys, directive):
     corpus = make_clean_corpus(tmp_path / "c", count=1)

@@ -70,6 +70,19 @@ def test_d1_not_equal_also_flagged():
     assert [f.detail["op"] for f in run_all(model, {1})] == ["!="]
 
 
+def test_d1_null_comparison_not_flagged():
+    # the parser reads the null literal as the Name "null"
+    model = model_for_source(
+        "class W { void m(String s, String t) {\n"
+        "    if (s == null) { }\n"
+        "    if (null != t) { }\n"
+        "    if (s == (null)) { }\n"
+        "    if (s == t) { }\n"
+        "} }", "w.java"
+    )
+    assert [(f.line, f.detail["op"]) for f in run_all(model, {1})] == [(5, "==")]
+
+
 def test_d1_exhaustive_operand_type_and_op_table():
     # oracle: flagged iff op in {==, !=} and either side is a String
     declarations = {

@@ -10,6 +10,7 @@ from faultlint.nodes import (
     Binary,
     Block,
     DoWhile,
+    Expr,
     ExprStmt,
     FieldAccess,
     For,
@@ -26,7 +27,6 @@ from faultlint.nodes import (
     TypedName,
     UnaryIncDec,
     While,
-    walk_exprs,
 )
 from faultlint.parser import MAX_NESTING, parse_source
 
@@ -612,12 +612,8 @@ def test_node_lines_within_source(fixture):
         assert 1 <= decl.line <= line_count
         for method in decl.methods:
             assert 1 <= method.line <= line_count
-            for stmt, exprs, _ in walk_body(method.body, Scope()):
-                if stmt is not None:
-                    assert 1 <= stmt.line <= line_count
-                for top in exprs:
-                    for expr in walk_exprs(top):
-                        assert 1 <= expr.line <= line_count
+            for node, _ in walk_body(method.body, Scope()):
+                assert 1 <= node.line <= line_count
 
 
 def _walk_exprs_recursive(expr):
@@ -716,16 +712,9 @@ def _reference_events(decl, method):
 
 def _walk_body_events(decl, method, kinds):
     events = []
-    for stmt, exprs, scope in walk_body(method.body, method_scope(decl, method)):
-        if stmt is not None:
-            events.append(id(stmt))
-            kinds.add(type(stmt).__name__)
-        for top in exprs:
-            # the expression walk must match its recursive reference too
-            walked = list(walk_exprs(top))
-            assert [id(e) for e in walked] == [id(e) for e in _walk_exprs_recursive(top)]
-            kinds.update(type(e).__name__ for e in walked)
-            events.extend(_expr_event(e, scope) for e in walked)
+    for node, scope in walk_body(method.body, method_scope(decl, method)):
+        kinds.add(type(node).__name__)
+        events.append(_expr_event(node, scope) if isinstance(node, Expr) else id(node))
     return events
 
 
@@ -792,11 +781,22 @@ def test_walk_body_handles_nesting_beyond_the_recursion_limit():
     for level in range(depth):
         node = Block((node,), 1) if level % 2 else If(Name("c", 1), node, None, 1)
     root = Block((LocalVarDecl("int", "x", None, 1), node), 1)
-    entries = [(stmt, exprs, scope.lookup("x")) for stmt, exprs, scope in walk_body(root, Scope())]
-    assert len(entries) == depth + 4
-    assert entries[-1][0] is use
-    assert entries[-1][1] == (use.expr,)
-    assert entries[-1][2] == "int"
+    entries = [(node, scope.lookup("x")) for node, scope in walk_body(root, Scope())]
+    assert len(entries) == depth + depth // 2 + 5  # an If also yields its condition
+    assert entries[-2][0] is use
+    assert entries[-1] == (use.expr, "int")
+    # left-deep expression chains, as the parser builds from flat input
+    chain = Name("x", 1)
+    for _ in range(depth):
+        chain = Binary("+", chain, Name("x", 1), 1)
+    calls = Name("x", 1)
+    for _ in range(depth):
+        calls = MethodCall(calls, "f", (), 1)
+    root = Block((ExprStmt(chain, 1), Return(calls, 1)), 1)
+    walked = [node for node, _ in walk_body(root, Scope())]
+    assert len(walked) == 3 + (2 * depth + 1) + (depth + 1)
+    assert walked[2] is chain and walked[4 + 2 * depth] is calls
+    assert type(walked[-1]) is Name
 
 
 def test_multiple_extends_tolerance_property():

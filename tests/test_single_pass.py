@@ -41,8 +41,8 @@ from faultlint.nodes import (
     MethodCall,
     Name,
     New,
+    Paren,
     While,
-    walk_exprs,
 )
 from faultlint.parser import parse_source
 
@@ -68,12 +68,20 @@ def _methods(model):
             yield name, model.class_files[name], decl, method
 
 
+def _is_null_literal(expr):
+    while isinstance(expr, Paren):
+        expr = expr.inner
+    return isinstance(expr, Name) and expr.ident == "null"
+
+
 def reference_lvalue_required(model):
     findings = []
     for class_name, file_path, decl, method in _methods(model):
         for expr, scope in iter_scoped_exprs(decl, method):
             if not (isinstance(expr, Binary) and expr.op in ("==", "!=")):
                 continue
+            if _is_null_literal(expr.lhs) or _is_null_literal(expr.rhs):
+                continue  # a null check compares no strings
             left = static_type_of(expr.lhs, scope)
             right = static_type_of(expr.rhs, scope)
             if left == "String" or right == "String":
@@ -86,19 +94,17 @@ def reference_lvalue_required(model):
 
 
 def _reference_param_mutation(callee, param_name, model):
-    for _, exprs, _ in walk_body(callee.body, Scope()):
-        for top in exprs:
-            for expr in walk_exprs(top):
-                if (isinstance(expr, MethodCall)
-                        and isinstance(expr.receiver, Name)
-                        and expr.receiver.ident == param_name
-                        and not model.seed.is_pure_accessor(expr.name)):
-                    return f"{param_name}.{expr.name}(...)", expr.line
-                if (isinstance(expr, Assign)
-                        and isinstance(expr.lhs, FieldAccess)
-                        and isinstance(expr.lhs.target, Name)
-                        and expr.lhs.target.ident == param_name):
-                    return f"{param_name}.{expr.lhs.name} = ...", expr.line
+    for node, _ in walk_body(callee.body, Scope()):
+        if (isinstance(node, MethodCall)
+                and isinstance(node.receiver, Name)
+                and node.receiver.ident == param_name
+                and not model.seed.is_pure_accessor(node.name)):
+            return f"{param_name}.{node.name}(...)", node.line
+        if (isinstance(node, Assign)
+                and isinstance(node.lhs, FieldAccess)
+                and isinstance(node.lhs.target, Name)
+                and node.lhs.target.ident == param_name):
+            return f"{param_name}.{node.lhs.name} = ...", node.line
     return None
 
 
@@ -211,22 +217,20 @@ def reference_illicit_file_usage(model):
     for class_name, file_path, decl, method in _methods(model):
         opened = {}
         closed = set()
-        for stmt, exprs, _ in walk_body(method.body, Scope()):
-            if (isinstance(stmt, LocalVarDecl)
-                    and isinstance(stmt.init, New)
-                    and stmt.init.type_name in model.seed.resource_types):
-                opened.setdefault(stmt.name, (stmt.init.type_name, stmt.init.line))
-            for top in exprs:
-                for expr in walk_exprs(top):
-                    if (isinstance(expr, Assign)
-                            and isinstance(expr.lhs, Name)
-                            and isinstance(expr.rhs, New)
-                            and expr.rhs.type_name in model.seed.resource_types):
-                        opened.setdefault(expr.lhs.ident, (expr.rhs.type_name, expr.rhs.line))
-                    if (isinstance(expr, MethodCall)
-                            and expr.name == "close"
-                            and isinstance(expr.receiver, Name)):
-                        closed.add(expr.receiver.ident)
+        for node, _ in walk_body(method.body, Scope()):
+            if (isinstance(node, LocalVarDecl)
+                    and isinstance(node.init, New)
+                    and node.init.type_name in model.seed.resource_types):
+                opened.setdefault(node.name, (node.init.type_name, node.init.line))
+            if (isinstance(node, Assign)
+                    and isinstance(node.lhs, Name)
+                    and isinstance(node.rhs, New)
+                    and node.rhs.type_name in model.seed.resource_types):
+                opened.setdefault(node.lhs.ident, (node.rhs.type_name, node.rhs.line))
+            if (isinstance(node, MethodCall)
+                    and node.name == "close"
+                    and isinstance(node.receiver, Name)):
+                closed.add(node.receiver.ident)
         for var, (type_name, line) in opened.items():
             if var in closed:
                 continue
@@ -242,18 +246,18 @@ def reference_illicit_file_usage(model):
 def reference_undefined_loop(model):
     findings = []
     for class_name, file_path, decl, method in _methods(model):
-        for stmt, _, _ in walk_body(method.body, Scope()):
-            if isinstance(stmt, While):
-                kind, body = "while", stmt.body
-            elif isinstance(stmt, DoWhile):
-                kind, body = "do-while", stmt.body
-            elif isinstance(stmt, For):
-                kind, body = "for", stmt.body
+        for node, _ in walk_body(method.body, Scope()):
+            if isinstance(node, While):
+                kind, body = "while", node.body
+            elif isinstance(node, DoWhile):
+                kind, body = "do-while", node.body
+            elif isinstance(node, For):
+                kind, body = "for", node.body
             else:
                 continue
             if all(isinstance(s, Empty) for s in body.stmts):
                 findings.append(_finding(
-                    6, class_name, file_path, stmt.line,
+                    6, class_name, file_path, node.line,
                     f"empty {kind} loop body",
                     {"loop_kind": kind},
                 ))
