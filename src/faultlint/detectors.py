@@ -270,6 +270,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
             closed: set[str] = set()                 # rule 5: receivers of close()
             for node, scope in walk_body(method.body, method_scope(decl, method)):
                 kind = type(node)
+                if kind is Name:  # the commonest node; no rule reads a bare name
+                    continue
                 if kind is MethodCall:
                     receiver = node.receiver
                     if files and node.name == "close" and type(receiver) is Name:
@@ -282,11 +284,18 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         if (ident in params and ident not in mutated
                                 and not is_pure_accessor(node.name)):
                             mutated[ident] = (f"{ident}.{node.name}(...)", node.line)
-                    types = [scope.lookup(a.ident) if type(a) is Name else None
-                             for a in node.args]
-                    if all(t is None for t in types):
+                    args = node.args
+                    types = None  # built at the first Name argument with a declared type
+                    for position, arg in enumerate(args):
+                        if type(arg) is Name:
+                            declared = scope.lookup(arg.ident)
+                            if declared is not None:
+                                if types is None:
+                                    types = [None] * len(args)
+                                types[position] = declared
+                    if types is None:
                         continue  # no typed Name argument that could be flagged
-                    idents = [a.ident if type(a) is Name else None for a in node.args]
+                    idents = [a.ident if type(a) is Name else None for a in args]
                     if receiver is None or (type(receiver) is Name
                                             and receiver.ident == "this"):
                         receiver_type = class_name

@@ -8,8 +8,6 @@ and it never aborts. Anything outside the subset is skipped to the next
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from faultlint.lexer import CHAR, IDENTIFIER, NUMBER, STRING, LexError, tokenize
 from faultlint.nodes import (
     Assign,
@@ -81,17 +79,34 @@ class _ParseFailure(Exception):
     argument is the diagnostic message."""
 
 
+# Kind of the two sentinel tokens that end the parser's copy of the token
+# list. Their lexeme is "", which no real token has, so no lexeme query
+# matches them and no cursor read needs a bounds test.
+END = "end"
+
+# Lexemes that start a statement other than a declaration or an
+# expression statement; "" is the end sentinel.
+_STATEMENT_KEYWORDS = frozenset(("{", ";", "if", "while", "do", "for", "try", "return", ""))
+
+# What ends the members of a class or the statements of a block.
+_BODY_END = frozenset(("}", ""))
+
+
 class _Parser:
     # A token is the lexer's tuple (kind, lexeme, line, column): tok[0] is
     # the kind, tok[1] the lexeme, tok[2] the line; the column is not read.
     # Punctuator, operator and keyword lexemes each occur with one token kind
     # only, so the cursor compares lexemes alone: `at`/`expect` take a
     # lexeme, and only identifiers, literals and numbers are told apart by
-    # kind (`at_ident`, `expect_ident`). `_type_name` is the one reader of
-    # the type grammar and `_declarators` the one reader of declarators.
+    # kind (`expect_ident`, `tok[0]`). The cursor reads a copy of the
+    # tokens that ends in two END sentinels, so a read at pos or pos + 1 is
+    # always in range; `n`, the real count, only words "reached end of
+    # file". `_type_name` is the one reader of the type grammar,
+    # `_declarator` of declarators and `_parse_operand` of operands.
 
     def __init__(self, tokens: list[tuple], file_path: str):
-        self.tokens = tokens
+        sentinel = (END, "", tokens[-1][2] if tokens else 1, 0)
+        self.tokens = tokens + [sentinel, sentinel]
         self.n = len(tokens)
         self.pos = 0
         self.depth = 0  # open nested constructs, see MAX_NESTING
@@ -107,37 +122,30 @@ class _Parser:
         return tok
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
-        i = self.pos + offset
-        return i < self.n and self.tokens[i][1] == lexeme
-
-    def at_ident(self, offset: int = 0) -> bool:
-        i = self.pos + offset
-        return i < self.n and self.tokens[i][0] == IDENTIFIER
+        return self.tokens[self.pos + offset][1] == lexeme
 
     def expect(self, lexeme: str) -> tuple:
-        pos = self.pos
-        if pos >= self.n:
-            raise _ParseFailure(f"expected '{lexeme}' but reached end of file")
-        tok = self.tokens[pos]
+        tok = self.tokens[self.pos]
         if tok[1] != lexeme:
-            raise _ParseFailure(f"expected '{lexeme}' but found '{tok[1]}'")
-        self.pos = pos + 1
+            raise _ParseFailure(f"expected '{lexeme}' but {self._found(self.pos)}")
+        self.pos += 1
         return tok
 
     def expect_ident(self) -> tuple:
-        pos = self.pos
-        if pos >= self.n:
-            raise _ParseFailure("expected 'identifier' but reached end of file")
-        tok = self.tokens[pos]
+        tok = self.tokens[self.pos]
         if tok[0] != IDENTIFIER:
-            raise _ParseFailure(f"expected 'identifier' but found '{tok[1]}'")
-        self.pos = pos + 1
+            raise _ParseFailure(f"expected 'identifier' but {self._found(self.pos)}")
+        self.pos += 1
         return tok
 
+    def _found(self, pos: int) -> str:
+        """What a failure met at pos, for "expected X but ..." messages."""
+        if pos >= self.n:
+            return "reached end of file"
+        return f"found '{self.tokens[pos][1]}'"
+
     def _last_line(self) -> int:
-        if not self.tokens:
-            return 1
-        return self.tokens[min(self.pos, self.n - 1)][2]
+        return self.tokens[self.pos][2]
 
     def _nest(self) -> int:
         """Open one nested construct; returns the new depth."""
@@ -150,7 +158,7 @@ class _Parser:
     def _skip_modifiers(self) -> None:
         tokens = self.tokens
         pos = self.pos
-        while pos < self.n and tokens[pos][1] in MODIFIER_KEYWORDS:
+        while tokens[pos][1] in MODIFIER_KEYWORDS:
             pos += 1
         self.pos = pos
 
@@ -174,11 +182,10 @@ class _Parser:
         start_line = self._last_line()
         end_line = start_line
         tokens = self.tokens
-        n = self.n
         pos = start_pos
         depth = 0
         first = True
-        while pos < n:
+        while True:
             tok = tokens[pos]
             lexeme = tok[1]
             if lexeme == "}":
@@ -199,6 +206,8 @@ class _Parser:
                 end_line = tok[2]
                 pos += 1
                 break
+            elif not lexeme:  # the end sentinel
+                break
             else:
                 end_line = tok[2]
                 pos += 1
@@ -213,11 +222,10 @@ class _Parser:
         start_line = self._last_line()
         end_line = start_line
         tokens = self.tokens
-        n = self.n
         pos = start_pos
         depth = 0
         first = True
-        while pos < n:
+        while True:
             tok = tokens[pos]
             lexeme = tok[1]
             if depth == 0 and lexeme == "class" and not first:
@@ -226,6 +234,8 @@ class _Parser:
                 depth += 1
             elif lexeme == "}":
                 depth = max(0, depth - 1)
+            elif not lexeme:  # the end sentinel
+                break
             end_line = tok[2]
             pos += 1
             first = False
@@ -236,20 +246,20 @@ class _Parser:
 
     def parse_unit(self) -> CompilationUnit:
         tokens = self.tokens
-        while self.pos < self.n:
+        while tokens[self.pos][1]:  # up to the end sentinel
             start_pos = self.pos
             if tokens[start_pos][1] in ("package", "import"):
                 self._skip_simple_directive()
                 continue
             try:
                 self._skip_modifiers()
-                if self.at("class"):
+                lexeme = tokens[self.pos][1]
+                if lexeme == "class":
                     self.classes.append(self.parse_class())
-                elif self.pos < self.n:
-                    raise _ParseFailure("unsupported top-level construct starting at "
-                                        f"'{tokens[self.pos][1]}'")
-                else:
-                    break
+                elif lexeme:
+                    raise _ParseFailure(f"unsupported top-level construct starting at '{lexeme}'")
+                else:  # modifiers with no class after them
+                    raise _ParseFailure(f"expected 'class' but {self._found(self.pos)}")
             except _ParseFailure as failure:
                 self.depth = 0
                 span = self.skip_top_level(start_pos)
@@ -268,7 +278,7 @@ class _Parser:
         tokens = self.tokens
         start = self.pos
         pos = start + 1
-        while pos < self.n:
+        while True:
             tok = tokens[pos]
             if tok[1] == ";":
                 self.pos = pos + 1
@@ -277,8 +287,8 @@ class _Parser:
                 break
             pos += 1
         self.pos = pos
-        found = f"found '{tokens[pos][1]}'" if pos < self.n else "reached end of file"
-        self.diagnose(f"expected ';' to end the {tokens[start][1]} directive but {found}",
+        self.diagnose(f"expected ';' to end the {tokens[start][1]} directive but "
+                      f"{self._found(pos)}",
                       tokens[start][2], tokens[pos - 1][2])
 
     def parse_class(self) -> ClassDecl:
@@ -293,7 +303,7 @@ class _Parser:
         fields: list[TypedName] = []
         methods: list[MethodDecl] = []
         tokens = self.tokens
-        while self.pos < self.n and tokens[self.pos][1] != "}":
+        while tokens[self.pos][1] not in _BODY_END:
             start_pos = self.pos
             try:
                 self.parse_member(name_tok[1], fields, methods)
@@ -301,7 +311,7 @@ class _Parser:
                 self.depth = 0
                 span = self.skip_to_sync(start_pos)
                 self.diagnose(str(failure), *span)
-        if self.pos < self.n:
+        if self.at("}"):
             self.pos += 1
         else:
             self.diagnose(
@@ -320,7 +330,7 @@ class _Parser:
 
     def _type_list(self, keyword: str) -> tuple[str, ...]:
         """The type names of `keyword T, U, ...` at the cursor, else ()."""
-        if not self.at(keyword):
+        if self.tokens[self.pos][1] != keyword:
             return ()
         self.pos += 1
         names = [self.parse_type_name()]
@@ -337,51 +347,55 @@ class _Parser:
         fields: list[TypedName],
         methods: list[MethodDecl],
     ) -> None:
-        if self.at(";"):
+        tokens = self.tokens
+        if tokens[self.pos][1] == ";":
             self.pos += 1
             return
         self._skip_modifiers()
+        pos = self.pos
+        lexeme = tokens[pos][1]
 
         # constructor: bare class name followed by a parameter list
-        if self.at(class_name) and self.at("(", 1):
-            name_tok = self.advance()
-            methods.append(self._parse_method_rest(name_tok, is_constructor=True))
+        if lexeme == class_name and tokens[pos + 1][1] == "(":
+            self.pos = pos + 1
+            methods.append(self._parse_method_rest(tokens[pos], is_constructor=True))
             return
 
-        if self.at("void"):
-            self.pos += 1
+        if lexeme == "void":
+            self.pos = pos + 1
             type_name = "void"
         else:
             type_name = self.parse_type_name()
-        if self.at("(", 1):
+        if tokens[self.pos + 1][1] == "(":
             name_tok = self.expect_ident()
             methods.append(self._parse_method_rest(name_tok, is_constructor=False))
             return
-        for name_tok, declared in self._declarators(type_name):
+        while True:
+            name_tok, declared = self._declarator(type_name)
             fields.append(TypedName(declared, name_tok[1]))
             if self.at("="):  # parsed for syntax, not retained
                 self.pos += 1
                 self.parse_expr()
+            if not self.at(","):
+                break
+            self.pos += 1
         self.expect(";")
 
     def _type_name(self) -> str | None:
         """A primitive or dotted type name with an optional `[]`, read at
         the cursor; None, having consumed nothing, if none starts there."""
         tokens = self.tokens
-        n = self.n
         pos = self.pos
-        if pos >= n:
-            return None
         tok = tokens[pos]
         name = tok[1]
         pos += 1
         if tok[0] == IDENTIFIER:
-            while pos + 1 < n and tokens[pos][1] == "." and tokens[pos + 1][0] == IDENTIFIER:
+            while tokens[pos][1] == "." and tokens[pos + 1][0] == IDENTIFIER:
                 name += "." + tokens[pos + 1][1]
                 pos += 2
         elif name not in PRIMITIVE_TYPES:
             return None
-        if pos + 1 < n and tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
+        if tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
             name += "[]"
             pos += 2
         self.pos = pos
@@ -390,39 +404,27 @@ class _Parser:
     def parse_type_name(self) -> str:
         name = self._type_name()
         if name is None:
-            if self.pos >= self.n:
-                raise _ParseFailure("expected a type name but reached end of file")
-            raise _ParseFailure(
-                f"expected a type name but found '{self.tokens[self.pos][1]}'"
-            )
+            raise _ParseFailure(f"expected a type name but {self._found(self.pos)}")
         return name
 
-    def _declarators(self, type_name: str) -> Iterator[tuple[tuple, str]]:
-        """Yield each `name` or C-style `name[]` of a comma-separated list
-        with its declared type, the cursor just after it.
-
-        A caller reads one declarator with next(). A list reader handles
-        each declarator (and its initializer) before asking for the next,
-        so those read before a failing one stay declared.
-        """
-        while True:
-            name_tok = self.expect_ident()
-            declared = type_name
-            if self.at("[") and self.at("]", 1):
-                self.pos += 2
-                if not declared.endswith("[]"):
-                    declared += "[]"
-            yield name_tok, declared
-            if not self.at(","):
-                return
-            self.pos += 1
+    def _declarator(self, type_name: str) -> tuple[tuple, str]:
+        """One `name` or C-style `name[]` with its declared type, the cursor
+        just after it. The field, local and parameter readers loop over it,
+        each handling a declarator (and its initializer) before reading the
+        next, so those read before a failing one stay declared."""
+        name_tok = self.expect_ident()
+        if self.at("[") and self.at("]", 1):
+            self.pos += 2
+            if not type_name.endswith("[]"):
+                type_name += "[]"
+        return name_tok, type_name
 
     def _parse_method_rest(self, name_tok: tuple, is_constructor: bool) -> MethodDecl:
         params: list[TypedName] = []
         self.expect("(")
         if not self.at(")"):
             while True:
-                p_name, p_type = next(self._declarators(self.parse_type_name()))
+                p_name, p_type = self._declarator(self.parse_type_name())
                 params.append(TypedName(p_type, p_name[1]))
                 if not self.at(","):
                     break
@@ -449,8 +451,7 @@ class _Parser:
         depth = self._nest()
         stmts: list[Stmt] = []
         tokens = self.tokens
-        n = self.n
-        while self.pos < n and tokens[self.pos][1] != "}":
+        while tokens[self.pos][1] not in _BODY_END:
             start_pos = self.pos
             try:
                 self.parse_statement_into(stmts)
@@ -474,11 +475,18 @@ class _Parser:
         return Block(tuple(stmts), stmts[0].line if stmts else line)
 
     def parse_statement_into(self, out: list[Stmt]) -> None:
-        if self.pos >= self.n:
-            raise _ParseFailure("expected a statement but reached end of file")
-        lexeme = self.tokens[self.pos][1]
-
-        if lexeme == "{":
+        tok = self.tokens[self.pos]
+        lexeme = tok[1]
+        if tok[0] == IDENTIFIER or lexeme not in _STATEMENT_KEYWORDS:
+            type_name = self._decl_type()
+            if type_name is None:
+                expr = self.parse_expr()
+                self.expect(";")
+                out.append(ExprStmt(expr, expr.line))
+            else:
+                self._local_decls(type_name, out)
+                self.expect(";")
+        elif lexeme == "{":
             out.append(self.parse_block())
         elif lexeme == ";":
             out.append(Empty(self.advance()[2]))
@@ -509,33 +517,30 @@ class _Parser:
             self.expect(";")
             out.append(Return(expr, kw[2]))
         else:
-            type_name = self._decl_type()
-            if type_name is None:
-                expr = self.parse_expr()
-                self.expect(";")
-                out.append(ExprStmt(expr, expr.line))
-            else:
-                # extend keeps the declarations read before a failing one
-                out.extend(self._local_decls(type_name))
-                self.expect(";")
+            raise _ParseFailure(f"expected a statement but {self._found(self.pos)}")
 
     def _decl_type(self) -> str | None:
         """The type of a local declaration starting at the cursor (a type
         name followed by an identifier), or None with the cursor unmoved."""
         start = self.pos
         type_name = self._type_name()
-        if type_name is not None and self.at_ident():
+        if type_name is not None and self.tokens[self.pos][0] == IDENTIFIER:
             return type_name
         self.pos = start
         return None
 
-    def _local_decls(self, type_name: str) -> Iterator[LocalVarDecl]:
-        for name_tok, declared in self._declarators(type_name):
+    def _local_decls(self, type_name: str, out: list[Stmt]) -> None:
+        """Append a LocalVarDecl to out for each declarator of the list."""
+        while True:
+            name_tok, declared = self._declarator(type_name)
             init = None
             if self.at("="):
                 self.pos += 1
                 init = self.parse_expr()
-            yield LocalVarDecl(declared, name_tok[1], init, name_tok[2])
+            out.append(LocalVarDecl(declared, name_tok[1], init, name_tok[2]))
+            if not self.at(","):
+                return
+            self.pos += 1
 
     def _parse_if(self) -> If:
         kw = self.expect("if")
@@ -552,21 +557,21 @@ class _Parser:
     def _parse_for(self) -> For:
         kw = self.expect("for")
         self.expect("(")
-        init: tuple[Stmt, ...] = ()
+        init: list[Stmt] = []
         if self.at(";"):
             self.pos += 1
         else:
             type_name = self._decl_type()
             if type_name is None:
-                init = tuple(ExprStmt(expr, expr.line) for expr in self._expr_list())
+                init.extend(ExprStmt(expr, expr.line) for expr in self._expr_list())
             else:
-                init = tuple(self._local_decls(type_name))
+                self._local_decls(type_name, init)
             self.expect(";")
         cond = None if self.at(";") else self.parse_expr()
         self.expect(";")
         update = () if self.at(")") else self._expr_list()
         self.expect(")")
-        return For(init, cond, update, self._substatement(), kw[2])
+        return For(tuple(init), cond, update, self._substatement(), kw[2])
 
     def _parse_try(self) -> TryCatch:
         kw = self.expect("try")
@@ -590,8 +595,7 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         lhs = self._parse_binary(1)
-        pos = self.pos
-        if pos < self.n and self.tokens[pos][1] == "=":
+        if self.tokens[self.pos][1] == "=":
             eq = self.advance()
             depth = self._nest()
             rhs = self.parse_expr()
@@ -601,65 +605,19 @@ class _Parser:
 
     def _parse_binary(self, min_prec: int) -> Expr:
         """Precedence climbing over operators binding at least min_prec."""
-        lhs = self._parse_unary()
+        lhs = self._parse_operand()
         tokens = self.tokens
-        n = self.n
-        while self.pos < n:
+        while True:
             op = tokens[self.pos]
             prec = _BINARY_PRECEDENCE.get(op[1])
             if prec is None or prec < min_prec:
-                break
+                return lhs
             self.pos += 1
             depth = self._nest()
             # left-associative: the right operand binds strictly tighter
             rhs = self._parse_binary(prec + 1)
             self.depth = depth - 1
             lhs = Binary(op[1], lhs, rhs, op[2])
-        return lhs
-
-    def _parse_unary(self) -> Expr:
-        pos = self.pos
-        if pos < self.n:
-            tok = self.tokens[pos]
-            lexeme = tok[1]
-            if lexeme == "++" or lexeme == "--":
-                self.pos = pos + 1
-                depth = self._nest()
-                operand = self._parse_unary()
-                self.depth = depth - 1
-                return UnaryIncDec(lexeme, operand, True, tok[2])
-            if lexeme == "-" and pos + 1 < self.n and self.tokens[pos + 1][0] == NUMBER:
-                self.pos = pos + 2
-                return NumLit("-" + self.tokens[pos + 1][1], tok[2])
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Expr:
-        expr = self._parse_primary()
-        tokens = self.tokens
-        n = self.n
-        while True:
-            pos = self.pos
-            if pos >= n:
-                return expr
-            lexeme = tokens[pos][1]
-            if lexeme == ".":
-                if pos + 1 >= n or tokens[pos + 1][0] != IDENTIFIER:
-                    return expr
-                name_tok = tokens[pos + 1]
-                self.pos = pos + 2
-                if pos + 2 < n and tokens[pos + 2][1] == "(":
-                    args = self._parse_args()
-                    expr = MethodCall(expr, name_tok[1], args, name_tok[2])
-                else:
-                    expr = FieldAccess(expr, name_tok[1], name_tok[2])
-            elif lexeme == "(" and isinstance(expr, Name):
-                args = self._parse_args()
-                expr = MethodCall(None, expr.ident, args, expr.line)
-            elif lexeme == "++" or lexeme == "--":
-                self.pos = pos + 1
-                expr = UnaryIncDec(lexeme, expr, False, tokens[pos][2])
-            else:
-                return expr
 
     def _parse_args(self) -> tuple[Expr, ...]:
         self.expect("(")
@@ -678,47 +636,72 @@ class _Parser:
             exprs.append(self.parse_expr())
         return tuple(exprs)
 
-    def _parse_primary(self) -> Expr:
+    def _parse_operand(self) -> Expr:
+        """A prefix `++`/`--` applied to an operand, a negative numeric
+        literal, or a primary followed by its `.name`, `.name(...)`,
+        `name(...)` and postfix `++`/`--` suffixes."""
+        tokens = self.tokens
         pos = self.pos
-        if pos >= self.n:
-            raise _ParseFailure("expected an expression but reached end of file")
-        kind, lexeme, line, _ = self.tokens[pos]
+        kind, lexeme, line, _ = tokens[pos]
+        self.pos = pos + 1  # every operand starts by consuming one token
         if kind == IDENTIFIER:
-            self.pos = pos + 1
-            return Name(lexeme, line)
-        if kind == STRING:
-            self.pos = pos + 1
-            return StringLit(lexeme, line)
-        if kind == CHAR:
-            self.pos = pos + 1
-            return CharLit(lexeme, line)
-        if kind == NUMBER:
-            self.pos = pos + 1
-            return NumLit(lexeme, line)
-        if lexeme == "true" or lexeme == "false":
-            self.pos = pos + 1
-            return BoolLit(lexeme == "true", line)
-        if lexeme == "null" or lexeme == "this" or lexeme == "super":
-            # modeled as plain names; no detector gives them special meaning
-            self.pos = pos + 1
-            return Name(lexeme, line)
-        if lexeme == "new":
-            self.pos = pos + 1
-            if not self.at_ident():
-                found = self.tokens[pos + 1][1] if pos + 1 < self.n else "end of file"
-                raise _ParseFailure(f"expected a class name after 'new', found '{found}'")
-            type_name = self._type_name()
-            if type_name.endswith("[]") or self.at("["):
-                raise _ParseFailure("array creation is not supported")
-            return New(type_name, self._parse_args(), line)
-        if lexeme == "(":
-            self.pos = pos + 1
+            expr = Name(lexeme, line)
+        elif kind == NUMBER:
+            expr = NumLit(lexeme, line)
+        elif kind == STRING:
+            expr = StringLit(lexeme, line)
+        elif kind == CHAR:
+            expr = CharLit(lexeme, line)
+        elif lexeme == "++" or lexeme == "--":
+            depth = self._nest()
+            operand = self._parse_operand()
+            self.depth = depth - 1
+            return UnaryIncDec(lexeme, operand, True, line)
+        elif lexeme == "-" and tokens[pos + 1][0] == NUMBER:
+            self.pos = pos + 2
+            return NumLit("-" + tokens[pos + 1][1], line)
+        elif lexeme == "(":
             depth = self._nest()
             inner = self.parse_expr()
             self.expect(")")
             self.depth = depth - 1
-            return Paren(inner, line)
-        raise _ParseFailure(f"unexpected '{lexeme}' in expression")
+            expr = Paren(inner, line)
+        elif lexeme == "true" or lexeme == "false":
+            expr = BoolLit(lexeme == "true", line)
+        elif lexeme == "null" or lexeme == "this" or lexeme == "super":
+            # modeled as plain names; no detector gives them special meaning
+            expr = Name(lexeme, line)
+        elif lexeme == "new":
+            if tokens[pos + 1][0] != IDENTIFIER:
+                raise _ParseFailure(
+                    f"expected a class name after 'new' but {self._found(pos + 1)}")
+            type_name = self._type_name()
+            if type_name.endswith("[]") or self.at("["):
+                raise _ParseFailure("array creation is not supported")
+            expr = New(type_name, self._parse_args(), line)
+        elif pos >= self.n:
+            raise _ParseFailure(f"expected an expression but {self._found(pos)}")
+        else:
+            raise _ParseFailure(f"unexpected '{lexeme}' in expression")
+        while True:
+            pos = self.pos
+            lexeme = tokens[pos][1]
+            if lexeme == ".":
+                name_tok = tokens[pos + 1]
+                if name_tok[0] != IDENTIFIER:
+                    return expr
+                self.pos = pos + 2
+                if tokens[pos + 2][1] == "(":
+                    expr = MethodCall(expr, name_tok[1], self._parse_args(), name_tok[2])
+                else:
+                    expr = FieldAccess(expr, name_tok[1], name_tok[2])
+            elif lexeme == "(" and type(expr) is Name:
+                expr = MethodCall(None, expr.ident, self._parse_args(), expr.line)
+            elif lexeme == "++" or lexeme == "--":
+                self.pos = pos + 1
+                expr = UnaryIncDec(lexeme, expr, False, tokens[pos][2])
+            else:
+                return expr
 
 
 def parse_unit(tokens: list[tuple], file_path: str = "<memory>") -> CompilationUnit:

@@ -9,6 +9,7 @@ scanned/faulty summary.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from faultlint.detectors import ERROR_CATALOG, Finding
 from faultlint.record import Record, _set
@@ -131,53 +132,69 @@ def _record_to_dict(record: ClassRecord) -> dict:
     }
 
 
-def store_to_dict(store: AnalysisStore) -> dict:
+def _diagnostic_to_dict(diag: Diagnostic) -> dict:
+    return {"file_path": diag.file_path, "line": diag.line, "message": diag.message}
+
+
+def _document(store: AnalysisStore) -> dict:
+    """The store document by top-level key. The records and diagnostics are
+    maps that build each entry's dict only as it is read."""
     return {
         "schema_version": store.schema_version,
         "corpus_root": store.corpus_root,
-        "records": [_record_to_dict(r)
-                    for r in sorted(store.records, key=lambda r: r.class_name)],
+        "records": map(_record_to_dict, sorted(store.records, key=lambda r: r.class_name)),
         "catalog": {str(code): name for code, name in sorted(store.catalog.items())},
-        "diagnostics": [
-            {"file_path": d.file_path, "line": d.line, "message": d.message}
-            for d in store.diagnostics
-        ],
+        "diagnostics": map(_diagnostic_to_dict, store.diagnostics),
     }
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode
+def store_to_dict(store: AnalysisStore) -> dict:
+    return {key: list(value) if type(value) is map else value
+            for key, value in _document(store).items()}
 
 
-def _canonical_lines(payload: dict):
-    """payload as canonical JSON, one newline-terminated line at a time: one
-    line per top-level key, sorted, and one line per element of a non-empty
-    top-level list.
+if c_make_encoder is None:  # no _json accelerator: json's pure-Python encoder
+    _encode = json.JSONEncoder(sort_keys=True).encode
+else:
+    # One C encoder for every value, with JSONEncoder(sort_keys=True)'s
+    # settings; JSONEncoder.encode would build a new one per call.
+    _chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                             None, ": ", ", ", True, False, True)
 
-    Every value goes through the C encoder: json's pure-Python encoder,
-    which any indent selects, costs about three times as much. A writer
-    takes the lines as they are encoded, so the document is never held
-    whole.
+    def _encode(value) -> str:
+        return "".join(_chunks(value, 0))
+
+
+def _write_canonical(payload: dict, write) -> None:
+    """Pass payload to write as canonical JSON: one line per top-level key,
+    sorted, and one line per element of a non-empty top-level list or map.
+
+    Each element is encoded as it is written, and `",\n"` goes before
+    every element but the first, so a map is read once and neither its
+    entries nor the document are ever held whole. Every value goes through
+    the C encoder: json's pure-Python encoder, which any indent selects,
+    costs about three times as much.
     """
-    yield "{\n"
+    write("{\n")
     last = len(payload) - 1
     for index, key in enumerate(sorted(payload)):
         value = payload[key]
         end = ",\n" if index < last else "\n"
-        if type(value) is list and value:
-            yield f"  {_encode(key)}: [\n"
-            last_item = len(value) - 1
-            for position, item in enumerate(value):
-                yield f"    {_encode(item)}{',' if position < last_item else ''}\n"
-            yield "  ]" + end
+        if type(value) is list or type(value) is map:
+            opened = False
+            for item in value:
+                write((",\n    " if opened else f"  {_encode(key)}: [\n    ") + _encode(item))
+                opened = True
+            write("\n  ]" + end if opened else f"  {_encode(key)}: []{end}")
         else:
-            yield f"  {_encode(key)}: {_encode(value)}{end}"
-    yield "}\n"
+            write(f"  {_encode(key)}: {_encode(value)}{end}")
+    write("}\n")
 
 
 def save_store(store: AnalysisStore, path) -> None:
     """Write the canonical store document line by line. OS errors propagate."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_canonical_lines(store_to_dict(store)))
+        _write_canonical(_document(store), handle.write)
 
 
 _REQUIRED = object()
@@ -323,7 +340,7 @@ def render_report(
 ) -> str:
     """Byte-deterministic report: per-class error names, then the clusters."""
     if format == "json":
-        payload = store_to_dict(store)
+        payload = _document(store)
         payload["clusters"] = [
             {
                 "error_codes": list(c.error_set),
@@ -332,7 +349,9 @@ def render_report(
             }
             for c in clusters
         ]
-        return "".join(_canonical_lines(payload))
+        parts: list[str] = []
+        _write_canonical(payload, parts.append)
+        return "".join(parts)
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
 

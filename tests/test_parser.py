@@ -496,7 +496,7 @@ def test_lex_error_becomes_diagnostic_only_unit():
             ('Block',
              (('ExprStmt', ('Assign', ('Name', 'z'), ('New', 'a.B', (('NumLit', '1'),)))),)),
             False),)),),
-        [(3, "expected a class name after 'new', found 'int'", (3, 3)),
+        [(3, "expected a class name after 'new' but found 'int'", (3, 3)),
          (4, 'array creation is not supported', (4, 4)),
          (5, 'array creation is not supported', (5, 5))],
         id="new",
@@ -506,7 +506,7 @@ def test_lex_error_becomes_diagnostic_only_unit():
         "  void m() {\n"
         "    w = new",
         (('ClassDecl', 'N', (), (), (), ()),),
-        [(3, "expected a class name after 'new', found 'end of file'", (3, 3)),
+        [(3, "expected a class name after 'new' but reached end of file", (3, 3)),
          (2, "expected '}' but reached end of file", (2, 3)),
          (3, "missing '}' for class N", (3, 3))],
         id="new-at-end-of-file",
@@ -555,6 +555,20 @@ def test_lex_error_becomes_diagnostic_only_unit():
          (3, "unsupported top-level construct starting at '='", (3, 3)),
          (5, "expected ';' to end the import directive but reached end of file", (5, 6))],
         id="directive-stops-at-foreign-token",
+    ),
+    pytest.param(
+        "class A { }\n"
+        "public\n"
+        "  static",
+        (('ClassDecl', 'A', (), (), (), ()),),
+        [(2, "expected 'class' but reached end of file", (2, 3))],
+        id="trailing-modifiers",
+    ),
+    pytest.param(
+        "public",
+        (),
+        [(1, "expected 'class' but reached end of file", (1, 1))],
+        id="only-a-modifier",
     ),
 ])
 def test_declarators_and_type_names(source, classes, diagnostics):

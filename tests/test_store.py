@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import faultlint
 from faultlint.cli import RunConfig, run_scan
 from faultlint.detectors import ERROR_CATALOG, Finding, run_all
 from faultlint.store import (
@@ -553,19 +558,52 @@ def test_writers_match_reference_on_edge_stores(store, tmp_path):
 
 
 def test_save_store_peak_memory_is_a_fraction_of_the_document(tmp_path):
-    # the writer streams: at no time does it hold the encoded document whole
+    # each record and diagnostic is encoded from its object as its line is
+    # written: neither the list of their dicts nor the encoded document is
+    # ever held whole
     diagnostics = tuple(
         Diagnostic(f"unsupported construct starting at 'switch' number {i}", f"f{i % 97}.java", i)
         for i in range(20_000)
     )
-    store = AnalysisStore(corpus_root="corpus", records=(), diagnostics=diagnostics)
-    path = tmp_path / "store.json"
-    tracemalloc.start()
-    try:
-        save_store(store, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = path.stat().st_size
-    assert size > 1_000_000
-    assert peak < 2.5 * size, f"peak {peak} bytes for a {size}-byte store"
+    finding = Finding("C", 2, ERROR_CATALOG[2], "c.java", 1, "extends A, B",
+                      {"superclasses": ["A", "B"]})
+    records = tuple(ClassRecord(f"C{i:05d}", "c.java", (2,), (finding,)) for i in range(5_000))
+    for store in (AnalysisStore(corpus_root="corpus", records=(), diagnostics=diagnostics),
+                  AnalysisStore(corpus_root="corpus", records=records)):
+        path = tmp_path / "store.json"
+        tracemalloc.start()
+        try:
+            save_store(store, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 4, f"peak {peak} bytes for a {size}-byte store"
+
+
+WITHOUT_ACCELERATOR = """\
+import sys
+from pathlib import Path
+import json.encoder
+json.encoder.c_make_encoder = None  # as on an interpreter without _json
+from faultlint.cli import RunConfig, run_scan
+from faultlint.store import cluster, render_report, save_store
+store = run_scan(RunConfig(corpus_root=Path(sys.argv[1]))).store
+save_store(store, sys.argv[2])
+sys.stdout.write(render_report(store, cluster(list(store.records)), "json"))
+"""
+
+
+def test_writers_without_the_c_encoder_write_the_same_bytes(tmp_path):
+    src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    fallback_path = tmp_path / "fallback.json"
+    child = subprocess.run(
+        [sys.executable, "-c", WITHOUT_ACCELERATOR, str(REFERENCE_CORPUS_DIR), str(fallback_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    store = run_scan(RunConfig(corpus_root=REFERENCE_CORPUS_DIR)).store
+    save_store(store, tmp_path / "store.json")
+    assert fallback_path.read_bytes() == (tmp_path / "store.json").read_bytes()
+    assert child.stdout == render_report(store, cluster(list(store.records)), "json")
