@@ -288,7 +288,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     types = None  # built at the first Name argument with a declared type
                     for position, arg in enumerate(args):
                         if type(arg) is Name:
-                            declared = scope.lookup(arg.ident)
+                            declared = scope.get(arg.ident)
                             if declared is not None:
                                 if types is None:
                                     types = [None] * len(args)
@@ -300,7 +300,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                                             and receiver.ident == "this"):
                         receiver_type = class_name
                     elif type(receiver) is Name:
-                        receiver_type = scope.lookup(receiver.ident)
+                        receiver_type = scope.get(receiver.ident)
                     else:
                         receiver_type = None
                     call_sites.append((node, idents, types, receiver_type))

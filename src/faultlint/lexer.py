@@ -4,14 +4,14 @@ loop that emits tokens directly.
 A token is a plain 4-tuple `(kind, lexeme, line, column)`, line and column
 1-based; the parser reads its fields by constant index (`tok[1]` is the
 lexeme). There is no record type: a named tuple built through
-`tuple.__new__` made a temporary tuple and then a copy of it for every
-token, and each field read went through a descriptor (README "Scanner"
-gives the measured cost). The kinds are the seven constants below;
+`tuple.__new__` would make a temporary tuple and then a copy of it for
+every token, and each field read would go through a descriptor. The kinds are the seven constants below;
 `KEYWORDS` decides keyword against identifier, and the operator tables
 give the longest match first. Every punctuator, operator and keyword
 lexeme occurs with one kind only, which the parser relies on.
 
-The loop dispatches on the first character of each lexeme. Runs of blanks
+The loop dispatches on the first character of each lexeme; a '.' starts
+a numeric literal when a digit follows it (`.5`). Runs of blanks
 and identifier tails are consumed with precompiled regular expressions;
 on str patterns `\\w` is exactly `str.isalnum()` plus `_`, so `[\\w$]` is the
 identifier-part test. First characters keep the `str` predicates: `\\d` is
@@ -85,6 +85,34 @@ def scanner_backend() -> str:
     return "python"
 
 
+def _number_end(text: str, pos: int, n: int) -> int:
+    """End of the numeric literal at pos, a digit or a '.' before one: hex,
+    or decimal with an optional '.' (`1.`, `.5`; JLS 3.10.2), exponent and
+    type suffix."""
+    if text.startswith(("0x", "0X"), pos):
+        pos += 2
+        while pos < n and text[pos] in _HEX_DIGITS:
+            pos += 1
+    else:
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        if pos < n and text[pos] == ".":
+            pos += 1
+            while pos < n and text[pos].isdigit():
+                pos += 1
+        if pos < n and text[pos] in "eE":  # an exponent needs a digit
+            exponent = pos + 1
+            if exponent < n and text[exponent] in "+-":
+                exponent += 1
+            if exponent < n and text[exponent].isdigit():
+                pos = exponent
+                while pos < n and text[pos].isdigit():
+                    pos += 1
+    if pos < n and text[pos] in _NUM_SUFFIXES:
+        pos += 1
+    return pos
+
+
 def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
     """Tokenize source text.
 
@@ -105,6 +133,11 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
         ch = text[pos]
 
         if ch in _SIMPLE_PUNCTUATORS:
+            if ch == "." and pos + 1 < n and text[pos + 1].isdigit():  # .5
+                end = _number_end(text, pos, n)
+                append((NUMBER, text[pos:end], line, pos - line_start + 1))
+                pos = end
+                continue
             append((PUNCTUATOR, ch, line, pos - line_start + 1))
             pos += 1
             continue
@@ -121,32 +154,9 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
             continue
 
         if ch.isdigit():
-            start = pos
-            if ch == "0" and pos + 1 < n and text[pos + 1] in "xX":
-                pos += 2
-                while pos < n and text[pos] in _HEX_DIGITS:
-                    pos += 1
-            else:
-                pos += 1
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                if pos + 1 < n and text[pos] == "." and text[pos + 1].isdigit():
-                    pos += 1
-                    while pos < n and text[pos].isdigit():
-                        pos += 1
-                if pos < n and text[pos] in "eE":
-                    mark = pos
-                    pos += 1
-                    if pos < n and text[pos] in "+-":
-                        pos += 1
-                    if pos < n and text[pos].isdigit():
-                        while pos < n and text[pos].isdigit():
-                            pos += 1
-                    else:
-                        pos = mark
-            if pos < n and text[pos] in _NUM_SUFFIXES:
-                pos += 1
-            append((NUMBER, text[start:pos], line, start - line_start + 1))
+            end = _number_end(text, pos, n)
+            append((NUMBER, text[pos:end], line, pos - line_start + 1))
+            pos = end
             continue
 
         if ch.isalpha() or ch == "_" or ch == "$":

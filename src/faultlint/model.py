@@ -1,5 +1,9 @@
 """Cross-file semantic model: class hierarchy, scopes, types, call index.
 
+A scope is a plain dict from name to declared type. walk_body borrows one
+for a whole method body and, when a block ends, undoes its declarations
+from a list of the names and the types they hid.
+
 The hierarchy merges extends-edges found in the scanned corpus with a
 seeded set of external edges (library classes such as Stack -> Vector
 live outside any scanned file). It keeps one superclass per class, the
@@ -268,47 +272,21 @@ def is_descendant(a: str, b: str, hierarchy: ClassHierarchy) -> bool:
     return a != b and b in _first_superclasses(a, hierarchy.parent)
 
 
-class Scope:
-    """Chained name -> declared type map; inner declarations shadow outer."""
-
-    __slots__ = ("_names", "_parent")
-
-    def __init__(self, parent: "Scope | None" = None):
-        self._names: dict[str, str] = {}
-        self._parent = parent
-
-    def child(self) -> "Scope":
-        return Scope(self)
-
-    def declare(self, name: str, type_name: str) -> None:
-        self._names[name] = type_name
-
-    def lookup(self, name: str) -> str | None:
-        scope: Scope | None = self
-        while scope is not None:
-            if name in scope._names:
-                return scope._names[name]
-            scope = scope._parent
-        return None
-
-
-def method_scope(class_decl: ClassDecl, method: MethodDecl) -> Scope:
-    """Scope seeded with the enclosing class fields and the method params."""
-    fields_scope = Scope()
-    for f in class_decl.fields:
-        fields_scope.declare(f.name, f.type_name)
-    scope = fields_scope.child()
+def method_scope(class_decl: ClassDecl, method: MethodDecl) -> dict[str, str]:
+    """Name -> declared type: the enclosing class's fields, then the
+    method's parameters over them."""
+    scope = {f.name: f.type_name for f in class_decl.fields}
     for p in method.params:
-        scope.declare(p.name, p.type_name)
+        scope[p.name] = p.type_name
     return scope
 
 
-def static_type_of(expr: Expr, scope: Scope) -> str | None:
+def static_type_of(expr: Expr, scope: dict[str, str]) -> str | None:
     """Declared type of simple expressions; None for everything unknowable."""
     if isinstance(expr, StringLit):
         return "String"
     if isinstance(expr, Name):
-        return scope.lookup(expr.ident)
+        return scope.get(expr.ident)
     if isinstance(expr, New):
         return expr.type_name
     if isinstance(expr, Paren):
@@ -367,29 +345,32 @@ def _declared_methods(class_name: str, name: str, arity: int,
             if m.name == name and len(m.params) == arity]
 
 
-def walk_body(block: Block, scope: Scope):
+def walk_body(block: Block, scope: dict[str, str]):
     """Yield (node, scope) for block and every statement and expression
     under it.
 
     Nodes come in source order: a statement, then its own expressions in
     preorder, then the statements nested in it. A for loop gives its init
     statements (one per declarator or expression), then its condition and
-    update expressions, then its body, all in the loop's scope; a do-while
-    gives its body, then its condition. A catch clause is not yielded, its
-    block is. scope holds the names in effect at the node. Each block,
-    block included, opens a child scope; a local declaration enters the
-    scope after its initializer's expressions have been yielded, so a
-    scope is only valid until the next node.
+    update expressions, then its body; a do-while gives its body, then its
+    condition. A catch clause is not yielded, its block is.
+
+    scope (name -> declared type, as method_scope makes it) is borrowed
+    for the whole walk and holds the names in effect at each node, so it is
+    only valid until the next node. A declaration, a local once its
+    initializer is walked or a catch variable before its block, appends
+    (name, the type it hides or None) to hidden, then sets the name. A
+    block, a for loop and a catch clause end at a marker, hidden's length
+    when they began, where the walk undoes the later entries in reverse.
+    No block makes a dict, and the exhausted walk leaves scope as given.
 
     The stack replaces recursion, so statements nested and expressions
     chained to any depth, such as a long `a + a + ... + a` or `a.f().f()...`
-    chain, are walked. Besides nodes to visit it holds (name, type)
-    tuples, a local declaration made once its initializer is walked, and
-    scopes to switch to: a catch variable's, made current before its
-    block, and the enclosing one, restored when a block, a for loop or the
-    catch clauses of a try end. Children go on the stack last-first, so
-    they come off in source order.
+    chain, are walked. Besides nodes it holds those (name, type)
+    declarations and the integer end markers. Children go on the stack
+    last-first, so they come off in source order.
     """
+    hidden: list[tuple[str, str | None]] = []
     stack = [block]
     pop = stack.pop
     push = stack.append
@@ -400,17 +381,23 @@ def walk_body(block: Block, scope: Scope):
         if kind is Name:
             yield node, scope
             continue
-        if kind is Scope:
-            scope = node
+        if kind is int:
+            while len(hidden) > node:
+                name, outer = hidden.pop()
+                if outer is None:
+                    del scope[name]
+                else:
+                    scope[name] = outer
             continue
         if kind is tuple:
-            scope.declare(*node)
+            name = node[0]
+            hidden.append((name, scope.get(name)))
+            scope[name] = node[1]
             continue
         yield node, scope
         if kind is Block:
-            push(scope)
+            push(len(hidden))
             stack.extend(reversed(node.stmts))
-            scope = scope.child()
         elif kind is ExprStmt:
             push(node.expr)
         elif kind is MethodCall:
@@ -421,10 +408,8 @@ def walk_body(block: Block, scope: Scope):
             push(node.rhs)
             push(node.lhs)
         elif kind is LocalVarDecl:
-            if node.init is None:
-                scope.declare(node.name, node.type_name)
-            else:
-                push((node.name, node.type_name))
+            push((node.name, node.type_name))
+            if node.init is not None:
                 push(node.init)
         elif kind is NumLit or kind is StringLit:
             pass  # leaves, common enough to end the tests here
@@ -448,24 +433,23 @@ def walk_body(block: Block, scope: Scope):
         elif kind is Paren:
             push(node.inner)
         elif kind is For:
-            push(scope)
+            push(len(hidden))
             push(node.body)
             stack.extend(reversed(node.update))
             if node.cond is not None:
                 push(node.cond)
             stack.extend(reversed(node.init))
-            scope = scope.child()
         elif kind is DoWhile:
             push(node.cond)
             push(node.body)
         elif kind is TryCatch:
             if node.finally_block is not None:
                 push(node.finally_block)
-            push(scope)
+            # the try block and each earlier clause end back at this length
+            end = len(hidden)
             for clause in reversed(node.catches):
-                catch_scope = scope.child()
-                catch_scope.declare(clause.var_name, clause.type_name)
+                push(end)
                 push(clause.body)
-                push(catch_scope)
+                push((clause.var_name, clause.type_name))
             push(node.try_block)
         # the other literals and Empty are leaves

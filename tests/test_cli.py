@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import os
@@ -34,6 +35,7 @@ from conftest import (
     REFERENCE_CORPUS_DIR,
     nested_source,
 )
+from test_acceptance import EXPECTED_RECORDS
 
 CLEAN_CLASS = """\
 class Tidy%d
@@ -730,15 +732,19 @@ def test_scan_builds_no_reference_cycles(tmp_path):
 # --- the benchmark's traced harness ------------------------------------------
 
 
+PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
+
+
 def test_benchmark_traced_scan_matches_the_cli_store(tmp_path, capsys):
     # pipebench/traced.py re-calls the pipeline module by module; a change
     # to a name it imports would otherwise only show in a traced bench run
-    traced = Path(__file__).resolve().parent.parent / "pipebench" / "traced.py"
     trace_path = tmp_path / "trace.json"
-    proc = run_python([str(traced), str(REFERENCE_CORPUS_DIR), str(tmp_path / "traced_store.json"),
-                       str(trace_path)])
+    proc = run_python([str(PIPEBENCH / "traced.py"), str(REFERENCE_CORPUS_DIR),
+                       str(tmp_path / "traced_store.json"), str(trace_path)])
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(trace_path.read_text(encoding="utf-8"))
+    assert trace["backend"] == "python"
+    assert trace["classes"] == dict(EXPECTED_RECORDS)
 
     cli_store = tmp_path / "cli_store.json"
     assert main([str(REFERENCE_CORPUS_DIR), "--store", str(cli_store)]) == 1
@@ -748,3 +754,17 @@ def test_benchmark_traced_scan_matches_the_cli_store(tmp_path, capsys):
     per_rule = Counter(str(f["error_code"]) for r in records for f in r["findings"])
     assert trace["rule_findings"] == {str(code): per_rule[str(code)] for code in range(1, 7)}
     assert trace["run_all_findings"] == sum(per_rule.values())
+
+
+def test_benchmark_preflight_imports_the_package():
+    # pipebench/run.py runs its PREFLIGHT string before any measurement and
+    # refuses to go on unless it prints the package's file, version and backend
+    tree = ast.parse((PIPEBENCH / "run.py").read_text(encoding="utf-8"))
+    preflight = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PREFLIGHT"])
+    proc = run_python(["-c", preflight])
+    assert proc.returncode == 0, proc.stderr
+    module, version, backend = proc.stdout.splitlines()
+    assert Path(module).resolve() == Path(faultlint.__file__).resolve()
+    assert (version, backend) == (__version__, "python")

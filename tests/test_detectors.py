@@ -605,6 +605,15 @@ def test_d6_for_with_only_empty_statements():
     assert [f.detail["loop_kind"] for f in findings] == ["for"]
 
 
+@pytest.mark.parametrize("bound", [".5", "1."])
+def test_d6_loop_bounded_by_a_float_with_digits_on_one_side(bound):
+    # `.5` and `1.` are floating-point literals (JLS 3.10.2), not a stray '.'
+    unit = parse_source(f"class L {{ void m(double x) {{ while (x < {bound}) ; }} }}", "l.java")
+    assert unit.diagnostics == ()
+    findings = run_all(build_model([unit]), {6})
+    assert [(f.line, f.detail) for f in findings] == [(1, {"loop_kind": "while"})]
+
+
 def test_for_init_with_several_declarators_is_analysed():
     # every declarator is walked: r is closed in the body, s never is
     source = (

@@ -90,10 +90,13 @@ def test_two_char_operators_max_munch():
 
 
 def test_numeric_literals():
-    toks = tokenize("0 42 3.14 1e9 2.5e-3 10L 1.5f 0xFF")
+    # a floating-point literal may lack digits on one side of the point
+    toks = tokenize("0 42 3.14 1e9 2.5e-3 10L 1.5f 0xFF 1. .5 1.e3 1.f 5.d .5e2")
     assert [t[1] for t in toks] == [
-        "0", "42", "3.14", "1e9", "2.5e-3", "10L", "1.5f", "0xFF"
+        "0", "42", "3.14", "1e9", "2.5e-3", "10L", "1.5f", "0xFF",
+        "1.", ".5", "1.e3", "1.f", "5.d", ".5e2",
     ]
+    assert {t[0] for t in toks} == {NUMBER}
 
 
 def test_line_and_column_point_at_lexeme_start():

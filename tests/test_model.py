@@ -16,6 +16,7 @@ from faultlint.model import (
     method_scope,
     resolve_callee,
     static_type_of,
+    walk_body,
 )
 from faultlint.nodes import MethodCall, Name, New, Paren, StringLit
 from faultlint.parser import parse_source
@@ -252,29 +253,21 @@ def test_param_name_type():
 
 
 def test_string_literal_type():
-    from faultlint.model import Scope
-
-    assert static_type_of(StringLit('"WEL"', 1), Scope()) == "String"
+    assert static_type_of(StringLit('"WEL"', 1), {}) == "String"
 
 
 def test_new_and_paren_types():
-    from faultlint.model import Scope
-
     expr = Paren(New("FileReader", (), 1), 1)
-    assert static_type_of(expr, Scope()) == "FileReader"
+    assert static_type_of(expr, {}) == "FileReader"
 
 
 def test_method_call_type_is_unknown():
-    from faultlint.model import Scope
-
     call = MethodCall(Name("v", 1), "size", (), 1)
-    assert static_type_of(call, Scope()) is None
+    assert static_type_of(call, {}) is None
 
 
 def test_undeclared_name_is_unknown():
-    from faultlint.model import Scope
-
-    assert static_type_of(Name("ghost", 1), Scope()) is None
+    assert static_type_of(Name("ghost", 1), {}) is None
 
 
 def test_local_shadows_field():
@@ -285,7 +278,7 @@ def test_local_shadows_field():
     seen = {}
     for expr, scope in iter_scoped_exprs(decl, method):
         if isinstance(expr, Name):
-            seen[expr.ident] = scope.lookup(expr.ident)
+            seen[expr.ident] = scope.get(expr.ident)
     assert seen["d"] == "int"
 
 
@@ -295,7 +288,7 @@ def test_block_scope_does_not_leak():
     )
     decl, method = _only_method(model, "S")
     types = [
-        scope.lookup(expr.ident)
+        scope.get(expr.ident)
         for expr, scope in iter_scoped_exprs(decl, method)
         if isinstance(expr, Name) and expr.ident == "t"
     ]
@@ -306,7 +299,7 @@ def _name_lookups(source, ident):
     model = model_for_source(source, "s.java")
     decl, method = _only_method(model, "S")
     return [
-        scope.lookup(expr.ident)
+        scope.get(expr.ident)
         for expr, scope in iter_scoped_exprs(decl, method)
         if isinstance(expr, Name) and expr.ident == ident
     ]
@@ -344,6 +337,28 @@ def test_catch_variable_visible_only_in_its_own_catch_body():
         "catch (Exception f) { e.c(); } finally { e.d(); } e.f(); } }"
     )
     assert _name_lookups(source, "e") == [None, "IOException", None, None, None]
+
+
+def test_walk_body_borrows_the_scope_and_restores_it():
+    # one dict serves the whole walk; a field redeclared twice in one
+    # block, in a sibling block, by a catch variable and by a for init is
+    # hidden only until that block ends, a new local n goes with its block,
+    # and the dict comes back as given
+    source = (
+        "class S { String d; void m(int k) { { long d; int d; int n; d.a(); } "
+        "{ int d; d.b(); } "
+        "try { } catch (E d) { d.c(); } for (char d = 'x'; ; ) { d.e(); } d.f(); } }"
+    )
+    model = model_for_source(source, "s.java")
+    decl, method = _only_method(model, "S")
+    scope = method_scope(decl, method)
+    types = []
+    for node, in_effect in walk_body(method.body, scope):
+        assert in_effect is scope
+        if isinstance(node, Name) and node.ident == "d":
+            types.append(scope.get("d"))
+    assert types == ["int", "int", "E", "char", "String"]
+    assert scope == {"d": "String", "k": "int"}
 
 
 # --- resolve_callee ----------------------------------------------------------

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import ChainMap
 
 import pytest
 
-from faultlint.model import Scope, method_scope, walk_body
+from faultlint.model import method_scope, walk_body
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -626,7 +627,7 @@ def test_node_lines_within_source(fixture):
         assert 1 <= decl.line <= line_count
         for method in decl.methods:
             assert 1 <= method.line <= line_count
-            for node, _ in walk_body(method.body, Scope()):
+            for node, _ in walk_body(method.body, {}):
                 assert 1 <= node.line <= line_count
 
 
@@ -664,48 +665,48 @@ def _scoped_stmt_reference(stmt, scope):
     recursively. Kept as the reference the iterative walk must match.
     """
     if isinstance(stmt, Block):
-        yield from _scoped_block_reference(stmt, scope.child())
+        yield from _scoped_block_reference(stmt, scope.new_child())
         return
     yield stmt
     if isinstance(stmt, LocalVarDecl):
         if stmt.init is not None:
             for expr in _walk_exprs_recursive(stmt.init):
                 yield expr, scope
-        scope.declare(stmt.name, stmt.type_name)
+        scope[stmt.name] = stmt.type_name
     elif isinstance(stmt, ExprStmt):
         for expr in _walk_exprs_recursive(stmt.expr):
             yield expr, scope
     elif isinstance(stmt, If):
         for expr in _walk_exprs_recursive(stmt.cond):
             yield expr, scope
-        yield from _scoped_block_reference(stmt.then_block, scope.child())
+        yield from _scoped_block_reference(stmt.then_block, scope.new_child())
         if stmt.else_block is not None:
-            yield from _scoped_block_reference(stmt.else_block, scope.child())
+            yield from _scoped_block_reference(stmt.else_block, scope.new_child())
     elif isinstance(stmt, While):
         for expr in _walk_exprs_recursive(stmt.cond):
             yield expr, scope
-        yield from _scoped_block_reference(stmt.body, scope.child())
+        yield from _scoped_block_reference(stmt.body, scope.new_child())
     elif isinstance(stmt, DoWhile):
-        yield from _scoped_block_reference(stmt.body, scope.child())
+        yield from _scoped_block_reference(stmt.body, scope.new_child())
         for expr in _walk_exprs_recursive(stmt.cond):
             yield expr, scope
     elif isinstance(stmt, For):
-        inner = scope.child()
+        inner = scope.new_child()
         for init in stmt.init:
             yield from _scoped_stmt_reference(init, inner)
         for part in (stmt.cond, *stmt.update):
             if part is not None:
                 for expr in _walk_exprs_recursive(part):
                     yield expr, inner
-        yield from _scoped_block_reference(stmt.body, inner.child())
+        yield from _scoped_block_reference(stmt.body, inner.new_child())
     elif isinstance(stmt, TryCatch):
-        yield from _scoped_block_reference(stmt.try_block, scope.child())
+        yield from _scoped_block_reference(stmt.try_block, scope.new_child())
         for clause in stmt.catches:
-            catch_scope = scope.child()
-            catch_scope.declare(clause.var_name, clause.type_name)
+            catch_scope = scope.new_child()
+            catch_scope[clause.var_name] = clause.type_name
             yield from _scoped_block_reference(clause.body, catch_scope)
         if stmt.finally_block is not None:
-            yield from _scoped_block_reference(stmt.finally_block, scope.child())
+            yield from _scoped_block_reference(stmt.finally_block, scope.new_child())
     elif isinstance(stmt, Return):
         if stmt.expr is not None:
             for expr in _walk_exprs_recursive(stmt.expr):
@@ -714,21 +715,24 @@ def _scoped_stmt_reference(stmt, scope):
 
 def _expr_event(expr, scope):
     # a Name's lookup is taken at once: the scope changes as the walk goes on
-    return id(expr), scope.lookup(expr.ident) if isinstance(expr, Name) else None
+    return id(expr), scope.get(expr.ident) if isinstance(expr, Name) else None
 
 
 def _reference_events(decl, method):
     events = []
-    for item in _scoped_block_reference(method.body, method_scope(decl, method).child()):
+    scope = ChainMap(method_scope(decl, method)).new_child()
+    for item in _scoped_block_reference(method.body, scope):
         events.append(_expr_event(*item) if isinstance(item, tuple) else id(item))
     return events
 
 
 def _walk_body_events(decl, method, kinds):
     events = []
-    for node, scope in walk_body(method.body, method_scope(decl, method)):
+    scope = method_scope(decl, method)
+    for node, in_effect in walk_body(method.body, scope):
         kinds.add(type(node).__name__)
-        events.append(_expr_event(node, scope) if isinstance(node, Expr) else id(node))
+        events.append(_expr_event(node, in_effect) if isinstance(node, Expr) else id(node))
+    assert scope == method_scope(decl, method)  # every declaration undone
     return events
 
 
@@ -795,7 +799,7 @@ def test_walk_body_handles_nesting_beyond_the_recursion_limit():
     for level in range(depth):
         node = Block((node,), 1) if level % 2 else If(Name("c", 1), node, None, 1)
     root = Block((LocalVarDecl("int", "x", None, 1), node), 1)
-    entries = [(node, scope.lookup("x")) for node, scope in walk_body(root, Scope())]
+    entries = [(node, scope.get("x")) for node, scope in walk_body(root, {})]
     assert len(entries) == depth + depth // 2 + 5  # an If also yields its condition
     assert entries[-2][0] is use
     assert entries[-1] == (use.expr, "int")
@@ -807,7 +811,7 @@ def test_walk_body_handles_nesting_beyond_the_recursion_limit():
     for _ in range(depth):
         calls = MethodCall(calls, "f", (), 1)
     root = Block((ExprStmt(chain, 1), Return(calls, 1)), 1)
-    walked = [node for node, _ in walk_body(root, Scope())]
+    walked = [node for node, _ in walk_body(root, {})]
     assert len(walked) == 3 + (2 * depth + 1) + (depth + 1)
     assert walked[2] is chain and walked[4 + 2 * depth] is calls
     assert type(walked[-1]) is Name

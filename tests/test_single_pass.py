@@ -22,7 +22,6 @@ from faultlint import detectors
 from faultlint.detectors import ERROR_CATALOG, SPAGHETTI_DEPTH, Finding, run_all
 from faultlint.model import (
     ExternalHierarchySeed,
-    Scope,
     build_model,
     default_seed,
     is_descendant,
@@ -94,7 +93,7 @@ def reference_lvalue_required(model):
 
 
 def _reference_param_mutation(callee, param_name, model):
-    for node, _ in walk_body(callee.body, Scope()):
+    for node, _ in walk_body(callee.body, {}):
         if (isinstance(node, MethodCall)
                 and isinstance(node.receiver, Name)
                 and node.receiver.ident == param_name
@@ -217,7 +216,7 @@ def reference_illicit_file_usage(model):
     for class_name, file_path, decl, method in _methods(model):
         opened = {}
         closed = set()
-        for node, _ in walk_body(method.body, Scope()):
+        for node, _ in walk_body(method.body, {}):
             if (isinstance(node, LocalVarDecl)
                     and isinstance(node.init, New)
                     and node.init.type_name in model.seed.resource_types):
@@ -246,7 +245,7 @@ def reference_illicit_file_usage(model):
 def reference_undefined_loop(model):
     findings = []
     for class_name, file_path, decl, method in _methods(model):
-        for node, _ in walk_body(method.body, Scope()):
+        for node, _ in walk_body(method.body, {}):
             if isinstance(node, While):
                 kind, body = "while", node.body
             elif isinstance(node, DoWhile):
