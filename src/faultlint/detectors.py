@@ -10,6 +10,9 @@ Error codes and names (fixed catalog):
                                      opening method
     6  Undefined loop exception      loop with an empty body
 
+ERROR_CATALOG is the only copy of the names. A Finding carries its code;
+the store and the reports look the name up where they write it.
+
 run_all is the one entry point: it walks the classes once. Rules 2 and 3
 read each class header. Rule 3 counts the edges of a class's
 first-superclass chain, seeded edges included; an unknown external
@@ -96,14 +99,12 @@ SPAGHETTI_DEPTH = 6
 
 
 class Finding(Record):
-    __slots__ = ("class_name", "error_code", "error_name", "file_path", "line", "message",
-                 "detail")
+    __slots__ = ("class_name", "error_code", "file_path", "line", "message", "detail")
 
-    def __init__(self, class_name: str, error_code: int, error_name: str, file_path: str,
-                 line: int, message: str, detail: dict | None = None):
+    def __init__(self, class_name: str, error_code: int, file_path: str, line: int,
+                 message: str, detail: dict | None = None):
         _set(self, "class_name", class_name)
         _set(self, "error_code", error_code)
-        _set(self, "error_name", error_name)
         _set(self, "file_path", file_path)
         _set(self, "line", line)
         _set(self, "message", message)
@@ -115,19 +116,6 @@ class Finding(Record):
 
     def sort_key(self):
         return (self.file_path, self.line, self.error_code)
-
-
-def _finding(code: int, class_name: str, file_path: str, line: int,
-             message: str, detail: dict) -> Finding:
-    return Finding(
-        class_name=class_name,
-        error_code=code,
-        error_name=ERROR_CATALOG[code],
-        file_path=file_path,
-        line=line,
-        message=message,
-        detail=detail,
-    )
 
 
 def _uses_by_ident(name_uses: list) -> dict[str, tuple[list[int], list]]:
@@ -188,8 +176,8 @@ def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                     continue
                 later_use = uses[index]
                 mut_desc, mut_line = mutation
-                findings.append(_finding(
-                    4, class_name, file_path, call.line,
+                findings.append(Finding(
+                    class_name, 4, file_path, call.line,
                     f"{arg_type} '{ident}' passed where {base_type} is expected; "
                     f"{callee_class}.{callee.name} mutates it ({mut_desc}) and "
                     f"'{ident}' is used again at line {later_use[1]}",
@@ -244,8 +232,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     for class_name, decl in model.classes.items():
         file_path = model.class_files[class_name]
         if inheritance and len(decl.extends_list) > 1:
-            findings.append(_finding(
-                2, class_name, file_path, decl.line,
+            findings.append(Finding(
+                class_name, 2, file_path, decl.line,
                 f"class {class_name} extends multiple classes: {', '.join(decl.extends_list)}",
                 {"superclasses": list(decl.extends_list)},
             ))
@@ -253,8 +241,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
             chain = _first_superclasses(class_name, parent)
             depth = len(chain) - 1
             if depth >= SPAGHETTI_DEPTH:
-                findings.append(_finding(
-                    3, class_name, file_path, decl.line,
+                findings.append(Finding(
+                    class_name, 3, file_path, decl.line,
                     f"inheritance depth {depth} reaches the threshold of "
                     f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
                     {"depth": depth, "chain": chain},
@@ -311,8 +299,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     right = static_type_of(node.rhs, scope)
                     if ((left == "String" or right == "String")
                             and not _is_null(node.lhs) and not _is_null(node.rhs)):
-                        findings.append(_finding(
-                            1, class_name, file_path, node.line,
+                        findings.append(Finding(
+                            class_name, 1, file_path, node.line,
                             f"strings compared with '{node.op}'; use .equals() "
                             f"for value equality",
                             {"op": node.op, "left_type": left, "right_type": right},
@@ -334,8 +322,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 elif loops and kind in _LOOP_KINDS:
                     if all(type(s) is Empty for s in node.body.stmts):
                         loop_kind = _LOOP_KINDS[kind]
-                        findings.append(_finding(
-                            6, class_name, file_path, node.line,
+                        findings.append(Finding(
+                            class_name, 6, file_path, node.line,
                             f"empty {loop_kind} loop body",
                             {"loop_kind": loop_kind},
                         ))
@@ -346,8 +334,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 mutating_keys.add((method.name, len(method.params)))
             for var, (type_name, line) in opened.items():
                 if var not in closed:
-                    findings.append(_finding(
-                        5, class_name, file_path, line,
+                    findings.append(Finding(
+                        class_name, 5, file_path, line,
                         f"resource '{var}' of type {type_name} is opened but never "
                         f"closed in this method",
                         {"variable": var, "resource_type": type_name},

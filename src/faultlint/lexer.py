@@ -66,7 +66,8 @@ class LexError(Exception):
         self.column = column
 
 
-_HEX_DIGITS = "0123456789abcdefABCDEF"
+_is_hex_digit = frozenset("0123456789abcdefABCDEF").__contains__
+_is_binary_digit = frozenset("01").__contains__
 _NUM_SUFFIXES = "lLfFdD"
 # Punctuators that never start a longer lexeme.
 _SIMPLE_PUNCTUATORS = frozenset("{}();,.[]")
@@ -74,6 +75,7 @@ _BLANKS = " \t\f\v"
 
 _skip_blanks = re.compile(f"[{_BLANKS}]*").match
 _ident_tail = re.compile(r"[\w$]*").match
+_underscores = re.compile("_+").match
 # A backslash escapes any character but a newline; a literal ends at the
 # first newline or at end of input without its closing quote.
 _string_literal = re.compile(r'"(?:[^"\\\n]|\\[^\n])*"').match
@@ -85,29 +87,54 @@ def scanner_backend() -> str:
     return "python"
 
 
+def _digits_end(text: str, pos: int, n: int, is_digit=str.isdigit) -> int:
+    """End of the digits from pos on. A run of underscores belongs to them
+    only between two digits (`1_000`, `1__0`; JLS 3.10.1)."""
+    start = pos
+    while pos < n:
+        if is_digit(text[pos]):
+            pos += 1
+        elif text[pos] == "_" and pos > start:
+            after = _underscores(text, pos).end()
+            if after == n or not is_digit(text[after]):
+                break
+            pos = after
+        else:
+            break
+    return pos
+
+
+def _exponent_end(text: str, pos: int, n: int) -> int:
+    """End of the exponent whose sign or digits start at pos; 0 when no
+    digit follows."""
+    if pos < n and text[pos] in "+-":
+        pos += 1
+    if pos < n and text[pos].isdigit():
+        return _digits_end(text, pos, n)
+    return 0
+
+
 def _number_end(text: str, pos: int, n: int) -> int:
-    """End of the numeric literal at pos, a digit or a '.' before one: hex,
-    or decimal with an optional '.' (`1.`, `.5`; JLS 3.10.2), exponent and
-    type suffix."""
+    """End of the numeric literal at pos, a digit or a '.' before one
+    (JLS 3.10.1-2): hex, with a fraction only before a binary exponent
+    (`0x1.8p3`, `0x1p3`); binary (`0b101`); or decimal with an optional '.'
+    (`1.`, `.5`) and exponent. Underscores may stand between digits; a type
+    suffix may end any of them."""
     if text.startswith(("0x", "0X"), pos):
-        pos += 2
-        while pos < n and text[pos] in _HEX_DIGITS:
-            pos += 1
+        pos = _digits_end(text, pos + 2, n, _is_hex_digit)
+        end = pos
+        if end < n and text[end] == ".":
+            end = _digits_end(text, end + 1, n, _is_hex_digit)
+        if end < n and text[end] in "pP":
+            pos = _exponent_end(text, end + 1, n) or pos
+    elif text.startswith(("0b", "0B"), pos) and pos + 2 < n and text[pos + 2] in "01":
+        pos = _digits_end(text, pos + 2, n, _is_binary_digit)
     else:
-        while pos < n and text[pos].isdigit():
-            pos += 1
+        pos = _digits_end(text, pos, n)
         if pos < n and text[pos] == ".":
-            pos += 1
-            while pos < n and text[pos].isdigit():
-                pos += 1
-        if pos < n and text[pos] in "eE":  # an exponent needs a digit
-            exponent = pos + 1
-            if exponent < n and text[exponent] in "+-":
-                exponent += 1
-            if exponent < n and text[exponent].isdigit():
-                pos = exponent
-                while pos < n and text[pos].isdigit():
-                    pos += 1
+            pos = _digits_end(text, pos + 1, n)
+        if pos < n and text[pos] in "eE":
+            pos = _exponent_end(text, pos + 1, n) or pos
     if pos < n and text[pos] in _NUM_SUFFIXES:
         pos += 1
     return pos

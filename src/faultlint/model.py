@@ -153,7 +153,7 @@ class ProgramModel(Record):
 
     def __init__(self, hierarchy: ClassHierarchy, classes: dict[str, ClassDecl],
                  class_files: dict[str, str],
-                 method_index: dict[tuple[str, int], tuple[tuple[str, MethodDecl], ...]],
+                 method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]],
                  seed: ExternalHierarchySeed, diagnostics: tuple[str, ...] = ()):
         _set(self, "hierarchy", hierarchy)
         # (file path, position) order, first declaration wins
@@ -237,7 +237,7 @@ def build_model(
         hierarchy=hierarchy,
         classes=classes,
         class_files=class_files,
-        method_index={k: tuple(v) for k, v in method_index.items()},
+        method_index=method_index,
         seed=seed,
         diagnostics=tuple(diagnostics),
     )

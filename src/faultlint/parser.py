@@ -178,69 +178,46 @@ class _Parser:
         (start line, end line) span. Always consumes at least one token
         unless the very first is the enclosing `}` or input is exhausted.
         """
-        self.pos = start_pos
-        start_line = self._last_line()
-        end_line = start_line
         tokens = self.tokens
         pos = start_pos
         depth = 0
-        first = True
         while True:
-            tok = tokens[pos]
-            lexeme = tok[1]
-            if lexeme == "}":
-                if depth == 0:
-                    if first:
-                        end_line = tok[2]
-                    break
-                depth -= 1
-                end_line = tok[2]
-                pos += 1
-                if depth == 0:
-                    break
-            elif lexeme == "{":
+            lexeme = tokens[pos][1]
+            if not lexeme or (lexeme == "}" and depth == 0):  # end, or the block's end
+                break
+            pos += 1
+            if lexeme == "{":
                 depth += 1
-                end_line = tok[2]
-                pos += 1
-            elif depth == 0 and lexeme == ";":
-                end_line = tok[2]
-                pos += 1
+            elif lexeme == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif lexeme == ";" and depth == 0:
                 break
-            elif not lexeme:  # the end sentinel
-                break
-            else:
-                end_line = tok[2]
-                pos += 1
-            first = False
         self.pos = pos
-        return start_line, end_line
+        # the span ends on the last skipped token's line
+        start_line = tokens[start_pos][2]
+        return start_line, tokens[pos - 1][2] if pos > start_pos else start_line
 
     def skip_top_level(self, start_pos: int) -> tuple[int, int]:
         """Skip past the token at start_pos to the next top-level `class`
         keyword (or end of input)."""
-        self.pos = start_pos
-        start_line = self._last_line()
-        end_line = start_line
         tokens = self.tokens
         pos = start_pos
         depth = 0
-        first = True
         while True:
-            tok = tokens[pos]
-            lexeme = tok[1]
-            if depth == 0 and lexeme == "class" and not first:
+            lexeme = tokens[pos][1]
+            if not lexeme or (lexeme == "class" and depth == 0 and pos > start_pos):
                 break
             if lexeme == "{":
                 depth += 1
-            elif lexeme == "}":
-                depth = max(0, depth - 1)
-            elif not lexeme:  # the end sentinel
-                break
-            end_line = tok[2]
+            elif lexeme == "}" and depth:
+                depth -= 1
             pos += 1
-            first = False
         self.pos = pos
-        return start_line, end_line
+        # the span ends on the last skipped token's line
+        start_line = tokens[start_pos][2]
+        return start_line, tokens[pos - 1][2] if pos > start_pos else start_line
 
     # -- top level --------------------------------------------------------
 

@@ -4,6 +4,12 @@ The store is a canonical JSON document (sorted keys, records sorted by
 class name) so that identical scans produce byte-identical files. Classes
 with no findings produce no record; they only show up in the report's
 scanned/faulty summary.
+
+The error names are not held in memory beside the codes: the writer and
+the reports look each one up in detectors.ERROR_CATALOG. A loaded store
+keeps its codes only, so each name the file holds must be that code's
+catalog name, and its catalog may list a part of the fixed one but no
+other entry.
 """
 
 from __future__ import annotations
@@ -35,12 +41,10 @@ class ClassRecord(Record):
 
 
 class Cluster(Record):
-    __slots__ = ("error_set", "error_names", "classes")
+    __slots__ = ("error_set", "classes")
 
-    def __init__(self, error_set: tuple[int, ...], error_names: tuple[str, ...],
-                 classes: tuple[str, ...]):
+    def __init__(self, error_set: tuple[int, ...], classes: tuple[str, ...]):
         _set(self, "error_set", error_set)  # sorted
-        _set(self, "error_names", error_names)  # catalog names in error_set order
         _set(self, "classes", classes)  # sorted
 
 
@@ -54,16 +58,13 @@ class Diagnostic(Record):
 
 
 class AnalysisStore(Record):
-    __slots__ = ("corpus_root", "records", "diagnostics", "catalog", "schema_version")
+    __slots__ = ("corpus_root", "records", "diagnostics")
 
     def __init__(self, corpus_root: str, records: tuple[ClassRecord, ...],
-                 diagnostics: tuple[Diagnostic, ...] = (), catalog: dict | None = None,
-                 schema_version: int = SCHEMA_VERSION):
+                 diagnostics: tuple[Diagnostic, ...] = ()):
         _set(self, "corpus_root", corpus_root)
         _set(self, "records", records)
         _set(self, "diagnostics", diagnostics)
-        _set(self, "catalog", dict(ERROR_CATALOG) if catalog is None else catalog)
-        _set(self, "schema_version", schema_version)
 
 
 def aggregate(findings: list[Finding]) -> list[ClassRecord]:
@@ -97,14 +98,8 @@ def cluster(records: list[ClassRecord]) -> list[Cluster]:
     groups: dict[frozenset[int], list[str]] = {}
     for record in records:
         groups.setdefault(frozenset(record.error_codes), []).append(record.class_name)
-    clusters = []
-    for key, classes in groups.items():
-        codes = tuple(sorted(key))
-        clusters.append(Cluster(
-            error_set=codes,
-            error_names=tuple(ERROR_CATALOG[c] for c in codes),
-            classes=tuple(sorted(classes)),
-        ))
+    clusters = [Cluster(tuple(sorted(key)), tuple(sorted(classes)))
+                for key, classes in groups.items()]
     clusters.sort(key=lambda c: (c.error_set[0], len(c.error_set), c.error_set))
     return clusters
 
@@ -115,7 +110,7 @@ def _finding_to_dict(finding: Finding) -> dict:
     return {
         "class_name": finding.class_name,
         "error_code": finding.error_code,
-        "error_name": finding.error_name,
+        "error_name": ERROR_CATALOG[finding.error_code],
         "file_path": finding.file_path,
         "line": finding.line,
         "message": finding.message,
@@ -140,17 +135,12 @@ def _document(store: AnalysisStore) -> dict:
     """The store document by top-level key. The records and diagnostics are
     maps that build each entry's dict only as it is read."""
     return {
-        "schema_version": store.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "corpus_root": store.corpus_root,
         "records": map(_record_to_dict, sorted(store.records, key=lambda r: r.class_name)),
-        "catalog": {str(code): name for code, name in sorted(store.catalog.items())},
+        "catalog": {str(code): name for code, name in ERROR_CATALOG.items()},
         "diagnostics": map(_diagnostic_to_dict, store.diagnostics),
     }
-
-
-def store_to_dict(store: AnalysisStore) -> dict:
-    return {key: list(value) if type(value) is map else value
-            for key, value in _document(store).items()}
 
 
 if c_make_encoder is None:  # no _json accelerator: json's pure-Python encoder
@@ -228,10 +218,14 @@ def _int_list(entry, key: str, what: str, path) -> tuple[int, ...]:
 
 def _finding_from_dict(data, path) -> Finding:
     what = "finding entry"
+    code = _field(data, "error_code", (int,), what, path)
+    name = _field(data, "error_name", (str,), what, path)
+    if ERROR_CATALOG.get(code) != name:
+        raise FormatError(f"{path}: malformed {what}: error_name {name!r} is not the "
+                          f"catalog name of error code {code}")
     return Finding(
         class_name=_field(data, "class_name", (str,), what, path),
-        error_code=_field(data, "error_code", (int,), what, path),
-        error_name=_field(data, "error_name", (str,), what, path),
+        error_code=code,
         file_path=_field(data, "file_path", (str,), what, path),
         line=_field(data, "line", (int,), what, path),
         message=_field(data, "message", (str,), what, path),
@@ -259,16 +253,17 @@ def _diagnostic_from_dict(data, path) -> Diagnostic:
     )
 
 
-def _check_codes(record: ClassRecord, catalog: dict[int, str], path) -> None:
+def _check_codes(record: ClassRecord, catalog: set[int], path) -> None:
     """FormatError unless record's codes are what aggregate would give its
-    findings: non-empty, catalogued, and the findings' codes deduplicated in
-    first-detection order. cluster and render_report rely on this."""
+    findings: non-empty, in the file's catalog, and the findings' codes
+    deduplicated in first-detection order. cluster and render_report rely
+    on this."""
     what = f"record entry '{record.class_name}'"
     codes = record.error_codes
     if not codes:
         raise FormatError(f"{path}: malformed {what}: no error codes")
     for code in codes:
-        if code not in catalog or code not in ERROR_CATALOG:
+        if code not in catalog:
             raise FormatError(f"{path}: malformed {what}: error code {code} is not catalogued")
     ordered = sorted(record.findings, key=Finding.sort_key)
     found = tuple(dict.fromkeys(f.error_code for f in ordered))
@@ -280,10 +275,11 @@ def _check_codes(record: ClassRecord, catalog: dict[int, str], path) -> None:
 def load_store(path) -> AnalysisStore:
     """Read a store document; FormatError on anything but our schema.
 
-    Every field is type-checked, and every record's codes are checked
-    against its findings and the catalog, so any JSON document either loads
-    or raises FormatError, and cluster and render_report accept what loads.
-    The layout (line breaks, indentation) is free.
+    Every field is type-checked, every catalog entry and finding name
+    against ERROR_CATALOG, and every record's codes against its findings
+    and the file's catalog, so any JSON document either loads or raises
+    FormatError, and cluster and render_report accept what loads. The
+    layout (line breaks, indentation) is free.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -307,14 +303,18 @@ def load_store(path) -> AnalysisStore:
 
     records = [_record_from_dict(entry, path) for entry in raw_records]
 
-    catalog = {}
+    catalog = set()  # the file's codes; each entry must be one of ERROR_CATALOG's
     for code, name in raw_catalog.items():
         if type(name) is not str:
             raise FormatError(f"{path}: malformed catalog: name of {code!r} is not a string")
         try:
-            catalog[int(code)] = name
+            number = int(code)
         except ValueError as err:
             raise FormatError(f"{path}: malformed catalog: {err}") from err
+        if ERROR_CATALOG.get(number) != name:
+            raise FormatError(f"{path}: malformed catalog: {code!r}: {name!r} is not an "
+                              f"entry of the fixed catalog")
+        catalog.add(number)
 
     for record in records:
         _check_codes(record, catalog, path)
@@ -325,8 +325,6 @@ def load_store(path) -> AnalysisStore:
         corpus_root=corpus_root,
         records=tuple(sorted(records, key=lambda r: r.class_name)),
         diagnostics=tuple(diagnostics),
-        catalog=catalog,
-        schema_version=version,
     )
 
 
@@ -344,7 +342,7 @@ def render_report(
         payload["clusters"] = [
             {
                 "error_codes": list(c.error_set),
-                "error_names": list(c.error_names),
+                "error_names": [ERROR_CATALOG[code] for code in c.error_set],
                 "classes": list(c.classes),
             }
             for c in clusters
@@ -369,12 +367,12 @@ def render_report(
         for record in sorted(store.records, key=lambda r: r.class_name):
             lines.append(f"  {record.class_name}  ({record.file_path})")
             for code in record.error_codes:
-                lines.append(f"    [{code}] {store.catalog[code]}")
+                lines.append(f"    [{code}] {ERROR_CATALOG[code]}")
         lines.append("")
         lines.append("Error clusters:")
         for c in clusters:
             codes = ",".join(str(code) for code in c.error_set)
-            names = ", ".join(c.error_names)
+            names = ", ".join(ERROR_CATALOG[code] for code in c.error_set)
             lines.append(f"  [{codes}] {names}")
             lines.append(f"      classes: {', '.join(c.classes)}")
     if store.diagnostics:

@@ -141,7 +141,7 @@ def test_c3_catalog_spelling_in_reports_and_store(tmp_path):
         save_store(store, path)
         stored = json.loads(path.read_text())
         assert stored["catalog"] == {str(k): v for k, v in expected.items()}
-        assert load_store(path).catalog == expected
+        assert load_store(path) == store
 
 
 # -- criterion 4 --------------------------------------------------------------

@@ -26,7 +26,7 @@ from faultlint.cli import (
     run_scan,
 )
 from faultlint.parser import MAX_NESTING
-from faultlint.store import cluster, load_store, render_report, store_to_dict
+from faultlint.store import cluster, load_store, render_report
 
 from conftest import (
     CASES_DIR,
@@ -36,6 +36,7 @@ from conftest import (
     nested_source,
 )
 from test_acceptance import EXPECTED_RECORDS
+from test_store import CATALOG_DOCUMENT, reference_document
 
 CLEAN_CLASS = """\
 class Tidy%d
@@ -364,9 +365,10 @@ def test_json_format_output_parses(capsys):
     # the same payload json.dumps(indent=2, sort_keys=True) wrote, one line
     # per record and per cluster
     result = run_scan(parse_args([str(REFERENCE_CORPUS_DIR), "--format", "json"]))
-    payload = store_to_dict(result.store)
+    payload = reference_document(result.store)
     payload["clusters"] = [
-        {"error_codes": list(c.error_set), "error_names": list(c.error_names),
+        {"error_codes": list(c.error_set),
+         "error_names": [CATALOG_DOCUMENT[str(code)] for code in c.error_set],
          "classes": list(c.classes)}
         for c in cluster(list(result.store.records))
     ]

@@ -97,6 +97,30 @@ def test_numeric_literals():
         "1.", ".5", "1.e3", "1.f", "5.d", ".5e2",
     ]
     assert {t[0] for t in toks} == {NUMBER}
+    # binary, hex floating point, and underscores between digits (JLS 3.10.1-2)
+    toks = tokenize("1_000 0b101 0B1 0b1_0L 0xFF_FFL 0x1p3 0x1.8P-3d 0x.8p1 1__0 0_7 "
+                    "1_000.5_5e1_0f")
+    assert [t[1] for t in toks] == [
+        "1_000", "0b101", "0B1", "0b1_0L", "0xFF_FFL", "0x1p3", "0x1.8P-3d", "0x.8p1",
+        "1__0", "0_7", "1_000.5_5e1_0f",
+    ]
+    assert {t[0] for t in toks} == {NUMBER}
+
+
+@pytest.mark.parametrize("text, lexemes", [
+    # an underscore not followed by a digit is not part of the number
+    ("1_", ["1", "_"]),
+    ("1__a", ["1", "__a"]),
+    ("1e_1", ["1", "e_1"]),
+    ("1._5", ["1.", "_5"]),
+    ("0b1_", ["0b1", "_"]),
+    # a hex fraction needs its binary exponent; `0b` needs a binary digit
+    ("0x1.f", ["0x1", ".", "f"]),
+    ("0x1p", ["0x1", "p"]),
+    ("0b2", ["0", "b2"]),
+])
+def test_numeric_literal_ends(text, lexemes):
+    assert [t[1] for t in tokenize(text)] == lexemes
 
 
 def test_line_and_column_point_at_lexeme_start():

@@ -11,7 +11,7 @@ import pytest
 
 import faultlint.nodes as nodes
 from faultlint.cli import RunConfig, ScanResult, run_scan
-from faultlint.detectors import ALL_RULES, ERROR_CATALOG, Finding, run_all
+from faultlint.detectors import ALL_RULES, Finding, run_all
 from faultlint.model import (
     DEFAULT_EXTENDS,
     DEFAULT_PURE_ACCESSORS,
@@ -44,7 +44,7 @@ def _instance(cls):
 
 
 def _finding(detail=None):
-    return Finding("A", 1, "Lvalue required", "a.java", 3, "m", detail)
+    return Finding("A", 1, "a.java", 3, "m", detail)
 
 
 def test_every_record_class_is_counted():
@@ -60,11 +60,10 @@ REPRS = [
     (ParseDiagnostic("a.java", 2, "skipped", (2, 5)),
      "ParseDiagnostic(file_path='a.java', line=2, message='skipped', skipped_span=(2, 5))"),
     (_finding({"op": "=="}),
-     "Finding(class_name='A', error_code=1, error_name='Lvalue required', file_path='a.java',"
-     " line=3, message='m', detail={'op': '=='})"),
+     "Finding(class_name='A', error_code=1, file_path='a.java', line=3, message='m',"
+     " detail={'op': '=='})"),
     (Diagnostic("m"), "Diagnostic(message='m', file_path=None, line=None)"),
-    (Cluster((1, 4), ("x", "y"), ("A",)),
-     "Cluster(error_set=(1, 4), error_names=('x', 'y'), classes=('A',))"),
+    (Cluster((1, 4), ("A",)), "Cluster(error_set=(1, 4), classes=('A',))"),
     (RunConfig(Path("."), strict_parse=True),
      f"RunConfig(corpus_root={Path('.')!r}, seed_file=None,"
      " enabled_rules=frozenset({1, 2, 3, 4, 5, 6}), output_format='text', store_output=None,"
@@ -136,8 +135,7 @@ def test_keyword_construction_and_defaults():
 
     first, second = AnalysisStore("root", ()), AnalysisStore(corpus_root="root", records=())
     assert first == second
-    assert (first.diagnostics, first.catalog, first.schema_version) == ((), ERROR_CATALOG, 1)
-    assert first.catalog is not second.catalog and first.catalog is not ERROR_CATALOG
+    assert first.diagnostics == ()
 
     config = RunConfig(Path("."))
     assert config == RunConfig(corpus_root=Path("."), seed_file=None, enabled_rules=ALL_RULES,

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from faultlint import detectors
-from faultlint.detectors import ERROR_CATALOG, SPAGHETTI_DEPTH, Finding, run_all
+from faultlint.detectors import SPAGHETTI_DEPTH, Finding, run_all
 from faultlint.model import (
     ExternalHierarchySeed,
     build_model,
@@ -57,7 +57,7 @@ from test_generated_roundtrip import gen_stmt
 
 
 def _finding(code, class_name, file_path, line, message, detail):
-    return Finding(class_name, code, ERROR_CATALOG[code], file_path, line, message, detail)
+    return Finding(class_name, code, file_path, line, message, detail)
 
 
 def _methods(model):

@@ -23,7 +23,6 @@ from faultlint.store import (
     load_store,
     render_report,
     save_store,
-    store_to_dict,
 )
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, model_for_dir
@@ -54,11 +53,55 @@ def reference_store(reference_records):
                          records=tuple(reference_records))
 
 
+# the catalog entry of a store document, as README "Result store" states it
+CATALOG_DOCUMENT = {
+    "1": "Lvalue required",
+    "2": "Incorrect inheritance error",
+    "3": "Spaghetti error",
+    "4": "Inconsistent Type Usage error",
+    "5": "Illicit file usage exception",
+    "6": "Undefined loop exception",
+}
+
+
+def reference_document(store: AnalysisStore) -> dict:
+    """The store document README "Result store" describes, spelled out key
+    by key: what save_store writes and load_store reads."""
+    return {
+        "schema_version": 1,
+        "corpus_root": store.corpus_root,
+        "records": [
+            {
+                "class_name": record.class_name,
+                "file_path": record.file_path,
+                "error_codes": list(record.error_codes),
+                "findings": [
+                    {
+                        "class_name": finding.class_name,
+                        "error_code": finding.error_code,
+                        "error_name": CATALOG_DOCUMENT[str(finding.error_code)],
+                        "file_path": finding.file_path,
+                        "line": finding.line,
+                        "message": finding.message,
+                        "detail": finding.detail,
+                    }
+                    for finding in record.findings
+                ],
+            }
+            for record in sorted(store.records, key=lambda r: r.class_name)
+        ],
+        "catalog": dict(CATALOG_DOCUMENT),
+        "diagnostics": [
+            {"file_path": diag.file_path, "line": diag.line, "message": diag.message}
+            for diag in store.diagnostics
+        ],
+    }
+
+
 def _finding(class_name, code, file_path, line, detail=None):
     return Finding(
         class_name=class_name,
         error_code=code,
-        error_name=ERROR_CATALOG[code],
         file_path=file_path,
         line=line,
         message=f"synthetic finding {code}",
@@ -136,9 +179,8 @@ def test_cluster_key_is_order_insensitive():
     assert len(clusters) == 1
     assert clusters[0].error_set == (1, 6)
     assert clusters[0].classes == ("first", "second")
-    assert clusters[0].error_names == (
-        "Lvalue required", "Undefined loop exception",
-    )
+    report = render_report(AnalysisStore("x", tuple(records)), clusters)
+    assert "  [1,6] Lvalue required, Undefined loop exception\n" in report
 
 
 def test_cluster_empty():
@@ -206,7 +248,7 @@ def test_load_non_utf8_file_is_format_error(tmp_path):
 
 def test_load_unknown_schema_version_names_it(tmp_path):
     path = tmp_path / "v999.json"
-    payload = store_to_dict(AnalysisStore(corpus_root="x", records=()))
+    payload = reference_document(AnalysisStore(corpus_root="x", records=()))
     payload["schema_version"] = "999"
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError) as err:
@@ -233,10 +275,12 @@ def _record(findings=None, **fields):
 
 
 def _finding_with(**fields):
-    return _record()["findings"][0] | fields
-
-
-_CATALOG = {str(code): name for code, name in ERROR_CATALOG.items()}
+    """_record()'s finding with fields; a catalogued error_code brings its
+    catalog name unless error_name is given."""
+    finding = _record()["findings"][0] | fields
+    if "error_name" not in fields and str(finding["error_code"]) in CATALOG_DOCUMENT:
+        finding["error_name"] = CATALOG_DOCUMENT[str(finding["error_code"])]
+    return finding
 
 
 def test_minimal_document_loads(tmp_path):
@@ -254,7 +298,7 @@ def test_codes_in_detection_order_load(tmp_path):
     path = tmp_path / "ordered.json"
     path.write_text(_doc(records=[_record(error_codes=[4, 1], findings=[
         _finding_with(error_code=1, line=5), _finding_with(error_code=4, line=3)])],
-        catalog=_CATALOG))
+        catalog=CATALOG_DOCUMENT))
     assert load_store(path).records[0].error_codes == (4, 1)
 
 
@@ -293,6 +337,15 @@ def test_codes_in_detection_order_load(tmp_path):
     pytest.param(_doc(diagnostics=[None]), id="diagnostic-null"),
     pytest.param(_doc(catalog={"1": 5}), id="catalog-name-int"),
     pytest.param(_doc(catalog={"one": "Lvalue required"}), id="catalog-code-word"),
+    # names that differ from ERROR_CATALOG's
+    pytest.param(_doc(catalog={"1": "Foo"}), id="catalog-renamed"),
+    pytest.param(_doc(catalog={"1": "Spaghetti error"}), id="catalog-name-of-another-code"),
+    pytest.param(_doc(catalog={"1": "Lvalue required", "9": "Nine"}), id="catalog-unused-foreign-code"),
+    pytest.param(_doc(records=[_record(error_codes=[6], findings=[
+        _finding_with(error_code=6, error_name="Spaghetti error")])], catalog=CATALOG_DOCUMENT),
+        id="finding-name-of-another-code"),
+    pytest.param(_doc(records=[_record(findings=[_finding_with(error_name="lvalue required")])]),
+                 id="finding-name-misspelled"),
     # records whose codes cluster and render_report could not use
     pytest.param(_doc(records=[_record(error_codes=[9], findings=[_finding_with(error_code=9)])],
                       catalog={}), id="code-in-no-catalog"),
@@ -301,13 +354,13 @@ def test_codes_in_detection_order_load(tmp_path):
                       catalog={"1": "Lvalue required", "9": "Nine"}), id="code-not-in-catalog"),
     pytest.param(_doc(records=[_record(error_codes=[], findings=[])]), id="error_codes-empty"),
     pytest.param(_doc(records=[_record(error_codes=[])]), id="error_codes-empty-with-findings"),
-    pytest.param(_doc(records=[_record(error_codes=[1, 4])], catalog=_CATALOG),
+    pytest.param(_doc(records=[_record(error_codes=[1, 4])], catalog=CATALOG_DOCUMENT),
                  id="code-without-finding"),
     pytest.param(_doc(records=[_record(findings=[_finding_with(error_code=4)])],
-                      catalog=_CATALOG), id="finding-code-not-listed"),
+                      catalog=CATALOG_DOCUMENT), id="finding-code-not-listed"),
     pytest.param(_doc(records=[_record(error_codes=[1, 4], findings=[
         _finding_with(error_code=4, line=3), _finding_with(error_code=1, line=5)])],
-        catalog=_CATALOG), id="codes-out-of-detection-order"),
+        catalog=CATALOG_DOCUMENT), id="codes-out-of-detection-order"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
 ])
 def test_load_rejects_foreign_documents(tmp_path, payload):
@@ -325,7 +378,7 @@ def test_saved_store_has_one_record_or_diagnostic_per_line(tmp_path):
     path = tmp_path / "lines.json"
     save_store(store, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    payload = store_to_dict(store)
+    payload = reference_document(store)
     # one line per top-level key in sorted order, one per list element
     expected = ["{"]
     for key in sorted(payload):
@@ -356,7 +409,7 @@ def test_load_reads_the_indented_layout(reference_store, tmp_path):
         diagnostics=(Diagnostic("skipped", "a.java", 4), Diagnostic("cycle")),
     )
     path = tmp_path / "indented.json"
-    path.write_text(json.dumps(store_to_dict(store), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(reference_document(store), indent=2, sort_keys=True) + "\n")
     assert load_store(path) == store
 
 
@@ -410,6 +463,83 @@ def test_round_trip_generated_stores(tmp_path):
         assert load_store(path) == store
 
 
+def test_partial_catalog_loads_and_saves_whole(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(_doc())
+    store = load_store(path)
+    save_store(store, path)
+    assert json.loads(path.read_text())["catalog"] == CATALOG_DOCUMENT
+    assert load_store(path) == store
+
+
+def _report_sections(report: str) -> tuple[dict, list]:
+    """A text report's per-class section as {class: [(code, name), ...]} and
+    its cluster section as [([(code, name), ...], [class, ...]), ...]."""
+    per_class: dict[str, list] = {}
+    clusters = []
+    section = None
+    for line in report.splitlines():
+        if line in ("Per-class errors:", "Error clusters:"):
+            section = line
+        elif not line.startswith("  "):
+            section = None
+        elif section == "Per-class errors:":
+            if line.startswith("    ["):
+                code, _, name = line.strip()[1:].partition("] ")
+                per_class[current].append((int(code), name))
+            else:
+                current = line.split()[0]
+                per_class[current] = []
+        elif section == "Error clusters:":
+            if line.startswith("      classes: "):
+                clusters[-1][1].extend(line.split(": ", 1)[1].split(", "))
+            else:
+                codes, _, names = line.strip()[1:].partition("] ")
+                clusters.append((list(zip(map(int, codes.split(",")), names.split(", "))), []))
+    return per_class, clusters
+
+
+def test_every_store_that_loads_names_each_code_alike_in_both_report_sections(tmp_path):
+    # each document has one catalog entry or one finding renamed to a
+    # random catalog name, often its own, or is left as written
+    rng = random.Random(1919)
+    names = list(ERROR_CATALOG.values())
+    path = tmp_path / "store.json"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(120):
+        store = _random_store(rng)
+        while not store.records:
+            store = _random_store(rng)
+        data = reference_document(store)
+        change = rng.randrange(3)
+        if change == 0:
+            data["catalog"][rng.choice(sorted(data["catalog"]))] = rng.choice(names)
+        elif change == 1:
+            rng.choice(rng.choice(data["records"])["findings"])["error_name"] = rng.choice(names)
+        path.write_text(json.dumps(data))
+        try:
+            loaded = load_store(path)
+        except FormatError:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["loaded"] += 1
+        per_class, clusters = _report_sections(
+            render_report(loaded, cluster(list(loaded.records))))
+        assert sorted(per_class) == sorted(r.class_name for r in loaded.records)
+        for entries, classes in clusters:
+            for name in classes:
+                assert sorted(per_class[name]) == entries
+        # and they are the names the file holds
+        for entries in per_class.values():
+            for code, name in entries:
+                assert data["catalog"][str(code)] == name
+        for record in data["records"]:
+            for finding in record["findings"]:
+                assert (finding["error_code"], finding["error_name"]) \
+                    in per_class[record["class_name"]]
+    assert min(outcomes.values()) > 10, outcomes
+
+
 # --- reports -------------------------------------------------------------------
 
 
@@ -449,7 +579,7 @@ def test_json_report_reparses_to_store_plus_clusters(reference_store, reference_
     report = render_report(reference_store, clusters, "json")
     data = json.loads(report)
     clusters_part = data.pop("clusters")
-    assert data == store_to_dict(reference_store)
+    assert data == reference_document(reference_store)
     assert [c["classes"] for c in clusters_part] == [list(c.classes) for c in clusters]
     # and the store half equals what load_store reads back from disk
     path = tmp_path / "fl.json"
@@ -474,10 +604,10 @@ def test_catalog_consistency_everywhere(reference_store, reference_records):
     clusters = cluster(reference_records)
     text = render_report(reference_store, clusters, "text")
     data = json.loads(render_report(reference_store, clusters, "json"))
-    for record in reference_store.records:
-        for finding in record.findings:
-            assert finding.error_name == ERROR_CATALOG[finding.error_code]
-            assert ERROR_CATALOG[finding.error_code] in text
+    for record in data["records"]:
+        for finding in record["findings"]:
+            assert finding["error_name"] == ERROR_CATALOG[finding["error_code"]]
+            assert finding["error_name"] in text
     assert data["catalog"] == {str(k): v for k, v in ERROR_CATALOG.items()}
 
 
@@ -506,9 +636,10 @@ def reference_canonical_json(payload: dict) -> str:
 
 
 def reference_json_report(store: AnalysisStore, clusters) -> str:
-    payload = store_to_dict(store)
+    payload = reference_document(store)
     payload["clusters"] = [
-        {"error_codes": list(c.error_set), "error_names": list(c.error_names),
+        {"error_codes": list(c.error_set),
+         "error_names": [CATALOG_DOCUMENT[str(code)] for code in c.error_set],
          "classes": list(c.classes)}
         for c in clusters
     ]
@@ -518,13 +649,13 @@ def reference_json_report(store: AnalysisStore, clusters) -> str:
 def assert_writers_match_reference(store: AnalysisStore, path) -> None:
     clusters = cluster(list(store.records))
     save_store(store, path)
-    assert path.read_bytes() == reference_canonical_json(store_to_dict(store)).encode("utf-8")
+    assert path.read_bytes() == reference_canonical_json(reference_document(store)).encode("utf-8")
     assert render_report(store, clusters, "json") == reference_json_report(store, clusters)
 
 
 def _non_ascii_store() -> AnalysisStore:
     name = "Klasse\u00e9\u6f22"
-    finding = Finding(name, 2, ERROR_CATALOG[2], "d\u00ef/\u00c4.java", 3,
+    finding = Finding(name, 2, "d\u00ef/\u00c4.java", 3,
                       "extends B, \u00c5 \u2192 two superclasses",
                       {"supers": ["B", "\u00c5"], "note": "\U0001f600"})
     return AnalysisStore(
@@ -550,9 +681,8 @@ def test_writers_match_reference_on_generated_stores(tmp_path):
 
 @pytest.mark.parametrize("store", [
     AnalysisStore(corpus_root="", records=()),
-    AnalysisStore(corpus_root="x", records=(), diagnostics=(), catalog={}),
     _non_ascii_store(),
-], ids=["empty", "empty-catalog", "non-ascii"])
+], ids=["empty", "non-ascii"])
 def test_writers_match_reference_on_edge_stores(store, tmp_path):
     assert_writers_match_reference(store, tmp_path / "store.json")
 
@@ -565,7 +695,7 @@ def test_save_store_peak_memory_is_a_fraction_of_the_document(tmp_path):
         Diagnostic(f"unsupported construct starting at 'switch' number {i}", f"f{i % 97}.java", i)
         for i in range(20_000)
     )
-    finding = Finding("C", 2, ERROR_CATALOG[2], "c.java", 1, "extends A, B",
+    finding = Finding("C", 2, "c.java", 1, "extends A, B",
                       {"superclasses": ["A", "B"]})
     records = tuple(ClassRecord(f"C{i:05d}", "c.java", (2,), (finding,)) for i in range(5_000))
     for store in (AnalysisStore(corpus_root="corpus", records=(), diagnostics=diagnostics),
