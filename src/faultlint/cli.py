@@ -25,7 +25,7 @@ from faultlint.model import (
 )
 from faultlint.nodes import CompilationUnit, ParseDiagnostic
 from faultlint.parser import parse_source
-from faultlint.record import Record, _set
+from faultlint.record import Record
 from faultlint.store import (
     STORE_BASENAME,
     AnalysisStore,
@@ -54,12 +54,12 @@ class RunConfig(Record):
     def __init__(self, corpus_root: Path, seed_file: Path | None = None,
                  enabled_rules: frozenset[int] = ALL_RULES, output_format: str = "text",
                  store_output: Path | None = None, strict_parse: bool = False):
-        _set(self, "corpus_root", corpus_root)
-        _set(self, "seed_file", seed_file)
-        _set(self, "enabled_rules", enabled_rules)
-        _set(self, "output_format", output_format)
-        _set(self, "store_output", store_output)
-        _set(self, "strict_parse", strict_parse)
+        self.corpus_root = corpus_root
+        self.seed_file = seed_file
+        self.enabled_rules = enabled_rules
+        self.output_format = output_format
+        self.store_output = store_output
+        self.strict_parse = strict_parse
 
 
 class ScanResult(Record):
@@ -68,9 +68,9 @@ class ScanResult(Record):
     __slots__ = ("exit_code", "report", "store")
 
     def __init__(self, exit_code: int, report: str, store: AnalysisStore):
-        _set(self, "exit_code", exit_code)
-        _set(self, "report", report)
-        _set(self, "store", store)
+        self.exit_code = exit_code
+        self.report = report
+        self.store = store
 
 
 class _ArgumentParser(argparse.ArgumentParser):

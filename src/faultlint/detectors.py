@@ -82,7 +82,7 @@ from faultlint.nodes import (
     Paren,
     While,
 )
-from faultlint.record import Record, _set
+from faultlint.record import Record
 
 ERROR_CATALOG: dict[int, str] = {
     1: "Lvalue required",
@@ -103,12 +103,12 @@ class Finding(Record):
 
     def __init__(self, class_name: str, error_code: int, file_path: str, line: int,
                  message: str, detail: dict | None = None):
-        _set(self, "class_name", class_name)
-        _set(self, "error_code", error_code)
-        _set(self, "file_path", file_path)
-        _set(self, "line", line)
-        _set(self, "message", message)
-        _set(self, "detail", {} if detail is None else detail)
+        self.class_name = class_name
+        self.error_code = error_code
+        self.file_path = file_path
+        self.line = line
+        self.message = message
+        self.detail = {} if detail is None else detail
 
     def __hash__(self):
         # every field but the last, detail, a dict: equality compares it, the hash cannot

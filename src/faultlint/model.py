@@ -44,7 +44,7 @@ from faultlint.nodes import (
     UnaryIncDec,
     While,
 )
-from faultlint.record import Record, _set
+from faultlint.record import Record
 
 DEFAULT_EXTENDS = (("Stack", "Vector"),)
 DEFAULT_RESOURCE_TYPES = frozenset({
@@ -81,9 +81,9 @@ class ExternalHierarchySeed(Record):
     def __init__(self, extends_entries: tuple[tuple[str, str], ...] = DEFAULT_EXTENDS,
                  resource_types: frozenset[str] = DEFAULT_RESOURCE_TYPES,
                  pure_accessor_names: tuple[str, ...] = DEFAULT_PURE_ACCESSORS):
-        _set(self, "extends_entries", extends_entries)
-        _set(self, "resource_types", resource_types)
-        _set(self, "pure_accessor_names", pure_accessor_names)
+        self.extends_entries = extends_entries
+        self.resource_types = resource_types
+        self.pure_accessor_names = pure_accessor_names
 
     def is_pure_accessor(self, method_name: str) -> bool:
         return any(fnmatchcase(method_name, pat) for pat in self.pure_accessor_names)
@@ -141,11 +141,11 @@ class ClassHierarchy(Record):
 
     def __init__(self, parent: dict[str, str], subclasses: dict[str, tuple[str, ...]],
                  cyclic: frozenset[str]):
-        _set(self, "parent", parent)  # class -> its first superclass
-        _set(self, "subclasses", subclasses)  # first superclass -> sorted subclasses
+        self.parent = parent  # class -> its first superclass
+        self.subclasses = subclasses  # first superclass -> sorted subclasses
         # the classes on or leading into an inheritance cycle, as far as the
         # first-superclass chains of the corpus classes reach
-        _set(self, "cyclic", cyclic)
+        self.cyclic = cyclic
 
 
 class ProgramModel(Record):
@@ -155,13 +155,13 @@ class ProgramModel(Record):
                  class_files: dict[str, str],
                  method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]],
                  seed: ExternalHierarchySeed, diagnostics: tuple[str, ...] = ()):
-        _set(self, "hierarchy", hierarchy)
+        self.hierarchy = hierarchy
         # (file path, position) order, first declaration wins
-        _set(self, "classes", classes)
-        _set(self, "class_files", class_files)
-        _set(self, "method_index", method_index)
-        _set(self, "seed", seed)
-        _set(self, "diagnostics", diagnostics)
+        self.classes = classes
+        self.class_files = class_files
+        self.method_index = method_index
+        self.seed = seed
+        self.diagnostics = diagnostics
 
 
 def build_model(

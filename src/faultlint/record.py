@@ -2,16 +2,17 @@
 
 A record class declares its fields, in constructor order, as `__slots__`,
 which `Record` also publishes as the class's `_fields` tuple, and writes
-its own `__init__`. Record supplies the rest, in the manner of a frozen
-dataclass: `repr` as `Name(field=value, ...)`, equality between instances
-of the same class with equal fields, a hash over the fields, and
-instances that refuse assignment and deletion. `__init__` stores the
-fields with `_set`, which goes around that refusal. The classes are
+its own `__init__`, which stores each field once with `self.field = value`.
+Record supplies the rest, in the manner of a frozen dataclass: `repr` as
+`Name(field=value, ...)`, equality between instances of the same class with
+equal fields, and a hash over the fields. The fields are not changed after
+`__init__`; that is a rule of the source, checked over it by a test, not a
+refusal at run time. A Python-level `__setattr__` on this base would make
+every field store in every subclass a generic attribute call instead of a
+direct slot write, which cost about 18% of the parse. The classes are
 written out in the source, not generated: the `dataclasses` module would
 compile about six functions for each class at every start-up.
 """
-
-_set = object.__setattr__
 
 
 class Record:
@@ -35,13 +36,3 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as assignment is refused
-        return type(self), self._values()

@@ -18,7 +18,7 @@ import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from faultlint.detectors import ERROR_CATALOG, Finding
-from faultlint.record import Record, _set
+from faultlint.record import Record
 
 SCHEMA_VERSION = 1
 
@@ -34,27 +34,27 @@ class ClassRecord(Record):
 
     def __init__(self, class_name: str, file_path: str, error_codes: tuple[int, ...],
                  findings: tuple[Finding, ...]):
-        _set(self, "class_name", class_name)
-        _set(self, "file_path", file_path)
-        _set(self, "error_codes", error_codes)  # deduplicated, first-detection order
-        _set(self, "findings", findings)
+        self.class_name = class_name
+        self.file_path = file_path
+        self.error_codes = error_codes  # deduplicated, first-detection order
+        self.findings = findings
 
 
 class Cluster(Record):
     __slots__ = ("error_set", "classes")
 
     def __init__(self, error_set: tuple[int, ...], classes: tuple[str, ...]):
-        _set(self, "error_set", error_set)  # sorted
-        _set(self, "classes", classes)  # sorted
+        self.error_set = error_set  # sorted
+        self.classes = classes  # sorted
 
 
 class Diagnostic(Record):
     __slots__ = ("message", "file_path", "line")
 
     def __init__(self, message: str, file_path: str | None = None, line: int | None = None):
-        _set(self, "message", message)
-        _set(self, "file_path", file_path)
-        _set(self, "line", line)
+        self.message = message
+        self.file_path = file_path
+        self.line = line
 
 
 class AnalysisStore(Record):
@@ -62,9 +62,9 @@ class AnalysisStore(Record):
 
     def __init__(self, corpus_root: str, records: tuple[ClassRecord, ...],
                  diagnostics: tuple[Diagnostic, ...] = ()):
-        _set(self, "corpus_root", corpus_root)
-        _set(self, "records", records)
-        _set(self, "diagnostics", diagnostics)
+        self.corpus_root = corpus_root
+        self.records = records
+        self.diagnostics = diagnostics
 
 
 def aggregate(findings: list[Finding]) -> list[ClassRecord]:
@@ -303,16 +303,16 @@ def load_store(path) -> AnalysisStore:
 
     records = [_record_from_dict(entry, path) for entry in raw_records]
 
-    catalog = set()  # the file's codes; each entry must be one of ERROR_CATALOG's
-    for code, name in raw_catalog.items():
+    # the file's codes; each entry must be one of ERROR_CATALOG's, its code
+    # spelled as save_store writes it
+    codes = {str(code): code for code in ERROR_CATALOG}
+    catalog = set()
+    for key, name in raw_catalog.items():
         if type(name) is not str:
-            raise FormatError(f"{path}: malformed catalog: name of {code!r} is not a string")
-        try:
-            number = int(code)
-        except ValueError as err:
-            raise FormatError(f"{path}: malformed catalog: {err}") from err
-        if ERROR_CATALOG.get(number) != name:
-            raise FormatError(f"{path}: malformed catalog: {code!r}: {name!r} is not an "
+            raise FormatError(f"{path}: malformed catalog: name of {key!r} is not a string")
+        number = codes.get(key)
+        if number is None or ERROR_CATALOG[number] != name:
+            raise FormatError(f"{path}: malformed catalog: {key!r}: {name!r} is not an "
                               f"entry of the fixed catalog")
         catalog.add(number)
 

@@ -1,0 +1,75 @@
+"""Metamorphic relations of the whole pipeline: changes to the input
+whose effect on the output is known without an oracle.
+
+Unrelated file: adding a file whose class and method names occur nowhere
+else in the corpus leaves every record and diagnostic of the other files
+as it was, and adds only the new file's own records. Rule 4's fallback to
+every method of the same name and arity is the documented exception: a
+corpus call site can resolve to a new method of its name, so the added
+methods take fresh names.
+"""
+
+from __future__ import annotations
+
+import random
+import shutil
+
+import pytest
+
+from faultlint.cli import RunConfig, run_scan
+
+from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
+
+
+def _fresh_name(rng, taken, first):
+    """A name of `first` and lower-case letters that occurs in no text of `taken`."""
+    while True:
+        name = first + "".join(rng.choice("bcdfghjkmnpqrstvwxz") for _ in range(6))
+        if not any(name in text for text in taken):
+            return name
+
+
+def unrelated_file(rng, taken):
+    """(class name, source) of a class with fresh names that holds a rule-1
+    comparison, an empty loop and an unclosed FileReader, in random order
+    among fresh-named filler statements."""
+    class_name = _fresh_name(rng, taken, "Q")
+    method, helper = _fresh_name(rng, taken, "m"), _fresh_name(rng, taken, "h")
+    faults = [
+        "if (label == other) { count++; }",
+        rng.choice(["while (count > 3) { }", "for (int i = 0; i < count; i++) { ; }",
+                    "do { } while (count < 2);"]),
+        "FileReader reader = new FileReader(label);",
+    ]
+    filler = ["count = count + 1;", f"{helper}(count);", "int spare = count * 2;",
+              "other = label;"]
+    body = faults + rng.sample(filler, rng.randrange(len(filler) + 1))
+    rng.shuffle(body)
+    statements = "\n".join(f"        {statement}" for statement in body)
+    source = (f"class {class_name}\n{{\n    String label;\n    String other;\n    int count;\n"
+              f"    void {helper}(int n)\n    {{\n        count = n;\n    }}\n"
+              f"    void {method}()\n    {{\n{statements}\n    }}\n}}\n")
+    return class_name, source
+
+
+@pytest.mark.parametrize("folder", [CASES_DIR, REFERENCE_CORPUS_DIR], ids=lambda d: d.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_an_unrelated_file_adds_only_its_own_records(tmp_path, folder, seed):
+    corpus = tmp_path / folder.name
+    shutil.copytree(folder, corpus)
+    before = run_scan(RunConfig(corpus))
+
+    rng = random.Random(seed)
+    taken = [path.read_text(encoding="utf-8") for path in sorted(corpus.glob("*.java"))]
+    class_name, source = unrelated_file(rng, taken)
+    (corpus / f"{class_name}.java").write_text(source, encoding="utf-8")
+    after = run_scan(RunConfig(corpus))
+
+    added = [record for record in after.store.records
+             if record.file_path == f"{class_name}.java"]
+    assert [(record.class_name, sorted(record.error_codes)) for record in added] == [
+        (class_name, [1, 5, 6])]
+    kept = [record for record in after.store.records if record not in added]
+    assert kept == list(before.store.records)
+    assert after.store.diagnostics == before.store.diagnostics
+    assert (before.exit_code, after.exit_code) == (1, 1)

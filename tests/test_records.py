@@ -1,14 +1,19 @@
 """The record classes' contract: construction, repr, equality, hash, and
-immutability, as frozen dataclasses had them."""
+immutability, as frozen dataclasses had them. Immutability is a rule of
+the source, which these tests check statically over it: a field is stored
+once, in its class's `__init__`, and never again."""
 
 from __future__ import annotations
 
+import ast
 import copy
+import importlib
 import pickle
 from pathlib import Path
 
 import pytest
 
+import faultlint
 import faultlint.nodes as nodes
 from faultlint.cli import RunConfig, ScanResult, run_scan
 from faultlint.detectors import ALL_RULES, Finding, run_all
@@ -38,6 +43,52 @@ FROZEN_CLASSES = NODE_CLASSES + [
 ]
 
 
+SOURCE_MODULES = sorted(path.stem for path in Path(faultlint.__file__).parent.glob("*.py"))
+
+
+def _source_trees():
+    for module in SOURCE_MODULES:
+        path = Path(faultlint.__file__).parent / f"{module}.py"
+        yield module, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _attribute_stores() -> list[tuple[str, str | None, str | None, str]]:
+    """(module, class, function, target) for every attribute store or
+    deletion in the package's source, a deletion's target written `del x.f`.
+    The class and function are the innermost enclosing class and the
+    outermost function within it, None where there is none."""
+    found = []
+
+    def visit(node, module, owner, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, owner, function or child.name)
+            else:
+                if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+                    prefix = "del " if isinstance(child.ctx, ast.Del) else ""
+                    found.append((module, owner, function, prefix + ast.unparse(child)))
+                visit(child, module, owner, function)
+
+    for module, tree in _source_trees():
+        visit(tree, module, None, None)
+    return found
+
+
+ATTRIBUTE_STORES = _attribute_stores()
+
+
+def _record_classes_of_the_source() -> set[type]:
+    found = set()
+    for module in SOURCE_MODULES:
+        namespace = importlib.import_module(f"faultlint.{module}")
+        found.update(value for value in vars(namespace).values()
+                     if isinstance(value, type) and issubclass(value, Record)
+                     and value.__module__ == namespace.__name__)
+    return found
+
+
 def _instance(cls):
     """An instance with every field None; __init__ only stores its arguments."""
     return cls(*[None] * len(cls._fields))
@@ -50,6 +101,7 @@ def _finding(detail=None):
 def test_every_record_class_is_counted():
     assert len(NODE_CLASSES) == 28
     assert len(FROZEN_CLASSES) == 38
+    assert _record_classes_of_the_source() == set(FROZEN_CLASSES) | {Record, nodes.Expr, nodes.Stmt}
 
 
 REPRS = [
@@ -98,14 +150,72 @@ def test_finding_hash_leaves_out_detail_and_equality_compares_it():
 
 @pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
 def test_frozen_fields_refuse_assignment_and_deletion(cls):
-    record = _instance(cls)
-    for name in cls._fields:
-        with pytest.raises(AttributeError):
-            setattr(record, name, 1)
-        with pytest.raises(AttributeError):
-            delattr(record, name)
+    """The source, not the run time, refuses a record's fields assignment and
+    deletion after construction: its `__init__` stores `self.<field>` once
+    for each field and nothing else, and no other code stores a field
+    (test_source_stores_no_field_outside_init). A name that is not a
+    field is still refused at run time, by `__slots__`."""
+    module = cls.__module__.rpartition(".")[2]
+    stores = [target for where, owner, function, target in ATTRIBUTE_STORES
+              if (where, owner, function) == (module, cls.__name__, "__init__")]
+    assert sorted(stores) == sorted(f"self.{name}" for name in cls._fields)
     with pytest.raises(AttributeError):
-        record.not_a_field = 1
+        _instance(cls).not_a_field = 1
+
+
+def test_source_stores_no_field_outside_init():
+    # the parser's cursor is the one object whose attributes move; Record
+    # publishes each subclass's _fields once, when the class is made
+    def allowed(owner, function, target):
+        return ((owner == "_Parser" and target in ("self.pos", "self.depth"))
+                or (owner, function, target) == ("Record", "__init_subclass__", "cls._fields"))
+
+    outside = [store for store in ATTRIBUTE_STORES
+               if store[2] != "__init__" and not allowed(*store[1:])]
+    assert outside == []
+
+
+def test_source_never_sets_or_deletes_attributes_by_name():
+    # setattr, delattr and object.__setattr__ would store a field around
+    # the checks above; none is called, nor bound to another name
+    found = []
+    for module, tree in _source_trees():
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id in ("setattr", "delattr"))
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr in ("__setattr__", "__delattr__"))):
+                found.append((module, node.lineno, ast.unparse(node)))
+    assert found == []
+
+
+def test_records_keep_the_direct_slot_store():
+    """No class of the package defines `__setattr__` or `__delattr__`, and no
+    class a record inherits from but `object` does.
+
+    CPython's specialising interpreter (PEP 659) compiles `self.field =
+    value` on a slotted class to a direct write into the slot only while
+    the class's attribute store is `object`'s own. A `__setattr__` or
+    `__delattr__` written in Python on the class or any base (the two share
+    one type slot) turns every field store of every record into a generic
+    call instead. Nothing fails when that happens, the scan only slows: the
+    run-time assignment guard `Record` once had cost about 22 ms of a
+    123 ms parse. So this test is what keeps it out.
+    """
+    hooks = ("__setattr__", "__delattr__")
+    defined = []
+    for module, tree in _source_trees():
+        for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            for statement in cls.body:
+                names = ([statement.name] if isinstance(statement, ast.FunctionDef)
+                         else [target.id for target in getattr(statement, "targets", ())
+                               if isinstance(target, ast.Name)])
+                defined.extend((module, cls.name, name) for name in names if name in hooks)
+    assert defined == []
+    for cls in _record_classes_of_the_source():
+        for base in cls.__mro__[:-1]:
+            assert not set(hooks) & set(vars(base)), base
+        assert cls.__setattr__ is object.__setattr__
+        assert cls.__delattr__ is object.__delattr__
 
 
 @pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)

@@ -337,6 +337,12 @@ def test_codes_in_detection_order_load(tmp_path):
     pytest.param(_doc(diagnostics=[None]), id="diagnostic-null"),
     pytest.param(_doc(catalog={"1": 5}), id="catalog-name-int"),
     pytest.param(_doc(catalog={"one": "Lvalue required"}), id="catalog-code-word"),
+    # int() reads these as 1, but save_store spells code 1 only as "1"
+    pytest.param(_doc(catalog={"01": "Lvalue required"}), id="catalog-code-leading-zero"),
+    pytest.param(_doc(catalog={" 1": "Lvalue required"}), id="catalog-code-leading-space"),
+    pytest.param(_doc(catalog={"1 ": "Lvalue required"}), id="catalog-code-trailing-space"),
+    pytest.param(_doc(catalog={"+1": "Lvalue required"}), id="catalog-code-plus-sign"),
+    pytest.param(_doc(catalog={"\u0661": "Lvalue required"}), id="catalog-code-arabic-indic-digit"),
     # names that differ from ERROR_CATALOG's
     pytest.param(_doc(catalog={"1": "Foo"}), id="catalog-renamed"),
     pytest.param(_doc(catalog={"1": "Spaghetti error"}), id="catalog-name-of-another-code"),
