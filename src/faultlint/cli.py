@@ -140,6 +140,15 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
+def _entry_is(type_test) -> bool:
+    """A DirEntry type test whose OSError means "no", as os.walk and
+    os.path.isfile take it."""
+    try:
+        return type_test()
+    except OSError:
+        return False
+
+
 def _java_files(root: Path, unreadable: list[tuple[str, OSError]] | None = None
                 ) -> list[tuple[str, str]]:
     """(relative posix path, filesystem path) of every *.java file under
@@ -151,27 +160,39 @@ def _java_files(root: Path, unreadable: list[tuple[str, OSError]] | None = None
     The filesystem path is `root / relative path` as a string. ScanError
     when root cannot be listed; a subdirectory that cannot be listed is
     left out, and its (relative posix path, error) appended to unreadable.
+
+    The walk keeps os.walk's rules but takes each entry's type from the
+    listing instead of a second stat: a subdirectory is listed by the path
+    os.walk would use (`os.path.join(top, rel_dir)`, which an error
+    message quotes), and a directory whose listing fails part way counts
+    as unreadable as a whole.
     """
     top = os.fspath(root)
     base = "" if top == "." else top.rstrip("/") + "/"
-
-    def onerror(err: OSError) -> None:
-        if err.filename == top:
-            raise ScanError(f"cannot read corpus root: {err}") from err
-        if unreadable is not None:
-            unreadable.append((err.filename[len(top):].lstrip("/"), err))
-
     found = []
-    for dirpath, dirnames, filenames in os.walk(top, onerror=onerror):
-        dirnames[:] = [name for name in dirnames if not name.startswith(".")]
-        rel_dir = dirpath[len(top):].lstrip("/")
-        prefix = rel_dir + "/" if rel_dir else ""
-        for name in filenames:
-            if name.endswith(".java"):
-                rel = prefix + name
-                path = base + rel
-                if os.path.isfile(path):
-                    found.append((rel, path))
+    pending = [(top, "")]  # (directory path, its relative path + "/" or "")
+    while pending:
+        dirpath, prefix = pending.pop()
+        here = []
+        subdirs = []
+        try:
+            with os.scandir(dirpath) as entries:
+                for entry in entries:
+                    name = entry.name
+                    if _entry_is(entry.is_dir):
+                        if not name.startswith(".") and not _entry_is(entry.is_symlink):
+                            subdirs.append((os.path.join(dirpath, name), prefix + name + "/"))
+                    elif name.endswith(".java") and _entry_is(entry.is_file):
+                        rel = prefix + name
+                        here.append((rel, base + rel))
+        except OSError as err:
+            if dirpath == top:
+                raise ScanError(f"cannot read corpus root: {err}") from err
+            if unreadable is not None:
+                unreadable.append((prefix[:-1], err))
+            continue
+        found += here
+        pending += subdirs
     found.sort()
     return found
 
@@ -185,9 +206,11 @@ def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
     units = []
     for rel, path in files:
         try:
-            # utf-8-sig drops a leading byte order mark, which is no token
-            with open(path, encoding="utf-8-sig") as handle:
-                text = handle.read()
+            with open(path, "rb", buffering=0) as handle:
+                data = handle.read()
+            # utf-8-sig drops a leading byte order mark, which is no token;
+            # tokenize translates the line ends
+            text = data.decode("utf-8-sig")
         except (OSError, UnicodeDecodeError) as err:
             diag = ParseDiagnostic(rel, 1, f"could not read file: {err}", (1, 1))
             units.append(CompilationUnit(rel, (), (diag,)))
@@ -195,9 +218,10 @@ def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
         try:
             unit = parse_source(text, rel)
         except Exception as err:  # one file must never sink the whole scan
+            # as many lines as tokenize counts: CR LF, CR and LF each end one
+            lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
             diag = ParseDiagnostic(
-                rel, 1, f"could not parse file: {type(err).__name__}: {err}",
-                (1, text.count("\n") + 1),
+                rel, 1, f"could not parse file: {type(err).__name__}: {err}", (1, lines),
             )
             unit = CompilationUnit(rel, (), (diag,))
         units.append(unit)

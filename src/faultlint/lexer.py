@@ -1,9 +1,10 @@
 """Tokenizer: the token layout, the lexical tables and one pure-Python scan
 loop that emits tokens directly.
 
-A token is a plain 4-tuple `(kind, lexeme, line, column)`, line and column
-1-based; the parser reads its fields by constant index (`tok[1]` is the
-lexeme). There is no record type: a named tuple built through
+A token is a plain 3-tuple `(kind, lexeme, line)`, the line 1-based; the
+parser reads its fields by constant index (`tok[1]` is the lexeme). A token
+holds no column: only a LexError reports one, worked out from the text
+where it is raised. There is no record type: a named tuple built through
 `tuple.__new__` would make a temporary tuple and then a copy of it for
 every token, and each field read would go through a descriptor. The kinds are the seven constants below;
 `KEYWORDS` decides keyword against identifier, and the operator tables
@@ -140,39 +141,44 @@ def _number_end(text: str, pos: int, n: int) -> int:
     return pos
 
 
-def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
+def _column(text: str, pos: int) -> int:
+    """1-based column of offset pos in its line."""
+    return pos - text.rfind("\n", 0, pos)
+
+
+def tokenize(source_text: str) -> list[tuple[str, str, int]]:
     """Tokenize source text.
 
     Comments and whitespace are consumed but not emitted; string and char
-    literals keep their quotes in the lexeme. Raises LexError (with line
-    and column) on an unterminated string/char literal or block comment.
+    literals keep their quotes in the lexeme. CR LF and a lone CR end a
+    line as LF does; callers pass text with its line ends as read, and this
+    is the one place that translates them. Raises LexError (with line and
+    column) on an unterminated string/char literal or block comment.
     """
     text = source_text
     if "\r" in text:  # CR LF and a lone CR end a line, as LF does (JLS 3.4)
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    tokens: list[tuple[str, str, int, int]] = []
+    tokens: list[tuple[str, str, int]] = []
     append = tokens.append
     n = len(text)
     pos = 0
     line = 1
-    line_start = 0  # offset of the current line's first character
     while pos < n:
         ch = text[pos]
 
         if ch in _SIMPLE_PUNCTUATORS:
             if ch == "." and pos + 1 < n and text[pos + 1].isdigit():  # .5
                 end = _number_end(text, pos, n)
-                append((NUMBER, text[pos:end], line, pos - line_start + 1))
+                append((NUMBER, text[pos:end], line))
                 pos = end
                 continue
-            append((PUNCTUATOR, ch, line, pos - line_start + 1))
+            append((PUNCTUATOR, ch, line))
             pos += 1
             continue
 
         if ch == "\n":
             line += 1
-            line_start = pos + 1
-            pos = _skip_blanks(text, line_start).end()
+            pos = _skip_blanks(text, pos + 1).end()
             continue
         if ch in _BLANKS:
             pos += 1
@@ -182,7 +188,7 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
 
         if ch.isdigit():
             end = _number_end(text, pos, n)
-            append((NUMBER, text[pos:end], line, pos - line_start + 1))
+            append((NUMBER, text[pos:end], line))
             pos = end
             continue
 
@@ -191,7 +197,7 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
             pos = _ident_tail(text, pos + 1).end()
             lexeme = intern(text[start:pos])
             kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
-            append((kind, lexeme, line, start - line_start + 1))
+            append((kind, lexeme, line))
             continue
 
         if ch == "/" and pos + 1 < n:
@@ -203,11 +209,8 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
             if after == "*":
                 end = text.find("*/", pos + 2)
                 if end < 0:
-                    raise LexError("unterminated block comment", line, pos - line_start + 1)
-                newlines = text.count("\n", pos + 2, end)
-                if newlines:
-                    line += newlines
-                    line_start = text.rfind("\n", pos + 2, end) + 1
+                    raise LexError("unterminated block comment", line, _column(text, pos))
+                line += text.count("\n", pos + 2, end)
                 pos = end + 2
                 continue
 
@@ -215,26 +218,24 @@ def tokenize(source_text: str) -> list[tuple[str, str, int, int]]:
             match = (_string_literal if ch == '"' else _char_literal)(text, pos)
             if match is None:
                 kind = "string" if ch == '"' else "char"
-                raise LexError(f"unterminated {kind} literal", line, pos - line_start + 1)
+                raise LexError(f"unterminated {kind} literal", line, _column(text, pos))
             end = match.end()
-            append((STRING if ch == '"' else CHAR, text[pos:end], line,
-                    pos - line_start + 1))
+            append((STRING if ch == '"' else CHAR, text[pos:end], line))
             pos = end
             continue
 
-        col = pos - line_start + 1
         pair = text[pos:pos + 2]
         if pair in TWO_CHAR_OPERATORS:
-            append((OPERATOR, pair, line, col))
+            append((OPERATOR, pair, line))
             pos += 2
             continue
         if ch in ONE_CHAR_OPERATORS:
-            append((OPERATOR, ch, line, col))
+            append((OPERATOR, ch, line))
         else:
             # Anything else (including out-of-subset characters like '#')
             # becomes a one-character punctuator; the parser's recovery
             # deals with it.
-            append((PUNCTUATOR, ch, line, col))
+            append((PUNCTUATOR, ch, line))
         pos += 1
 
     return tokens

@@ -102,7 +102,8 @@ def load_seed(path) -> ExternalHierarchySeed:
           "pure_accessors": ["get*", ...] }
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        # a leading byte order mark is skipped, as RFC 8259 8.1 allows
+        with open(path, encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise SeedError(f"seed file {path} is not valid JSON: {err}") from err

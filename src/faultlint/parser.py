@@ -79,6 +79,37 @@ class _ParseFailure(Exception):
     argument is the diagnostic message."""
 
 
+class _NotAStatement(_ParseFailure):
+    """A statement read to its end whose expression is no statement
+    expression; recovery resumes at the cursor, just after it."""
+
+    def __init__(self):
+        super().__init__("not a statement")
+
+
+# Keywords the parser models as names that are no variable.
+_VALUE_NAMES = frozenset(("this", "super", "null"))
+
+
+def _is_statement_expression(expr: Expr) -> bool:
+    """JLS 14.8: an assignment, a `++`/`--`, a method call or a `new`. Each
+    assignment of a chain `a = b = c` must assign to a variable (15.26): a
+    name or a field access, in parentheses or not."""
+    kind = type(expr)
+    if kind is not Assign:
+        return kind is UnaryIncDec or kind is MethodCall or kind is New
+    while kind is Assign:
+        target = expr.lhs
+        while type(target) is Paren:
+            target = target.inner
+        if not (type(target) is FieldAccess
+                or type(target) is Name and target.ident not in _VALUE_NAMES):
+            return False
+        expr = expr.rhs
+        kind = type(expr)
+    return True
+
+
 # Kind of the two sentinel tokens that end the parser's copy of the token
 # list. Their lexeme is "", which no real token has, so no lexeme query
 # matches them and no cursor read needs a bounds test.
@@ -93,8 +124,8 @@ _BODY_END = frozenset(("}", ""))
 
 
 class _Parser:
-    # A token is the lexer's tuple (kind, lexeme, line, column): tok[0] is
-    # the kind, tok[1] the lexeme, tok[2] the line; the column is not read.
+    # A token is the lexer's tuple (kind, lexeme, line): tok[0] is the kind,
+    # tok[1] the lexeme, tok[2] the line.
     # Punctuator, operator and keyword lexemes each occur with one token kind
     # only, so the cursor compares lexemes alone: `at`/`expect` take a
     # lexeme, and only identifiers, literals and numbers are told apart by
@@ -105,7 +136,7 @@ class _Parser:
     # `_declarator` of declarators and `_parse_operand` of operands.
 
     def __init__(self, tokens: list[tuple], file_path: str):
-        sentinel = (END, "", tokens[-1][2] if tokens else 1, 0)
+        sentinel = (END, "", tokens[-1][2] if tokens else 1)
         self.tokens = tokens + [sentinel, sentinel]
         self.n = len(tokens)
         self.pos = 0
@@ -432,6 +463,9 @@ class _Parser:
             start_pos = self.pos
             try:
                 self.parse_statement_into(stmts)
+            except _NotAStatement as failure:
+                self.depth = depth
+                self.diagnose(str(failure), tokens[start_pos][2], tokens[self.pos - 1][2])
             except _ParseFailure as failure:
                 self.depth = depth
                 span = self.skip_to_sync(start_pos)
@@ -459,6 +493,8 @@ class _Parser:
             if type_name is None:
                 expr = self.parse_expr()
                 self.expect(";")
+                if not _is_statement_expression(expr):
+                    raise _NotAStatement()
                 out.append(ExprStmt(expr, expr.line))
             else:
                 self._local_decls(type_name, out)
@@ -548,7 +584,11 @@ class _Parser:
         self.expect(";")
         update = () if self.at(")") else self._expr_list()
         self.expect(")")
-        return For(tuple(init), cond, update, self._substatement(), kw[2])
+        body = self._substatement()
+        exprs = [stmt.expr for stmt in init if type(stmt) is ExprStmt]
+        if not all(_is_statement_expression(expr) for expr in exprs + list(update)):
+            raise _NotAStatement()
+        return For(tuple(init), cond, update, body, kw[2])
 
     def _parse_try(self) -> TryCatch:
         kw = self.expect("try")
@@ -619,7 +659,7 @@ class _Parser:
         `name(...)` and postfix `++`/`--` suffixes."""
         tokens = self.tokens
         pos = self.pos
-        kind, lexeme, line, _ = tokens[pos]
+        kind, lexeme, line = tokens[pos]
         self.pos = pos + 1  # every operand starts by consuming one token
         if kind == IDENTIFIER:
             expr = Name(lexeme, line)

@@ -25,7 +25,8 @@ from faultlint.cli import (
     parse_args,
     run_scan,
 )
-from faultlint.parser import MAX_NESTING
+from faultlint.lexer import tokenize
+from faultlint.parser import MAX_NESTING, parse_source
 from faultlint.store import cluster, load_store, render_report
 
 from conftest import (
@@ -443,6 +444,16 @@ def test_walk_matches_the_rglob_reference(tmp_path, monkeypatch, capsys, root_ar
     assert [d.file_path for d in load_store(store_path).diagnostics] == expected
 
 
+def test_entry_whose_type_test_fails_is_neither_file_nor_directory(tmp_path):
+    # a link to itself fails every stat with ELOOP, which os.walk takes as
+    # "not a directory" and os.path.isfile as "not a file"
+    corpus = make_clean_corpus(tmp_path / "c", count=1)
+    os.symlink("Loop.java", corpus / "Loop.java")
+    os.symlink("loopdir", corpus / "loopdir")
+    assert [rel for rel, _ in faultlint.cli._java_files(corpus)] == ["Tidy0.java"]
+    assert collect_java_files(corpus) == reference_collect_java_files(corpus)
+
+
 def test_unreadable_java_file_is_diagnostic_not_abort(tmp_path, capsys):
     corpus = make_clean_corpus(tmp_path / "c", count=1)
     (corpus / "bad.java").write_bytes(b"\xff\xfe\x00bogus")
@@ -645,6 +656,64 @@ def test_parse_exception_in_one_file_is_diagnostic_not_abort(tmp_path, monkeypat
     diags = [(d.file_path, d.line, d.message) for d in result.store.diagnostics]
     assert diags == [("MP_A.java", 1, "could not parse file: ValueError: parser bug")]
     assert result.exit_code == 1
+
+
+def _read_through_text_layer(path):
+    """The text, or the diagnostic message, of the read the CLI made before
+    it read bytes: a text-mode open with `utf-8-sig`, the reference."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read(), None
+    except (OSError, UnicodeDecodeError) as err:
+        return None, f"could not read file: {err}"
+
+
+READ_CASES = {
+    "BomCrLf.java": b"\xef\xbb\xbfclass A extends B, C\r\n{\r\n  void m() { while (x) ; }\r\n}\r\n",
+    "LoneCr.java": b"class D\r{\r  void m()\r  {\r    while (x) ;\r  }\r}\r",
+    "Invalid.java": b"class E { }\n\xff\n",
+    "BomInvalid.java": b"\xef\xbb\xbfclass F { }\n\xc3(\n",
+    "LateInvalid.java": b"class G { }\n" + b"// pad\n" * 2000 + b"int \xe2\x82;\n",
+}
+
+
+def test_byte_read_matches_the_text_layer_read(tmp_path):
+    for name, data in READ_CASES.items():
+        (tmp_path / name).write_bytes(data)
+    assert len(READ_CASES["LateInvalid.java"]) > 8192
+    files = faultlint.cli._java_files(tmp_path)
+    units = faultlint.cli._parse_corpus(files)
+    errors = {}
+    for (rel, path), unit in zip(files, units, strict=True):
+        text, error = _read_through_text_layer(path)
+        if error is None:
+            assert tokenize(READ_CASES[rel].decode("utf-8-sig")) == tokenize(text)
+            assert unit == parse_source(text, rel)
+            assert unit.classes
+        else:
+            assert [(d.line, d.message, d.skipped_span) for d in unit.diagnostics] == [
+                (1, error, (1, 1))]
+            errors[rel] = error
+    assert errors == {
+        "BomInvalid.java": "could not read file: 'utf-8' codec can't decode byte 0xc3 "
+                           "in position 12: invalid continuation byte",
+        "Invalid.java": "could not read file: 'utf-8' codec can't decode byte 0xff "
+                        "in position 12: invalid start byte",
+        "LateInvalid.java": "could not read file: 'utf-8' codec can't decode bytes "
+                            "in position 14016-14017: invalid continuation byte",
+    }
+
+
+def test_parse_exception_span_counts_every_line_end(tmp_path, monkeypatch):
+    # CR LF, a lone CR and LF each end a line, as tokenize counts them
+    (tmp_path / "Mixed.java").write_bytes(b"class M\r\n{\r  int x;\n}\r\n\rclass N { }")
+    monkeypatch.setattr(faultlint.cli, "parse_source", _raise_runtime_error)
+    result = run_scan(RunConfig(corpus_root=tmp_path))
+    text, _ = _read_through_text_layer(tmp_path / "Mixed.java")
+    assert [(d.file_path, d.line, d.message) for d in result.store.diagnostics] == [
+        ("Mixed.java", 1, "could not parse file: RuntimeError: boom")]
+    unit = faultlint.cli._parse_corpus(faultlint.cli._java_files(tmp_path))[0]
+    assert unit.diagnostics[0].skipped_span == (1, 6) == (1, text.count("\n") + 1)
 
 
 def _raise_runtime_error(*args):

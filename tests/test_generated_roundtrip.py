@@ -28,16 +28,38 @@ def gen_expr(rng, depth):
         op = rng.choice(["==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "&&", "||"])
         return gen_expr(rng, depth - 1) + " " + op + " " + gen_expr(rng, depth - 1)
     if r < 0.70:
-        args = ", ".join(gen_expr(rng, depth - 1) for _ in range(rng.randrange(3)))
-        return "new " + rng.choice(["Thing", "FileReader"]) + "(" + args + ")"
+        return gen_new(rng, depth)
     if r < 0.85:
-        recv = rng.choice(["x", "y", "obj.field", ""])
-        args = ", ".join(gen_expr(rng, depth - 1) for _ in range(rng.randrange(3)))
-        name = rng.choice(["run", "size", "close", "pop"])
-        return (recv + "." + name if recv else name) + "(" + args + ")"
+        return gen_call(rng, depth)
     if r < 0.95:
         return rng.choice(["x", "y"]) + "." + rng.choice(["f", "g", "data"])
     return rng.choice(["x++", "--y", "i++"])
+
+
+def gen_new(rng, depth):
+    args = ", ".join(gen_expr(rng, depth - 1) for _ in range(rng.randrange(3)))
+    return "new " + rng.choice(["Thing", "FileReader"]) + "(" + args + ")"
+
+
+def gen_call(rng, depth):
+    recv = rng.choice(["x", "y", "obj.field", ""])
+    args = ", ".join(gen_expr(rng, depth - 1) for _ in range(rng.randrange(3)))
+    name = rng.choice(["run", "size", "close", "pop"])
+    return (recv + "." + name if recv else name) + "(" + args + ")"
+
+
+def gen_statement_expr(rng, depth):
+    """A statement expression (JLS 14.8): an assignment to a variable, a
+    `++`/`--`, a method call or a `new`."""
+    r = rng.random()
+    if r < 0.3:
+        target = rng.choice(["x", "y.f", "(x)", "((obj.field))"])
+        return target + " = " + gen_expr(rng, depth - 1)
+    if r < 0.5:
+        return rng.choice(["x++", "--y", "i++", "obj.f--"])
+    if r < 0.8:
+        return gen_call(rng, depth)
+    return gen_new(rng, depth)
 
 
 def gen_stmt(rng, depth):
@@ -53,7 +75,7 @@ def gen_stmt(rng, depth):
     if r < 0.40:
         if rng.random() < 0.6:
             return "run(" + gen_expr(rng, depth - 1) + ");"
-        return gen_expr(rng, depth - 1) + ";"
+        return gen_statement_expr(rng, depth - 1) + ";"
     if r < 0.44:
         return ";"
     if r < 0.47:

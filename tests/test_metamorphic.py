@@ -7,16 +7,28 @@ as it was, and adds only the new file's own records. Rule 4's fallback to
 every method of the same name and arity is the documented exception: a
 corpus call site can resolve to a new method of its name, so the added
 methods take fresh names.
+
+Renaming: a consistent whole-word renaming of every class and method of
+a fixture folder renames those names in the findings' class names,
+messages and details, and in the one model diagnostic that names a class
+(a duplicate class), and changes nothing else: codes, lines, files, the
+parse diagnostics and the exit code stay as they were. The fresh names
+match no seed entry or accessor pattern, so no rule sees a name's meaning
+change; records come out sorted by the new names.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 import shutil
 
 import pytest
 
 from faultlint.cli import RunConfig, run_scan
+from faultlint.model import default_seed
+from faultlint.parser import parse_source
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR
 
@@ -73,3 +85,57 @@ def test_an_unrelated_file_adds_only_its_own_records(tmp_path, folder, seed):
     assert kept == list(before.store.records)
     assert after.store.diagnostics == before.store.diagnostics
     assert (before.exit_code, after.exit_code) == (1, 1)
+
+
+def renaming(rng, names, taken):
+    """A map from each name to a fresh one, upper-case names to upper-case."""
+    mapping = {}
+    for name in sorted(names):
+        first = "Q" if name[0].isupper() else "q"
+        mapping[name] = _fresh_name(rng, taken + list(mapping.values()), first)
+    return mapping
+
+
+def _renamer(mapping):
+    """Whole-word renaming over text; `$` and `_` belong to a word, as in Java."""
+    words = sorted(mapping, key=len, reverse=True)
+    pattern = re.compile(r"(?<![\w$])(?:" + "|".join(map(re.escape, words)) + r")(?![\w$])")
+    return lambda text: pattern.sub(lambda match: mapping[match.group()], text)
+
+
+def _outcome(result, rename=lambda text: text):
+    """Records, diagnostics and exit code of a scan, each name passed through
+    rename, the records in the order of the renamed class names."""
+    records = sorted(
+        (rename(record.class_name), record.file_path, record.error_codes,
+         [(rename(f.class_name), f.error_code, f.file_path, f.line, rename(f.message),
+           rename(json.dumps(f.detail, sort_keys=True))) for f in record.findings])
+        for record in result.store.records)
+    diagnostics = [(rename(d.message), d.file_path, d.line) for d in result.store.diagnostics]
+    return records, diagnostics, result.exit_code
+
+
+@pytest.mark.parametrize("folder", [CASES_DIR, REFERENCE_CORPUS_DIR], ids=lambda d: d.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_renaming_classes_and_methods_renames_only_them(tmp_path, folder, seed):
+    corpus = tmp_path / folder.name
+    shutil.copytree(folder, corpus)
+    paths = sorted(corpus.glob("*.java"))
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    before = run_scan(RunConfig(corpus))
+
+    names = {name for text in texts
+             for decl in parse_source(text).classes
+             for name in [decl.name] + [method.name for method in decl.methods]}
+    seed_names = default_seed()
+    assert not [name for name in names if seed_names.is_pure_accessor(name)
+                or name in seed_names.resource_types
+                or any(name in entry for entry in seed_names.extends_entries)]
+    rename = _renamer(renaming(random.Random(seed), names, texts))
+    for path, text in zip(paths, texts):
+        path.write_text(rename(text), encoding="utf-8")
+    after = run_scan(RunConfig(corpus))
+
+    assert _outcome(after) == _outcome(before, rename)
+    assert _outcome(after) != _outcome(before)
+    assert before.store.records and before.exit_code == 1

@@ -488,6 +488,15 @@ def test_load_seed_file(tmp_path):
     assert not seed.is_pure_accessor("size")
 
 
+def test_seed_file_with_byte_order_mark_loads_as_without(tmp_path):
+    document = json.dumps({"extends": [["MyStack", "MyVector"]], "pure_accessors": ["peek*"]})
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(document, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + document.encode("utf-8"))
+    assert load_seed(marked) == load_seed(plain)
+    assert load_seed(marked).extends_entries == (("MyStack", "MyVector"),)
+
+
 def test_load_seed_missing_keys_fall_back_to_defaults(tmp_path):
     path = tmp_path / "seed.json"
     path.write_text(json.dumps({"extends": [["D", "B"]]}))

@@ -177,7 +177,7 @@ def test_binary_node_line_is_operator_line():
 
 
 def _expr(source: str):
-    unit = parse_source(f"class E {{ void m() {{ {source}; }} }}", "E.java")
+    unit = parse_source(f"class E {{ void m() {{ return {source}; }} }}", "E.java")
     assert unit.diagnostics == ()
     return unit.classes[0].methods[0].body.stmts[0].expr
 
@@ -576,6 +576,53 @@ def test_declarators_and_type_names(source, classes, diagnostics):
     unit = parse_source(source, "T.java")
     assert structure(unit.classes) == classes
     assert [(d.line, d.message, d.skipped_span) for d in unit.diagnostics] == diagnostics
+
+
+def _method_body(statement):
+    unit = parse_source(f"class S {{\n  void m() {{\n    {statement}\n    k++;\n  }}\n}}\n",
+                        "S.java")
+    return unit.classes[0].methods[0].body, unit.diagnostics
+
+
+@pytest.mark.parametrize("statement, span", [
+    # generics outside the subset once read as comparisons, silently
+    ("List<String> l = null;", (3, 3)),
+    ("List<String> l;", (3, 3)),
+    ("Foo<Bar> y = z;", (3, 3)),
+    ("a < b;", (3, 3)),
+    ("x;", (3, 3)),
+    ('"s";', (3, 3)),
+    ("(x = 1);", (3, 3)),
+    # an assignment to a value (JLS 15.26)
+    ("f() = 1;", (3, 3)),
+    ("this = x;", (3, 3)),
+    ("x = f() = 1;", (3, 3)),
+    ("a + b = c;", (3, 3)),
+    # each expression of a for init or update list
+    ("for (x; ; ) ;", (3, 3)),
+    ("for (i = 0, j; ; ) { }", (3, 3)),
+    ("for (; ; i++, i < n) {\n      k--;\n    }", (3, 5)),
+    # the whole statement that holds one is skipped
+    ("while (c)\n      a < b;", (3, 4)),
+    ("if (c) { } else for (f() = 1; ; ) ;", (3, 3)),
+])
+def test_non_statement_is_skipped_with_one_diagnostic(statement, span):
+    body, diagnostics = _method_body(statement)
+    assert [(d.line, d.message, d.skipped_span) for d in diagnostics] == [
+        (3, "not a statement", span)]
+    assert [type(s) for s in body.stmts] == [ExprStmt]
+    assert type(body.stmts[0].expr) is UnaryIncDec
+
+
+@pytest.mark.parametrize("statement", [
+    "x = 1;", "(x) = 1;", "((o.f)) = 1;", "this.f = 1;", "x = y = z;", "x = (y = z) + 1;",
+    "x++;", "--x;", "f();", "o.f().g();", "new T();",
+    "for (i = 0, f(), new T(); ; i++, --j, g()) ;",
+])
+def test_statement_expressions_parse_without_diagnostics(statement):
+    body, diagnostics = _method_body(statement)
+    assert diagnostics == ()
+    assert len(body.stmts) == 2
 
 
 NESTING_DEPTHS = (1, 50, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 500, 5000)
