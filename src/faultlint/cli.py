@@ -204,6 +204,7 @@ def collect_java_files(root: Path) -> list[Path]:
 
 def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
     units = []
+    memo: dict = {}  # the lexer's line table, shared by the files of this scan only
     for rel, path in files:
         try:
             with open(path, "rb", buffering=0) as handle:
@@ -216,7 +217,7 @@ def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
             units.append(CompilationUnit(rel, (), (diag,)))
             continue
         try:
-            unit = parse_source(text, rel)
+            unit = parse_source(text, rel, memo)
         except Exception as err:  # one file must never sink the whole scan
             # as many lines as tokenize counts: CR LF, CR and LF each end one
             lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1

@@ -1,15 +1,18 @@
 """Tokenizer: the token layout, the lexical tables and one pure-Python scan
 loop that emits tokens directly.
 
-A token is a plain 3-tuple `(kind, lexeme, line)`, the line 1-based; the
-parser reads its fields by constant index (`tok[1]` is the lexeme). A token
+`scan` gives the parser two parallel lists: a token is a plain pair
+`(kind, lexeme)`, and `lines[i]` is the 1-based line of token i. A token
 holds no column: only a LexError reports one, worked out from the text
 where it is raised. There is no record type: a named tuple built through
 `tuple.__new__` would make a temporary tuple and then a copy of it for
-every token, and each field read would go through a descriptor. The kinds are the seven constants below;
-`KEYWORDS` decides keyword against identifier, and the operator tables
-give the longest match first. Every punctuator, operator and keyword
-lexeme occurs with one kind only, which the parser relies on.
+every token, and each field read would go through a descriptor. The kinds
+are the seven constants below; `KEYWORDS` decides keyword against
+identifier, and the operator tables give the longest match first. Every
+punctuator, operator and keyword lexeme occurs with one kind only, which
+the parser relies on, and every token of one of these lexemes is the same
+module-level pair. `tokenize` gives the same tokens as `(kind, lexeme,
+line)` triples.
 
 The loop dispatches on the first character of each lexeme; a '.' starts
 a numeric literal when a digit follows it (`.5`). Runs of blanks
@@ -19,6 +22,12 @@ identifier-part test. First characters keep the `str` predicates: `\\d` is
 narrower than `str.isdigit()` (`²` starts a numeric literal). Identifier
 and keyword lexemes are interned: the trees, the model and the findings
 then share one string per distinct name, however often it occurs.
+
+Source lines repeat, within a file and across the files of a scan, so the
+loop runs once per distinct line text: `scan` takes a memo, owned by its
+caller, from a line's text to its pairs, and appends the stored pairs for
+a line it has seen (the token reuse of incremental lexing: Wagner &
+Graham, TOPLAS 1998). Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import re
 from sys import intern
 
-__all__ = ["tokenize", "LexError", "scanner_backend"]
+__all__ = ["scan", "tokenize", "LexError", "scanner_backend"]
 
 KEYWORD = "keyword"
 IDENTIFIER = "identifier"
@@ -70,8 +79,12 @@ class LexError(Exception):
 _is_hex_digit = frozenset("0123456789abcdefABCDEF").__contains__
 _is_binary_digit = frozenset("01").__contains__
 _NUM_SUFFIXES = "lLfFdD"
-# Punctuators that never start a longer lexeme.
-_SIMPLE_PUNCTUATORS = frozenset("{}();,.[]")
+# The one pair of each punctuator that never starts a longer lexeme, each
+# operator and each keyword: every token of these lexemes is that pair.
+_PUNCTUATOR_PAIRS = {ch: (PUNCTUATOR, ch) for ch in "{}();,.[]"}
+_TWO_CHAR_PAIRS = {op: (OPERATOR, op) for op in TWO_CHAR_OPERATORS}
+_ONE_CHAR_PAIRS = {op: (OPERATOR, op) for op in ONE_CHAR_OPERATORS}
+_KEYWORD_PAIRS = {word: (KEYWORD, word) for word in map(intern, KEYWORDS)}
 _BLANKS = " \t\f\v"
 
 _skip_blanks = re.compile(f"[{_BLANKS}]*").match
@@ -146,96 +159,131 @@ def _column(text: str, pos: int) -> int:
     return pos - text.rfind("\n", 0, pos)
 
 
-def tokenize(source_text: str) -> list[tuple[str, str, int]]:
-    """Tokenize source text.
+def scan(source_text: str, memo: dict) -> tuple[list[tuple[str, str]], list[int]]:
+    """Tokenize source text into `(kind, lexeme)` pairs and the parallel
+    list of their lines: `lines[i]` is the 1-based line of pair i.
 
     Comments and whitespace are consumed but not emitted; string and char
     literals keep their quotes in the lexeme. CR LF and a lone CR end a
     line as LF does; callers pass text with its line ends as read, and this
     is the one place that translates them. Raises LexError (with line and
     column) on an unterminated string/char literal or block comment.
+
+    memo maps a line's text, from its first non-blank character up to its
+    line end, to that line's pairs. A line found there is not scanned: its
+    pairs are appended as stored. A line is stored only when its scan began
+    at its start and stopped at its own line end, so no line that a block
+    comment enters or leaves, and no line that raised LexError, is ever
+    stored. The tokens of such a line depend on its text alone, whatever
+    came before it, so one memo may serve every text of a scan.
     """
     text = source_text
     if "\r" in text:  # CR LF and a lone CR end a line, as LF does (JLS 3.4)
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    tokens: list[tuple[str, str, int]] = []
-    append = tokens.append
+    pairs: list[tuple[str, str]] = []
+    lines: list[int] = []
+    append = pairs.append
+    memo_get = memo.get
     n = len(text)
     pos = 0
-    line = 1
-    while pos < n:
-        ch = text[pos]
-
-        if ch in _SIMPLE_PUNCTUATORS:
-            if ch == "." and pos + 1 < n and text[pos + 1].isdigit():  # .5
-                end = _number_end(text, pos, n)
-                append((NUMBER, text[pos:end], line))
-                pos = end
-                continue
-            append((PUNCTUATOR, ch, line))
-            pos += 1
-            continue
-
-        if ch == "\n":
-            line += 1
-            pos = _skip_blanks(text, pos + 1).end()
-            continue
-        if ch in _BLANKS:
-            pos += 1
-            if pos < n and text[pos] in _BLANKS:
-                pos = _skip_blanks(text, pos).end()
-            continue
-
-        if ch.isdigit():
-            end = _number_end(text, pos, n)
-            append((NUMBER, text[pos:end], line))
-            pos = end
-            continue
-
-        if ch.isalpha() or ch == "_" or ch == "$":
-            start = pos
-            pos = _ident_tail(text, pos + 1).end()
-            lexeme = intern(text[start:pos])
-            kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
-            append((kind, lexeme, line))
-            continue
-
-        if ch == "/" and pos + 1 < n:
-            after = text[pos + 1]
-            if after == "/":
-                end = text.find("\n", pos + 2)
-                pos = n if end < 0 else end
-                continue
-            if after == "*":
-                end = text.find("*/", pos + 2)
-                if end < 0:
-                    raise LexError("unterminated block comment", line, _column(text, pos))
-                line += text.count("\n", pos + 2, end)
-                pos = end + 2
-                continue
-
-        if ch == '"' or ch == "'":
-            match = (_string_literal if ch == '"' else _char_literal)(text, pos)
-            if match is None:
-                kind = "string" if ch == '"' else "char"
-                raise LexError(f"unterminated {kind} literal", line, _column(text, pos))
-            end = match.end()
-            append((STRING if ch == '"' else CHAR, text[pos:end], line))
-            pos = end
-            continue
-
-        pair = text[pos:pos + 2]
-        if pair in TWO_CHAR_OPERATORS:
-            append((OPERATOR, pair, line))
-            pos += 2
-            continue
-        if ch in ONE_CHAR_OPERATORS:
-            append((OPERATOR, ch, line))
+    line = 0
+    while True:  # one line per round, more when a block comment spans lines
+        line += 1
+        pos = _skip_blanks(text, pos).end()
+        line_end = text.find("\n", pos)
+        if line_end < 0:
+            line_end = n
+        key = text[pos:line_end]
+        stored = memo_get(key)
+        if stored is not None:
+            pairs += stored
+            pos = line_end
         else:
-            # Anything else (including out-of-subset characters like '#')
-            # becomes a one-character punctuator; the parser's recovery
-            # deals with it.
-            append((PUNCTUATOR, ch, line))
-        pos += 1
+            first = len(pairs)
+            while pos < n:
+                ch = text[pos]
 
-    return tokens
+                tok = _PUNCTUATOR_PAIRS.get(ch)
+                if tok is not None:
+                    if ch == "." and pos + 1 < n and text[pos + 1].isdigit():  # .5
+                        end = _number_end(text, pos, n)
+                        append((NUMBER, text[pos:end]))
+                        pos = end
+                        continue
+                    append(tok)
+                    pos += 1
+                    continue
+
+                if ch == "\n":
+                    break
+                if ch in _BLANKS:
+                    pos += 1
+                    if pos < n and text[pos] in _BLANKS:
+                        pos = _skip_blanks(text, pos).end()
+                    continue
+
+                if ch.isdigit():
+                    end = _number_end(text, pos, n)
+                    append((NUMBER, text[pos:end]))
+                    pos = end
+                    continue
+
+                if ch.isalpha() or ch == "_" or ch == "$":
+                    start = pos
+                    pos = _ident_tail(text, pos + 1).end()
+                    lexeme = intern(text[start:pos])
+                    append(_KEYWORD_PAIRS.get(lexeme) or (IDENTIFIER, lexeme))
+                    continue
+
+                if ch == "/" and pos + 1 < n:
+                    after = text[pos + 1]
+                    if after == "/":
+                        end = text.find("\n", pos + 2)
+                        pos = n if end < 0 else end
+                        continue
+                    if after == "*":
+                        end = text.find("*/", pos + 2)
+                        if end < 0:
+                            raise LexError("unterminated block comment", line,
+                                           _column(text, pos))
+                        spanned = text.count("\n", pos + 2, end)
+                        if spanned:  # this line and the comment's last are not stored
+                            lines += [line] * (len(pairs) - len(lines))
+                            line += spanned
+                            key = None
+                        pos = end + 2
+                        continue
+
+                if ch == '"' or ch == "'":
+                    match = (_string_literal if ch == '"' else _char_literal)(text, pos)
+                    if match is None:
+                        kind = "string" if ch == '"' else "char"
+                        raise LexError(f"unterminated {kind} literal", line, _column(text, pos))
+                    end = match.end()
+                    append((STRING if ch == '"' else CHAR, text[pos:end]))
+                    pos = end
+                    continue
+
+                tok = _TWO_CHAR_PAIRS.get(text[pos:pos + 2])
+                if tok is not None:
+                    append(tok)
+                    pos += 2
+                    continue
+                # Anything else that is no operator (including out-of-subset
+                # characters like '#') becomes a one-character punctuator;
+                # the parser's recovery deals with it.
+                append(_ONE_CHAR_PAIRS.get(ch) or (PUNCTUATOR, ch))
+                pos += 1
+            if key is not None:
+                memo[key] = pairs[first:]
+        lines += [line] * (len(pairs) - len(lines))
+        if pos >= n:
+            return pairs, lines
+        pos += 1  # past the line end
+
+
+def tokenize(source_text: str) -> list[tuple[str, str, int]]:
+    """The tokens of source text as `(kind, lexeme, line)` triples: a view
+    of `scan` with a memo of its own."""
+    pairs, lines = scan(source_text, {})
+    return [(kind, lexeme, line) for (kind, lexeme), line in zip(pairs, lines)]

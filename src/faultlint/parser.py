@@ -3,12 +3,13 @@
 The parser is deliberately tolerant: it accepts one construct real javac
 rejects (a comma-separated extends clause, which a detector must observe)
 and it never aborts. Anything outside the subset is skipped to the next
-`;` or brace-balanced `}` and reported as one ParseDiagnostic per skip.
+`;` outside parentheses or past a brace-balanced `}` and reported as one
+ParseDiagnostic per skip.
 """
 
 from __future__ import annotations
 
-from faultlint.lexer import CHAR, IDENTIFIER, NUMBER, STRING, LexError, tokenize
+from faultlint.lexer import CHAR, IDENTIFIER, NUMBER, STRING, LexError, scan
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -110,10 +111,11 @@ def _is_statement_expression(expr: Expr) -> bool:
     return True
 
 
-# Kind of the two sentinel tokens that end the parser's copy of the token
-# list. Their lexeme is "", which no real token has, so no lexeme query
-# matches them and no cursor read needs a bounds test.
+# Kind of the two sentinel tokens that end the parser's token list. Their
+# lexeme is "", which no real token has, so no lexeme query matches them
+# and no cursor read needs a bounds test.
 END = "end"
+_END_TOKEN = (END, "")
 
 # Lexemes that start a statement other than a declaration or an
 # expression statement; "" is the end sentinel.
@@ -124,21 +126,24 @@ _BODY_END = frozenset(("}", ""))
 
 
 class _Parser:
-    # A token is the lexer's tuple (kind, lexeme, line): tok[0] is the kind,
-    # tok[1] the lexeme, tok[2] the line.
+    # A token is the lexer's pair (kind, lexeme): tok[0] is the kind, tok[1]
+    # the lexeme; lines[pos] is the line of the token at pos.
     # Punctuator, operator and keyword lexemes each occur with one token kind
     # only, so the cursor compares lexemes alone: `at`/`expect` take a
     # lexeme, and only identifiers, literals and numbers are told apart by
-    # kind (`expect_ident`, `tok[0]`). The cursor reads a copy of the
-    # tokens that ends in two END sentinels, so a read at pos or pos + 1 is
-    # always in range; `n`, the real count, only words "reached end of
-    # file". `_type_name` is the one reader of the type grammar,
-    # `_declarator` of declarators and `_parse_operand` of operands.
+    # kind (`expect_ident`, `tok[0]`). The parser owns both lists and ends
+    # them in two END sentinels, so a read at pos or pos + 1 is always in
+    # range; `n`, the real count, only words "reached end of file".
+    # `_type_name` is the one reader of the type grammar, `_declarator` of
+    # declarators and `_parse_operand` of operands.
 
-    def __init__(self, tokens: list[tuple], file_path: str):
-        sentinel = (END, "", tokens[-1][2] if tokens else 1)
-        self.tokens = tokens + [sentinel, sentinel]
+    def __init__(self, tokens: list[tuple[str, str]], lines: list[int], file_path: str):
         self.n = len(tokens)
+        tokens += (_END_TOKEN, _END_TOKEN)
+        last = lines[-1] if lines else 1
+        lines += (last, last)
+        self.tokens = tokens
+        self.lines = lines
         self.pos = 0
         self.depth = 0  # open nested constructs, see MAX_NESTING
         self.file_path = file_path
@@ -147,27 +152,30 @@ class _Parser:
 
     # -- cursor ---------------------------------------------------------
 
-    def advance(self) -> tuple:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """Consume the token at the cursor; returns its line."""
+        pos = self.pos
+        self.pos = pos + 1
+        return self.lines[pos]
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
         return self.tokens[self.pos + offset][1] == lexeme
 
-    def expect(self, lexeme: str) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[1] != lexeme:
-            raise _ParseFailure(f"expected '{lexeme}' but {self._found(self.pos)}")
-        self.pos += 1
-        return tok
+    def expect(self, lexeme: str) -> int:
+        """Consume the token at the cursor, which must be lexeme; returns its line."""
+        pos = self.pos
+        if self.tokens[pos][1] != lexeme:
+            raise _ParseFailure(f"expected '{lexeme}' but {self._found(pos)}")
+        self.pos = pos + 1
+        return self.lines[pos]
 
-    def expect_ident(self) -> tuple:
+    def expect_ident(self) -> str:
+        """Consume the identifier at the cursor; returns its lexeme."""
         tok = self.tokens[self.pos]
         if tok[0] != IDENTIFIER:
             raise _ParseFailure(f"expected 'identifier' but {self._found(self.pos)}")
         self.pos += 1
-        return tok
+        return tok[1]
 
     def _found(self, pos: int) -> str:
         """What a failure met at pos, for "expected X but ..." messages."""
@@ -176,7 +184,7 @@ class _Parser:
         return f"found '{self.tokens[pos][1]}'"
 
     def _last_line(self) -> int:
-        return self.tokens[self.pos][2]
+        return self.lines[self.pos]
 
     def _nest(self) -> int:
         """Open one nested construct; returns the new depth."""
@@ -202,16 +210,20 @@ class _Parser:
         )
 
     def skip_to_sync(self, start_pos: int) -> tuple[int, int]:
-        """Skip from start_pos to the next `;` or brace-balanced `}`.
+        """Skip from start_pos to the next `;` outside braces and parentheses,
+        or past a brace-balanced `}`.
 
         A complete `{...}` group counts as a sync point; a `}` that would
-        close the enclosing block is left unconsumed. Returns the skipped
-        (start line, end line) span. Always consumes at least one token
-        unless the very first is the enclosing `}` or input is exhausted.
+        close the enclosing block is left unconsumed. A `;` inside `(...)`,
+        as in a `for` header, ends nothing; a `)` with no open `(` is
+        skipped like any other token. Returns the skipped (start line, end
+        line) span. Always consumes at least one token unless the very
+        first is the enclosing `}` or input is exhausted.
         """
         tokens = self.tokens
         pos = start_pos
         depth = 0
+        parens = 0
         while True:
             lexeme = tokens[pos][1]
             if not lexeme or (lexeme == "}" and depth == 0):  # end, or the block's end
@@ -223,12 +235,18 @@ class _Parser:
                 depth -= 1
                 if depth == 0:
                     break
-            elif lexeme == ";" and depth == 0:
+            elif lexeme == "(":
+                parens += 1
+            elif lexeme == ")":
+                if parens:
+                    parens -= 1
+            elif lexeme == ";" and depth == 0 and parens == 0:
                 break
         self.pos = pos
         # the span ends on the last skipped token's line
-        start_line = tokens[start_pos][2]
-        return start_line, tokens[pos - 1][2] if pos > start_pos else start_line
+        lines = self.lines
+        start_line = lines[start_pos]
+        return start_line, lines[pos - 1] if pos > start_pos else start_line
 
     def skip_top_level(self, start_pos: int) -> tuple[int, int]:
         """Skip past the token at start_pos to the next top-level `class`
@@ -247,8 +265,9 @@ class _Parser:
             pos += 1
         self.pos = pos
         # the span ends on the last skipped token's line
-        start_line = tokens[start_pos][2]
-        return start_line, tokens[pos - 1][2] if pos > start_pos else start_line
+        lines = self.lines
+        start_line = lines[start_pos]
+        return start_line, lines[pos - 1] if pos > start_pos else start_line
 
     # -- top level --------------------------------------------------------
 
@@ -297,11 +316,11 @@ class _Parser:
         self.pos = pos
         self.diagnose(f"expected ';' to end the {tokens[start][1]} directive but "
                       f"{self._found(pos)}",
-                      tokens[start][2], tokens[pos - 1][2])
+                      self.lines[start], self.lines[pos - 1])
 
     def parse_class(self) -> ClassDecl:
-        class_tok = self.expect("class")
-        name_tok = self.expect_ident()
+        line = self.expect("class")
+        name = self.expect_ident()
         # Comma-separated superclass lists are preserved verbatim: they are
         # detector input, not a parse failure.
         extends_list = self._type_list("extends")
@@ -314,7 +333,7 @@ class _Parser:
         while tokens[self.pos][1] not in _BODY_END:
             start_pos = self.pos
             try:
-                self.parse_member(name_tok[1], fields, methods)
+                self.parse_member(name, fields, methods)
             except _ParseFailure as failure:
                 self.depth = 0
                 span = self.skip_to_sync(start_pos)
@@ -323,17 +342,17 @@ class _Parser:
             self.pos += 1
         else:
             self.diagnose(
-                f"missing '}}' for class {name_tok[1]}",
+                f"missing '}}' for class {name}",
                 self._last_line(),
                 self._last_line(),
             )
         return ClassDecl(
-            name=name_tok[1],
+            name=name,
             extends_list=extends_list,
             implements_list=implements_list,
             fields=tuple(fields),
             methods=tuple(methods),
-            line=class_tok[2],
+            line=line,
         )
 
     def _type_list(self, keyword: str) -> tuple[str, ...]:
@@ -366,7 +385,7 @@ class _Parser:
         # constructor: bare class name followed by a parameter list
         if lexeme == class_name and tokens[pos + 1][1] == "(":
             self.pos = pos + 1
-            methods.append(self._parse_method_rest(tokens[pos], is_constructor=True))
+            methods.append(self._parse_method_rest(lexeme, self.lines[pos], is_constructor=True))
             return
 
         if lexeme == "void":
@@ -375,12 +394,13 @@ class _Parser:
         else:
             type_name = self.parse_type_name()
         if tokens[self.pos + 1][1] == "(":
-            name_tok = self.expect_ident()
-            methods.append(self._parse_method_rest(name_tok, is_constructor=False))
+            line = self.lines[self.pos]
+            methods.append(self._parse_method_rest(self.expect_ident(), line,
+                                                   is_constructor=False))
             return
         while True:
-            name_tok, declared = self._declarator(type_name)
-            fields.append(TypedName(declared, name_tok[1]))
+            name, declared = self._declarator(type_name)
+            fields.append(TypedName(declared, name))
             if self.at("="):  # parsed for syntax, not retained
                 self.pos += 1
                 self.parse_expr()
@@ -415,47 +435,46 @@ class _Parser:
             raise _ParseFailure(f"expected a type name but {self._found(self.pos)}")
         return name
 
-    def _declarator(self, type_name: str) -> tuple[tuple, str]:
+    def _declarator(self, type_name: str) -> tuple[str, str]:
         """One `name` or C-style `name[]` with its declared type, the cursor
         just after it. The field, local and parameter readers loop over it,
         each handling a declarator (and its initializer) before reading the
         next, so those read before a failing one stay declared."""
-        name_tok = self.expect_ident()
+        name = self.expect_ident()
         if self.at("[") and self.at("]", 1):
             self.pos += 2
             if not type_name.endswith("[]"):
                 type_name += "[]"
-        return name_tok, type_name
+        return name, type_name
 
-    def _parse_method_rest(self, name_tok: tuple, is_constructor: bool) -> MethodDecl:
+    def _parse_method_rest(self, name: str, line: int, is_constructor: bool) -> MethodDecl:
         params: list[TypedName] = []
         self.expect("(")
         if not self.at(")"):
             while True:
                 p_name, p_type = self._declarator(self.parse_type_name())
-                params.append(TypedName(p_type, p_name[1]))
+                params.append(TypedName(p_type, p_name))
                 if not self.at(","):
                     break
                 self.pos += 1
         self.expect(")")
         self._type_list("throws")
         if self.at(";"):
-            semi = self.advance()
-            body = Block((), semi[2])
+            body = Block((), self.advance())
         else:
             body = self.parse_block()
         return MethodDecl(
-            name=name_tok[1],
+            name=name,
             params=tuple(params),
             body=body,
             is_constructor=is_constructor,
-            line=name_tok[2],
+            line=line,
         )
 
     # -- statements ---------------------------------------------------------
 
     def parse_block(self) -> Block:
-        open_tok = self.expect("{")
+        line = self.expect("{")
         depth = self._nest()
         stmts: list[Stmt] = []
         tokens = self.tokens
@@ -465,14 +484,14 @@ class _Parser:
                 self.parse_statement_into(stmts)
             except _NotAStatement as failure:
                 self.depth = depth
-                self.diagnose(str(failure), tokens[start_pos][2], tokens[self.pos - 1][2])
+                self.diagnose(str(failure), self.lines[start_pos], self.lines[self.pos - 1])
             except _ParseFailure as failure:
                 self.depth = depth
                 span = self.skip_to_sync(start_pos)
                 self.diagnose(str(failure), *span)
         self.expect("}")
         self.depth = depth - 1
-        return Block(tuple(stmts), open_tok[2])
+        return Block(tuple(stmts), line)
 
     def _substatement(self) -> Block:
         """Loop bodies and if branches are always Blocks."""
@@ -502,33 +521,33 @@ class _Parser:
         elif lexeme == "{":
             out.append(self.parse_block())
         elif lexeme == ";":
-            out.append(Empty(self.advance()[2]))
+            out.append(Empty(self.advance()))
         elif lexeme == "if":
             out.append(self._parse_if())
         elif lexeme == "while":
-            kw = self.advance()
+            line = self.advance()
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
-            out.append(While(cond, self._substatement(), kw[2]))
+            out.append(While(cond, self._substatement(), line))
         elif lexeme == "do":
-            kw = self.advance()
+            line = self.advance()
             body = self._substatement()
             self.expect("while")
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             self.expect(";")
-            out.append(DoWhile(body, cond, kw[2]))
+            out.append(DoWhile(body, cond, line))
         elif lexeme == "for":
             out.append(self._parse_for())
         elif lexeme == "try":
             out.append(self._parse_try())
         elif lexeme == "return":
-            kw = self.advance()
+            line = self.advance()
             expr = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            out.append(Return(expr, kw[2]))
+            out.append(Return(expr, line))
         else:
             raise _ParseFailure(f"expected a statement but {self._found(self.pos)}")
 
@@ -545,18 +564,19 @@ class _Parser:
     def _local_decls(self, type_name: str, out: list[Stmt]) -> None:
         """Append a LocalVarDecl to out for each declarator of the list."""
         while True:
-            name_tok, declared = self._declarator(type_name)
+            line = self.lines[self.pos]
+            name, declared = self._declarator(type_name)
             init = None
             if self.at("="):
                 self.pos += 1
                 init = self.parse_expr()
-            out.append(LocalVarDecl(declared, name_tok[1], init, name_tok[2]))
+            out.append(LocalVarDecl(declared, name, init, line))
             if not self.at(","):
                 return
             self.pos += 1
 
     def _parse_if(self) -> If:
-        kw = self.expect("if")
+        line = self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -565,10 +585,10 @@ class _Parser:
         if self.at("else"):
             self.pos += 1
             else_block = self._substatement()
-        return If(cond, then_block, else_block, kw[2])
+        return If(cond, then_block, else_block, line)
 
     def _parse_for(self) -> For:
-        kw = self.expect("for")
+        line = self.expect("for")
         self.expect("(")
         init: list[Stmt] = []
         if self.at(";"):
@@ -588,36 +608,36 @@ class _Parser:
         exprs = [stmt.expr for stmt in init if type(stmt) is ExprStmt]
         if not all(_is_statement_expression(expr) for expr in exprs + list(update)):
             raise _NotAStatement()
-        return For(tuple(init), cond, update, body, kw[2])
+        return For(tuple(init), cond, update, body, line)
 
     def _parse_try(self) -> TryCatch:
-        kw = self.expect("try")
+        line = self.expect("try")
         try_block = self.parse_block()
         catches: list[CatchClause] = []
         while self.at("catch"):
-            catch_tok = self.advance()
+            catch_line = self.advance()
             self.expect("(")
             ex_type = self.parse_type_name()
             ex_name = self.expect_ident()
             self.expect(")")
             body = self.parse_block()
-            catches.append(CatchClause(ex_type, ex_name[1], body, catch_tok[2]))
+            catches.append(CatchClause(ex_type, ex_name, body, catch_line))
         finally_block = None
         if self.at("finally"):
             self.pos += 1
             finally_block = self.parse_block()
-        return TryCatch(try_block, tuple(catches), finally_block, kw[2])
+        return TryCatch(try_block, tuple(catches), finally_block, line)
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         lhs = self._parse_binary(1)
         if self.tokens[self.pos][1] == "=":
-            eq = self.advance()
+            line = self.advance()
             depth = self._nest()
             rhs = self.parse_expr()
             self.depth = depth - 1
-            return Assign(lhs, rhs, eq[2])
+            return Assign(lhs, rhs, line)
         return lhs
 
     def _parse_binary(self, min_prec: int) -> Expr:
@@ -625,16 +645,17 @@ class _Parser:
         lhs = self._parse_operand()
         tokens = self.tokens
         while True:
-            op = tokens[self.pos]
-            prec = _BINARY_PRECEDENCE.get(op[1])
+            pos = self.pos
+            op = tokens[pos][1]
+            prec = _BINARY_PRECEDENCE.get(op)
             if prec is None or prec < min_prec:
                 return lhs
-            self.pos += 1
+            self.pos = pos + 1
             depth = self._nest()
             # left-associative: the right operand binds strictly tighter
             rhs = self._parse_binary(prec + 1)
             self.depth = depth - 1
-            lhs = Binary(op[1], lhs, rhs, op[2])
+            lhs = Binary(op, lhs, rhs, self.lines[pos])
 
     def _parse_args(self) -> tuple[Expr, ...]:
         self.expect("(")
@@ -659,7 +680,8 @@ class _Parser:
         `name(...)` and postfix `++`/`--` suffixes."""
         tokens = self.tokens
         pos = self.pos
-        kind, lexeme, line = tokens[pos]
+        kind, lexeme = tokens[pos]
+        line = self.lines[pos]
         self.pos = pos + 1  # every operand starts by consuming one token
         if kind == IDENTIFIER:
             expr = Name(lexeme, line)
@@ -709,28 +731,35 @@ class _Parser:
                     return expr
                 self.pos = pos + 2
                 if tokens[pos + 2][1] == "(":
-                    expr = MethodCall(expr, name_tok[1], self._parse_args(), name_tok[2])
+                    expr = MethodCall(expr, name_tok[1], self._parse_args(),
+                                      self.lines[pos + 1])
                 else:
-                    expr = FieldAccess(expr, name_tok[1], name_tok[2])
+                    expr = FieldAccess(expr, name_tok[1], self.lines[pos + 1])
             elif lexeme == "(" and type(expr) is Name:
                 expr = MethodCall(None, expr.ident, self._parse_args(), expr.line)
             elif lexeme == "++" or lexeme == "--":
                 self.pos = pos + 1
-                expr = UnaryIncDec(lexeme, expr, False, tokens[pos][2])
+                expr = UnaryIncDec(lexeme, expr, False, self.lines[pos])
             else:
                 return expr
 
 
-def parse_unit(tokens: list[tuple], file_path: str = "<memory>") -> CompilationUnit:
-    """Parse a token list into a CompilationUnit. Never raises."""
-    return _Parser(tokens, file_path).parse_unit()
+def parse_unit(tokens: list[tuple[str, str, int]], file_path: str = "<memory>") -> CompilationUnit:
+    """Parse a list of `tokenize` triples into a CompilationUnit. Never raises."""
+    pairs = [(kind, lexeme) for kind, lexeme, _ in tokens]
+    return _Parser(pairs, [tok[2] for tok in tokens], file_path).parse_unit()
 
 
-def parse_source(source_text: str, file_path: str = "<memory>") -> CompilationUnit:
-    """Tokenize and parse; a lexical error becomes a diagnostic-only unit."""
+def parse_source(source_text: str, file_path: str = "<memory>",
+                 memo: dict | None = None) -> CompilationUnit:
+    """Tokenize and parse; a lexical error becomes a diagnostic-only unit.
+
+    memo is the lexer's line table (`lexer.scan`): the texts of one scan may
+    share one, so that each distinct line is tokenized once. Without it the
+    call uses a fresh one."""
     try:
-        tokens = tokenize(source_text)
+        tokens, lines = scan(source_text, {} if memo is None else memo)
     except LexError as err:
         diag = ParseDiagnostic(file_path, err.line, str(err), (err.line, err.line))
         return CompilationUnit(file_path, (), (diag,))
-    return parse_unit(tokens, file_path)
+    return _Parser(tokens, lines, file_path).parse_unit()

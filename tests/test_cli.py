@@ -643,10 +643,10 @@ def test_parse_exception_in_one_file_is_diagnostic_not_abort(tmp_path, monkeypat
     shutil.copytree(REFERENCE_CORPUS_DIR, corpus)
     real_parse = faultlint.cli.parse_source
 
-    def parse_or_fail(text, file_path):
+    def parse_or_fail(text, file_path, memo):
         if file_path == "MP_A.java":
             raise ValueError("parser bug")
-        return real_parse(text, file_path)
+        return real_parse(text, file_path, memo)
 
     monkeypatch.setattr(faultlint.cli, "parse_source", parse_or_fail)
     result = run_scan(RunConfig(corpus_root=corpus))

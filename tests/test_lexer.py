@@ -13,6 +13,7 @@ from faultlint.lexer import (
     PUNCTUATOR,
     STRING,
     LexError,
+    scan,
     tokenize,
 )
 from faultlint.detectors import run_all
@@ -138,12 +139,12 @@ _LINE_END = re.compile("\r\n?|\n")
 _LINE_COMMENT = re.compile("//[^\r\n]*")
 
 
-def assert_tokens_cover_positions(text):
+def assert_tokens_cover_positions(text, tokens=None):
     """(lexeme, line, column) of each token, found by a walk over the source
     that skips only ASCII blanks, line ends and comments: each lexeme must
     start exactly where the walk stands, on the token's line, so the tokens
     are exact slices of the source in source order. CR LF, CR and LF each
-    end a line."""
+    end a line. tokens defaults to `tokenize(text)`."""
     pos, line, line_start = 0, 1, 0
 
     def skip():
@@ -167,7 +168,7 @@ def assert_tokens_cover_positions(text):
                 return
 
     positions = []
-    for _, lexeme, token_line in tokenize(text):
+    for _, lexeme, token_line in tokenize(text) if tokens is None else tokens:
         skip()
         assert text.startswith(lexeme, pos), (lexeme, text[pos:pos + 10])
         assert token_line == line, lexeme
@@ -178,10 +179,10 @@ def assert_tokens_cover_positions(text):
     return positions
 
 
-@pytest.mark.parametrize(
-    "fixture", sorted(REFERENCE_CORPUS_DIR.glob("*.java")) + sorted(CASES_DIR.glob("*.java")),
-    ids=lambda p: p.name,
-)
+ALL_FIXTURES = sorted(REFERENCE_CORPUS_DIR.glob("*.java")) + sorted(CASES_DIR.glob("*.java"))
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
 def test_tokens_cover_input_positions(fixture):
     assert_tokens_cover_positions(fixture.read_text(encoding="utf-8"))
 
@@ -269,3 +270,124 @@ def test_identifiers_from_two_sources_are_one_object():
     second = parse_source("class B extends SharedName { SharedName f; }", "b.java").classes[0]
     assert second.extends_list[0] is first.name
     assert second.fields[0].type_name is first.name
+
+
+# --- the line memo ------------------------------------------------------------
+
+
+class _NeverHit(dict):
+    """A memo that stores lines but never finds one: the scan without reuse."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _scan_outcome(text, memo):
+    """The triples of a scan through memo, or its LexError's message, line
+    and column."""
+    try:
+        pairs, lines = scan(text, memo)
+    except LexError as err:
+        return err.message, err.line, err.column
+    assert len(lines) == len(pairs)
+    return [pair + (line,) for pair, line in zip(pairs, lines)]
+
+
+def _random_lines_soup(rng: random.Random, pool: list[str]) -> str:
+    """Lines drawn from a small pool, so that lines repeat within and across
+    soups, each indented at random and ended by LF, CR LF or a lone CR."""
+    lines = [rng.choice(" \t") * rng.randrange(3) + rng.choice(pool)
+             for _ in range(rng.randrange(1, 12))]
+    ends = [rng.choice(("\n", "\r\n", "\r")) for _ in lines]
+    if rng.random() < 0.5:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def test_memo_scan_matches_the_scan_without_reuse():
+    # one memo for every soup, as for the files of one scan
+    rng = random.Random(0x11E)
+    atoms = ["int", "x", "=", "1", ";", "(", ")", "{", "}", "f", ".", "5", "==",
+             '"s"', "'c'", " ", "\t", "//c", "/*b*/", "/*", "*/", "#", "\xa0"]
+    pool = ["".join(rng.choice(atoms) for _ in range(rng.randrange(6))) for _ in range(40)]
+    # block comments over several lines, and unterminated literals
+    pool += ["a /* open", "close */ b", "* /", 's = "open', "c = 'o"]
+    memo = {}
+    outcomes = {"tokens": 0, "errors": 0}
+    for _ in range(10000):
+        text = _random_lines_soup(rng, pool)
+        expected = _scan_outcome(text, _NeverHit())
+        assert _scan_outcome(text, memo) == expected, repr(text)
+        outcomes["errors" if type(expected) is tuple else "tokens"] += 1
+    assert min(outcomes.values()) > 2000, outcomes
+    assert len(memo) > 20
+
+
+def _memo_with(*texts):
+    memo = {}
+    for text in texts:
+        scan(text, memo)
+    return memo
+
+
+def test_memoized_line_inside_a_later_block_comment():
+    memo = _memo_with("int x = 1;\n")
+    text = "a /* start\nint x = 1;\n end */ b;\nint x = 1;"
+    assert _scan_outcome(text, memo) == _scan_outcome(text, _NeverHit()) == [
+        (IDENTIFIER, "a", 1), (IDENTIFIER, "b", 3), (PUNCTUATOR, ";", 3),
+        (KEYWORD, "int", 4), (IDENTIFIER, "x", 4), (OPERATOR, "=", 4), (NUMBER, "1", 4),
+        (PUNCTUATOR, ";", 4),
+    ]
+
+
+def test_line_raising_lex_error_raises_again_where_it_recurs():
+    memo = _memo_with("int a;\n")
+    with pytest.raises(LexError) as first:
+        scan('String s = "oops\n', memo)
+    with pytest.raises(LexError) as again:
+        scan('int a;\n\t  String s = "oops\n', memo)
+    assert (first.value.line, first.value.column) == (1, 12)
+    assert (again.value.line, again.value.column) == (2, 15)
+    assert again.value.message == first.value.message == "unterminated string literal"
+    assert 'String s = "oops' not in memo
+
+
+def test_lf_and_crlf_files_share_their_lines():
+    lf = "class A {\n  int x;\n}\n"
+    memo = _memo_with(lf)
+    stored = dict(memo)
+    crlf = lf.replace("\n", "\r\n")
+    assert _scan_outcome(crlf, memo) == _scan_outcome(lf, _NeverHit())
+    assert memo == stored
+
+
+def test_hit_on_a_files_first_line():
+    memo = _memo_with("int a;\nclass Q { }\n")
+    first = scan("class Q { }\nint b;", memo)[0]
+    assert first[1] is memo["class Q { }"][1]  # the stored pair, not a fresh one
+    assert _scan_outcome("class Q { }\nint b;", memo) == [
+        (KEYWORD, "class", 1), (IDENTIFIER, "Q", 1), (PUNCTUATOR, "{", 1),
+        (PUNCTUATOR, "}", 1), (KEYWORD, "int", 2), (IDENTIFIER, "b", 2), (PUNCTUATOR, ";", 2),
+    ]
+
+
+def test_line_that_a_block_comment_enters_or_leaves_is_not_stored():
+    memo = _memo_with("int a; /* open\nclose */ int b;\nint c;\n")
+    assert set(memo) == {"int c;", ""}
+    # the same lines with no comment open between them
+    text = "int a; /* open\n*/\nclose */ int b;\n"
+    assert _scan_outcome(text, memo) == _scan_outcome(text, _NeverHit()) == [
+        (KEYWORD, "int", 1), (IDENTIFIER, "a", 1), (PUNCTUATOR, ";", 1),
+        (IDENTIFIER, "close", 3), (OPERATOR, "*", 3), (OPERATOR, "/", 3),
+        (KEYWORD, "int", 3), (IDENTIFIER, "b", 3), (PUNCTUATOR, ";", 3),
+    ]
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.name)
+def test_tokens_cover_input_positions_after_a_primed_memo(fixture):
+    memo = _memo_with(*(other.read_text(encoding="utf-8")
+                        for other in ALL_FIXTURES if other != fixture))
+    text = fixture.read_text(encoding="utf-8")
+    tokens = _scan_outcome(text, memo)
+    assert tokens == tokenize(text)
+    assert_tokens_cover_positions(text, tokens)

@@ -15,6 +15,15 @@ messages and details, and in the one model diagnostic that names a class
 parse diagnostics and the exit code stay as they were. The fresh names
 match no seed entry or accessor pattern, so no rule sees a name's meaning
 change; records come out sorted by the new names.
+
+Moving classes: moving classes that are declared once between the files
+of a fixture folder, each kept on its own lines, changes only the
+`file_path` of their records and findings and the order of the records. A
+duplicated class stays in its file, as which copy wins depends on the walk
+order. Renaming the files alone, so that the walk order reverses, is the
+case in which no class moves. The lexer reuses the tokens of lines seen
+earlier in a scan, so a file's tokens come from the files scanned before
+it; this relation checks that they do not depend on which files those are.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import json
 import random
 import re
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -139,3 +149,98 @@ def test_renaming_classes_and_methods_renames_only_them(tmp_path, folder, seed):
     assert _outcome(after) == _outcome(before, rename)
     assert _outcome(after) != _outcome(before)
     assert before.store.records and before.exit_code == 1
+
+
+def _class_chunks(folder):
+    """(class name, file name, first line, line texts) of every class of a
+    folder: a class runs from its first line to the next class's."""
+    chunks = []
+    for path in sorted(folder.glob("*.java")):
+        text = path.read_text(encoding="utf-8")
+        lines = [line.rstrip("\n") + "\n" for line in text.splitlines(keepends=True)]
+        classes = parse_source(text).classes
+        starts = [decl.line for decl in classes]
+        assert starts[0] == 1, path.name  # no text before the first class
+        for decl, start, end in zip(classes, starts, starts[1:] + [len(lines) + 1]):
+            chunks.append((decl.name, path.name, start, lines[start - 1:end - 1]))
+    return chunks
+
+
+def _write_layout(corpus, layout):
+    """Write each file of layout, a map from file name to {line: text}, with
+    empty lines wherever no class stands."""
+    for name, slots in layout.items():
+        text = "".join(slots.get(line, "\n") for line in range(1, max(slots) + 1))
+        (corpus / name).write_text(text, encoding="utf-8")
+
+
+def _moved_outcome(result, class_files, rename=lambda text: text):
+    """_outcome of a scan of a corpus with no parse diagnostic, each class's
+    records and findings in class_files' file, each diagnostic passed
+    through rename."""
+    records = sorted(
+        (record.class_name, class_files[record.class_name], record.error_codes,
+         [(f.class_name, f.error_code, class_files[f.class_name], f.line, f.message,
+           json.dumps(f.detail, sort_keys=True)) for f in record.findings])
+        for record in result.store.records)
+    diagnostics = [(rename(d.message), d.file_path, d.line) for d in result.store.diagnostics]
+    return records, diagnostics, result.exit_code
+
+
+@pytest.mark.parametrize("folder", [CASES_DIR, REFERENCE_CORPUS_DIR], ids=lambda d: d.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_moving_classes_between_files_moves_only_their_file_paths(tmp_path, folder, seed):
+    before = run_scan(RunConfig(folder))
+    assert all(d.file_path is None for d in before.store.diagnostics)  # no parse diagnostic
+    chunks = _class_chunks(folder)
+    copies = Counter(name for name, *_ in chunks)
+    rng = random.Random(seed)
+    taken = [line for *_, lines in chunks for line in lines]
+    fresh = [_fresh_name(rng, taken, "f") + ".java" for _ in range(len(chunks))]
+    layout = {file: {} for _, file, _, _ in chunks}
+    class_files = {}
+    moving = [chunk for chunk in chunks if copies[chunk[0]] == 1]
+    rng.shuffle(moving)
+    for name, file, start, lines in [c for c in chunks if copies[c[0]] > 1] + moving:
+        span = range(start, start + len(lines))
+        targets = [file] if copies[name] > 1 else rng.sample(sorted(layout), len(layout))
+        target = next((t for t in targets if not set(span) & set(layout[t])), None)
+        if target is None:
+            target = fresh.pop()
+            layout[target] = {}
+        layout[target].update(zip(span, lines))
+        class_files.setdefault(name, target)  # the first copy wins
+    layout = {name: slots for name, slots in layout.items() if slots}
+    assert any(class_files[name] != file for name, file, _, _ in moving)
+    corpus = tmp_path / "moved"
+    corpus.mkdir()
+    _write_layout(corpus, layout)
+    after = run_scan(RunConfig(corpus))
+
+    assert _outcome(after) == _moved_outcome(before, class_files)
+    assert before.store.records and before.exit_code == 1
+
+
+@pytest.mark.parametrize("folder", [CASES_DIR, REFERENCE_CORPUS_DIR], ids=lambda d: d.name)
+def test_renaming_files_to_reverse_the_walk_order_moves_only_file_paths(tmp_path, folder):
+    before = run_scan(RunConfig(folder))
+    assert all(d.file_path is None for d in before.store.diagnostics)  # no parse diagnostic
+    chunks = _class_chunks(folder)
+    copies = Counter(name for name, *_ in chunks)
+    files = sorted(path.name for path in folder.glob("*.java"))
+    names = {file: f"r{len(files) - index:02d}.java" for index, file in enumerate(files)}
+    # the files holding copies of one class keep their order, so the same copy wins
+    holding = sorted({file for name, file, _, _ in chunks if copies[name] > 1})
+    names.update(zip(holding, sorted(names[file] for file in holding)))
+    corpus = tmp_path / "renamed"
+    corpus.mkdir()
+    for file in files:
+        shutil.copyfile(folder / file, corpus / names[file])
+    after = run_scan(RunConfig(corpus))
+
+    walk = sorted(files, key=names.get)
+    assert walk == files[::-1] if not holding else walk != files
+    class_files = {}
+    for name, file, _, _ in chunks:
+        class_files.setdefault(name, names[file])
+    assert _outcome(after) == _moved_outcome(before, class_files, _renamer(names))

@@ -625,6 +625,21 @@ def test_statement_expressions_parse_without_diagnostics(statement):
     assert len(body.stmts) == 2
 
 
+@pytest.mark.parametrize("statement, diagnostic, kept", [
+    # a `;` inside the header's parentheses ends no skip: the loop and its
+    # body go as one, and the statement after it still parses
+    ("for (int i = 0; i < n; i += 2) {\n      k--;\n    }\n    while (k > 0) k--;",
+     (3, "expected ')' but found '+='", (3, 5)), [While, ExprStmt]),
+    # a `)` with no open `(` leaves the next `;` a sync point
+    ("x = 1); k--;", (3, "expected ';' but found ')'", (3, 3)), [ExprStmt, ExprStmt]),
+    ("f(a)); k--;", (3, "expected ';' but found ')'", (3, 3)), [ExprStmt, ExprStmt]),
+])
+def test_skip_ends_at_a_semicolon_outside_parentheses(statement, diagnostic, kept):
+    body, diagnostics = _method_body(statement)
+    assert [(d.line, d.message, d.skipped_span) for d in diagnostics] == [diagnostic]
+    assert [type(s) for s in body.stmts] == kept
+
+
 NESTING_DEPTHS = (1, 50, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 500, 5000)
 
 
