@@ -24,10 +24,10 @@ and keyword lexemes are interned: the trees, the model and the findings
 then share one string per distinct name, however often it occurs.
 
 Source lines repeat, within a file and across the files of a scan, so the
-loop runs once per distinct line text: `scan` takes a memo, owned by its
-caller, from a line's text to its pairs, and appends the stored pairs for
-a line it has seen (the token reuse of incremental lexing: Wagner &
-Graham, TOPLAS 1998). Nothing is cached at module level.
+loop runs once per distinct line text: `scan` splits the text into rows
+once, and a row seen before costs one lookup in its caller's memo and two
+list extends (the token reuse of incremental lexing: Wagner & Graham,
+TOPLAS 1998). Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -169,117 +169,117 @@ def scan(source_text: str, memo: dict) -> tuple[list[tuple[str, str]], list[int]
     is the one place that translates them. Raises LexError (with line and
     column) on an unterminated string/char literal or block comment.
 
-    memo maps a line's text, from its first non-blank character up to its
-    line end, to that line's pairs. A line found there is not scanned: its
-    pairs are appended as stored. A line is stored only when its scan began
-    at its start and stopped at its own line end, so no line that a block
-    comment enters or leaves, and no line that raised LexError, is ever
-    stored. The tokens of such a line depend on its text alone, whatever
-    came before it, so one memo may serve every text of a scan.
+    The text is split at LF into rows once. memo maps a row less its
+    leading `_BLANKS` (not `\xa0`, a punctuator) to the row's pairs: a row
+    found there is not scanned, its pairs and lines are appended. A missed
+    row is scanned from its first non-blank character on, and the scan
+    resumes at the row after the one where that stopped, past any rows a
+    block comment spans. A row is stored only when its scan stopped at its
+    own line end, so no row that a block comment enters or leaves, or that
+    raised LexError, is stored; a stored row's tokens depend on its text
+    alone, so one memo may serve every text of a scan.
     """
     text = source_text
     if "\r" in text:  # CR LF and a lone CR end a line, as LF does (JLS 3.4)
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    rows = text.split("\n")  # not splitlines(): it also breaks at \f, \x85, ...
     pairs: list[tuple[str, str]] = []
     lines: list[int] = []
     append = pairs.append
     memo_get = memo.get
     n = len(text)
-    pos = 0
-    line = 0
-    while True:  # one line per round, more when a block comment spans lines
+    pos = line = 0  # pos is the offset of the start of rows[line]
+    while line < len(rows):  # one row per round, more when a block comment spans
+        row = rows[line]
         line += 1
-        pos = _skip_blanks(text, pos).end()
-        line_end = text.find("\n", pos)
-        if line_end < 0:
-            line_end = n
-        key = text[pos:line_end]
+        key = row.lstrip(_BLANKS)
         stored = memo_get(key)
         if stored is not None:
             pairs += stored
-            pos = line_end
-        else:
-            first = len(pairs)
-            while pos < n:
-                ch = text[pos]
+            lines += [line] * len(stored)
+            pos += len(row) + 1
+            continue
+        pos += len(row) - len(key)
+        first = len(pairs)
+        while pos < n:
+            ch = text[pos]
 
-                tok = _PUNCTUATOR_PAIRS.get(ch)
-                if tok is not None:
-                    if ch == "." and pos + 1 < n and text[pos + 1].isdigit():  # .5
-                        end = _number_end(text, pos, n)
-                        append((NUMBER, text[pos:end]))
-                        pos = end
-                        continue
-                    append(tok)
-                    pos += 1
-                    continue
-
-                if ch == "\n":
-                    break
-                if ch in _BLANKS:
-                    pos += 1
-                    if pos < n and text[pos] in _BLANKS:
-                        pos = _skip_blanks(text, pos).end()
-                    continue
-
-                if ch.isdigit():
+            tok = _PUNCTUATOR_PAIRS.get(ch)
+            if tok is not None:
+                if ch == "." and pos + 1 < n and text[pos + 1].isdigit():  # .5
                     end = _number_end(text, pos, n)
                     append((NUMBER, text[pos:end]))
                     pos = end
                     continue
-
-                if ch.isalpha() or ch == "_" or ch == "$":
-                    start = pos
-                    pos = _ident_tail(text, pos + 1).end()
-                    lexeme = intern(text[start:pos])
-                    append(_KEYWORD_PAIRS.get(lexeme) or (IDENTIFIER, lexeme))
-                    continue
-
-                if ch == "/" and pos + 1 < n:
-                    after = text[pos + 1]
-                    if after == "/":
-                        end = text.find("\n", pos + 2)
-                        pos = n if end < 0 else end
-                        continue
-                    if after == "*":
-                        end = text.find("*/", pos + 2)
-                        if end < 0:
-                            raise LexError("unterminated block comment", line,
-                                           _column(text, pos))
-                        spanned = text.count("\n", pos + 2, end)
-                        if spanned:  # this line and the comment's last are not stored
-                            lines += [line] * (len(pairs) - len(lines))
-                            line += spanned
-                            key = None
-                        pos = end + 2
-                        continue
-
-                if ch == '"' or ch == "'":
-                    match = (_string_literal if ch == '"' else _char_literal)(text, pos)
-                    if match is None:
-                        kind = "string" if ch == '"' else "char"
-                        raise LexError(f"unterminated {kind} literal", line, _column(text, pos))
-                    end = match.end()
-                    append((STRING if ch == '"' else CHAR, text[pos:end]))
-                    pos = end
-                    continue
-
-                tok = _TWO_CHAR_PAIRS.get(text[pos:pos + 2])
-                if tok is not None:
-                    append(tok)
-                    pos += 2
-                    continue
-                # Anything else that is no operator (including out-of-subset
-                # characters like '#') becomes a one-character punctuator;
-                # the parser's recovery deals with it.
-                append(_ONE_CHAR_PAIRS.get(ch) or (PUNCTUATOR, ch))
+                append(tok)
                 pos += 1
-            if key is not None:
-                memo[key] = pairs[first:]
+                continue
+
+            if ch == "\n":
+                break
+            if ch in _BLANKS:
+                pos += 1
+                if pos < n and text[pos] in _BLANKS:
+                    pos = _skip_blanks(text, pos).end()
+                continue
+
+            if ch.isdigit():
+                end = _number_end(text, pos, n)
+                append((NUMBER, text[pos:end]))
+                pos = end
+                continue
+
+            if ch.isalpha() or ch == "_" or ch == "$":
+                start = pos
+                pos = _ident_tail(text, pos + 1).end()
+                lexeme = intern(text[start:pos])
+                append(_KEYWORD_PAIRS.get(lexeme) or (IDENTIFIER, lexeme))
+                continue
+
+            if ch == "/" and pos + 1 < n:
+                after = text[pos + 1]
+                if after == "/":
+                    end = text.find("\n", pos + 2)
+                    pos = n if end < 0 else end
+                    continue
+                if after == "*":
+                    end = text.find("*/", pos + 2)
+                    if end < 0:
+                        raise LexError("unterminated block comment", line,
+                                       _column(text, pos))
+                    spanned = text.count("\n", pos + 2, end)
+                    if spanned:  # this line and the comment's last are not stored
+                        lines += [line] * (len(pairs) - len(lines))
+                        line += spanned
+                        key = None
+                    pos = end + 2
+                    continue
+
+            if ch == '"' or ch == "'":
+                match = (_string_literal if ch == '"' else _char_literal)(text, pos)
+                if match is None:
+                    kind = "string" if ch == '"' else "char"
+                    raise LexError(f"unterminated {kind} literal", line, _column(text, pos))
+                end = match.end()
+                append((STRING if ch == '"' else CHAR, text[pos:end]))
+                pos = end
+                continue
+
+            tok = _TWO_CHAR_PAIRS.get(text[pos:pos + 2])
+            if tok is not None:
+                append(tok)
+                pos += 2
+                continue
+            # Anything else that is no operator (including out-of-subset
+            # characters like '#') becomes a one-character punctuator;
+            # the parser's recovery deals with it.
+            append(_ONE_CHAR_PAIRS.get(ch) or (PUNCTUATOR, ch))
+            pos += 1
+        if key is not None:
+            memo[key] = pairs[first:]
         lines += [line] * (len(pairs) - len(lines))
-        if pos >= n:
-            return pairs, lines
         pos += 1  # past the line end
+    return pairs, lines
 
 
 def tokenize(source_text: str) -> list[tuple[str, str, int]]:

@@ -211,14 +211,17 @@ class _Parser:
 
     def skip_to_sync(self, start_pos: int) -> tuple[int, int]:
         """Skip from start_pos to the next `;` outside braces and parentheses,
-        or past a brace-balanced `}`.
+        or past a brace-balanced `}` outside parentheses.
 
         A complete `{...}` group counts as a sync point; a `}` that would
-        close the enclosing block is left unconsumed. A `;` inside `(...)`,
-        as in a `for` header, ends nothing; a `)` with no open `(` is
-        skipped like any other token. Returns the skipped (start line, end
-        line) span. Always consumes at least one token unless the very
-        first is the enclosing `}` or input is exhausted.
+        close the enclosing block is left unconsumed. A `;` or a group's `}`
+        inside `(...)`, as in a `for` header or `run(new T() { ... });`,
+        ends nothing; a `)` with no open `(` is skipped like any other
+        token. The cost: inside a `(` never closed, the skip runs past a
+        group's `}` as past a `;` to the enclosing block's end, so
+        `foo(a { b } c = 1; }` loses `c = 1;`. Returns the skipped (start
+        line, end line) span. Always consumes at least one token unless
+        the very first is the enclosing `}` or input is exhausted.
         """
         tokens = self.tokens
         pos = start_pos
@@ -233,7 +236,7 @@ class _Parser:
                 depth += 1
             elif lexeme == "}":
                 depth -= 1
-                if depth == 0:
+                if depth == 0 and parens == 0:
                     break
             elif lexeme == "(":
                 parens += 1

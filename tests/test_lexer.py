@@ -391,3 +391,70 @@ def test_tokens_cover_input_positions_after_a_primed_memo(fixture):
     tokens = _scan_outcome(text, memo)
     assert tokens == tokenize(text)
     assert_tokens_cover_positions(text, tokens)
+
+
+# --- rows: where the text is split and what a row's key drops -----------------
+
+
+def test_rows_split_only_at_line_ends_and_drop_only_blanks():
+    # Rows indented with every blank and with `\xa0`, which is none, holding
+    # characters that str.splitlines() takes for line ends and a bare
+    # lstrip() for blanks. The memo path and the never-hit path share the
+    # row split, so the positions walk, which finds each line on its own,
+    # is the check that sees a split or a strip too many.
+    rng = random.Random(0x5E6)
+    atoms = ["int", "x", "=", "1", ";", "{", "}", '"s"', "'c'", " ", "//c", "/*b*/",
+             "/*", "*/", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    pool = ["".join(rng.choice(atoms) for _ in range(rng.randrange(6))) for _ in range(40)]
+    pool += ["a /* open", "close */ b", 's = "open']
+    memo = {}
+    lexed = 0
+    for _ in range(3000):
+        rows = ["".join(rng.choice(" \t\f\v\xa0") for _ in range(rng.randrange(3)))
+                + rng.choice(pool) + rng.choice(("\n", "\r\n", "\r"))
+                for _ in range(rng.randrange(1, 10))]
+        text = "".join(rows)[:rng.choice((None, -1))]
+        tokens = _scan_outcome(text, memo)
+        assert tokens == _scan_outcome(text, _NeverHit()), repr(text)
+        if type(tokens) is list:
+            assert_tokens_cover_positions(text, tokens)
+            lexed += 1
+    assert lexed > 1000
+    assert len(memo) > 20
+
+
+def test_form_feed_and_line_separator_inside_a_line_end_no_line():
+    text = "a\u2028b\x0cc\x85d\ne"
+    expected = [(IDENTIFIER, "a", 1), (PUNCTUATOR, "\u2028", 1), (IDENTIFIER, "b", 1),
+                (IDENTIFIER, "c", 1), (PUNCTUATOR, "\x85", 1), (IDENTIFIER, "d", 1),
+                (IDENTIFIER, "e", 2)]
+    # the pieces between them, each a row of its own elsewhere, are no rows here
+    assert _scan_outcome(text, _memo_with("b\nc\nd\n")) == expected
+
+
+def test_row_starting_with_no_break_space_keeps_it_as_a_punctuator():
+    memo = _memo_with("x;\n")
+    assert _scan_outcome("\t\xa0x;\n \xa0x;", memo) == [
+        (PUNCTUATOR, "\xa0", 1), (IDENTIFIER, "x", 1), (PUNCTUATOR, ";", 1),
+        (PUNCTUATOR, "\xa0", 2), (IDENTIFIER, "x", 2), (PUNCTUATOR, ";", 2),
+    ]
+    assert "\xa0x;" in memo
+
+
+def test_row_after_a_closing_block_comment_is_a_hit_on_its_line():
+    memo = _memo_with("int c;\n")
+    pairs, lines = scan("a /* one\n two\n */\nint c;", memo)
+    assert pairs[1:] == memo["int c;"] and pairs[2] is memo["int c;"][1]
+    assert lines == [1, 4, 4, 4]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", []),
+    ("\n", []),
+    ("\r\n\r\n", []),
+    ("int a;", [(KEYWORD, "int", 1), (IDENTIFIER, "a", 1), (PUNCTUATOR, ";", 1)]),
+    ("\nint a;", [(KEYWORD, "int", 2), (IDENTIFIER, "a", 2), (PUNCTUATOR, ";", 2)]),
+])
+def test_texts_with_no_row_or_no_final_line_end(text, expected):
+    memo = {}
+    assert _scan_outcome(text, memo) == _scan_outcome(text, memo) == expected

@@ -633,6 +633,11 @@ def test_statement_expressions_parse_without_diagnostics(statement):
     # a `)` with no open `(` leaves the next `;` a sync point
     ("x = 1); k--;", (3, "expected ';' but found ')'", (3, 3)), [ExprStmt, ExprStmt]),
     ("f(a)); k--;", (3, "expected ';' but found ')'", (3, 3)), [ExprStmt, ExprStmt]),
+    # nor does a group's `}` inside parentheses: the call goes as one skip
+    ("run(new Runnable() { void r() { } }); int k; k = 1;",
+     (3, "expected ')' but found '{'", (3, 3)), [LocalVarDecl, ExprStmt, ExprStmt]),
+    # the cost: in a `(` never closed, the skip runs to the block's end
+    ("foo(a { b } c = 1;", (3, "expected ')' but found '{'", (3, 4)), []),
 ])
 def test_skip_ends_at_a_semicolon_outside_parentheses(statement, diagnostic, kept):
     body, diagnostics = _method_body(statement)
