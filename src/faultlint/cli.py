@@ -16,13 +16,7 @@ from pathlib import Path
 
 from faultlint import __version__
 from faultlint.detectors import ALL_RULES, run_all
-from faultlint.model import (
-    ExternalHierarchySeed,
-    SeedError,
-    build_model,
-    default_seed,
-    load_seed,
-)
+from faultlint.model import SeedError, build_model, default_seed, load_seed
 from faultlint.nodes import CompilationUnit, ParseDiagnostic
 from faultlint.parser import parse_source
 from faultlint.record import Record
@@ -202,7 +196,12 @@ def collect_java_files(root: Path) -> list[Path]:
     return [Path(path) for _, path in _java_files(root)]
 
 
-def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
+def _parse_corpus(files: list[tuple[str, str]],
+                  diagnostics: list[tuple[ParseDiagnostic, ...]]) -> list[CompilationUnit]:
+    """The units of the files that parse. Appends to diagnostics, in file
+    order, each unit's own diagnostics when it has any, or a 1-tuple of the
+    diagnostic of a file that could not be read or parsed: one entry per
+    file, not per diagnostic, so the list costs little while the trees live."""
     units = []
     memo: dict = {}  # the lexer's line table, shared by the files of this scan only
     for rel, path in files:
@@ -213,46 +212,26 @@ def _parse_corpus(files: list[tuple[str, str]]) -> list[CompilationUnit]:
             # tokenize translates the line ends
             text = data.decode("utf-8-sig")
         except (OSError, UnicodeDecodeError) as err:
-            diag = ParseDiagnostic(rel, 1, f"could not read file: {err}", (1, 1))
-            units.append(CompilationUnit(rel, (), (diag,)))
+            diagnostics.append((ParseDiagnostic(rel, 1, f"could not read file: {err}", (1, 1)),))
             continue
         try:
             unit = parse_source(text, rel, memo)
         except Exception as err:  # one file must never sink the whole scan
             # as many lines as tokenize counts: CR LF, CR and LF each end one
             lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
-            diag = ParseDiagnostic(
+            diagnostics.append((ParseDiagnostic(
                 rel, 1, f"could not parse file: {type(err).__name__}: {err}", (1, lines),
-            )
-            unit = CompilationUnit(rel, (), (diag,))
+            ),))
+            continue
         units.append(unit)
+        if unit.diagnostics:
+            diagnostics.append(unit.diagnostics)
     return units
 
 
-def _analyse(root: Path, seed: ExternalHierarchySeed, enabled_rules: frozenset[int]):
-    """Parse, model and detect. Returns the findings, the diagnostics, the
-    number of classes scanned and whether any file had a parse diagnostic:
-    nothing that holds a tree, so the trees and the model are freed on
-    return, before the report and the store are built."""
-    unreadable: list[tuple[str, OSError]] = []
-    units = _parse_corpus(_java_files(root, unreadable))
-    for rel, err in sorted(unreadable, key=lambda entry: entry[0]):
-        diag = ParseDiagnostic(rel, 1, f"could not read directory: {err}", (1, 1))
-        units.append(CompilationUnit(rel, (), (diag,)))
-    model = build_model(units, seed)
-    findings = run_all(model, enabled_rules)
-    diagnostics = [
-        Diagnostic(message=d.message, file_path=d.file_path, line=d.line)
-        for unit in units
-        for d in unit.diagnostics
-    ]
-    parse_diagnostics = bool(diagnostics)
-    diagnostics.extend(Diagnostic(message=m) for m in model.diagnostics)
-    return findings, diagnostics, len(model.classes), parse_diagnostics
-
-
 def run_scan(config: RunConfig) -> ScanResult:
-    """Execute the full pipeline. Raises ScanError for exit-2 conditions."""
+    """Execute the full pipeline and write the store config.store_output
+    names, if any. Raises ScanError for exit-2 conditions."""
     root = config.corpus_root
     if not root.exists():
         raise ScanError(f"corpus root does not exist: {root}")
@@ -269,9 +248,21 @@ def run_scan(config: RunConfig) -> ScanResult:
     else:
         seed = default_seed()
 
-    findings, diagnostics, scanned_classes, parse_diagnostics = _analyse(
-        root, seed, config.enabled_rules
-    )
+    unreadable: list[tuple[str, OSError]] = []
+    file_diagnostics: list[tuple[ParseDiagnostic, ...]] = []
+    units = _parse_corpus(_java_files(root, unreadable), file_diagnostics)
+    model = build_model(units, seed)
+    findings = run_all(model, config.enabled_rules)
+    diagnostics = [Diagnostic(message=d.message, file_path=d.file_path, line=d.line)
+                   for group in file_diagnostics for d in group]
+    diagnostics += (Diagnostic(message=f"could not read directory: {err}", file_path=rel, line=1)
+                    for rel, err in sorted(unreadable, key=lambda entry: entry[0]))
+    parse_diagnostics = bool(diagnostics)
+    diagnostics += (Diagnostic(message=m) for m in model.diagnostics)
+    scanned_classes = len(model.classes)
+    # free the trees and their diagnostics before the report and the store are built
+    del units, model, file_diagnostics
+
     records = aggregate(findings)
     clusters = cluster(records)
 
@@ -281,6 +272,15 @@ def run_scan(config: RunConfig) -> ScanResult:
         diagnostics=tuple(diagnostics),
     )
     report = render_report(store, clusters, config.output_format, scanned_classes=scanned_classes)
+
+    if config.store_output is not None:
+        target = config.store_output
+        if target.is_dir():
+            target = target / STORE_BASENAME
+        try:
+            save_store(store, target)
+        except OSError as err:
+            raise ScanError(f"cannot write store file: {err}") from err
 
     if findings:
         exit_code = 1
@@ -310,23 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _scan_and_report(config)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _scan_and_report(config: RunConfig) -> int:
-    try:
         result = run_scan(config)
-        if config.store_output is not None:
-            target = config.store_output
-            if target.is_dir():
-                target = target / STORE_BASENAME
-            try:
-                save_store(result.store, target)
-            except OSError as err:
-                raise ScanError(f"cannot write store file: {err}") from err
     except ScanError as err:
         print(f"{PROG}: error: {err}", file=sys.stderr)
         return 2
@@ -336,9 +320,12 @@ def _scan_and_report(config: RunConfig) -> int:
         print(f"{PROG}: internal error:", file=sys.stderr)
         traceback.print_exc()
         return 2
-
-    sys.stdout.write(result.report)
-    return result.exit_code
+    else:
+        sys.stdout.write(result.report)
+        return result.exit_code
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def console_main() -> None:

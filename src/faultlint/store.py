@@ -187,21 +187,16 @@ def save_store(store: AnalysisStore, path) -> None:
         _write_canonical(_document(store), handle.write)
 
 
-_REQUIRED = object()
-
-
-def _field(entry, key: str, types: tuple, what: str, path, default=_REQUIRED):
+def _field(entry, key: str, types: tuple, what: str, path):
     """entry[key] when its JSON type is one of types, else FormatError.
 
-    An absent key gives default; without one it is an error too. bool is
-    not int here: json reads true and false as bool.
+    An absent key is an error too. bool is not int here: json reads true
+    and false as bool.
     """
     if type(entry) is not dict:
         raise FormatError(f"{path}: malformed {what}: expected a JSON object")
     if key not in entry:
-        if default is _REQUIRED:
-            raise FormatError(f"{path}: malformed {what}: missing key '{key}'")
-        return default
+        raise FormatError(f"{path}: malformed {what}: missing key '{key}'")
     value = entry[key]
     if type(value) not in types:
         raise FormatError(f"{path}: malformed {what}: '{key}' has type "
@@ -229,7 +224,7 @@ def _finding_from_dict(data, path) -> Finding:
         file_path=_field(data, "file_path", (str,), what, path),
         line=_field(data, "line", (int,), what, path),
         message=_field(data, "message", (str,), what, path),
-        detail=dict(_field(data, "detail", (dict,), what, path, default={})),
+        detail=dict(_field(data, "detail", (dict,), what, path)),
     )
 
 
@@ -248,8 +243,8 @@ def _diagnostic_from_dict(data, path) -> Diagnostic:
     what = "diagnostic entry"
     return Diagnostic(
         message=_field(data, "message", (str,), what, path),
-        file_path=_field(data, "file_path", (str, type(None)), what, path, default=None),
-        line=_field(data, "line", (int, type(None)), what, path, default=None),
+        file_path=_field(data, "file_path", (str, type(None)), what, path),
+        line=_field(data, "line", (int, type(None)), what, path),
     )
 
 

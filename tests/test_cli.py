@@ -26,6 +26,7 @@ from faultlint.cli import (
     run_scan,
 )
 from faultlint.lexer import tokenize
+from faultlint.nodes import CompilationUnit, MethodDecl
 from faultlint.parser import MAX_NESTING, parse_source
 from faultlint.store import cluster, load_store, render_report
 
@@ -682,18 +683,24 @@ def test_byte_read_matches_the_text_layer_read(tmp_path):
         (tmp_path / name).write_bytes(data)
     assert len(READ_CASES["LateInvalid.java"]) > 8192
     files = faultlint.cli._java_files(tmp_path)
-    units = faultlint.cli._parse_corpus(files)
+    collected = []
+    units = iter(faultlint.cli._parse_corpus(files, collected))
+    groups = iter(collected)  # one per file with diagnostics: here, the unreadable ones
     errors = {}
-    for (rel, path), unit in zip(files, units, strict=True):
+    for rel, path in files:
         text, error = _read_through_text_layer(path)
         if error is None:
+            unit = next(units)
             assert tokenize(READ_CASES[rel].decode("utf-8-sig")) == tokenize(text)
             assert unit == parse_source(text, rel)
             assert unit.classes
+            assert unit.diagnostics == ()
         else:
-            assert [(d.line, d.message, d.skipped_span) for d in unit.diagnostics] == [
-                (1, error, (1, 1))]
+            [diag] = next(groups)
+            assert (diag.file_path, diag.line, diag.message, diag.skipped_span) == (
+                rel, 1, error, (1, 1))
             errors[rel] = error
+    assert next(units, None) is None and next(groups, None) is None
     assert errors == {
         "BomInvalid.java": "could not read file: 'utf-8' codec can't decode byte 0xc3 "
                            "in position 12: invalid continuation byte",
@@ -712,12 +719,70 @@ def test_parse_exception_span_counts_every_line_end(tmp_path, monkeypatch):
     text, _ = _read_through_text_layer(tmp_path / "Mixed.java")
     assert [(d.file_path, d.line, d.message) for d in result.store.diagnostics] == [
         ("Mixed.java", 1, "could not parse file: RuntimeError: boom")]
-    unit = faultlint.cli._parse_corpus(faultlint.cli._java_files(tmp_path))[0]
-    assert unit.diagnostics[0].skipped_span == (1, 6) == (1, text.count("\n") + 1)
+    collected = []
+    assert faultlint.cli._parse_corpus(faultlint.cli._java_files(tmp_path), collected) == []
+    [[diag]] = collected
+    assert diag.skipped_span == (1, 6) == (1, text.count("\n") + 1)
 
 
 def _raise_runtime_error(*args):
     raise RuntimeError("boom")
+
+
+def test_store_diagnostics_are_files_then_directories_then_model(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "c"
+    (corpus / "Asub").mkdir(parents=True)
+    (corpus / "z").mkdir()
+    (corpus / "Bad.java").write_bytes(b"class E { }\n\xff\n")
+    (corpus / "Dup.java").write_text("class D { }\n", encoding="utf-8")
+    (corpus / "M.java").write_text("class M { void m() { synchronized(this) { } } }\n",
+                                   encoding="utf-8")
+    (corpus / "z" / "Dup.java").write_text("class D { }\n", encoding="utf-8")
+    _deny_listing(monkeypatch, str(corpus / "Asub"))
+    store_path = tmp_path / "store.json"
+    assert main([str(corpus), "--store", str(store_path)]) == 0
+    capsys.readouterr()
+    assert [(d.file_path, d.line, d.message) for d in load_store(store_path).diagnostics] == [
+        ("Bad.java", 1, "could not read file: 'utf-8' codec can't decode byte 0xff "
+                        "in position 12: invalid start byte"),
+        ("M.java", 1, "unexpected 'synchronized' in expression"),
+        ("Asub", 1, f"could not read directory: [Errno 13] Permission denied: "
+                    f"'{corpus / 'Asub'}'"),
+        (None, None, "duplicate class D in z/Dup.java ignored (already defined in Dup.java)"),
+    ]
+
+
+def test_trees_are_freed_before_the_report_and_the_store(tmp_path, monkeypatch, capsys):
+    def live_trees():
+        return [o for o in gc.get_objects() if type(o) in (MethodDecl, CompilationUnit)]
+
+    held = live_trees()  # kept alive, so that no new tree takes one of their ids
+    before = {id(o) for o in held}
+    counts = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] = sum(id(o) not in before for o in live_trees())
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("render_report", "save_store"):
+        monkeypatch.setattr(faultlint.cli, name, counting(name, getattr(faultlint.cli, name)))
+    assert main([str(FIXTURES), "--store", str(tmp_path / "store.json")]) == 1
+    capsys.readouterr()
+    assert counts == {"render_report": 0, "save_store": 0}
+
+
+def test_run_scan_writes_the_store_that_store_output_names(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    result = run_scan(RunConfig(REFERENCE_CORPUS_DIR, store_output=out_dir))
+    via_main = tmp_path / "main.json"
+    assert main([str(REFERENCE_CORPUS_DIR), "--store", str(via_main)]) == result.exit_code
+    capsys.readouterr()
+    assert (out_dir / "faultlint-results.json").read_bytes() == via_main.read_bytes()
+    with pytest.raises(ScanError, match="^cannot write store file: "):
+        run_scan(RunConfig(REFERENCE_CORPUS_DIR, store_output=tmp_path / "missing" / "s.json"))
 
 
 @pytest.mark.parametrize("failing", ["run_scan", "save_store"])

@@ -329,6 +329,17 @@ def test_lex_error_becomes_diagnostic_only_unit():
         id="local-second-declarator-fails",
     ),
     pytest.param(
+        "class A { ; int x; void m() { } }",
+        (('ClassDecl',
+          'A',
+          (),
+          (),
+          (('TypedName', 'int', 'x'),),
+          (('MethodDecl', 'm', (), ('Block', ()), False),)),),
+        [],
+        id="lone-semicolon-member",
+    ),
+    pytest.param(
         "class R {\n"
         "  void m() {\n"
         "    for (int i = 0, j = 0; i < n; i++) { }\n"

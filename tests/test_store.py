@@ -309,6 +309,8 @@ def test_codes_in_detection_order_load(tmp_path):
     '{"schema_version": 1, "corpus_root": "x", "records": [{"nope": 1}], "catalog": {}, "diagnostics": []}',
     '{"schema_version": 1, "corpus_root": "x", "records": [{"class_name": "A", "file_path": "a.java",'
     ' "error_codes": ["x"], "findings": []}], "catalog": {}, "diagnostics": []}',
+    pytest.param('{"corpus_root": "x", "records": [], "catalog": {}, "diagnostics": []}',
+                 id="no-schema_version"),
     # fields of the wrong JSON type
     pytest.param(_doc(schema_version=True), id="schema_version-bool"),
     pytest.param(_doc(corpus_root=5), id="corpus_root-int"),
@@ -328,6 +330,12 @@ def test_codes_in_detection_order_load(tmp_path):
     pytest.param(_doc(records=[_record(findings=[_finding_with(detail=[["op", "=="]])])]),
                  id="detail-list"),
     pytest.param(_doc(records=[_record(findings=["A"])]), id="finding-str"),
+    # every key save_store writes is required
+    pytest.param(_doc(records=[_record(findings=[
+        {k: v for k, v in _finding_with().items() if k != "detail"}])]), id="finding-no-detail"),
+    pytest.param(_doc(diagnostics=[{"line": 1, "message": "m"}]), id="diagnostic-no-file_path"),
+    pytest.param(_doc(diagnostics=[{"file_path": "a.java", "message": "m"}]),
+                 id="diagnostic-no-line"),
     pytest.param(_doc(diagnostics=[{"file_path": 5, "line": 1, "message": "m"}]),
                  id="diagnostic-file_path-int"),
     pytest.param(_doc(diagnostics=[{"file_path": "a.java", "line": "1", "message": "m"}]),
