@@ -19,9 +19,9 @@ first-superclass chain, seeded edges included; an unknown external
 superclass counts one edge. It skips a class in hierarchy.cyclic, on or
 leading into a cycle, which is already a model diagnostic.
 Rules 1, 4, 5 and 6 read method bodies: each body is walked once with
-model.walk_body, which yields every statement and expression with its
-scope, and every enabled rule checks each node as it comes, in one
-dispatch on node type.
+model.walk_body, which yields every statement and expression while the
+method's scope dict holds the names in effect there, and every enabled
+rule checks each node as it comes, in one dispatch on node type.
 
 Rule 1 flags == and != when either side has the declared type String,
 unless either side is the null literal: a null check is no string
@@ -34,14 +34,16 @@ write p.f = ..., shadowing ignored); and the caller invokes any method on
 the same name on a later line. Callees resolve through the class
 hierarchy from the receiver's static type: the enclosing class for
 g(...) and this.g(...), the declared type of x for x.g(...). Any other
-receiver, or an x of unknown type, falls back to every method of the same
-name and arity. The body walk records each method's call sites, its name
-uses and its first mutation of each parameter; the call sites are
-resolved once every method is walked, so a callee's summary is complete
-wherever it stands. A call site is resolved only when some corpus method
-of its name and arity mutates a parameter, since every callee either
-resolution returns has that name and arity; a later use is found by
-bisection in an index of the method's name uses, built once per method.
+receiver, or an x of unknown type, falls back to the methods of the same
+name and arity that mutate a parameter, in (file path, position) order:
+no other method could give a finding. The body walk records each
+method's call sites, its name uses and its first mutation of each
+parameter; the call sites are resolved once every method is walked, so a
+callee's summary is complete wherever it stands. A call site is resolved
+only when some method of its name and arity has such a record, since
+every callee hierarchy resolution returns has that name and arity; a
+later use is found by bisection in an index of the method's name uses,
+built once per method.
 
 Rule 5 is path-insensitive: a close() on the name anywhere in the opening
 method's body (branches, catch and finally blocks included) counts.
@@ -135,21 +137,26 @@ def _uses_by_ident(name_uses: list) -> dict[str, tuple[list[int], list]]:
 
 def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                   call_sites: list, name_uses: list, mutations: dict,
-                  mutating_keys: set, findings: list[Finding]) -> None:
+                  mutating: dict, findings: list[Finding]) -> None:
     """Rule 4 over one method's call sites, after run_all has walked every
     method: mutations maps id(method) to that method's first mutation of
-    each parameter, by parameter name; mutating_keys holds the (name,
-    arity) of every method with one. A call site no such method could
-    answer is not resolved: every callee resolve_callee returns has the
-    call's name and arity."""
+    each parameter, by parameter name; mutating maps (name, arity) to the
+    (class name, method) of every method with one. A call site no such
+    method could answer is not resolved: every callee resolve_callee
+    returns has the call's name and arity. A call with no receiver type
+    takes those methods as its callees."""
     uses_by_ident = None  # built on the first candidate that needs a later use
     for call, idents, types, receiver_type in call_sites:
-        if (call.name, len(call.args)) not in mutating_keys:
+        callees = mutating.get((call.name, len(call.args)))
+        if callees is None:
             continue
-        resolution = "name-arity" if receiver_type is None else "hierarchy"
+        if receiver_type is None:
+            resolution = "name-arity"
+        else:
+            resolution = "hierarchy"
+            callees = resolve_callee(call.name, len(call.args), model, receiver_type)
         emitted = False
-        for callee_class, callee in resolve_callee(
-                call.name, len(call.args), model, receiver_type):
+        for callee_class, callee in callees:
             mutated = mutations.get(id(callee))
             if mutated is None:
                 continue
@@ -226,7 +233,9 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
     # hashing a MethodDecl would hash its body, and the model keeps each alive
     mutations: dict[int, dict[str, tuple[str, int]]] = {}
-    mutating_keys: set[tuple[str, int]] = set()  # rule 4: (name, arity) of those methods
+    # rule 4: (name, arity) -> (class name, method) of those methods, in
+    # class order, then method order
+    mutating: dict[tuple[str, int], list] = {}
     parent = model.hierarchy.parent
     cyclic = model.hierarchy.cyclic
     for class_name, decl in model.classes.items():
@@ -256,7 +265,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
             mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
             opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
             closed: set[str] = set()                 # rule 5: receivers of close()
-            for node, scope in walk_body(method.body, method_scope(decl, method)):
+            scope = method_scope(decl, method)
+            for node in walk_body(method.body, scope):
                 kind = type(node)
                 if kind is Name:  # the commonest node; no rule reads a bare name
                     continue
@@ -331,7 +341,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 itu_sites.append((class_name, file_path, call_sites, name_uses))
             if mutated:
                 mutations[id(method)] = mutated
-                mutating_keys.add((method.name, len(method.params)))
+                mutating.setdefault((method.name, len(method.params)), []).append(
+                    (class_name, method))
             for var, (type_name, line) in opened.items():
                 if var not in closed:
                     findings.append(Finding(
@@ -342,6 +353,6 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     ))
     for class_name, file_path, call_sites, name_uses in itu_sites:
         _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations,
-                      mutating_keys, findings)
+                      mutating, findings)
     findings.sort(key=Finding.sort_key)
     return findings

@@ -1,4 +1,4 @@
-"""Cross-file semantic model: class hierarchy, scopes, types, call index.
+"""Cross-file semantic model: class hierarchy, scopes, types, callees.
 
 A scope is a plain dict from name to declared type. walk_body borrows one
 for a whole method body and, when a block ends, undoes its declarations
@@ -150,17 +150,15 @@ class ClassHierarchy(Record):
 
 
 class ProgramModel(Record):
-    __slots__ = ("hierarchy", "classes", "class_files", "method_index", "seed", "diagnostics")
+    __slots__ = ("hierarchy", "classes", "class_files", "seed", "diagnostics")
 
     def __init__(self, hierarchy: ClassHierarchy, classes: dict[str, ClassDecl],
-                 class_files: dict[str, str],
-                 method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]],
-                 seed: ExternalHierarchySeed, diagnostics: tuple[str, ...] = ()):
+                 class_files: dict[str, str], seed: ExternalHierarchySeed,
+                 diagnostics: tuple[str, ...] = ()):
         self.hierarchy = hierarchy
         # (file path, position) order, first declaration wins
         self.classes = classes
         self.class_files = class_files
-        self.method_index = method_index
         self.seed = seed
         self.diagnostics = diagnostics
 
@@ -228,17 +226,10 @@ def build_model(
         frozenset(cyclic),
     )
 
-    method_index: dict[tuple[str, int], list[tuple[str, MethodDecl]]] = {}
-    for name, decl in classes.items():
-        for method in decl.methods:
-            key = (method.name, len(method.params))
-            method_index.setdefault(key, []).append((name, method))
-
     return ProgramModel(
         hierarchy=hierarchy,
         classes=classes,
         class_files=class_files,
-        method_index=method_index,
         seed=seed,
         diagnostics=tuple(diagnostics),
     )
@@ -296,21 +287,18 @@ def static_type_of(expr: Expr, scope: dict[str, str]) -> str | None:
 
 
 def resolve_callee(name: str, arity: int, model: ProgramModel,
-                   receiver_type: str | None = None) -> list[tuple[str, MethodDecl]]:
-    """Corpus methods a call of (name, arity) may dispatch to.
+                   receiver_type: str) -> list[tuple[str, MethodDecl]]:
+    """Corpus methods a call of (name, arity) on a receiver of static type
+    receiver_type may dispatch to.
 
-    Without a receiver type: every method matching (name, arity), in
-    (file path, line) order. With one, class hierarchy analysis along
-    first-superclass edges: walking up from receiver_type (a cycle ends
-    the walk), the nearest declaration of each parameter-type list, so an
-    override hides the methods it overrides but not a same-arity overload;
-    then every method of that name and arity declared below receiver_type,
-    depth-first over subclasses in sorted order, since the receiver may be
-    any descendant at run time. Empty when nothing at or above
-    receiver_type declares the method.
+    Class hierarchy analysis along first-superclass edges: walking up from
+    receiver_type (a cycle ends the walk), the nearest declaration of each
+    parameter-type list, so an override hides the methods it overrides but
+    not a same-arity overload; then every method of that name and arity
+    declared below receiver_type, depth-first over subclasses in sorted
+    order, since the receiver may be any descendant at run time. Empty when
+    nothing at or above receiver_type declares the method.
     """
-    if receiver_type is None:
-        return list(model.method_index.get((name, arity), ()))
     hierarchy = model.hierarchy
     found: list[tuple[str, MethodDecl]] = []
     signatures: set[tuple[str, ...]] = set()
@@ -347,8 +335,7 @@ def _declared_methods(class_name: str, name: str, arity: int,
 
 
 def walk_body(block: Block, scope: dict[str, str]):
-    """Yield (node, scope) for block and every statement and expression
-    under it.
+    """Yield block and every statement and expression under it.
 
     Nodes come in source order: a statement, then its own expressions in
     preorder, then the statements nested in it. A for loop gives its init
@@ -357,8 +344,8 @@ def walk_body(block: Block, scope: dict[str, str]):
     condition. A catch clause is not yielded, its block is.
 
     scope (name -> declared type, as method_scope makes it) is borrowed
-    for the whole walk and holds the names in effect at each node, so it is
-    only valid until the next node. A declaration, a local once its
+    for the whole walk: each time a node is yielded, the caller's dict
+    holds the names in effect there. A declaration, a local once its
     initializer is walked or a catch variable before its block, appends
     (name, the type it hides or None) to hidden, then sets the name. A
     block, a for loop and a catch clause end at a marker, hidden's length
@@ -380,7 +367,7 @@ def walk_body(block: Block, scope: dict[str, str]):
         # commonest types first; no node type is subclassed
         kind = type(node)
         if kind is Name:
-            yield node, scope
+            yield node
             continue
         if kind is int:
             while len(hidden) > node:
@@ -395,7 +382,7 @@ def walk_body(block: Block, scope: dict[str, str]):
             hidden.append((name, scope.get(name)))
             scope[name] = node[1]
             continue
-        yield node, scope
+        yield node
         if kind is Block:
             push(len(hidden))
             stack.extend(reversed(node.stmts))

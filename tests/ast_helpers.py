@@ -193,6 +193,7 @@ def iter_scoped_exprs(class_decl: ClassDecl, method: MethodDecl):
     effect at that point and is only valid at yield time (it keeps mutating
     as the walk proceeds).
     """
-    for node, scope in walk_body(method.body, method_scope(class_decl, method)):
+    scope = method_scope(class_decl, method)
+    for node in walk_body(method.body, scope):
         if isinstance(node, Expr):
             yield node, scope

@@ -416,6 +416,50 @@ class Elsewhere
     assert findings[0].detail["resolution"] == "name-arity"
 
 
+def _name_arity_callees(findings):
+    return [(f.line, f.detail["callee"], f.detail["base_type"], f.detail["resolution"])
+            for f in findings]
+
+
+def test_d4_name_arity_single_callee():
+    model = model_for_source(
+        "class I { void f(Stack s) { x.g(s);\n s.pop(); } "
+        "void g(Vector v) { v.removeElementAt(v.size()-1); } }",
+        "i.java",
+    )
+    assert _name_arity_callees(run_all(model, {4})) == [(1, "I.g", "Vector", "name-arity")]
+
+
+def test_d4_name_arity_absent_callee_no_finding():
+    # no method absent/1; the mutating absent/2 has another arity
+    model = model_for_source(
+        "class I { void f(Stack s) { x.absent(s);\n s.pop(); } "
+        "void absent(Vector v, int n) { v.push(n); } }",
+        "i.java",
+    )
+    assert run_all(model, {4}) == []
+
+
+def test_d4_name_arity_same_signature_callees_in_file_order():
+    # run/1 in three classes, the files given out of order: the finding
+    # names the mutating one in the first file, not the first class name
+    # and not the earlier method that mutates nothing
+    units = [
+        parse_source("class A2 { void run(Vector v) { v.push(1); } }", "z.java"),
+        parse_source("class C2 { void run(Vector v) { v.size(); } }", "a.java"),
+        parse_source("class User { void f(Stack s) { x.run(s);\n s.pop(); } }", "u.java"),
+        parse_source("class B2 { void run(Vector v) { v.push(2); } }", "b.java"),
+    ]
+    model = build_model(units)
+    # oracle: linear scan of every MethodDecl in (file, line) order
+    oracle = [f"{decl.name}.{method.name}"
+              for unit in sorted(units, key=lambda u: u.file_path)
+              for decl in unit.classes for method in decl.methods
+              if method.name == "run" and len(method.params) == 1]
+    assert oracle == ["C2.run", "B2.run", "A2.run"]
+    assert _name_arity_callees(run_all(model, {4})) == [(1, "B2.run", "Vector", "name-arity")]
+
+
 def test_finding_is_hashable_and_compares_detail():
     finding = run_all(case_model("stack_vector_itu.java"), {4})[0]
 

@@ -4,9 +4,9 @@ whose effect on the output is known without an oracle.
 Unrelated file: adding a file whose class and method names occur nowhere
 else in the corpus leaves every record and diagnostic of the other files
 as it was, and adds only the new file's own records. Rule 4's fallback to
-every method of the same name and arity is the documented exception: a
-corpus call site can resolve to a new method of its name, so the added
-methods take fresh names.
+the methods of the same name and arity that mutate a parameter is the
+documented exception: a corpus call site can resolve to a new method of
+its name, so the added methods take fresh names.
 
 Renaming: a consistent whole-word renaming of every class and method of
 a fixture folder renames those names in the findings' class names,
@@ -24,6 +24,12 @@ order. Renaming the files alone, so that the walk order reverses, is the
 case in which no class moves. The lexer reuses the tokens of lines seen
 earlier in a scan, so a file's tokens come from the files scanned before
 it; this relation checks that they do not depend on which files those are.
+
+Skipped code: inserting a construct outside the analyzed subset right
+after a method body's `{`, on the same line so that no line moves, leaves
+every finding outside that method's lines as it was, rules 2 and 3
+included. None of the constructs mutates a parameter, so no rule-4
+summary changes either.
 """
 
 from __future__ import annotations
@@ -244,3 +250,72 @@ def test_renaming_files_to_reverse_the_walk_order_moves_only_file_paths(tmp_path
     for name, file, _, _ in chunks:
         class_files.setdefault(name, names[file])
     assert _outcome(after) == _moved_outcome(before, class_files, _renamer(names))
+
+
+SKIPPED_CONSTRUCTS = [
+    "switch (k) { default: k--; }",
+    "int[] a = {1, 2};",
+    "Runnable r = () -> { k++; };",
+    "x += 1;",
+    "if (!b) { q(); }",
+    "for (String s : xs) { }",
+    "@A int v = 0;",
+    "List<String> l = null;",
+    "throw new E();",
+    "a[0] = 1;",
+    "y = c ? 1 : 2;",
+    "o = (String) p;",
+]
+
+
+def _method_spans(text):
+    """(line of the body's `{`, first line, last line) of every method: a
+    method runs from its header to the line before the next method or
+    class, or to the end of the file."""
+    classes = parse_source(text).classes
+    starts = sorted([decl.line for decl in classes]
+                    + [method.line for decl in classes for method in decl.methods])
+    spans = []
+    for decl in classes:
+        for method in decl.methods:
+            later = [line for line in starts if line > method.line]
+            last = later[0] - 1 if later else text.count("\n")
+            spans.append((method.body.line, method.line, last))
+    return spans
+
+
+def _findings_outside(result, file_path, first, last):
+    return [(f.class_name, f.error_code, f.file_path, f.line, f.message,
+             json.dumps(f.detail, sort_keys=True))
+            for record in result.store.records for f in record.findings
+            if f.file_path != file_path or not first <= f.line <= last]
+
+
+@pytest.mark.parametrize("folder", [CASES_DIR, REFERENCE_CORPUS_DIR], ids=lambda d: d.name)
+def test_skipped_code_in_one_method_leaves_the_other_findings(tmp_path, folder):
+    corpus = tmp_path / folder.name
+    shutil.copytree(folder, corpus)
+    before = run_scan(RunConfig(corpus))
+    codes = {f.error_code for record in before.store.records for f in record.findings}
+    assert {2, 3} <= codes
+    cases = 0
+    diagnosed = set()
+    for path in sorted(corpus.glob("*.java")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        for brace, first, last in _method_spans(text):
+            assert lines[brace - 1].strip() == "{", (path.name, brace)
+            for construct in SKIPPED_CONSTRUCTS:
+                changed = list(lines)
+                changed[brace - 1] = lines[brace - 1].replace("{", "{ " + construct, 1)
+                path.write_text("".join(changed), encoding="utf-8")
+                after = run_scan(RunConfig(corpus))
+                assert _findings_outside(after, path.name, first, last) == \
+                    _findings_outside(before, path.name, first, last), (path.name, construct)
+                if len(after.store.diagnostics) > len(before.store.diagnostics):
+                    diagnosed.add(construct)
+                cases += 1
+        path.write_text(text, encoding="utf-8")
+    assert cases == len(SKIPPED_CONSTRUCTS) * {"cases": 13, "reference_corpus": 16}[folder.name]
+    # each construct takes the parser's skip path somewhere
+    assert diagnosed == set(SKIPPED_CONSTRUCTS)

@@ -705,7 +705,7 @@ def test_node_lines_within_source(fixture):
         assert 1 <= decl.line <= line_count
         for method in decl.methods:
             assert 1 <= method.line <= line_count
-            for node, _ in walk_body(method.body, {}):
+            for node in walk_body(method.body, {}):
                 assert 1 <= node.line <= line_count
 
 
@@ -807,9 +807,9 @@ def _reference_events(decl, method):
 def _walk_body_events(decl, method, kinds):
     events = []
     scope = method_scope(decl, method)
-    for node, in_effect in walk_body(method.body, scope):
+    for node in walk_body(method.body, scope):
         kinds.add(type(node).__name__)
-        events.append(_expr_event(node, in_effect) if isinstance(node, Expr) else id(node))
+        events.append(_expr_event(node, scope) if isinstance(node, Expr) else id(node))
     assert scope == method_scope(decl, method)  # every declaration undone
     return events
 
@@ -877,7 +877,8 @@ def test_walk_body_handles_nesting_beyond_the_recursion_limit():
     for level in range(depth):
         node = Block((node,), 1) if level % 2 else If(Name("c", 1), node, None, 1)
     root = Block((LocalVarDecl("int", "x", None, 1), node), 1)
-    entries = [(node, scope.get("x")) for node, scope in walk_body(root, {})]
+    scope = {}
+    entries = [(node, scope.get("x")) for node in walk_body(root, scope)]
     assert len(entries) == depth + depth // 2 + 5  # an If also yields its condition
     assert entries[-2][0] is use
     assert entries[-1] == (use.expr, "int")
@@ -889,7 +890,7 @@ def test_walk_body_handles_nesting_beyond_the_recursion_limit():
     for _ in range(depth):
         calls = MethodCall(calls, "f", (), 1)
     root = Block((ExprStmt(chain, 1), Return(calls, 1)), 1)
-    walked = [node for node, _ in walk_body(root, {})]
+    walked = list(walk_body(root, {}))
     assert len(walked) == 3 + (2 * depth + 1) + (depth + 1)
     assert walked[2] is chain and walked[4 + 2 * depth] is calls
     assert type(walked[-1]) is Name

@@ -255,7 +255,7 @@ def test_keyword_construction_and_defaults():
     assert (seed.extends_entries, seed.resource_types, seed.pure_accessor_names) == (
         DEFAULT_EXTENDS, DEFAULT_RESOURCE_TYPES, DEFAULT_PURE_ACCESSORS)
 
-    model = ProgramModel(None, {}, {}, {}, seed)
+    model = ProgramModel(None, {}, {}, seed)
     assert model.diagnostics == ()
 
     assert _finding().detail == {} and _finding().detail is not _finding().detail

@@ -93,7 +93,7 @@ def reference_lvalue_required(model):
 
 
 def _reference_param_mutation(callee, param_name, model):
-    for node, _ in walk_body(callee.body, {}):
+    for node in walk_body(callee.body, {}):
         if (isinstance(node, MethodCall)
                 and isinstance(node.receiver, Name)
                 and node.receiver.ident == param_name
@@ -165,10 +165,16 @@ def reference_itu(model):
             call_sites.append((expr, idents, types, receiver_type))
 
         for call, idents, types, receiver_type in call_sites:
-            resolution = "name-arity" if receiver_type is None else "hierarchy"
+            if receiver_type is None:
+                resolution = "name-arity"
+                callees = [(name, m) for name, decl in model.classes.items()
+                           for m in decl.methods
+                           if m.name == call.name and len(m.params) == len(call.args)]
+            else:
+                resolution = "hierarchy"
+                callees = resolve_callee(call.name, len(call.args), model, receiver_type)
             emitted = False
-            for callee_class, callee in resolve_callee(
-                    call.name, len(call.args), model, receiver_type):
+            for callee_class, callee in callees:
                 for position, (ident, arg_type) in enumerate(zip(idents, types)):
                     if ident is None or arg_type is None:
                         continue
@@ -216,7 +222,7 @@ def reference_illicit_file_usage(model):
     for class_name, file_path, decl, method in _methods(model):
         opened = {}
         closed = set()
-        for node, _ in walk_body(method.body, {}):
+        for node in walk_body(method.body, {}):
             if (isinstance(node, LocalVarDecl)
                     and isinstance(node.init, New)
                     and node.init.type_name in model.seed.resource_types):
@@ -245,7 +251,7 @@ def reference_illicit_file_usage(model):
 def reference_undefined_loop(model):
     findings = []
     for class_name, file_path, decl, method in _methods(model):
-        for node, _ in walk_body(method.body, {}):
+        for node in walk_body(method.body, {}):
             if isinstance(node, While):
                 kind, body = "while", node.body
             elif isinstance(node, DoWhile):
@@ -540,18 +546,27 @@ def test_run_all_walks_each_method_body_once_on_generated_programs(monkeypatch):
 # --- rule 4 resolves only what a mutating method could answer ----------------
 
 def _reference_call_sites(model):
-    """(name, arity) of every call with a typed Name argument, and of those
-    whose (name, arity) some corpus method mutating a parameter has."""
+    """(name, arity) of every call with a typed Name argument; of those
+    whose (name, arity) some corpus method mutating a parameter has; and of
+    those, the ones whose receiver has a static type, which rule 4 resolves
+    through the hierarchy."""
     mutating = {(method.name, len(method.params)) for *_, method in _methods(model)
                 if any(_reference_param_mutation(method, p.name, model)
                        for p in method.params)}
     sites = []
+    typed_receiver = []
     for _, _, decl, method in _methods(model):
         for expr, scope in iter_scoped_exprs(decl, method):
             if isinstance(expr, MethodCall) and any(
                     isinstance(a, Name) and static_type_of(a, scope) for a in expr.args):
-                sites.append((expr.name, len(expr.args)))
-    return sites, [site for site in sites if site in mutating]
+                site = (expr.name, len(expr.args))
+                sites.append(site)
+                receiver = expr.receiver
+                if receiver is None or (isinstance(receiver, Name) and (
+                        receiver.ident == "this" or static_type_of(receiver, scope))):
+                    typed_receiver.append(site)
+    return (sites, [site for site in sites if site in mutating],
+            [site for site in typed_receiver if site in mutating])
 
 
 def _count_resolutions(monkeypatch, model):
@@ -570,7 +585,7 @@ def _count_resolutions(monkeypatch, model):
 def test_rule4_resolves_nothing_when_no_method_mutates(monkeypatch):
     for model in _hierarchy_models(mutating=False):
         resolved, findings = _count_resolutions(monkeypatch, model)
-        sites, answerable = _reference_call_sites(model)
+        sites, answerable, _ = _reference_call_sites(model)
         assert len(sites) == 48 and answerable == []
         assert resolved == [] and findings == []
 
@@ -622,19 +637,21 @@ class Node
 
 def test_rule4_resolves_only_call_sites_a_mutating_method_could_answer(monkeypatch):
     # put/2 mutates but put/1 does not; take/1 mutates only in Sink, which
-    # Node does not extend: only take(...) and put(d, 2) are resolved
+    # Node does not extend: only take(...) and put(d, 2) could be answered,
+    # and all but mystery.take(d), whose receiver has no type, are resolved
     model = model_for_source(_OVERLOADS, "O.java")
     resolved, findings = _count_resolutions(monkeypatch, model)
-    sites, answerable = _reference_call_sites(model)
-    assert (len(sites), len(answerable)) == (8, 5)
-    assert sorted(resolved) == sorted(answerable)
+    sites, answerable, with_receiver_type = _reference_call_sites(model)
+    assert (len(sites), len(answerable), len(with_receiver_type)) == (8, 5, 4)
+    assert sorted(resolved) == sorted(with_receiver_type)
     assert findings == reference_itu(model)
     assert [(f.line, f.detail["callee"], f.detail["resolution"]) for f in findings] == [
         (37, "Sink.take", "hierarchy"), (38, "Sink.take", "name-arity")]
     for model in _hierarchy_models(mutating=True):
         resolved, findings = _count_resolutions(monkeypatch, model)
-        sites, answerable = _reference_call_sites(model)
-        assert sorted(resolved) == sorted(answerable)
+        _, answerable, with_receiver_type = _reference_call_sites(model)
+        assert len(with_receiver_type) < len(answerable)
+        assert sorted(resolved) == sorted(with_receiver_type)
         assert findings == reference_itu(model)
 
 

@@ -554,6 +554,92 @@ def test_every_store_that_loads_names_each_code_alike_in_both_report_sections(tm
     assert min(outcomes.values()) > 10, outcomes
 
 
+def _random_json(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(9 if depth < 2 else 7)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return rng.choice([0, 1, -1, 6, 7, 2**63, rng.randint(-100, 100)])
+    if kind == 3:
+        return rng.choice([float("nan"), float("inf"), -0.0, 1.5, 4.0])
+    if kind == 4:
+        return rng.choice(["", "A", "a.java", "\u00e9\u6f22", "Lvalue required", "x" * 300])
+    if kind == 5:
+        return str(rng.randint(0, 7))
+    if kind == 6:
+        return []
+    if kind == 7:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+    return {rng.choice(["line", "records", "message", "k"]): _random_json(rng, depth + 1)
+            for _ in range(rng.randint(1, 3))}
+
+
+def _containers(value):
+    """Every list and dict in a JSON value, the value first."""
+    found = [value]
+    for child in (value.values() if isinstance(value, dict) else value):
+        if isinstance(child, (dict, list)):
+            found.extend(_containers(child))
+    return found
+
+
+def _mutate(rng: random.Random, document: dict) -> None:
+    """Set a value at a random path to a random JSON value, drop a key, or
+    duplicate a list element, in place."""
+    containers = _containers(document)
+    change = rng.randrange(3)
+    if change == 1:
+        maps = [c for c in containers if isinstance(c, dict) and c]
+        target = rng.choice(maps)
+        del target[rng.choice(sorted(target))]
+        return
+    if change == 2:
+        lists = [c for c in containers if isinstance(c, list) and c]
+        if lists:
+            target = rng.choice(lists)
+            index = rng.randrange(len(target))
+            target.insert(index, json.loads(json.dumps(target[index])))
+            return
+    target = rng.choice([c for c in containers if c])
+    key = rng.choice(sorted(target) if isinstance(target, dict) else range(len(target)))
+    target[key] = _random_json(rng)
+
+
+def test_mutated_store_documents_load_or_raise_format_error(tmp_path):
+    # a real store: parse diagnostics in files, duplicate-class diagnostics,
+    # findings of every rule
+    scanned = run_scan(RunConfig(corpus_root=CASES_DIR.parent)).store
+    path = tmp_path / "store.json"
+    save_store(scanned, path)
+    original = path.read_text(encoding="utf-8")
+    rng = random.Random(2311)
+    outcomes = {"loaded": 0, "rejected": 0}
+    saved_nan = 0
+    for _ in range(1500):
+        document = json.loads(original)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        try:
+            store = load_store(path)
+        except FormatError:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["loaded"] += 1
+        clusters = cluster(list(store.records))
+        assert render_report(store, clusters, "text")
+        assert render_report(store, clusters, "json")
+        # bytes, not objects: a NaN in a finding's detail is not equal to itself
+        save_store(store, path)
+        saved = path.read_bytes()
+        save_store(load_store(path), path)
+        assert path.read_bytes() == saved
+        saved_nan += b"NaN" in saved
+    assert min(outcomes.values()) > 200 and saved_nan, (outcomes, saved_nan)
+
+
 # --- reports -------------------------------------------------------------------
 
 
@@ -726,28 +812,54 @@ def test_save_store_peak_memory_is_a_fraction_of_the_document(tmp_path):
         assert peak < size / 4, f"peak {peak} bytes for a {size}-byte store"
 
 
-WITHOUT_ACCELERATOR = """\
+CLI_ENCODER = """\
 import sys
-from pathlib import Path
 import json.encoder
-json.encoder.c_make_encoder = None  # as on an interpreter without _json
-from faultlint.cli import RunConfig, run_scan
-from faultlint.store import cluster, render_report, save_store
-store = run_scan(RunConfig(corpus_root=Path(sys.argv[1]))).store
-save_store(store, sys.argv[2])
-sys.stdout.write(render_report(store, cluster(list(store.records)), "json"))
+if sys.argv[1] == "pure-python":
+    json.encoder.c_make_encoder = None  # as on an interpreter without _json
+from faultlint import store
+from faultlint.cli import main
+# a bound JSONEncoder.encode only on the pure-Python path
+assert hasattr(store._encode, "__self__") == (sys.argv[1] == "pure-python")
+sys.exit(main(sys.argv[2:]))
 """
+
+NON_ASCII_SOURCES = {
+    # parse diagnostics that quote a non-ASCII character, in non-ASCII
+    # file names, non-ASCII class names in findings and in a duplicate
+    # class diagnostic
+    "z.java": "class Ké { void m() { x = §; } }\n",
+    "ü.java": "class Ké { }\n",
+    "Ä.java": ("class Kö extends A, B\n{\n    void m(String s)\n    {\n"
+               "        int § = 1;\n        if (s == \"漢\") { }\n    }\n}\n"),
+    "é.java": "class Z { void f() { x = \"→\" + \U0001f600; } }\n",
+}
 
 
 def test_writers_without_the_c_encoder_write_the_same_bytes(tmp_path):
+    # the CLI's --store file and --format json report, exit code and stderr
+    non_ascii = tmp_path / "non-ascii"
+    non_ascii.mkdir()
+    for name, text in NON_ASCII_SOURCES.items():
+        (non_ascii / name).write_text(text, encoding="utf-8")
     src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src_dir)
-    fallback_path = tmp_path / "fallback.json"
-    child = subprocess.run(
-        [sys.executable, "-c", WITHOUT_ACCELERATOR, str(REFERENCE_CORPUS_DIR), str(fallback_path)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    store = run_scan(RunConfig(corpus_root=REFERENCE_CORPUS_DIR)).store
-    save_store(store, tmp_path / "store.json")
-    assert fallback_path.read_bytes() == (tmp_path / "store.json").read_bytes()
-    assert child.stdout == render_report(store, cluster(list(store.records)), "json")
+    for corpus in (REFERENCE_CORPUS_DIR, CASES_DIR, non_ascii):
+        runs = {}
+        for encoder in ("pure-python", "c"):
+            store_path = tmp_path / f"{encoder}.json"
+            child = subprocess.run(
+                [sys.executable, "-c", CLI_ENCODER, encoder, str(corpus), "--format", "json",
+                 "--store", str(store_path)],
+                capture_output=True, env=env, timeout=120,
+            )
+            runs[encoder] = (child.returncode, child.stdout, child.stderr,
+                             store_path.read_bytes())
+        assert runs["pure-python"] == runs["c"], corpus.name
+        returncode, stdout, stderr, store_bytes = runs["c"]
+        assert (returncode, stderr) == (1, b"") and stdout.startswith(b"{\n"), corpus.name
+    diagnostics = json.loads(store_bytes)["diagnostics"]
+    assert [d["file_path"] for d in diagnostics] == ["z.java", "Ä.java", "é.java", None]
+    assert [any(ord(c) > 127 for c in d["message"]) for d in diagnostics] == [
+        True, False, True, True]
+    assert b"\\u00f6" in store_bytes  # Kö's findings
