@@ -143,7 +143,7 @@ def _entry_is(type_test) -> bool:
         return False
 
 
-def _java_files(root: Path, unreadable: list[tuple[str, OSError]] | None = None
+def _java_files(root: Path, unreadable: list[tuple[str, OSError]]
                 ) -> list[tuple[str, str]]:
     """(relative posix path, filesystem path) of every *.java file under
     root, sorted by the relative path.
@@ -182,8 +182,7 @@ def _java_files(root: Path, unreadable: list[tuple[str, OSError]] | None = None
         except OSError as err:
             if dirpath == top:
                 raise ScanError(f"cannot read corpus root: {err}") from err
-            if unreadable is not None:
-                unreadable.append((prefix[:-1], err))
+            unreadable.append((prefix[:-1], err))
             continue
         found += here
         pending += subdirs
@@ -193,7 +192,7 @@ def _java_files(root: Path, unreadable: list[tuple[str, OSError]] | None = None
 
 def collect_java_files(root: Path) -> list[Path]:
     """The files of the CLI's walk (_java_files) as Paths, sorted by relative path."""
-    return [Path(path) for _, path in _java_files(root)]
+    return [Path(path) for _, path in _java_files(root, [])]
 
 
 def _parse_corpus(files: list[tuple[str, str]],

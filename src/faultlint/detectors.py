@@ -20,8 +20,9 @@ superclass counts one edge. It skips a class in hierarchy.cyclic, on or
 leading into a cycle, which is already a model diagnostic.
 Rules 1, 4, 5 and 6 read method bodies: each body is walked once with
 model.walk_body, which yields every statement and expression while the
-method's scope dict holds the names in effect there, and every enabled
-rule checks each node as it comes, in one dispatch on node type.
+method's scope dict holds the names in effect there, and every rule
+checks each node as it comes, in one dispatch on node type, whichever
+rules are enabled: those only choose which findings run_all returns.
 
 Rule 1 flags == and != when either side has the declared type String,
 unless either side is the null literal: a null check is no string
@@ -38,12 +39,12 @@ receiver, or an x of unknown type, falls back to the methods of the same
 name and arity that mutate a parameter, in (file path, position) order:
 no other method could give a finding. The body walk records each
 method's call sites, its name uses and its first mutation of each
-parameter; the call sites are resolved once every method is walked, so a
+parameter, the last in one map from (name, arity) to the mutating
+methods; the call sites are resolved once every method is walked, so a
 callee's summary is complete wherever it stands. A call site is resolved
-only when some method of its name and arity has such a record, since
-every callee hierarchy resolution returns has that name and arity; a
-later use is found by bisection in an index of the method's name uses,
-built once per method.
+only when the map holds its name and arity, since every callee hierarchy
+resolution returns has that name and arity; a later use is found by
+bisection in an index of the method's name uses, built once per method.
 
 Rule 5 is path-insensitive: a close() on the name anywhere in the opening
 method's body (branches, catch and finally blocks included) counts.
@@ -52,9 +53,9 @@ Rule 6 checks while, do-while and for loops: a body holding no statement
 but empty ones is flagged.
 
 Each rule's findings come in class order, then method order, then walk
-order, rule 4's after every method, whichever other rules run. The one
-sort by (file, line, code) ties only findings of one rule, so the merged
-list is deterministic. Every check reads an immutable ProgramModel.
+order, rule 4's after every method. The one sort by (file, line, code)
+ties only findings of one rule, so the merged list is deterministic.
+Every check reads an immutable ProgramModel.
 """
 
 from __future__ import annotations
@@ -136,30 +137,30 @@ def _uses_by_ident(name_uses: list) -> dict[str, tuple[list[int], list]]:
 
 
 def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
-                  call_sites: list, name_uses: list, mutations: dict,
-                  mutating: dict, findings: list[Finding]) -> None:
+                  call_sites: list, name_uses: list, mutating: dict,
+                  findings: list[Finding]) -> None:
     """Rule 4 over one method's call sites, after run_all has walked every
-    method: mutations maps id(method) to that method's first mutation of
-    each parameter, by parameter name; mutating maps (name, arity) to the
-    (class name, method) of every method with one. A call site no such
-    method could answer is not resolved: every callee resolve_callee
-    returns has the call's name and arity. A call with no receiver type
-    takes those methods as its callees."""
+    method: mutating maps (name, arity) to {id(method): (class name,
+    method, its first mutation of each parameter by parameter name)} of
+    every method with one. A call site no such method could answer is not
+    resolved: every callee resolve_callee returns has the call's name and
+    arity, and only those in the map are read. A call with no receiver
+    type takes the map's methods as its callees."""
     uses_by_ident = None  # built on the first candidate that needs a later use
     for call, idents, types, receiver_type in call_sites:
-        callees = mutating.get((call.name, len(call.args)))
-        if callees is None:
+        summaries = mutating.get((call.name, len(call.args)))
+        if summaries is None:
             continue
         if receiver_type is None:
             resolution = "name-arity"
+            callees = summaries.values()
         else:
             resolution = "hierarchy"
-            callees = resolve_callee(call.name, len(call.args), model, receiver_type)
+            callees = (summaries[id(callee)] for _, callee
+                       in resolve_callee(call.name, len(call.args), model, receiver_type)
+                       if id(callee) in summaries)
         emitted = False
-        for callee_class, callee in callees:
-            mutated = mutations.get(id(callee))
-            if mutated is None:
-                continue
+        for callee_class, callee, mutated in callees:
             for position, (ident, arg_type) in enumerate(zip(idents, types)):
                 if ident is None or arg_type is None:
                     continue
@@ -219,34 +220,32 @@ def _is_null(expr) -> bool:
 
 def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     """Findings of the enabled rules (default: all six), sorted by
-    (file, line, code). ValueError on a code outside the catalog."""
+    (file, line, code). ValueError on a code outside the catalog. Every
+    rule runs whatever is enabled; the filter comes last."""
     rules = ALL_RULES if enabled_rules is None else frozenset(enabled_rules)
     bad = rules - ALL_RULES
     if bad:
         raise ValueError(f"unknown rule codes: {sorted(bad)}")
-    lvalue, inheritance, spaghetti, itu, files, loops = (code in rules for code in range(1, 7))
-    walk_bodies = lvalue or itu or files or loops
     resource_types = model.seed.resource_types
     is_pure_accessor = model.seed.is_pure_accessor
     findings: list[Finding] = []
     itu_sites = []  # rule 4: (class name, file path, call sites, name uses) per method
-    # rule 4: id(method) -> {parameter name: (mutation, line)}; by identity, as
-    # hashing a MethodDecl would hash its body, and the model keeps each alive
-    mutations: dict[int, dict[str, tuple[str, int]]] = {}
-    # rule 4: (name, arity) -> (class name, method) of those methods, in
-    # class order, then method order
-    mutating: dict[tuple[str, int], list] = {}
+    # rule 4: (name, arity) -> {id(method): (class name, method, {parameter name:
+    # (mutation, line)})} of the methods with a mutation, in class order, then
+    # method order; keyed by identity, as hashing a MethodDecl would hash its
+    # body, and the model keeps each alive
+    mutating: dict[tuple[str, int], dict[int, tuple]] = {}
     parent = model.hierarchy.parent
     cyclic = model.hierarchy.cyclic
     for class_name, decl in model.classes.items():
         file_path = model.class_files[class_name]
-        if inheritance and len(decl.extends_list) > 1:
+        if len(decl.extends_list) > 1:
             findings.append(Finding(
                 class_name, 2, file_path, decl.line,
                 f"class {class_name} extends multiple classes: {', '.join(decl.extends_list)}",
                 {"superclasses": list(decl.extends_list)},
             ))
-        if spaghetti and class_name not in cyclic:  # a cycle is a model diagnostic
+        if class_name not in cyclic:  # a cycle is a model diagnostic
             chain = _first_superclasses(class_name, parent)
             depth = len(chain) - 1
             if depth >= SPAGHETTI_DEPTH:
@@ -256,12 +255,10 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     f"{SPAGHETTI_DEPTH}: {' -> '.join(chain)}",
                     {"depth": depth, "chain": chain},
                 ))
-        if not walk_bodies:
-            continue
         for method in decl.methods:
             call_sites = []   # rule 4: (call, arg idents, arg declared types, receiver type)
             name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
-            params = {p.name for p in method.params} if itu else ()
+            params = {p.name for p in method.params}
             mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
             opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
             closed: set[str] = set()                 # rule 5: receivers of close()
@@ -272,12 +269,10 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     continue
                 if kind is MethodCall:
                     receiver = node.receiver
-                    if files and node.name == "close" and type(receiver) is Name:
-                        closed.add(receiver.ident)
-                    if not itu:
-                        continue
                     if type(receiver) is Name:
                         ident = receiver.ident
+                        if node.name == "close":
+                            closed.add(ident)
                         name_uses.append((ident, node.line, node.name))
                         if (ident in params and ident not in mutated
                                 and not is_pure_accessor(node.name)):
@@ -303,7 +298,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         receiver_type = None
                     call_sites.append((node, idents, types, receiver_type))
                 elif kind is Binary:
-                    if not lvalue or (node.op != "==" and node.op != "!="):
+                    if node.op != "==" and node.op != "!=":
                         continue
                     left = static_type_of(node.lhs, scope)
                     right = static_type_of(node.rhs, scope)
@@ -317,19 +312,19 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         ))
                 elif kind is LocalVarDecl:
                     init = node.init
-                    if files and type(init) is New and init.type_name in resource_types:
+                    if type(init) is New and init.type_name in resource_types:
                         opened.setdefault(node.name, (init.type_name, init.line))
                 elif kind is Assign:
                     lhs = node.lhs
                     rhs = node.rhs
-                    if (files and type(lhs) is Name
+                    if (type(lhs) is Name
                             and type(rhs) is New and rhs.type_name in resource_types):
                         opened.setdefault(lhs.ident, (rhs.type_name, rhs.line))
                     elif (type(lhs) is FieldAccess and type(lhs.target) is Name
                             and lhs.target.ident in params):
                         ident = lhs.target.ident
                         mutated.setdefault(ident, (f"{ident}.{lhs.name} = ...", node.line))
-                elif loops and kind in _LOOP_KINDS:
+                elif kind in _LOOP_KINDS:
                     if all(type(s) is Empty for s in node.body.stmts):
                         loop_kind = _LOOP_KINDS[kind]
                         findings.append(Finding(
@@ -340,9 +335,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
             if call_sites:
                 itu_sites.append((class_name, file_path, call_sites, name_uses))
             if mutated:
-                mutations[id(method)] = mutated
-                mutating.setdefault((method.name, len(method.params)), []).append(
-                    (class_name, method))
+                mutating.setdefault((method.name, len(method.params)), {})[id(method)] = (
+                    class_name, method, mutated)
             for var, (type_name, line) in opened.items():
                 if var not in closed:
                     findings.append(Finding(
@@ -352,7 +346,6 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         {"variable": var, "resource_type": type_name},
                     ))
     for class_name, file_path, call_sites, name_uses in itu_sites:
-        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutations,
-                      mutating, findings)
+        _itu_findings(model, class_name, file_path, call_sites, name_uses, mutating, findings)
     findings.sort(key=Finding.sort_key)
-    return findings
+    return [finding for finding in findings if finding.error_code in rules]

@@ -437,7 +437,7 @@ def test_walk_matches_the_rglob_reference(tmp_path, monkeypatch, capsys, root_ar
     assert [p.relative_to(Path(root)).as_posix() for p in reference] == expected
     assert collect_java_files(Path(root)) == reference
     # the CLI opens each file by this string, which a read error message quotes
-    assert [path for _, path in faultlint.cli._java_files(Path(root))] == \
+    assert [path for _, path in faultlint.cli._java_files(Path(root), [])] == \
         [str(p) for p in reference]
     store_path = tmp_path / "store.json"
     assert main([root, "--store", str(store_path)]) == 0
@@ -451,7 +451,7 @@ def test_entry_whose_type_test_fails_is_neither_file_nor_directory(tmp_path):
     corpus = make_clean_corpus(tmp_path / "c", count=1)
     os.symlink("Loop.java", corpus / "Loop.java")
     os.symlink("loopdir", corpus / "loopdir")
-    assert [rel for rel, _ in faultlint.cli._java_files(corpus)] == ["Tidy0.java"]
+    assert [rel for rel, _ in faultlint.cli._java_files(corpus, [])] == ["Tidy0.java"]
     assert collect_java_files(corpus) == reference_collect_java_files(corpus)
 
 
@@ -682,7 +682,7 @@ def test_byte_read_matches_the_text_layer_read(tmp_path):
     for name, data in READ_CASES.items():
         (tmp_path / name).write_bytes(data)
     assert len(READ_CASES["LateInvalid.java"]) > 8192
-    files = faultlint.cli._java_files(tmp_path)
+    files = faultlint.cli._java_files(tmp_path, [])
     collected = []
     units = iter(faultlint.cli._parse_corpus(files, collected))
     groups = iter(collected)  # one per file with diagnostics: here, the unreadable ones
@@ -720,7 +720,7 @@ def test_parse_exception_span_counts_every_line_end(tmp_path, monkeypatch):
     assert [(d.file_path, d.line, d.message) for d in result.store.diagnostics] == [
         ("Mixed.java", 1, "could not parse file: RuntimeError: boom")]
     collected = []
-    assert faultlint.cli._parse_corpus(faultlint.cli._java_files(tmp_path), collected) == []
+    assert faultlint.cli._parse_corpus(faultlint.cli._java_files(tmp_path, []), collected) == []
     [[diag]] = collected
     assert diag.skipped_span == (1, 6) == (1, text.count("\n") + 1)
 

@@ -746,7 +746,7 @@ def test_run_all_empty_corpus():
 
 def test_run_all_subset_equals_filtered_full_run(reference_model):
     full = run_all(reference_model)
-    for subset in [{1}, {3, 4}, {2, 5, 6}, {1, 2, 3, 4, 5, 6}]:
+    for subset in [set(), {1}, {3, 4}, {2, 5, 6}, {1, 2, 3, 4, 5, 6}]:
         partial = run_all(reference_model, subset)
         assert partial == [f for f in full if f.error_code in subset]
 

@@ -518,7 +518,7 @@ def test_first_mutation_edge_cases_match_reference(source, expected):
     assert _reference_param_mutation(callee, "p", model) == expected[0][1:]
 
 
-def _count_body_walks(monkeypatch, model):
+def _count_body_walks(monkeypatch, model, rules=None):
     walked = []
 
     def counting_walk_body(block, scope):
@@ -526,14 +526,19 @@ def _count_body_walks(monkeypatch, model):
         return walk_body(block, scope)
 
     monkeypatch.setattr(detectors, "walk_body", counting_walk_body)
-    run_all(model)
+    run_all(model, rules)
     monkeypatch.undo()
     return sorted(walked), sorted(id(method.body) for *_, method in _methods(model))
 
 
-@pytest.mark.parametrize("directory", [REFERENCE_CORPUS_DIR, CASES_DIR], ids=lambda p: p.name)
-def test_run_all_walks_each_method_body_once_on_fixtures(monkeypatch, directory):
-    walked, bodies = _count_body_walks(monkeypatch, model_for_dir(directory))
+@pytest.mark.parametrize("directory, rules", [
+    # the pass is the same whatever is enabled, the header-only rules 2 and 3 too
+    pytest.param(directory, rules, id=directory.name + "".join(f"-{code}" for code in rules or ()))
+    for directory in (REFERENCE_CORPUS_DIR, CASES_DIR)
+    for rules in (None, {2}, {3}, {2, 3})
+])
+def test_run_all_walks_each_method_body_once_on_fixtures(monkeypatch, directory, rules):
+    walked, bodies = _count_body_walks(monkeypatch, model_for_dir(directory), rules)
     assert bodies and walked == bodies
 
 
