@@ -2,8 +2,9 @@
 
 Exit codes: 0 = clean scan, 1 = findings present (or, with --strict-parse,
 any parse diagnostic), 2 = operational error (bad flags, unreadable corpus
-root, bad seed file) or internal error (an unexpected exception, reported
-with its traceback). Output is byte-deterministic for identical trees.
+root, bad seed file, a report that stdout cannot encode) or internal error
+(an unexpected exception, reported with its traceback). Output is
+byte-deterministic for identical trees.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from faultlint.store import (
     cluster,
     render_report,
     save_store,
+    save_store_and_json_report,
 )
 
 PROG = "faultlint"
@@ -270,16 +272,20 @@ def run_scan(config: RunConfig) -> ScanResult:
         records=tuple(records),
         diagnostics=tuple(diagnostics),
     )
-    report = render_report(store, clusters, config.output_format, scanned_classes=scanned_classes)
-
-    if config.store_output is not None:
-        target = config.store_output
-        if target.is_dir():
-            target = target / STORE_BASENAME
-        try:
-            save_store(store, target)
-        except OSError as err:
-            raise ScanError(f"cannot write store file: {err}") from err
+    target = config.store_output
+    if target is not None and target.is_dir():
+        target = target / STORE_BASENAME
+    try:
+        if target is not None and config.output_format == "json":
+            # one encoding of each record and diagnostic for both outputs
+            report = save_store_and_json_report(store, clusters, target)
+        else:
+            report = render_report(store, clusters, config.output_format,
+                                   scanned_classes=scanned_classes)
+            if target is not None:
+                save_store(store, target)
+    except OSError as err:
+        raise ScanError(f"cannot write store file: {err}") from err
 
     if findings:
         exit_code = 1
@@ -320,7 +326,11 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 2
     else:
-        sys.stdout.write(result.report)
+        try:
+            sys.stdout.write(result.report)
+        except UnicodeEncodeError as err:  # the store, if any, is written and stays
+            print(f"{PROG}: error: cannot write the report: {err}", file=sys.stderr)
+            return 2
         return result.exit_code
     finally:
         if gc_was_enabled:

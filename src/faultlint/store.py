@@ -5,6 +5,14 @@ class name) so that identical scans produce byte-identical files. Classes
 with no findings produce no record; they only show up in the report's
 scanned/faulty summary.
 
+Each record and diagnostic is written as one line from a fixed template
+(_record_json, _finding_json, _diagnostic_json) whose keys are already in
+sorted order, every string escaped by json's encode_basestring_ascii:
+the bytes json.JSONEncoder(sort_keys=True) gives the entry's dict,
+without building the dict. save_store and the JSON report encode each
+entry as they write its line; with --format json --store the CLI calls
+save_store_and_json_report, which encodes each entry once for both.
+
 The error names are not held in memory beside the codes: the writer and
 the reports look each one up in detectors.ERROR_CATALOG. A loaded store
 keeps its codes only, so each name the file holds must be that code's
@@ -106,43 +114,6 @@ def cluster(records: list[ClassRecord]) -> list[Cluster]:
 
 # --- serialization ----------------------------------------------------------
 
-def _finding_to_dict(finding: Finding) -> dict:
-    return {
-        "class_name": finding.class_name,
-        "error_code": finding.error_code,
-        "error_name": ERROR_CATALOG[finding.error_code],
-        "file_path": finding.file_path,
-        "line": finding.line,
-        "message": finding.message,
-        "detail": finding.detail,
-    }
-
-
-def _record_to_dict(record: ClassRecord) -> dict:
-    return {
-        "class_name": record.class_name,
-        "file_path": record.file_path,
-        "error_codes": list(record.error_codes),
-        "findings": [_finding_to_dict(f) for f in record.findings],
-    }
-
-
-def _diagnostic_to_dict(diag: Diagnostic) -> dict:
-    return {"file_path": diag.file_path, "line": diag.line, "message": diag.message}
-
-
-def _document(store: AnalysisStore) -> dict:
-    """The store document by top-level key. The records and diagnostics are
-    maps that build each entry's dict only as it is read."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "corpus_root": store.corpus_root,
-        "records": map(_record_to_dict, sorted(store.records, key=lambda r: r.class_name)),
-        "catalog": {str(code): name for code, name in ERROR_CATALOG.items()},
-        "diagnostics": map(_diagnostic_to_dict, store.diagnostics),
-    }
-
-
 if c_make_encoder is None:  # no _json accelerator: json's pure-Python encoder
     _encode = json.JSONEncoder(sort_keys=True).encode
 else:
@@ -155,36 +126,86 @@ else:
         return "".join(_chunks(value, 0))
 
 
-def _write_canonical(payload: dict, write) -> None:
-    """Pass payload to write as canonical JSON: one line per top-level key,
-    sorted, and one line per element of a non-empty top-level list or map.
+# The entry writers below spell out what _encode would give each entry's
+# dict: the keys in sorted order, its separators, and every string through
+# the same ASCII escaping. Only a finding's detail, whose keys vary, goes
+# through _encode.
 
-    Each element is encoded as it is written, and `",\n"` goes before
-    every element but the first, so a map is read once and neither its
-    entries nor the document are ever held whole. Every value goes through
-    the C encoder: json's pure-Python encoder, which any indent selects,
-    costs about three times as much.
-    """
-    write("{\n")
-    last = len(payload) - 1
-    for index, key in enumerate(sorted(payload)):
-        value = payload[key]
-        end = ",\n" if index < last else "\n"
-        if type(value) is list or type(value) is map:
-            opened = False
-            for item in value:
-                write((",\n    " if opened else f"  {_encode(key)}: [\n    ") + _encode(item))
-                opened = True
-            write("\n  ]" + end if opened else f"  {_encode(key)}: []{end}")
-        else:
-            write(f"  {_encode(key)}: {_encode(value)}{end}")
-    write("}\n")
+def _finding_json(finding: Finding) -> str:
+    code = finding.error_code
+    return (f'{{"class_name": {encode_basestring_ascii(finding.class_name)}, '
+            f'"detail": {_encode(finding.detail)}, "error_code": {code}, '
+            f'"error_name": {encode_basestring_ascii(ERROR_CATALOG[code])}, '
+            f'"file_path": {encode_basestring_ascii(finding.file_path)}, '
+            f'"line": {finding.line}, "message": {encode_basestring_ascii(finding.message)}}}')
+
+
+def _record_json(record: ClassRecord) -> str:
+    return (f'{{"class_name": {encode_basestring_ascii(record.class_name)}, '
+            f'"error_codes": [{", ".join(map(str, record.error_codes))}], '
+            f'"file_path": {encode_basestring_ascii(record.file_path)}, '
+            f'"findings": [{", ".join(map(_finding_json, record.findings))}]}}')
+
+
+def _diagnostic_json(diag: Diagnostic) -> str:
+    path = "null" if diag.file_path is None else encode_basestring_ascii(diag.file_path)
+    line = "null" if diag.line is None else diag.line
+    message = encode_basestring_ascii(diag.message)
+    return f'{{"file_path": {path}, "line": {line}, "message": {message}}}'
+
+
+def _write_list(write, key: str, entries) -> None:
+    """Pass write the document line of key: each encoded entry on a line of
+    its own, read and written one at a time, or `[]` when there is none."""
+    opened = False
+    for entry in entries:
+        write((",\n    " if opened else f'  "{key}": [\n    ') + entry)
+        opened = True
+    write("\n  ],\n" if opened else f'  "{key}": [],\n')
+
+
+def _write_document(write, corpus_root: str, records, diagnostics,
+                    clusters: list[Cluster] | None = None) -> None:
+    """Pass write the canonical document: one line per top-level key, in
+    sorted order, and one line per entry of a non-empty list. records and
+    diagnostics are iterables of encoded entries; clusters, when given,
+    adds the report's `clusters` key."""
+    catalog = {str(code): name for code, name in ERROR_CATALOG.items()}
+    write(f'{{\n  "catalog": {_encode(catalog)},\n')
+    if clusters is not None:
+        _write_list(write, "clusters", (
+            _encode({"classes": c.classes, "error_codes": c.error_set,
+                     "error_names": [ERROR_CATALOG[code] for code in c.error_set]})
+            for c in clusters))
+    write(f'  "corpus_root": {encode_basestring_ascii(corpus_root)},\n')
+    _write_list(write, "diagnostics", diagnostics)
+    _write_list(write, "records", records)
+    write(f'  "schema_version": {SCHEMA_VERSION}\n}}\n')
+
+
+def _sorted_records(store: AnalysisStore) -> list[ClassRecord]:
+    return sorted(store.records, key=lambda r: r.class_name)
 
 
 def save_store(store: AnalysisStore, path) -> None:
-    """Write the canonical store document line by line. OS errors propagate."""
+    """Write the canonical store document, encoding each record and
+    diagnostic as its line is written. OS errors propagate."""
     with open(path, "w", encoding="utf-8") as handle:
-        _write_canonical(_document(store), handle.write)
+        _write_document(handle.write, store.corpus_root,
+                        map(_record_json, _sorted_records(store)),
+                        map(_diagnostic_json, store.diagnostics))
+
+
+def save_store_and_json_report(store: AnalysisStore, clusters: list[Cluster], path) -> str:
+    """save_store(store, path), then render_report(store, clusters, "json"),
+    with each record and diagnostic encoded once for both."""
+    records = list(map(_record_json, _sorted_records(store)))
+    diagnostics = list(map(_diagnostic_json, store.diagnostics))
+    with open(path, "w", encoding="utf-8") as handle:
+        _write_document(handle.write, store.corpus_root, records, diagnostics)
+    parts: list[str] = []
+    _write_document(parts.append, store.corpus_root, records, diagnostics, clusters)
+    return "".join(parts)
 
 
 def _field(entry, key: str, types: tuple, what: str, path):
@@ -333,17 +354,10 @@ def render_report(
 ) -> str:
     """Byte-deterministic report: per-class error names, then the clusters."""
     if format == "json":
-        payload = _document(store)
-        payload["clusters"] = [
-            {
-                "error_codes": list(c.error_set),
-                "error_names": [ERROR_CATALOG[code] for code in c.error_set],
-                "classes": list(c.classes),
-            }
-            for c in clusters
-        ]
         parts: list[str] = []
-        _write_canonical(payload, parts.append)
+        _write_document(parts.append, store.corpus_root,
+                        map(_record_json, _sorted_records(store)),
+                        map(_diagnostic_json, store.diagnostics), clusters)
         return "".join(parts)
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
@@ -359,7 +373,7 @@ def render_report(
         lines.append("No faulty classes.")
     else:
         lines.append("Per-class errors:")
-        for record in sorted(store.records, key=lambda r: r.class_name):
+        for record in _sorted_records(store):
             lines.append(f"  {record.class_name}  ({record.file_path})")
             for code in record.error_codes:
                 lines.append(f"    [{code}] {ERROR_CATALOG[code]}")

@@ -15,6 +15,7 @@ import pytest
 
 import faultlint
 import faultlint.cli
+import faultlint.store
 from faultlint import __version__
 from faultlint.cli import (
     RunConfig,
@@ -344,6 +345,54 @@ def test_json_report_with_store_matches_each_alone(tmp_path, capsys):
     data = json.loads(report_with_store)
     del data["clusters"]
     assert data == json.loads(both.read_text(encoding="utf-8"))
+
+
+ENTRY_ENCODERS = ("_record_json", "_finding_json", "_diagnostic_json")
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+def test_each_entry_is_encoded_at_most_once_per_scan(tmp_path, monkeypatch,
+                                                     output_format, with_store):
+    # every record, finding and diagnostic is encoded once when the scan
+    # writes any JSON, and the text report alone encodes none
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(entry):
+            calls[name, id(entry)] += 1
+            return real(entry)
+        return wrapper
+
+    for name in ENTRY_ENCODERS:
+        monkeypatch.setattr(faultlint.store, name, counting(name, getattr(faultlint.store, name)))
+    store_path = tmp_path / "store.json" if with_store else None
+    result = run_scan(RunConfig(FIXTURES, output_format=output_format, store_output=store_path))
+    store = result.store
+    assert store.records and store.diagnostics
+    expected = Counter()
+    if with_store or output_format == "json":
+        expected.update(("_record_json", id(r)) for r in store.records)
+        expected.update(("_finding_json", id(f)) for r in store.records for f in r.findings)
+        expected.update(("_diagnostic_json", id(d)) for d in store.diagnostics)
+    assert calls == expected
+
+
+def test_json_report_is_the_store_plus_its_clusters_section(tmp_path):
+    store_path = tmp_path / "store.json"
+    report = run_scan(RunConfig(FIXTURES, output_format="json", store_output=store_path)).report
+    report_lines = report.splitlines(keepends=True)
+    start = report_lines.index('  "clusters": [\n')
+    end = report_lines.index("  ],\n", start) + 1
+    assert start == 2  # after "{" and the catalog line
+    assert "".join(report_lines[:start] + report_lines[end:]).encode() == store_path.read_bytes()
+    clusters = cluster(list(load_store(store_path).records))
+    section = json.loads("{" + "".join(report_lines[start:end]).rstrip(",\n") + "}")
+    assert section["clusters"] == [
+        {"classes": list(c.classes), "error_codes": list(c.error_set),
+         "error_names": [CATALOG_DOCUMENT[str(code)] for code in c.error_set]}
+        for c in clusters
+    ]
 
 
 def test_store_directory_gets_default_basename(tmp_path, capsys):
@@ -766,11 +815,14 @@ def test_trees_are_freed_before_the_report_and_the_store(tmp_path, monkeypatch, 
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("render_report", "save_store"):
+    writers = ("render_report", "save_store", "save_store_and_json_report")
+    for name in writers:
         monkeypatch.setattr(faultlint.cli, name, counting(name, getattr(faultlint.cli, name)))
-    assert main([str(FIXTURES), "--store", str(tmp_path / "store.json")]) == 1
+    for output_format in ("text", "json"):
+        assert main([str(FIXTURES), "--format", output_format,
+                     "--store", str(tmp_path / "store.json")]) == 1
     capsys.readouterr()
-    assert counts == {"render_report": 0, "save_store": 0}
+    assert counts == dict.fromkeys(writers, 0)
 
 
 def test_run_scan_writes_the_store_that_store_output_names(tmp_path, capsys):
@@ -794,6 +846,32 @@ def test_internal_error_exits_2_with_traceback(tmp_path, monkeypatch, capsys, fa
     assert captured.out == ""
     assert captured.err.startswith("faultlint: internal error:\nTraceback")
     assert captured.err.endswith("RuntimeError: boom\n")
+
+
+def test_report_stdout_cannot_encode_is_exit_2_and_the_store_stays(tmp_path, monkeypatch):
+    # an undecodable file name reaches the text report as a lone surrogate,
+    # which a strict UTF-8 stdout cannot encode
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    try:
+        with open(os.path.join(os.fsencode(corpus), b"\xff.java"), "wb") as handle:
+            handle.write(b"class A { void m() { while (true) ; } }\n")
+    except OSError as err:
+        pytest.skip(f"the file system refuses an undecodable name: {err}")
+    store_path = tmp_path / "store.json"
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+    proc = run_python(["-m", "faultlint", str(corpus), "--store", str(store_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("faultlint: error: cannot write the report: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    store = load_store(store_path)
+    assert [(r.class_name, r.file_path, r.error_codes) for r in store.records] == [
+        ("A", os.fsdecode(b"\xff.java"), (6,))]
+    # the JSON report escapes the name, so the same scan prints it
+    proc = run_python(["-m", "faultlint", str(corpus), "--format", "json"])
+    assert proc.returncode == 1, proc.stderr
+    assert '"file_path": "\\udcff.java"' in proc.stdout
 
 
 @pytest.mark.parametrize("enabled_before", [True, False], ids=["gc-on", "gc-off"])

@@ -23,6 +23,7 @@ from faultlint.store import (
     load_store,
     render_report,
     save_store,
+    save_store_and_json_report,
 )
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, model_for_dir
@@ -787,10 +788,87 @@ def test_writers_match_reference_on_edge_stores(store, tmp_path):
     assert_writers_match_reference(store, tmp_path / "store.json")
 
 
+# characters a writer must escape or pass through: JSON's own quote and
+# backslash, every control character, DEL and space, non-ASCII characters of
+# the Basic Multilingual Plane and beyond it, and the lone surrogate that an
+# undecodable byte of a file name becomes
+AWKWARD_CHARACTERS = ('"', "\\", *map(chr, range(0x20)), "\x7f", " ",
+                      "\u00e9", "\u2028", "\u6f22", "\uffff", "\U0001f600", "\U0010ffff",
+                      "\udcff")
+
+
+def _awkward_text(rng: random.Random) -> str:
+    return "".join(rng.choice(AWKWARD_CHARACTERS) for _ in range(rng.randint(0, 6)))
+
+
+def _awkward_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(5 if depth < 3 else 3)
+    if kind == 0:
+        return _awkward_text(rng)
+    if kind == 1:
+        return rng.randint(-10**12, 10**12)
+    if kind == 2:
+        return None
+    return [_awkward_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+
+
+def _awkward_store(rng: random.Random) -> AnalysisStore:
+    """A random store whose every string field draws from AWKWARD_CHARACTERS."""
+    names = sorted({_awkward_text(rng) for _ in range(rng.randint(0, 4))})
+    records = []
+    for name in names:
+        findings = tuple(
+            Finding(name, rng.randint(1, 6), _awkward_text(rng), rng.randint(1, 80),
+                    _awkward_text(rng),
+                    {_awkward_text(rng): _awkward_value(rng) for _ in range(rng.randint(0, 3))})
+            for _ in range(rng.randint(1, 3))
+        )
+        codes = tuple(dict.fromkeys(
+            f.error_code for f in sorted(findings, key=Finding.sort_key)))
+        records.append(ClassRecord(name, _awkward_text(rng), codes, findings))
+    diagnostics = tuple(
+        Diagnostic(_awkward_text(rng), rng.choice([None, _awkward_text(rng)]),
+                   rng.choice([None, rng.randint(1, 30)]))
+        for _ in range(rng.randint(0, 3))
+    )
+    return AnalysisStore(_awkward_text(rng), tuple(records), diagnostics)
+
+
+def test_writers_match_reference_on_awkward_strings(tmp_path):
+    rng = random.Random(2718)
+    written = []
+    for index in range(80):
+        store = _awkward_store(rng)
+        path = tmp_path / f"store{index}.json"
+        assert_writers_match_reference(store, path)
+        assert load_store(path) == store
+        written.append(path.read_bytes())
+    # the draws reach every kind of string field and escape
+    text = b"".join(written)
+    for escape in (b'\\"', b"\\\\", b"\\u0000", b"\\u001f", b"\\n", b"\\u007f",
+                   b"\\u00e9", b"\\ud83d\\ude00", b"\\udbff\\udfff", b"\\udcff"):
+        assert escape in text, escape
+
+
+def test_shared_writer_matches_reference(tmp_path):
+    # the --format json --store path: one encoding of each entry for both outputs
+    rng = random.Random(1618)
+    stores = [run_scan(RunConfig(corpus_root=corpus)).store
+              for corpus in (REFERENCE_CORPUS_DIR, CASES_DIR)]
+    stores += [AnalysisStore(corpus_root="", records=()), _non_ascii_store()]
+    stores += [_random_store(rng) for _ in range(20)] + [_awkward_store(rng) for _ in range(20)]
+    path = tmp_path / "store.json"
+    for store in stores:
+        clusters = cluster(list(store.records))
+        report = save_store_and_json_report(store, clusters, path)
+        assert report == reference_json_report(store, clusters)
+        assert path.read_bytes() == reference_canonical_json(reference_document(store)).encode()
+
+
 def test_save_store_peak_memory_is_a_fraction_of_the_document(tmp_path):
     # each record and diagnostic is encoded from its object as its line is
-    # written: neither the list of their dicts nor the encoded document is
-    # ever held whole
+    # written: neither the encoded entries nor the encoded document is ever
+    # held whole
     diagnostics = tuple(
         Diagnostic(f"unsupported construct starting at 'switch' number {i}", f"f{i % 97}.java", i)
         for i in range(20_000)
