@@ -29,7 +29,6 @@ from faultlint.store import (
     cluster,
     render_report,
     save_store,
-    save_store_and_json_report,
 )
 
 PROG = "faultlint"
@@ -272,20 +271,16 @@ def run_scan(config: RunConfig) -> ScanResult:
         records=tuple(records),
         diagnostics=tuple(diagnostics),
     )
-    target = config.store_output
-    if target is not None and target.is_dir():
-        target = target / STORE_BASENAME
-    try:
-        if target is not None and config.output_format == "json":
-            # one encoding of each record and diagnostic for both outputs
-            report = save_store_and_json_report(store, clusters, target)
-        else:
-            report = render_report(store, clusters, config.output_format,
-                                   scanned_classes=scanned_classes)
-            if target is not None:
-                save_store(store, target)
-    except OSError as err:
-        raise ScanError(f"cannot write store file: {err}") from err
+    report = render_report(store, clusters, config.output_format, scanned_classes=scanned_classes)
+
+    if config.store_output is not None:
+        target = config.store_output
+        if target.is_dir():
+            target = target / STORE_BASENAME
+        try:
+            save_store(store, target)
+        except OSError as err:
+            raise ScanError(f"cannot write store file: {err}") from err
 
     if findings:
         exit_code = 1

@@ -9,9 +9,9 @@ Each record and diagnostic is written as one line from a fixed template
 (_record_json, _finding_json, _diagnostic_json) whose keys are already in
 sorted order, every string escaped by json's encode_basestring_ascii:
 the bytes json.JSONEncoder(sort_keys=True) gives the entry's dict,
-without building the dict. save_store and the JSON report encode each
-entry as they write its line; with --format json --store the CLI calls
-save_store_and_json_report, which encodes each entry once for both.
+without building the dict. save_store and the JSON report share this
+writer, and each encodes an entry as it writes the entry's line, so
+neither holds the encoded entries or the document whole.
 
 The error names are not held in memory beside the codes: the writer and
 the reports look each one up in detectors.ERROR_CATALOG. A loaded store
@@ -164,12 +164,11 @@ def _write_list(write, key: str, entries) -> None:
     write("\n  ],\n" if opened else f'  "{key}": [],\n')
 
 
-def _write_document(write, corpus_root: str, records, diagnostics,
-                    clusters: list[Cluster] | None = None) -> None:
+def _write_document(write, store: AnalysisStore, clusters: list[Cluster] | None = None) -> None:
     """Pass write the canonical document: one line per top-level key, in
-    sorted order, and one line per entry of a non-empty list. records and
-    diagnostics are iterables of encoded entries; clusters, when given,
-    adds the report's `clusters` key."""
+    sorted order, and one line per entry of a non-empty list, each entry
+    encoded as its line is written. clusters, when given, adds the
+    report's `clusters` key."""
     catalog = {str(code): name for code, name in ERROR_CATALOG.items()}
     write(f'{{\n  "catalog": {_encode(catalog)},\n')
     if clusters is not None:
@@ -177,35 +176,17 @@ def _write_document(write, corpus_root: str, records, diagnostics,
             _encode({"classes": c.classes, "error_codes": c.error_set,
                      "error_names": [ERROR_CATALOG[code] for code in c.error_set]})
             for c in clusters))
-    write(f'  "corpus_root": {encode_basestring_ascii(corpus_root)},\n')
-    _write_list(write, "diagnostics", diagnostics)
-    _write_list(write, "records", records)
+    write(f'  "corpus_root": {encode_basestring_ascii(store.corpus_root)},\n')
+    _write_list(write, "diagnostics", map(_diagnostic_json, store.diagnostics))
+    _write_list(write, "records",
+                map(_record_json, sorted(store.records, key=lambda r: r.class_name)))
     write(f'  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
-def _sorted_records(store: AnalysisStore) -> list[ClassRecord]:
-    return sorted(store.records, key=lambda r: r.class_name)
-
-
 def save_store(store: AnalysisStore, path) -> None:
-    """Write the canonical store document, encoding each record and
-    diagnostic as its line is written. OS errors propagate."""
+    """Write the canonical store document line by line. OS errors propagate."""
     with open(path, "w", encoding="utf-8") as handle:
-        _write_document(handle.write, store.corpus_root,
-                        map(_record_json, _sorted_records(store)),
-                        map(_diagnostic_json, store.diagnostics))
-
-
-def save_store_and_json_report(store: AnalysisStore, clusters: list[Cluster], path) -> str:
-    """save_store(store, path), then render_report(store, clusters, "json"),
-    with each record and diagnostic encoded once for both."""
-    records = list(map(_record_json, _sorted_records(store)))
-    diagnostics = list(map(_diagnostic_json, store.diagnostics))
-    with open(path, "w", encoding="utf-8") as handle:
-        _write_document(handle.write, store.corpus_root, records, diagnostics)
-    parts: list[str] = []
-    _write_document(parts.append, store.corpus_root, records, diagnostics, clusters)
-    return "".join(parts)
+        _write_document(handle.write, store)
 
 
 def _field(entry, key: str, types: tuple, what: str, path):
@@ -355,9 +336,7 @@ def render_report(
     """Byte-deterministic report: per-class error names, then the clusters."""
     if format == "json":
         parts: list[str] = []
-        _write_document(parts.append, store.corpus_root,
-                        map(_record_json, _sorted_records(store)),
-                        map(_diagnostic_json, store.diagnostics), clusters)
+        _write_document(parts.append, store, clusters)
         return "".join(parts)
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
@@ -373,7 +352,7 @@ def render_report(
         lines.append("No faulty classes.")
     else:
         lines.append("Per-class errors:")
-        for record in _sorted_records(store):
+        for record in sorted(store.records, key=lambda r: r.class_name):
             lines.append(f"  {record.class_name}  ({record.file_path})")
             for code in record.error_codes:
                 lines.append(f"    [{code}] {ERROR_CATALOG[code]}")

@@ -347,15 +347,12 @@ def test_json_report_with_store_matches_each_alone(tmp_path, capsys):
     assert data == json.loads(both.read_text(encoding="utf-8"))
 
 
-ENTRY_ENCODERS = ("_record_json", "_finding_json", "_diagnostic_json")
-
-
 @pytest.mark.parametrize("output_format", ["text", "json"])
 @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
-def test_each_entry_is_encoded_at_most_once_per_scan(tmp_path, monkeypatch,
-                                                     output_format, with_store):
-    # every record, finding and diagnostic is encoded once when the scan
-    # writes any JSON, and the text report alone encodes none
+def test_each_entry_is_encoded_once_per_json_output(tmp_path, monkeypatch,
+                                                    output_format, with_store):
+    # the store and the JSON report each encode every record, finding and
+    # diagnostic once; the text report encodes none
     calls = Counter()
 
     def counting(name, real):
@@ -364,35 +361,18 @@ def test_each_entry_is_encoded_at_most_once_per_scan(tmp_path, monkeypatch,
             return real(entry)
         return wrapper
 
-    for name in ENTRY_ENCODERS:
+    for name in ("_record_json", "_finding_json", "_diagnostic_json"):
         monkeypatch.setattr(faultlint.store, name, counting(name, getattr(faultlint.store, name)))
     store_path = tmp_path / "store.json" if with_store else None
     result = run_scan(RunConfig(FIXTURES, output_format=output_format, store_output=store_path))
     store = result.store
     assert store.records and store.diagnostics
     expected = Counter()
-    if with_store or output_format == "json":
+    for _ in range(with_store + (output_format == "json")):
         expected.update(("_record_json", id(r)) for r in store.records)
         expected.update(("_finding_json", id(f)) for r in store.records for f in r.findings)
         expected.update(("_diagnostic_json", id(d)) for d in store.diagnostics)
     assert calls == expected
-
-
-def test_json_report_is_the_store_plus_its_clusters_section(tmp_path):
-    store_path = tmp_path / "store.json"
-    report = run_scan(RunConfig(FIXTURES, output_format="json", store_output=store_path)).report
-    report_lines = report.splitlines(keepends=True)
-    start = report_lines.index('  "clusters": [\n')
-    end = report_lines.index("  ],\n", start) + 1
-    assert start == 2  # after "{" and the catalog line
-    assert "".join(report_lines[:start] + report_lines[end:]).encode() == store_path.read_bytes()
-    clusters = cluster(list(load_store(store_path).records))
-    section = json.loads("{" + "".join(report_lines[start:end]).rstrip(",\n") + "}")
-    assert section["clusters"] == [
-        {"classes": list(c.classes), "error_codes": list(c.error_set),
-         "error_names": [CATALOG_DOCUMENT[str(code)] for code in c.error_set]}
-        for c in clusters
-    ]
 
 
 def test_store_directory_gets_default_basename(tmp_path, capsys):
@@ -815,7 +795,7 @@ def test_trees_are_freed_before_the_report_and_the_store(tmp_path, monkeypatch, 
             return real(*args, **kwargs)
         return wrapper
 
-    writers = ("render_report", "save_store", "save_store_and_json_report")
+    writers = ("render_report", "save_store")
     for name in writers:
         monkeypatch.setattr(faultlint.cli, name, counting(name, getattr(faultlint.cli, name)))
     for output_format in ("text", "json"):

@@ -23,7 +23,6 @@ from faultlint.store import (
     load_store,
     render_report,
     save_store,
-    save_store_and_json_report,
 )
 
 from conftest import CASES_DIR, REFERENCE_CORPUS_DIR, model_for_dir
@@ -848,21 +847,6 @@ def test_writers_match_reference_on_awkward_strings(tmp_path):
     for escape in (b'\\"', b"\\\\", b"\\u0000", b"\\u001f", b"\\n", b"\\u007f",
                    b"\\u00e9", b"\\ud83d\\ude00", b"\\udbff\\udfff", b"\\udcff"):
         assert escape in text, escape
-
-
-def test_shared_writer_matches_reference(tmp_path):
-    # the --format json --store path: one encoding of each entry for both outputs
-    rng = random.Random(1618)
-    stores = [run_scan(RunConfig(corpus_root=corpus)).store
-              for corpus in (REFERENCE_CORPUS_DIR, CASES_DIR)]
-    stores += [AnalysisStore(corpus_root="", records=()), _non_ascii_store()]
-    stores += [_random_store(rng) for _ in range(20)] + [_awkward_store(rng) for _ in range(20)]
-    path = tmp_path / "store.json"
-    for store in stores:
-        clusters = cluster(list(store.records))
-        report = save_store_and_json_report(store, clusters, path)
-        assert report == reference_json_report(store, clusters)
-        assert path.read_bytes() == reference_canonical_json(reference_document(store)).encode()
 
 
 def test_save_store_peak_memory_is_a_fraction_of_the_document(tmp_path):
