@@ -2,9 +2,9 @@
 
 Exit codes: 0 = clean scan, 1 = findings present (or, with --strict-parse,
 any parse diagnostic), 2 = operational error (bad flags, unreadable corpus
-root, bad seed file, a report that stdout cannot encode) or internal error
-(an unexpected exception, reported with its traceback). Output is
-byte-deterministic for identical trees.
+root, bad seed file, a report that stdout cannot take or encode) or
+internal error (an unexpected exception, reported with its traceback).
+Output is byte-deterministic for identical trees.
 """
 
 from __future__ import annotations
@@ -291,6 +291,27 @@ def run_scan(config: RunConfig) -> ScanResult:
     return ScanResult(exit_code, report, store)
 
 
+def _write_report(report: str) -> None:
+    """Write report to stdout and flush it; OSError when stdout is missing
+    or refuses the bytes. After one, stdout's file descriptor is pointed at
+    the null device: the interpreter's own flush at exit would otherwise
+    fail again on what the buffers still hold, with a second message and
+    exit code 120."""
+    stdout = sys.stdout
+    if stdout is None:  # started with no file descriptor 1
+        raise OSError("standard output is closed")
+    try:
+        stdout.write(report)
+        stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, stdout.fileno())
+        finally:
+            os.close(null)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -322,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     else:
         try:
-            sys.stdout.write(result.report)
-        except UnicodeEncodeError as err:  # the store, if any, is written and stays
+            _write_report(result.report)
+        except (OSError, UnicodeEncodeError) as err:  # the store, if any, is written and stays
             print(f"{PROG}: error: cannot write the report: {err}", file=sys.stderr)
             return 2
         return result.exit_code

@@ -16,7 +16,7 @@ the store and the reports look the name up where they write it.
 run_all is the one entry point: it walks the classes once. Rules 2 and 3
 read each class header. Rule 3 counts the edges of a class's
 first-superclass chain, seeded edges included; an unknown external
-superclass counts one edge. It skips a class in hierarchy.cyclic, on or
+superclass counts one edge. It skips a class in model.cyclic, on or
 leading into a cycle, which is already a model diagnostic.
 Rules 1, 4, 5 and 6 read method bodies: each body is walked once with
 model.walk_body, which yields every statement and expression while the
@@ -139,7 +139,8 @@ def _uses_by_ident(name_uses: list) -> dict[str, tuple[list[int], list]]:
 def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                   call_sites: list, name_uses: list, mutating: dict,
                   findings: list[Finding]) -> None:
-    """Rule 4 over one method's call sites, after run_all has walked every
+    """Rule 4 over one method's call sites, each (call, typed args,
+    receiver type) as run_all records it, after run_all has walked every
     method: mutating maps (name, arity) to {id(method): (class name,
     method, its first mutation of each parameter by parameter name)} of
     every method with one. A call site no such method could answer is not
@@ -147,7 +148,7 @@ def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
     arity, and only those in the map are read. A call with no receiver
     type takes the map's methods as its callees."""
     uses_by_ident = None  # built on the first candidate that needs a later use
-    for call, idents, types, receiver_type in call_sites:
+    for call, typed_args, receiver_type in call_sites:
         summaries = mutating.get((call.name, len(call.args)))
         if summaries is None:
             continue
@@ -161,15 +162,13 @@ def _itu_findings(model: ProgramModel, class_name: str, file_path: str,
                        if id(callee) in summaries)
         emitted = False
         for callee_class, callee, mutated in callees:
-            for position, (ident, arg_type) in enumerate(zip(idents, types)):
-                if ident is None or arg_type is None:
-                    continue
+            for position, ident, arg_type in typed_args:
                 param = callee.params[position]
                 mutation = mutated.get(param.name)
                 if mutation is None:
                     continue
                 base_type = param.type_name
-                if not is_descendant(arg_type, base_type, model.hierarchy):
+                if not is_descendant(arg_type, base_type, model.parent):
                     continue
                 if uses_by_ident is None:
                     uses_by_ident = _uses_by_ident(name_uses)
@@ -235,8 +234,8 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     # method order; keyed by identity, as hashing a MethodDecl would hash its
     # body, and the model keeps each alive
     mutating: dict[tuple[str, int], dict[int, tuple]] = {}
-    parent = model.hierarchy.parent
-    cyclic = model.hierarchy.cyclic
+    parent = model.parent
+    cyclic = model.cyclic
     for class_name, decl in model.classes.items():
         file_path = model.class_files[class_name]
         if len(decl.extends_list) > 1:
@@ -256,7 +255,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     {"depth": depth, "chain": chain},
                 ))
         for method in decl.methods:
-            call_sites = []   # rule 4: (call, arg idents, arg declared types, receiver type)
+            call_sites = []   # rule 4: (call, typed args, receiver type)
             name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
             params = {p.name for p in method.params}
             mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
@@ -277,18 +276,18 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         if (ident in params and ident not in mutated
                                 and not is_pure_accessor(node.name)):
                             mutated[ident] = (f"{ident}.{node.name}(...)", node.line)
-                    args = node.args
-                    types = None  # built at the first Name argument with a declared type
-                    for position, arg in enumerate(args):
+                    # (position, ident, declared type) of each Name argument
+                    # with a declared type; built at the first one
+                    typed_args = None
+                    for position, arg in enumerate(node.args):
                         if type(arg) is Name:
                             declared = scope.get(arg.ident)
                             if declared is not None:
-                                if types is None:
-                                    types = [None] * len(args)
-                                types[position] = declared
-                    if types is None:
+                                if typed_args is None:
+                                    typed_args = []
+                                typed_args.append((position, arg.ident, declared))
+                    if typed_args is None:
                         continue  # no typed Name argument that could be flagged
-                    idents = [a.ident if type(a) is Name else None for a in args]
                     if receiver is None or (type(receiver) is Name
                                             and receiver.ident == "this"):
                         receiver_type = class_name
@@ -296,7 +295,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                         receiver_type = scope.get(receiver.ident)
                     else:
                         receiver_type = None
-                    call_sites.append((node, idents, types, receiver_type))
+                    call_sites.append((node, typed_args, receiver_type))
                 elif kind is Binary:
                     if node.op != "==" and node.op != "!=":
                         continue

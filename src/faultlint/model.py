@@ -4,14 +4,15 @@ A scope is a plain dict from name to declared type. walk_body borrows one
 for a whole method body and, when a block ends, undoes its declarations
 from a list of the names and the types they hid.
 
-The hierarchy merges extends-edges found in the scanned corpus with a
-seeded set of external edges (library classes such as Stack -> Vector
-live outside any scanned file). It keeps one superclass per class, the
-first one named: depth, descendant and callee queries follow only that
-edge. Listing several superclasses is illegal in the analyzed language
-and has no deeper semantics here; the inheritance detector (rule 2) reads
-the full list from ClassDecl.extends_list. Every query that walks upwards
-reads _first_superclasses.
+The model's hierarchy, its fields parent, subclasses and cyclic, merges
+extends-edges found in the scanned corpus with a seeded set of external
+edges (library classes such as Stack -> Vector live outside any scanned
+file). parent keeps one superclass per class, the first one named: depth,
+descendant and callee queries follow only that edge. Listing several
+superclasses is illegal in the analyzed language and has no deeper
+semantics here; the inheritance detector (rule 2) reads the full list
+from ClassDecl.extends_list. Every query that walks upwards reads
+_first_superclasses.
 """
 
 from __future__ import annotations
@@ -137,28 +138,22 @@ def _seed_names(data: dict, key: str, default, path, what: str):
     return raw
 
 
-class ClassHierarchy(Record):
-    __slots__ = ("parent", "subclasses", "cyclic")
+class ProgramModel(Record):
+    __slots__ = ("classes", "class_files", "parent", "subclasses", "cyclic", "seed",
+                 "diagnostics")
 
-    def __init__(self, parent: dict[str, str], subclasses: dict[str, tuple[str, ...]],
-                 cyclic: frozenset[str]):
+    def __init__(self, classes: dict[str, ClassDecl], class_files: dict[str, str],
+                 parent: dict[str, str], subclasses: dict[str, tuple[str, ...]],
+                 cyclic: frozenset[str], seed: ExternalHierarchySeed,
+                 diagnostics: tuple[str, ...] = ()):
+        # (file path, position) order, first declaration wins
+        self.classes = classes
+        self.class_files = class_files
         self.parent = parent  # class -> its first superclass
         self.subclasses = subclasses  # first superclass -> sorted subclasses
         # the classes on or leading into an inheritance cycle, as far as the
         # first-superclass chains of the corpus classes reach
         self.cyclic = cyclic
-
-
-class ProgramModel(Record):
-    __slots__ = ("hierarchy", "classes", "class_files", "seed", "diagnostics")
-
-    def __init__(self, hierarchy: ClassHierarchy, classes: dict[str, ClassDecl],
-                 class_files: dict[str, str], seed: ExternalHierarchySeed,
-                 diagnostics: tuple[str, ...] = ()):
-        self.hierarchy = hierarchy
-        # (file path, position) order, first declaration wins
-        self.classes = classes
-        self.class_files = class_files
         self.seed = seed
         self.diagnostics = diagnostics
 
@@ -221,15 +216,12 @@ def build_model(
         settled.update(chain)
         if on_cycle:
             cyclic.update(chain)
-    hierarchy = ClassHierarchy(
-        parent, {sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
-        frozenset(cyclic),
-    )
-
     return ProgramModel(
-        hierarchy=hierarchy,
         classes=classes,
         class_files=class_files,
+        parent=parent,
+        subclasses={sup: tuple(sorted(subs)) for sup, subs in subclasses.items()},
+        cyclic=frozenset(cyclic),
         seed=seed,
         diagnostics=tuple(diagnostics),
     )
@@ -259,9 +251,10 @@ def _first_superclasses(class_name: str, parent: dict[str, str],
         visited.add(first)
 
 
-def is_descendant(a: str, b: str, hierarchy: ClassHierarchy) -> bool:
-    """True iff b is a strict ancestor of a along first-superclass edges."""
-    return a != b and b in _first_superclasses(a, hierarchy.parent)
+def is_descendant(a: str, b: str, parent: dict[str, str]) -> bool:
+    """True iff b is a strict ancestor of a along the first-superclass
+    edges of parent (ProgramModel.parent)."""
+    return a != b and b in _first_superclasses(a, parent)
 
 
 def method_scope(class_decl: ClassDecl, method: MethodDecl) -> dict[str, str]:
@@ -299,10 +292,9 @@ def resolve_callee(name: str, arity: int, model: ProgramModel,
     order, since the receiver may be any descendant at run time. Empty when
     nothing at or above receiver_type declares the method.
     """
-    hierarchy = model.hierarchy
     found: list[tuple[str, MethodDecl]] = []
     signatures: set[tuple[str, ...]] = set()
-    upward = _first_superclasses(receiver_type, hierarchy.parent)
+    upward = _first_superclasses(receiver_type, model.parent)
     for current in upward:
         for entry in _declared_methods(current, name, arity, model):
             signature = tuple(p.type_name for p in entry[1].params)
@@ -314,14 +306,14 @@ def resolve_callee(name: str, arity: int, model: ProgramModel,
     # on an inheritance cycle the classes already walked upwards are also
     # below receiver_type; visiting none of them twice ends the walk
     visited = set(upward)
-    pending = list(reversed(hierarchy.subclasses.get(receiver_type, ())))
+    pending = list(reversed(model.subclasses.get(receiver_type, ())))
     while pending:
         current = pending.pop()
         if current in visited:
             continue
         visited.add(current)
         found.extend(_declared_methods(current, name, arity, model))
-        pending.extend(reversed(hierarchy.subclasses.get(current, ())))
+        pending.extend(reversed(model.subclasses.get(current, ())))
     return found
 
 

@@ -133,12 +133,11 @@ class _Parser:
     # lexeme, and only identifiers, literals and numbers are told apart by
     # kind (`expect_ident`, `tok[0]`). The parser owns both lists and ends
     # them in two END sentinels, so a read at pos or pos + 1 is always in
-    # range; `n`, the real count, only words "reached end of file".
+    # range; a sentinel's empty lexeme words "reached end of file".
     # `_type_name` is the one reader of the type grammar, `_declarator` of
     # declarators and `_parse_operand` of operands.
 
     def __init__(self, tokens: list[tuple[str, str]], lines: list[int], file_path: str):
-        self.n = len(tokens)
         tokens += (_END_TOKEN, _END_TOKEN)
         last = lines[-1] if lines else 1
         lines += (last, last)
@@ -179,12 +178,8 @@ class _Parser:
 
     def _found(self, pos: int) -> str:
         """What a failure met at pos, for "expected X but ..." messages."""
-        if pos >= self.n:
-            return "reached end of file"
-        return f"found '{self.tokens[pos][1]}'"
-
-    def _last_line(self) -> int:
-        return self.lines[self.pos]
+        lexeme = self.tokens[pos][1]
+        return f"found '{lexeme}'" if lexeme else "reached end of file"
 
     def _nest(self) -> int:
         """Open one nested construct; returns the new depth."""
@@ -344,11 +339,8 @@ class _Parser:
         if self.at("}"):
             self.pos += 1
         else:
-            self.diagnose(
-                f"missing '}}' for class {name}",
-                self._last_line(),
-                self._last_line(),
-            )
+            end_line = self.lines[self.pos]
+            self.diagnose(f"missing '}}' for class {name}", end_line, end_line)
         return ClassDecl(
             name=name,
             extends_list=extends_list,
@@ -502,7 +494,7 @@ class _Parser:
             return self.parse_block()
         depth = self._nest()
         stmts: list[Stmt] = []
-        line = self._last_line()
+        line = self.lines[self.pos]
         self.parse_statement_into(stmts)
         self.depth = depth - 1
         return Block(tuple(stmts), stmts[0].line if stmts else line)
@@ -721,8 +713,8 @@ class _Parser:
             if type_name.endswith("[]") or self.at("["):
                 raise _ParseFailure("array creation is not supported")
             expr = New(type_name, self._parse_args(), line)
-        elif pos >= self.n:
-            raise _ParseFailure(f"expected an expression but {self._found(pos)}")
+        elif not lexeme:  # the end sentinel
+            raise _ParseFailure("expected an expression but reached end of file")
         else:
             raise _ParseFailure(f"unexpected '{lexeme}' in expression")
         while True:
@@ -745,12 +737,6 @@ class _Parser:
                 expr = UnaryIncDec(lexeme, expr, False, self.lines[pos])
             else:
                 return expr
-
-
-def parse_unit(tokens: list[tuple[str, str, int]], file_path: str = "<memory>") -> CompilationUnit:
-    """Parse a list of `tokenize` triples into a CompilationUnit. Never raises."""
-    pairs = [(kind, lexeme) for kind, lexeme, _ in tokens]
-    return _Parser(pairs, [tok[2] for tok in tokens], file_path).parse_unit()
 
 
 def parse_source(source_text: str, file_path: str = "<memory>",

@@ -75,6 +75,11 @@ class AnalysisStore(Record):
         self.diagnostics = diagnostics
 
 
+def _distinct_codes(findings) -> tuple[int, ...]:
+    """The findings' error codes, deduplicated, in the order they come."""
+    return tuple(dict.fromkeys([finding.error_code for finding in findings]))
+
+
 def aggregate(findings: list[Finding]) -> list[ClassRecord]:
     """Fold findings into one record per faulty class.
 
@@ -88,14 +93,10 @@ def aggregate(findings: list[Finding]) -> list[ClassRecord]:
     records = []
     for class_name in sorted(by_class):
         class_findings = by_class[class_name]
-        codes: list[int] = []
-        for finding in class_findings:
-            if finding.error_code not in codes:
-                codes.append(finding.error_code)
         records.append(ClassRecord(
             class_name=class_name,
             file_path=class_findings[0].file_path,
-            error_codes=tuple(codes),
+            error_codes=_distinct_codes(class_findings),
             findings=tuple(class_findings),
         ))
     return records
@@ -262,8 +263,7 @@ def _check_codes(record: ClassRecord, catalog: set[int], path) -> None:
     for code in codes:
         if code not in catalog:
             raise FormatError(f"{path}: malformed {what}: error code {code} is not catalogued")
-    ordered = sorted(record.findings, key=Finding.sort_key)
-    found = tuple(dict.fromkeys(f.error_code for f in ordered))
+    found = _distinct_codes(sorted(record.findings, key=Finding.sort_key))
     if codes != found:
         raise FormatError(f"{path}: malformed {what}: error_codes {list(codes)} differ "
                           f"from its findings' codes {list(found)}")
@@ -331,9 +331,12 @@ def render_report(
     store: AnalysisStore,
     clusters: list[Cluster],
     format: str = "text",
-    scanned_classes: int | None = None,
+    *,
+    scanned_classes: int,
 ) -> str:
-    """Byte-deterministic report: per-class error names, then the clusters."""
+    """Byte-deterministic report: per-class error names, then the clusters.
+    The text report opens with scanned_classes, the number of classes the
+    scan modelled; the JSON report does not hold it."""
     if format == "json":
         parts: list[str] = []
         _write_document(parts.append, store, clusters)
@@ -341,13 +344,7 @@ def render_report(
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
 
-    lines = []
-    faulty = len(store.records)
-    if scanned_classes is not None:
-        lines.append(f"Classes scanned: {scanned_classes} | faulty: {faulty}")
-    else:
-        lines.append(f"Faulty classes: {faulty}")
-    lines.append("")
+    lines = [f"Classes scanned: {scanned_classes} | faulty: {len(store.records)}", ""]
     if not store.records:
         lines.append("No faulty classes.")
     else:

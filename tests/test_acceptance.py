@@ -131,7 +131,7 @@ def test_c3_catalog_spelling_in_reports_and_store(tmp_path):
         for name in expected.values():
             assert name in text
 
-        json_report = json.loads(render_report(store, clusters, "json"))
+        json_report = json.loads(render_report(store, clusters, "json", scanned_classes=12))
         assert json_report["catalog"] == {str(k): v for k, v in expected.items()}
         for record in json_report["records"]:
             for finding in record["findings"]:
@@ -400,7 +400,7 @@ def test_c6_aggregate_cluster_permutation_invariance_200():
         base_records = aggregate(findings)
         base_clusters = cluster(base_records)
         base_store = AnalysisStore(corpus_root="t", records=tuple(base_records))
-        base_bytes = render_report(base_store, base_clusters, "json").encode()
+        base_bytes = render_report(base_store, base_clusters, "json", scanned_classes=12).encode()
 
         rng = random.Random(0xA6)
         for _ in range(200):
@@ -412,4 +412,4 @@ def test_c6_aggregate_cluster_permutation_invariance_200():
             assert records == base_records
             assert clusters == base_clusters
             store = AnalysisStore(corpus_root="t", records=tuple(records))
-            assert render_report(store, clusters, "json").encode() == base_bytes
+            assert render_report(store, clusters, "json", scanned_classes=12).encode() == base_bytes

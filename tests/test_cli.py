@@ -60,13 +60,15 @@ def make_clean_corpus(root, count=3):
     return root
 
 
-def run_python(args, timeout=120):
-    """Run the interpreter on args with this checkout's package importable."""
+def run_python(args, timeout=120, stdout=subprocess.PIPE):
+    """Run the interpreter on args with this checkout's package importable;
+    stderr is captured, and stdout too unless stdout names another file."""
     src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=timeout,
     )
 
 
@@ -188,6 +190,17 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert f"faultlint {__version__}" in out
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    # one version string, faultlint.__version__; a text check, as Python 3.10
+    # has no TOML reader
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    assert not re.search(r'^version\s*=\s*"', text, re.MULTILINE), "a literal version"
+    assert re.search(r'^dynamic = \["version"\]$', text, re.MULTILINE)
+    assert re.search(r'^\[tool\.setuptools\.dynamic\]\n'
+                     r'version = \{attr = "faultlint\.__version__"\}$', text, re.MULTILINE)
 
 
 def test_python_m_version_exits_0():
@@ -327,9 +340,11 @@ def test_cli_store_loads_back_and_reports_as_the_cli_did(tmp_path, capsys, corpu
     store = load_store(store_file)
     assert store.records
     clusters = cluster(list(store.records))
-    assert render_report(store, clusters, "json") == json_report
+    count = len(store.records)
+    assert render_report(store, clusters, "json", scanned_classes=count) == json_report
     # the CLI's first line also counts the classes without findings
-    assert render_report(store, clusters, "text").split("\n", 1)[1] == text.split("\n", 1)[1]
+    assert (render_report(store, clusters, "text", scanned_classes=count).split("\n", 1)[1]
+            == text.split("\n", 1)[1])
 
 
 def test_json_report_with_store_matches_each_alone(tmp_path, capsys):
@@ -852,6 +867,55 @@ def test_report_stdout_cannot_encode_is_exit_2_and_the_store_stays(tmp_path, mon
     proc = run_python(["-m", "faultlint", str(corpus), "--format", "json"])
     assert proc.returncode == 1, proc.stderr
     assert '"file_path": "\\udcff.java"' in proc.stdout
+
+
+def _assert_report_not_written(proc, store_path, expected_store):
+    """One error line, exit 2, and the store as a scan that could write its
+    report writes it: the interpreter's flush at exit adds nothing."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("faultlint: error: cannot write the report: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert store_path.read_bytes() == expected_store
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_report_stdout_full_is_exit_2_and_the_store_stays(tmp_path, monkeypatch):
+    store_path = tmp_path / "store.json"
+    for unbuffered in (False, True):  # the report fails at the flush, or in the write
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        for fmt in ("text", "json"):
+            args = ["-m", "faultlint", str(REFERENCE_CORPUS_DIR), "--format", fmt,
+                    "--store", str(store_path)]
+            proc = run_python(args)
+            assert proc.returncode == 1, proc.stderr
+            expected_store = store_path.read_bytes()
+            store_path.unlink()
+            with open("/dev/full", "w") as full:
+                proc = run_python(args, stdout=full)
+            _assert_report_not_written(proc, store_path, expected_store)
+            assert proc.stderr.endswith("No space left on device\n"), proc.stderr
+
+
+# closes file descriptor 1, then runs the interpreter on the rest of argv
+_CLOSE_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
+def test_report_stdout_closed_is_exit_2_and_the_store_stays(tmp_path):
+    store_path = tmp_path / "store.json"
+    for fmt in ("text", "json"):
+        args = ["-m", "faultlint", str(REFERENCE_CORPUS_DIR), "--format", fmt,
+                "--store", str(store_path)]
+        proc = run_python(args)
+        assert proc.returncode == 1, proc.stderr
+        expected_store = store_path.read_bytes()
+        store_path.unlink()
+        proc = run_python(["-c", _CLOSE_STDOUT, *args])
+        _assert_report_not_written(proc, store_path, expected_store)
+        assert proc.stdout == ""
+        assert proc.stderr.endswith(": standard output is closed\n"), proc.stderr
 
 
 @pytest.mark.parametrize("enabled_before", [True, False], ids=["gc-on", "gc-off"])

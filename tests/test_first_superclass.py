@@ -1,7 +1,7 @@
 """The one first-superclass walk against the loops it replaced.
 
 model._first_superclasses is the only code that follows first-superclass
-edges, and the hierarchy keeps one superclass per class (`parent`) and
+edges, and the model keeps one superclass per class (`parent`) and
 the classes on or leading into a cycle (`cyclic`). Before, a chain
 function, is_descendant and the upward half of resolve_callee each had a
 loop of their own, with its own cycle guard; the hierarchy kept every
@@ -225,12 +225,11 @@ def _outcome(function, *args):
 def _check_chains(model, names, reference):
     """Each name's chain, the cyclic classes and the rule-3 findings
     against reference_superclass_chain."""
-    hierarchy = model.hierarchy
     cyclic = set()
     spaghetti = {}
     for name in names:
         expected = _outcome(reference_superclass_chain, name, reference)
-        chain = _first_superclasses(name, hierarchy.parent)
+        chain = _first_superclasses(name, model.parent)
         if expected[0] == "KeyError":  # a name the hierarchy does not know
             assert chain == [name], name
             continue
@@ -241,7 +240,7 @@ def _check_chains(model, names, reference):
             cyclic.update(chain)
         elif len(chain) - 1 >= SPAGHETTI_DEPTH:
             spaghetti[name] = {"depth": len(chain) - 1, "chain": chain}
-    assert hierarchy.cyclic == cyclic
+    assert model.cyclic == cyclic
     assert {f.class_name: f.detail for f in run_all(model, {3})} == spaghetti
 
 
@@ -257,17 +256,16 @@ def _generated_cases(count):
 def test_generated_hierarchies_match_the_reference_loops():
     for model, names, source in _generated_cases(300):
         reference = reference_hierarchy(model.classes, model.class_files, model.seed)
-        hierarchy = model.hierarchy
-        assert hierarchy.parent == {
+        assert model.parent == {
             sub: sups[0] for sub, sups in reference.super_edges.items()}, source
-        assert hierarchy.subclasses == reference.subclasses, source
+        assert model.subclasses == reference.subclasses, source
         assert list(model.diagnostics) == reference_cycle_diagnostics(
             model.classes, reference), source
         _check_chains(model, names, reference)
 
         for name in names:
             for other in names:
-                assert is_descendant(name, other, hierarchy) == \
+                assert is_descendant(name, other, model.parent) == \
                     reference_is_descendant(name, other, reference), (source, name, other)
 
         for receiver in names:
@@ -325,7 +323,7 @@ def test_long_chain_and_cycle_match_the_reference(depth):
         assert list(model.diagnostics) == reference_cycle_diagnostics(model.classes, reference)
         deepest = names[-1]
         _check_chains(model, names, reference)
-        assert is_descendant(deepest, names[0], model.hierarchy) == \
+        assert is_descendant(deepest, names[0], model.parent) == \
             reference_is_descendant(deepest, names[0], reference)
 
 
@@ -363,10 +361,10 @@ def test_seed_listing_a_subclass_twice_keeps_its_first_superclass():
     seed = ExternalHierarchySeed(extends_entries=(
         ("L", "M1"), ("L", "M2"), ("M2", "N1"), ("N1", "N2"), ("N2", "N3"), ("N3", "N4")))
     model = build_model([parse_source("class A extends L { }", "A.java")], seed)
-    assert model.hierarchy.parent["L"] == "M1"
-    assert model.hierarchy.subclasses["M1"] == ("L",)
-    assert "M2" not in model.hierarchy.subclasses
-    assert _first_superclasses("A", model.hierarchy.parent) == ["A", "L", "M1"]
+    assert model.parent["L"] == "M1"
+    assert model.subclasses["M1"] == ("L",)
+    assert "M2" not in model.subclasses
+    assert _first_superclasses("A", model.parent) == ["A", "L", "M1"]
     assert run_all(model, {2, 3}) == []
     assert model.diagnostics == ()
 
@@ -379,5 +377,5 @@ def test_corpus_chain_into_a_cycle_of_the_seed_is_one_diagnostic():
     seed = ExternalHierarchySeed(extends_entries=(("SY", "SX"), ("SX", "SY")))
     model = build_model([parse_source(source, "chain.java")], seed)
     assert model.diagnostics == ("inheritance cycle: SX -> SY -> SX",)
-    assert model.hierarchy.cyclic == {*names, "SX", "SY"}
+    assert model.cyclic == {*names, "SX", "SY"}
     assert run_all(model, {3}) == []

@@ -38,7 +38,7 @@ def chain_model():
 
 
 def _chain(name, model):
-    return _first_superclasses(name, model.hierarchy.parent)
+    return _first_superclasses(name, model.parent)
 
 
 def _depth(name, model):
@@ -49,7 +49,7 @@ def _depth(name, model):
 
 
 def test_chain_edges_built_per_class(chain_model):
-    edges = chain_model.hierarchy.parent
+    edges = chain_model.parent
     for child, parent in zip(CHAIN_NAMES[1:], CHAIN_NAMES[:-1]):
         assert edges[child] == parent
     assert "ML_A" not in edges
@@ -59,14 +59,14 @@ def test_empty_unit_list_gives_empty_model():
     model = build_model([])
     assert model.classes == {}
     # only the seed remains
-    assert model.hierarchy.parent == {"Stack": "Vector"}
+    assert model.parent == {"Stack": "Vector"}
 
 
 def test_seeded_chain_continues_into_vector():
     # oracle: hand-built adjacency union of corpus + default seed
     model = model_for_source("class S extends Vector { }", "S.java")
     oracle = {"S": "Vector", "Stack": "Vector"}
-    assert model.hierarchy.parent == oracle
+    assert model.parent == oracle
     assert _chain("S", model) == ["S", "Vector"]
     assert _depth("S", model) == 1
     # Vector is known only from the seed and extends nothing
@@ -88,7 +88,7 @@ def test_build_model_deterministic_under_permutation():
     random.Random(7).shuffle(shuffled)
     a = build_model(units)
     b = build_model(shuffled)
-    assert a.hierarchy == b.hierarchy
+    assert (a.parent, a.subclasses, a.cyclic) == (b.parent, b.subclasses, b.cyclic)
     assert a.classes == b.classes
     assert a.class_files == b.class_files
     assert a.diagnostics == b.diagnostics
@@ -138,7 +138,7 @@ def test_cycle_is_cyclic_and_one_model_diagnostic():
         "class A extends B { }\nclass B extends A { }\nclass C extends A { }\n"
         "class D { }", "cycle.java"
     )
-    assert model.hierarchy.cyclic == {"A", "B", "C"}
+    assert model.cyclic == {"A", "B", "C"}
     assert model.diagnostics == ("inheritance cycle: A -> B -> A",)
 
 
@@ -155,12 +155,12 @@ def test_multi_extends_uses_first_superclass_only():
 
 def test_stack_is_descendant_of_vector_by_seed():
     model = build_model([])
-    assert is_descendant("Stack", "Vector", model.hierarchy)
+    assert is_descendant("Stack", "Vector", model.parent)
 
 
 def test_descendant_is_strict():
     model = build_model([])
-    assert not is_descendant("Vector", "Vector", model.hierarchy)
+    assert not is_descendant("Vector", "Vector", model.parent)
 
 
 def test_chain_descendant_with_closure_oracle(chain_model):
@@ -179,10 +179,10 @@ def test_chain_descendant_with_closure_oracle(chain_model):
                 if not reach[i][j] and any(reach[i][k] and reach[k][j] for k in range(n)):
                     reach[i][j] = True
                     changed = True
-    assert is_descendant("ML_G", "ML_A", chain_model.hierarchy)
+    assert is_descendant("ML_G", "ML_A", chain_model.parent)
     for a in names:
         for b in names:
-            assert is_descendant(a, b, chain_model.hierarchy) == reach[index[a]][index[b]]
+            assert is_descendant(a, b, chain_model.parent) == reach[index[a]][index[b]]
 
 
 def test_descendant_irreflexive_transitive_random_forests():
@@ -213,26 +213,26 @@ def test_descendant_irreflexive_transitive_random_forests():
 
         for a in names:
             ancestors = closure(a)
-            assert not is_descendant(a, a, model.hierarchy)
+            assert not is_descendant(a, a, model.parent)
             for b in names:
-                assert is_descendant(a, b, model.hierarchy) == (b in ancestors)
+                assert is_descendant(a, b, model.parent) == (b in ancestors)
             # transitivity against the oracle set
             for b in ancestors:
                 for c in closure(b):
-                    assert is_descendant(a, c, model.hierarchy)
+                    assert is_descendant(a, c, model.parent)
 
 
 def test_unknown_names_are_not_descendants():
     model = build_model([])
-    assert not is_descendant("Nope", "Vector", model.hierarchy)
+    assert not is_descendant("Nope", "Vector", model.parent)
 
 
 def test_descendant_ignores_second_superclass_of_multi_extends():
     # only the first extends entry has semantics; the rest exist solely
     # for the incorrect-inheritance detector
     model = model_for_source("class M extends B, C { }", "m.java")
-    assert is_descendant("M", "B", model.hierarchy)
-    assert not is_descendant("M", "C", model.hierarchy)
+    assert is_descendant("M", "B", model.parent)
+    assert not is_descendant("M", "C", model.parent)
 
 
 # --- static_type_of ----------------------------------------------------------
@@ -495,5 +495,5 @@ def test_custom_seed_drives_descendant_relation():
         extends_entries=(("ArrayList", "AbstractList"), ("AbstractList", "List")),
     )
     model = build_model([], seed)
-    assert is_descendant("ArrayList", "List", model.hierarchy)
-    assert not is_descendant("Stack", "Vector", model.hierarchy)
+    assert is_descendant("ArrayList", "List", model.parent)
+    assert not is_descendant("Stack", "Vector", model.parent)

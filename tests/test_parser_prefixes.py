@@ -2,10 +2,12 @@
 
 For every fixture file and the hand-written `prefix_cuts/skip_paths.java`
 (a generic field, an annotated method, `switch`, a lambda, an import
-missing its `;` and nesting past MAX_NESTING), `parse_unit(tokens[:k])`
-must not raise for any k, and the repr of each unit must hash to the
-digest committed in `prefix_cuts/digests.json`. A failure names the first
-cut whose unit differs.
+missing its `;` and nesting past MAX_NESTING), the parser run on the
+first k of `scan`'s tokens and lines (fresh slices of both lists, which
+the parser extends with its end sentinels) must not raise for any k, and
+the repr of each unit must hash to the digest committed in
+`prefix_cuts/digests.json`. A failure names the first cut whose unit
+differs.
 
 To record the digests again after an intended output change:
 
@@ -20,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from faultlint.lexer import tokenize
-from faultlint.parser import parse_unit
+from faultlint.lexer import scan
+from faultlint.parser import _Parser
 
 TESTS = Path(__file__).parent
 PREFIX_DIR = TESTS / "prefix_cuts"
@@ -31,14 +33,17 @@ FILES = (sorted((TESTS / "fixtures" / "reference_corpus").glob("*.java"))
          + [PREFIX_DIR / "skip_paths.java"])
 
 
+def parse_prefix(tokens: list, lines: list, k: int, file_name: str):
+    """The unit of the first k tokens."""
+    return _Parser(tokens[:k], lines[:k], file_name).parse_unit()
+
+
 def prefix_digests(path: Path) -> list[str]:
     """One short digest of the unit's repr for each cut k = 0..len(tokens)."""
-    tokens = tokenize(path.read_text(encoding="utf-8"))
+    tokens, lines = scan(path.read_text(encoding="utf-8"), {})
     digests = []
     for k in range(len(tokens) + 1):
-        cut = tokens[:k]
-        unit = parse_unit(cut, path.name)
-        assert len(cut) == k, "parse_unit changed the caller's token list"
+        unit = parse_prefix(tokens, lines, k, path.name)
         digests.append(hashlib.sha1(repr(unit).encode("utf-8")).hexdigest()[:10])
     return digests
 
@@ -54,7 +59,8 @@ def test_every_prefix_parses_as_recorded(path):
 
 def test_skip_paths_file_reaches_every_skip_path():
     path = PREFIX_DIR / "skip_paths.java"
-    unit = parse_unit(tokenize(path.read_text(encoding="utf-8")), path.name)
+    tokens, lines = scan(path.read_text(encoding="utf-8"), {})
+    unit = parse_prefix(tokens, lines, len(tokens), path.name)
     messages = [d.message for d in unit.diagnostics]
     assert messages == [
         "expected ';' to end the import directive but found 'import'",

@@ -21,7 +21,6 @@ from faultlint.model import (
     DEFAULT_EXTENDS,
     DEFAULT_PURE_ACCESSORS,
     DEFAULT_RESOURCE_TYPES,
-    ClassHierarchy,
     ExternalHierarchySeed,
     ProgramModel,
 )
@@ -37,7 +36,7 @@ NODE_CLASSES = [
     and cls not in (Record, nodes.Expr, nodes.Stmt)
 ]
 FROZEN_CLASSES = NODE_CLASSES + [
-    ExternalHierarchySeed, ClassHierarchy, ProgramModel,
+    ExternalHierarchySeed, ProgramModel,
     ClassRecord, Cluster, Diagnostic, AnalysisStore,
     RunConfig, ScanResult, Finding,
 ]
@@ -100,7 +99,7 @@ def _finding(detail=None):
 
 def test_every_record_class_is_counted():
     assert len(NODE_CLASSES) == 28
-    assert len(FROZEN_CLASSES) == 38
+    assert len(FROZEN_CLASSES) == 37
     assert _record_classes_of_the_source() == set(FROZEN_CLASSES) | {Record, nodes.Expr, nodes.Stmt}
 
 
@@ -255,7 +254,7 @@ def test_keyword_construction_and_defaults():
     assert (seed.extends_entries, seed.resource_types, seed.pure_accessor_names) == (
         DEFAULT_EXTENDS, DEFAULT_RESOURCE_TYPES, DEFAULT_PURE_ACCESSORS)
 
-    model = ProgramModel(None, {}, {}, seed)
+    model = ProgramModel({}, {}, {}, {}, frozenset(), seed)
     assert model.diagnostics == ()
 
     assert _finding().detail == {} and _finding().detail is not _finding().detail

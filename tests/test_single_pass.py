@@ -122,7 +122,7 @@ def reference_incorrect_inheritance(model):
 
 def reference_spaghetti(model):
     findings = []
-    parent = model.hierarchy.parent
+    parent = model.parent
     for name, decl in model.classes.items():
         chain = [name]
         while chain[-1] in parent and parent[chain[-1]] not in chain:
@@ -179,7 +179,7 @@ def reference_itu(model):
                     if ident is None or arg_type is None:
                         continue
                     base_type = callee.params[position].type_name
-                    if not is_descendant(arg_type, base_type, model.hierarchy):
+                    if not is_descendant(arg_type, base_type, model.parent):
                         continue
                     mutation = _reference_param_mutation(
                         callee, callee.params[position].name, model)

@@ -179,7 +179,7 @@ def test_cluster_key_is_order_insensitive():
     assert len(clusters) == 1
     assert clusters[0].error_set == (1, 6)
     assert clusters[0].classes == ("first", "second")
-    report = render_report(AnalysisStore("x", tuple(records)), clusters)
+    report = render_report(AnalysisStore("x", tuple(records)), clusters, scanned_classes=2)
     assert "  [1,6] Lvalue required, Undefined loop exception\n" in report
 
 
@@ -538,7 +538,8 @@ def test_every_store_that_loads_names_each_code_alike_in_both_report_sections(tm
             continue
         outcomes["loaded"] += 1
         per_class, clusters = _report_sections(
-            render_report(loaded, cluster(list(loaded.records))))
+            render_report(loaded, cluster(list(loaded.records)),
+                          scanned_classes=len(loaded.records)))
         assert sorted(per_class) == sorted(r.class_name for r in loaded.records)
         for entries, classes in clusters:
             for name in classes:
@@ -629,8 +630,8 @@ def test_mutated_store_documents_load_or_raise_format_error(tmp_path):
             continue
         outcomes["loaded"] += 1
         clusters = cluster(list(store.records))
-        assert render_report(store, clusters, "text")
-        assert render_report(store, clusters, "json")
+        assert render_report(store, clusters, "text", scanned_classes=len(store.records))
+        assert render_report(store, clusters, "json", scanned_classes=len(store.records))
         # bytes, not objects: a NaN in a finding's detail is not equal to itself
         save_store(store, path)
         saved = path.read_bytes()
@@ -658,7 +659,7 @@ def test_text_report_lists_classes_and_clusters(reference_store, reference_recor
 
 def test_text_report_error_names_in_record_order(reference_store, reference_records):
     clusters = cluster(reference_records)
-    report = render_report(reference_store, clusters, "text")
+    report = render_report(reference_store, clusters, "text", scanned_classes=12)
     loopa_at = report.index("  loopa  (")
     section = report[loopa_at:report.index("\n  sample")]
     assert section.index("[1] Lvalue required") \
@@ -676,7 +677,7 @@ def test_empty_report_has_marker_and_no_cluster_rows():
 
 def test_json_report_reparses_to_store_plus_clusters(reference_store, reference_records, tmp_path):
     clusters = cluster(reference_records)
-    report = render_report(reference_store, clusters, "json")
+    report = render_report(reference_store, clusters, "json", scanned_classes=12)
     data = json.loads(report)
     clusters_part = data.pop("clusters")
     assert data == reference_document(reference_store)
@@ -697,13 +698,13 @@ def test_report_byte_deterministic(reference_store, reference_records):
 
 def test_report_rejects_unknown_format(reference_store):
     with pytest.raises(ValueError):
-        render_report(reference_store, [], "xml")
+        render_report(reference_store, [], "xml", scanned_classes=12)
 
 
 def test_catalog_consistency_everywhere(reference_store, reference_records):
     clusters = cluster(reference_records)
-    text = render_report(reference_store, clusters, "text")
-    data = json.loads(render_report(reference_store, clusters, "json"))
+    text = render_report(reference_store, clusters, "text", scanned_classes=12)
+    data = json.loads(render_report(reference_store, clusters, "json", scanned_classes=12))
     for record in data["records"]:
         for finding in record["findings"]:
             assert finding["error_name"] == ERROR_CATALOG[finding["error_code"]]
@@ -750,7 +751,8 @@ def assert_writers_match_reference(store: AnalysisStore, path) -> None:
     clusters = cluster(list(store.records))
     save_store(store, path)
     assert path.read_bytes() == reference_canonical_json(reference_document(store)).encode("utf-8")
-    assert render_report(store, clusters, "json") == reference_json_report(store, clusters)
+    assert (render_report(store, clusters, "json", scanned_classes=len(store.records))
+            == reference_json_report(store, clusters))
 
 
 def _non_ascii_store() -> AnalysisStore:
