@@ -2,8 +2,9 @@
 
 Exit codes: 0 = clean scan, 1 = findings present (or, with --strict-parse,
 any parse diagnostic), 2 = operational error (bad flags, unreadable corpus
-root, bad seed file, a report that stdout cannot take or encode) or
-internal error (an unexpected exception, reported with its traceback).
+root, bad seed file, a report or --version/--help text that stdout cannot
+take or encode) or internal error (an unexpected exception, reported with
+its traceback).
 Output is byte-deterministic for identical trees.
 """
 
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from faultlint import __version__
@@ -292,16 +295,26 @@ def run_scan(config: RunConfig) -> ScanResult:
 
 
 def _write_report(report: str) -> None:
-    """Write report to stdout and flush it; OSError when stdout is missing
-    or refuses the bytes. After one, stdout's file descriptor is pointed at
-    the null device: the interpreter's own flush at exit would otherwise
-    fail again on what the buffers still hold, with a second message and
-    exit code 120."""
+    """Write report to stdout, every byte, and flush it; OSError when stdout
+    is missing or refuses the bytes. The bytes are written in a loop: an
+    unbuffered stdout's binary layer is the raw file, which may take only
+    part of them, as a pipe does when its reader has gone, and its text
+    layer would drop the rest unseen. After an OSError, stdout's file
+    descriptor is pointed at the null device: the interpreter's own flush
+    at exit would otherwise fail again on what the buffers still hold, with
+    a second message and exit code 120."""
     stdout = sys.stdout
     if stdout is None:  # started with no file descriptor 1
         raise OSError("standard output is closed")
+    buffer = getattr(stdout, "buffer", None)  # None for a text-only stream, such as io.StringIO
     try:
-        stdout.write(report)
+        if buffer is None:
+            stdout.write(report)
+        else:
+            data = memoryview(report.encode(stdout.encoding, stdout.errors))
+            stdout.flush()
+            while data:
+                data = data[buffer.write(data):]  # None, from a non-blocking file, took none
         stdout.flush()
     except OSError:
         null = os.open(os.devnull, os.O_WRONLY)
@@ -312,16 +325,29 @@ def _write_report(report: str) -> None:
         raise
 
 
+def _emit(report: str, exit_code: int) -> int:
+    """exit_code once report is on stdout; 2, with one line on stderr, when
+    stdout cannot take it."""
+    try:
+        _write_report(report)
+    except (OSError, UnicodeEncodeError) as err:
+        print(f"{PROG}: error: cannot write the report: {err}", file=sys.stderr)
+        return 2
+    return exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    printed = io.StringIO()  # the text of --version or --help, written as a report is
     try:
-        config = parse_args(argv)
+        with redirect_stdout(printed):
+            config = parse_args(argv)
     except UsageError as err:
         print(_build_parser().format_usage(), end="", file=sys.stderr)
         print(f"{PROG}: error: {err}", file=sys.stderr)
         return 2
     except SystemExit as exit_request:  # --version / --help
-        return int(exit_request.code or 0)
+        return _emit(printed.getvalue(), int(exit_request.code or 0))
 
     # The scan builds no reference cycles (tests/test_cli.py checks this):
     # reference counting frees everything it allocates, and the cyclic
@@ -342,12 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 2
     else:
-        try:
-            _write_report(result.report)
-        except (OSError, UnicodeEncodeError) as err:  # the store, if any, is written and stays
-            print(f"{PROG}: error: cannot write the report: {err}", file=sys.stderr)
-            return 2
-        return result.exit_code
+        return _emit(result.report, result.exit_code)  # the store, if any, stays
     finally:
         if gc_was_enabled:
             gc.enable()

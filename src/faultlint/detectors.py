@@ -47,7 +47,9 @@ resolution returns has that name and arity; a later use is found by
 bisection in an index of the method's name uses, built once per method.
 
 Rule 5 is path-insensitive: a close() on the name anywhere in the opening
-method's body (branches, catch and finally blocks included) counts.
+method's body (branches, catch and finally blocks included) counts. Its
+closes are the x.close(...) calls on a bare name x among the name uses
+rule 4 records, read only for a method that opened a resource.
 
 Rule 6 checks while, do-while and for loops: a body holding no statement
 but empty ones is flagged.
@@ -256,11 +258,10 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                 ))
         for method in decl.methods:
             call_sites = []   # rule 4: (call, typed args, receiver type)
-            name_uses = []    # rule 4: (receiver ident, line, method name) of x.m(...)
+            name_uses = []    # rules 4, 5: (receiver ident, line, method name) of x.m(...)
             params = {p.name for p in method.params}
             mutated: dict[str, tuple[str, int]] = {}  # rule 4: first mutation per parameter
             opened: dict[str, tuple[str, int]] = {}  # rule 5: var -> (type, line of new)
-            closed: set[str] = set()                 # rule 5: receivers of close()
             scope = method_scope(decl, method)
             for node in walk_body(method.body, scope):
                 kind = type(node)
@@ -270,8 +271,6 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
                     receiver = node.receiver
                     if type(receiver) is Name:
                         ident = receiver.ident
-                        if node.name == "close":
-                            closed.add(ident)
                         name_uses.append((ident, node.line, node.name))
                         if (ident in params and ident not in mutated
                                 and not is_pure_accessor(node.name)):
@@ -336,14 +335,16 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
             if mutated:
                 mutating.setdefault((method.name, len(method.params)), {})[id(method)] = (
                     class_name, method, mutated)
-            for var, (type_name, line) in opened.items():
-                if var not in closed:
-                    findings.append(Finding(
-                        class_name, 5, file_path, line,
-                        f"resource '{var}' of type {type_name} is opened but never "
-                        f"closed in this method",
-                        {"variable": var, "resource_type": type_name},
-                    ))
+            if opened:
+                closed_names = {ident for ident, _, name in name_uses if name == "close"}
+                for var, (type_name, line) in opened.items():
+                    if var not in closed_names:
+                        findings.append(Finding(
+                            class_name, 5, file_path, line,
+                            f"resource '{var}' of type {type_name} is opened but never "
+                            f"closed in this method",
+                            {"variable": var, "resource_type": type_name},
+                        ))
     for class_name, file_path, call_sites, name_uses in itu_sites:
         _itu_findings(model, class_name, file_path, call_sites, name_uses, mutating, findings)
     findings.sort(key=Finding.sort_key)

@@ -45,8 +45,8 @@ NUMBER = "numeric-literal"
 PUNCTUATOR = "punctuator"
 OPERATOR = "operator"
 
-# Reserved words of the analyzed language, including the literal words
-# true/false/null which the parser maps to literal nodes.
+# Reserved words of the analyzed language, including true and false,
+# which the parser reads as literals, and null, which it reads as a name.
 KEYWORDS = frozenset(
     """
     abstract assert boolean break byte case catch char class const continue

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from fnmatch import fnmatchcase
 
+from faultlint.lexer import STRING
 from faultlint.nodes import (
     Assign,
     Binary,
@@ -32,15 +33,14 @@ from faultlint.nodes import (
     FieldAccess,
     For,
     If,
+    Literal,
     LocalVarDecl,
     MethodCall,
     MethodDecl,
     Name,
     New,
-    NumLit,
     Paren,
     Return,
-    StringLit,
     TryCatch,
     UnaryIncDec,
     While,
@@ -268,8 +268,8 @@ def method_scope(class_decl: ClassDecl, method: MethodDecl) -> dict[str, str]:
 
 def static_type_of(expr: Expr, scope: dict[str, str]) -> str | None:
     """Declared type of simple expressions; None for everything unknowable."""
-    if isinstance(expr, StringLit):
-        return "String"
+    if isinstance(expr, Literal):
+        return "String" if expr.kind == STRING else None
     if isinstance(expr, Name):
         return scope.get(expr.ident)
     if isinstance(expr, New):
@@ -391,8 +391,8 @@ def walk_body(block: Block, scope: dict[str, str]):
             push((node.name, node.type_name))
             if node.init is not None:
                 push(node.init)
-        elif kind is NumLit or kind is StringLit:
-            pass  # leaves, common enough to end the tests here
+        elif kind is Literal:
+            pass  # a leaf, common enough to end the tests here
         elif kind is FieldAccess:
             push(node.target)
         elif kind is New:
@@ -432,4 +432,4 @@ def walk_body(block: Block, scope: dict[str, str]):
                 push(clause.body)
                 push((clause.var_name, clause.type_name))
             push(node.try_block)
-        # the other literals and Empty are leaves
+        # Empty is a leaf

@@ -13,6 +13,10 @@ their subclasses stay dict-free too. Every node
 carries the 1-based source line of its anchor token: the operator for
 Binary/Assign, the keyword for loops and `new`, the name for calls.
 
+A literal is one node, `Literal`, holding its token kind and lexeme: a
+rule asks only whether a literal is a string. `null`, `this` and `super`
+are `Name`s.
+
 `model.walk_body` walks a method body: every statement and expression,
 with the scope in effect at each. It uses an explicit stack, not
 recursion, because the parser builds arbitrarily deep trees from flat
@@ -34,35 +38,12 @@ class Stmt(Record):
 
 # --- expressions -----------------------------------------------------------
 
-class StringLit(Expr):
-    __slots__ = ("lexeme", "line")
+class Literal(Expr):
+    __slots__ = ("kind", "lexeme", "line")
 
-    def __init__(self, lexeme: str, line: int):
-        self.lexeme = lexeme  # with quotes, exactly as in source
-        self.line = line
-
-
-class NumLit(Expr):
-    __slots__ = ("lexeme", "line")
-
-    def __init__(self, lexeme: str, line: int):
-        self.lexeme = lexeme
-        self.line = line
-
-
-class BoolLit(Expr):
-    __slots__ = ("value", "line")
-
-    def __init__(self, value: bool, line: int):
-        self.value = value
-        self.line = line
-
-
-class CharLit(Expr):
-    __slots__ = ("lexeme", "line")
-
-    def __init__(self, lexeme: str, line: int):
-        self.lexeme = lexeme
+    def __init__(self, kind: str, lexeme: str, line: int):
+        self.kind = kind  # lexer.NUMBER, STRING or CHAR; KEYWORD for true and false
+        self.lexeme = lexeme  # exactly as in source, quotes included; "-1" for a negative number
         self.line = line
 
 

@@ -14,9 +14,7 @@ from faultlint.nodes import (
     Assign,
     Binary,
     Block,
-    BoolLit,
     CatchClause,
-    CharLit,
     ClassDecl,
     CompilationUnit,
     DoWhile,
@@ -26,17 +24,16 @@ from faultlint.nodes import (
     FieldAccess,
     For,
     If,
+    Literal,
     LocalVarDecl,
     MethodCall,
     MethodDecl,
     Name,
     New,
-    NumLit,
     Paren,
     ParseDiagnostic,
     Return,
     Stmt,
-    StringLit,
     TryCatch,
     TypedName,
     UnaryIncDec,
@@ -52,6 +49,8 @@ MODIFIER_KEYWORDS = frozenset(
 PRIMITIVE_TYPES = frozenset(
     "boolean byte char short int long float double".split()
 )
+
+_LITERAL_KINDS = frozenset((NUMBER, STRING, CHAR))  # a Literal's kinds; KEYWORD for true, false
 
 # Binary operator -> precedence, tighter binding higher. Every one is
 # left-associative; `=` is parsed apart and is right-associative.
@@ -680,12 +679,8 @@ class _Parser:
         self.pos = pos + 1  # every operand starts by consuming one token
         if kind == IDENTIFIER:
             expr = Name(lexeme, line)
-        elif kind == NUMBER:
-            expr = NumLit(lexeme, line)
-        elif kind == STRING:
-            expr = StringLit(lexeme, line)
-        elif kind == CHAR:
-            expr = CharLit(lexeme, line)
+        elif kind in _LITERAL_KINDS or lexeme == "true" or lexeme == "false":
+            expr = Literal(kind, lexeme, line)
         elif lexeme == "++" or lexeme == "--":
             depth = self._nest()
             operand = self._parse_operand()
@@ -693,15 +688,13 @@ class _Parser:
             return UnaryIncDec(lexeme, operand, True, line)
         elif lexeme == "-" and tokens[pos + 1][0] == NUMBER:
             self.pos = pos + 2
-            return NumLit("-" + tokens[pos + 1][1], line)
+            return Literal(NUMBER, "-" + tokens[pos + 1][1], line)
         elif lexeme == "(":
             depth = self._nest()
             inner = self.parse_expr()
             self.expect(")")
             self.depth = depth - 1
             expr = Paren(inner, line)
-        elif lexeme == "true" or lexeme == "false":
-            expr = BoolLit(lexeme == "true", line)
         elif lexeme == "null" or lexeme == "this" or lexeme == "super":
             # modeled as plain names; no detector gives them special meaning
             expr = Name(lexeme, line)

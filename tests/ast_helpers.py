@@ -14,8 +14,6 @@ from faultlint.nodes import (
     Assign,
     Binary,
     Block,
-    BoolLit,
-    CharLit,
     ClassDecl,
     CompilationUnit,
     DoWhile,
@@ -25,16 +23,15 @@ from faultlint.nodes import (
     FieldAccess,
     For,
     If,
+    Literal,
     LocalVarDecl,
     MethodCall,
     MethodDecl,
     Name,
     New,
-    NumLit,
     Paren,
     Return,
     Stmt,
-    StringLit,
     TryCatch,
     UnaryIncDec,
     While,
@@ -45,10 +42,8 @@ _INDENT = "    "
 
 
 def unparse_expr(expr: Expr) -> str:
-    if isinstance(expr, (StringLit, NumLit, CharLit)):
+    if isinstance(expr, Literal):
         return expr.lexeme
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
     if isinstance(expr, Name):
         return expr.ident
     if isinstance(expr, FieldAccess):

@@ -60,15 +60,20 @@ def make_clean_corpus(root, count=3):
     return root
 
 
-def run_python(args, timeout=120, stdout=subprocess.PIPE):
-    """Run the interpreter on args with this checkout's package importable;
-    stderr is captured, and stdout too unless stdout names another file."""
+def python_env():
+    """The environment with this checkout's package importable."""
     src_dir = str(Path(faultlint.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_python(args, timeout=120, stdout=subprocess.PIPE):
+    """Run the interpreter on args with this checkout's package importable;
+    stderr is captured, and stdout too unless stdout names another file."""
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
-        timeout=timeout,
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=python_env(), timeout=timeout,
     )
 
 
@@ -916,6 +921,49 @@ def test_report_stdout_closed_is_exit_2_and_the_store_stays(tmp_path):
         _assert_report_not_written(proc, store_path, expected_store)
         assert proc.stdout == ""
         assert proc.stderr.endswith(": standard output is closed\n"), proc.stderr
+
+
+def _set_stdout_mode(monkeypatch, unbuffered):
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_report_cut_short_by_a_closed_pipe_is_exit_2(tmp_path, monkeypatch, unbuffered):
+    # an unbuffered stdout's raw file takes only what the pipe holds when the
+    # reader goes; the rest of the report must fail, not vanish
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "Many.java").write_text("".join(
+        f"class Faulty_{i:05d}_with_a_long_name {{ void m() {{ while (x) ; }} }}\n"
+        for i in range(3000)), encoding="utf-8")
+    _set_stdout_mode(monkeypatch, unbuffered)
+    with subprocess.Popen([sys.executable, "-m", "faultlint", str(corpus)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=python_env()) as child:
+        assert child.stdout.read(1) == b"C"  # "Classes scanned: ..."
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 2, stderr
+    assert stderr.startswith("faultlint: error: cannot write the report: "), stderr
+    assert stderr.endswith("Broken pipe\n"), stderr
+    assert stderr.count("\n") == 1, stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_version_and_help_to_a_full_stdout_are_exit_2(monkeypatch, unbuffered):
+    _set_stdout_mode(monkeypatch, unbuffered)
+    proc = run_python(["-m", "faultlint", "--version"], timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"faultlint {__version__}\n", "")
+    for flag in ("--version", "--help"):
+        with open("/dev/full", "w") as full:
+            proc = run_python(["-m", "faultlint", flag], timeout=60, stdout=full)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("faultlint: error: cannot write the report: "
+                               "[Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("enabled_before", [True, False], ids=["gc-on", "gc-off"])

@@ -500,6 +500,29 @@ class ok
     assert run_all(model_for_source(source, "ok.java"), {5}) == []
 
 
+@pytest.mark.parametrize("close, closes_r", [
+    ("r.close();", True),
+    ("r.close(1);", True),
+    ("this.r.close();", False),
+    ("(r).close();", False),
+    ("get().close();", False),
+], ids=["bare-name", "bare-name-with-argument", "field-of-this", "parenthesized",
+        "call-result"])
+def test_d5_only_a_close_on_the_bare_name_closes_it(close, closes_r):
+    # the receiver must be the Name itself: any other expression closes nothing
+    source = (
+        "class C\n{\n    FileReader r;\n"
+        "    void m()\n    {\n"
+        f"        FileReader r = new FileReader(f);\n        {close}\n"
+        "    }\n}\n"
+    )
+    unit = parse_source(source, "c.java")
+    assert unit.diagnostics == ()
+    findings = run_all(build_model([unit]), {5})
+    expected = [] if closes_r else [(6, {"variable": "r", "resource_type": "FileReader"})]
+    assert [(f.line, f.detail) for f in findings] == expected
+
+
 def test_d5_close_in_other_branch_still_counts():
     # path-insensitive whole-body search
     source = """\

@@ -18,7 +18,8 @@ from faultlint.model import (
     static_type_of,
     walk_body,
 )
-from faultlint.nodes import MethodCall, Name, New, Paren, StringLit
+from faultlint.lexer import CHAR, KEYWORD, NUMBER, STRING
+from faultlint.nodes import Literal, MethodCall, Name, New, Paren
 from faultlint.parser import parse_source
 
 from ast_helpers import iter_scoped_exprs
@@ -251,7 +252,9 @@ def test_param_name_type():
 
 
 def test_string_literal_type():
-    assert static_type_of(StringLit('"WEL"', 1), {}) == "String"
+    assert static_type_of(Literal(STRING, '"WEL"', 1), {}) == "String"
+    for kind, lexeme in ((NUMBER, "1"), (CHAR, "'c'"), (KEYWORD, "true")):
+        assert static_type_of(Literal(kind, lexeme, 1), {}) is None
 
 
 def test_new_and_paren_types():

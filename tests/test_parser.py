@@ -5,6 +5,7 @@ from collections import ChainMap
 
 import pytest
 
+from faultlint.lexer import CHAR, KEYWORD, NUMBER, STRING
 from faultlint.model import method_scope, walk_body
 from faultlint.nodes import (
     Assign,
@@ -16,14 +17,13 @@ from faultlint.nodes import (
     FieldAccess,
     For,
     If,
+    Literal,
     LocalVarDecl,
     MethodCall,
     Name,
     New,
-    NumLit,
     Paren,
     Return,
-    StringLit,
     TryCatch,
     TypedName,
     UnaryIncDec,
@@ -199,7 +199,7 @@ a, b, c, d, e, f, g, x = (Name(ident, 1) for ident in "abcdefgx")
      _bin("||", _bin("&&", _bin("==", _bin("<", _bin("+", _bin("*", a, b), c), d), e), f), g)),
     ("a = b = c", Assign(a, Assign(b, c, 1), 1)),
     ("a = b + c", Assign(a, _bin("+", b, c), 1)),
-    ("-1 * x", _bin("*", NumLit("-1", 1), x)),
+    ("-1 * x", _bin("*", Literal(NUMBER, "-1", 1), x)),
     ("(a + b) * c", _bin("*", Paren(_bin("+", a, b), 1), c)),
 ])
 def test_expression_shape(source, tree):
@@ -211,7 +211,8 @@ def test_expression_shape(source, tree):
 def test_equality_operands_kept_verbatim():
     unit = parse_source('class B { void m() { if ("x" == name) { } } }', "B.java")
     cond = unit.classes[0].methods[0].body.stmts[0].cond
-    assert isinstance(cond.lhs, StringLit)
+    assert isinstance(cond.lhs, Literal)
+    assert cond.lhs.kind == STRING
     assert cond.lhs.lexeme == '"x"'
     assert cond.rhs.ident == "name"
 
@@ -285,7 +286,7 @@ def test_lex_error_becomes_diagnostic_only_unit():
             ('Block',
              (('LocalVarDecl', 'int[]', 'a', None),
               ('LocalVarDecl', 'int[]', 'b', None),
-              ('LocalVarDecl', 'int[]', 'c', ('NumLit', '1')),
+              ('LocalVarDecl', 'int[]', 'c', ('Literal', NUMBER, '1')),
               ('LocalVarDecl', 'int[]', 'd', ('Name', 'x')),
               ('LocalVarDecl', 'int', 'e', ('Name', 'd')))),
             False),)),),
@@ -322,8 +323,8 @@ def test_lex_error_becomes_diagnostic_only_unit():
             'm',
             (),
             ('Block',
-             (('LocalVarDecl', 'int', 'a', ('NumLit', '1')),
-              ('ExprStmt', ('Assign', ('Name', 'a'), ('NumLit', '2'))))),
+             (('LocalVarDecl', 'int', 'a', ('Literal', NUMBER, '1')),
+              ('ExprStmt', ('Assign', ('Name', 'a'), ('Literal', NUMBER, '2'))))),
             False),)),),
         [(3, "expected 'identifier' but found ';'", (3, 3))],
         id="local-second-declarator-fails",
@@ -356,8 +357,8 @@ def test_lex_error_becomes_diagnostic_only_unit():
             (),
             ('Block',
              (('For',
-               (('LocalVarDecl', 'int', 'i', ('NumLit', '0')),
-                ('LocalVarDecl', 'int', 'j', ('NumLit', '0'))),
+               (('LocalVarDecl', 'int', 'i', ('Literal', NUMBER, '0')),
+                ('LocalVarDecl', 'int', 'j', ('Literal', NUMBER, '0'))),
                ('Binary', '<', ('Name', 'i'), ('Name', 'n')),
                (('UnaryIncDec', '++', ('Name', 'i'), False),),
                ('Block', ())),
@@ -387,13 +388,13 @@ def test_lex_error_becomes_diagnostic_only_unit():
             (),
             ('Block',
              (('For',
-               (('ExprStmt', ('Assign', ('Name', 'i'), ('NumLit', '0'))),
-                ('ExprStmt', ('Assign', ('Name', 'j'), ('NumLit', '0')))),
+               (('ExprStmt', ('Assign', ('Name', 'i'), ('Literal', NUMBER, '0'))),
+                ('ExprStmt', ('Assign', ('Name', 'j'), ('Literal', NUMBER, '0')))),
                ('Binary', '<', ('Name', 'i'), ('Name', 'n')),
                (('UnaryIncDec', '++', ('Name', 'i'), False),),
                ('Block', ())),
               ('For',
-               (('LocalVarDecl', 'int', 'i', ('NumLit', '0')),),
+               (('LocalVarDecl', 'int', 'i', ('Literal', NUMBER, '0')),),
                ('Binary', '<', ('Name', 'i'), ('Name', 'n')),
                (('UnaryIncDec', '++', ('Name', 'i'), False),
                 ('UnaryIncDec', '--', ('Name', 'j'), False)),
@@ -506,7 +507,7 @@ def test_lex_error_becomes_diagnostic_only_unit():
             'm',
             (),
             ('Block',
-             (('ExprStmt', ('Assign', ('Name', 'z'), ('New', 'a.B', (('NumLit', '1'),)))),)),
+             (('ExprStmt', ('Assign', ('Name', 'z'), ('New', 'a.B', (('Literal', NUMBER, '1'),)))),)),
             False),)),),
         [(3, "expected a class name after 'new' but found 'int'", (3, 3)),
          (4, 'array creation is not supported', (4, 4)),
@@ -809,12 +810,14 @@ def _walk_body_events(decl, method, kinds):
     scope = method_scope(decl, method)
     for node in walk_body(method.body, scope):
         kinds.add(type(node).__name__)
+        if isinstance(node, Literal):
+            kinds.add(f"Literal {node.kind}")
         events.append(_expr_event(node, scope) if isinstance(node, Expr) else id(node))
     assert scope == method_scope(decl, method)  # every declaration undone
     return events
 
 
-# node kinds the fixtures lack: Paren, BoolLit, CharLit, Return, Empty,
+# node kinds the fixtures lack: Paren, true and char literals, Return, Empty,
 # else, finally, prefix ++, nested calls as receivers and arguments
 WALKER_EXTRA_SOURCE = """\
 class W
@@ -862,9 +865,9 @@ def test_walkers_match_recursive_reference():
                 resolved += sum(1 for e in scoped if e[1] is not None)
     assert kinds >= {
         "Block", "LocalVarDecl", "ExprStmt", "If", "While", "DoWhile", "For",
-        "TryCatch", "Return", "Empty", "StringLit", "NumLit", "BoolLit",
-        "CharLit", "Name", "FieldAccess", "MethodCall", "New", "Binary",
-        "Assign", "UnaryIncDec", "Paren",
+        "TryCatch", "Return", "Empty", "Literal", f"Literal {STRING}",
+        f"Literal {NUMBER}", f"Literal {KEYWORD}", f"Literal {CHAR}", "Name",
+        "FieldAccess", "MethodCall", "New", "Binary", "Assign", "UnaryIncDec", "Paren",
     }
     assert resolved > 1000  # names resolve to fields, parameters and locals
 

@@ -24,7 +24,8 @@ from faultlint.model import (
     ExternalHierarchySeed,
     ProgramModel,
 )
-from faultlint.nodes import Binary, Block, Empty, Name, NumLit, ParseDiagnostic
+from faultlint.lexer import NUMBER
+from faultlint.nodes import Binary, Block, Empty, Literal, Name, Paren, ParseDiagnostic
 from faultlint.record import Record
 from faultlint.store import AnalysisStore, ClassRecord, Cluster, Diagnostic
 
@@ -98,15 +99,16 @@ def _finding(detail=None):
 
 
 def test_every_record_class_is_counted():
-    assert len(NODE_CLASSES) == 28
-    assert len(FROZEN_CLASSES) == 37
+    assert len(NODE_CLASSES) == 25
+    assert len(FROZEN_CLASSES) == 34
     assert _record_classes_of_the_source() == set(FROZEN_CLASSES) | {Record, nodes.Expr, nodes.Stmt}
 
 
 REPRS = [
     (Name("x", 1), "Name(ident='x', line=1)"),
-    (Binary("+", Name("a", 2), NumLit("1", 2), 2),
-     "Binary(op='+', lhs=Name(ident='a', line=2), rhs=NumLit(lexeme='1', line=2), line=2)"),
+    (Binary("+", Name("a", 2), Literal(NUMBER, "1", 2), 2),
+     "Binary(op='+', lhs=Name(ident='a', line=2),"
+     " rhs=Literal(kind='numeric-literal', lexeme='1', line=2), line=2)"),
     (Block((Empty(4),), 3), "Block(stmts=(Empty(line=4),), line=3)"),
     (ParseDiagnostic("a.java", 2, "skipped", (2, 5)),
      "ParseDiagnostic(file_path='a.java', line=2, message='skipped', skipped_span=(2, 5))"),
@@ -131,10 +133,10 @@ def test_equality_and_hash_follow_class_and_fields():
     assert Name("x", 1) == Name("x", 1)
     assert hash(Name("x", 1)) == hash(Name("x", 1))
     assert Name("x", 1) != Name("x", 2)
-    assert Name("x", 1) != NumLit("x", 1)
-    assert NumLit("x", 1) != Name("x", 1)
+    assert Name("x", 1) != Paren("x", 1)
+    assert Paren("x", 1) != Name("x", 1)
     assert Name("x", 1) != ("x", 1)
-    assert len({Name("x", 1), Name("x", 1), NumLit("x", 1)}) == 2
+    assert len({Name("x", 1), Name("x", 1), Paren("x", 1)}) == 2
     assert Diagnostic("m") == Diagnostic("m", None, None)
     with pytest.raises(TypeError):
         Name("x", 1) < Name("y", 1)
