@@ -24,7 +24,7 @@ from faultlint.model import (
     ExternalHierarchySeed,
     ProgramModel,
 )
-from faultlint.lexer import NUMBER
+from faultlint.lexer import CHAR, KEYWORD, NUMBER, STRING
 from faultlint.nodes import Binary, Block, Empty, Literal, Name, Paren, ParseDiagnostic
 from faultlint.record import Record
 from faultlint.store import AnalysisStore, ClassRecord, Cluster, Diagnostic
@@ -89,9 +89,16 @@ def _record_classes_of_the_source() -> set[type]:
     return found
 
 
-def _instance(cls):
-    """An instance with every field None; __init__ only stores its arguments."""
-    return cls(*[None] * len(cls._fields))
+# Each record class with every field None (__init__ only stores its
+# arguments), and a literal of each kind under the name of the node class it
+# had before the kinds shared one Literal.
+RECORD_CASES = [pytest.param(cls, (None,) * len(cls._fields), id=cls.__name__)
+                for cls in FROZEN_CLASSES] + [
+    pytest.param(Literal, (KEYWORD, "true", 1), id="BoolLit"),
+    pytest.param(Literal, (CHAR, "'a'", 1), id="CharLit"),
+    pytest.param(Literal, (NUMBER, "1", 1), id="NumLit"),
+    pytest.param(Literal, (STRING, '"a"', 1), id="StringLit"),
+]
 
 
 def _finding(detail=None):
@@ -149,8 +156,8 @@ def test_finding_hash_leaves_out_detail_and_equality_compares_it():
     assert _finding({"op": "=="}) == detailed
 
 
-@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
-def test_frozen_fields_refuse_assignment_and_deletion(cls):
+@pytest.mark.parametrize("cls, args", RECORD_CASES)
+def test_frozen_fields_refuse_assignment_and_deletion(cls, args):
     """The source, not the run time, refuses a record's fields assignment and
     deletion after construction: its `__init__` stores `self.<field>` once
     for each field and nothing else, and no other code stores a field
@@ -161,7 +168,7 @@ def test_frozen_fields_refuse_assignment_and_deletion(cls):
               if (where, owner, function) == (module, cls.__name__, "__init__")]
     assert sorted(stores) == sorted(f"self.{name}" for name in cls._fields)
     with pytest.raises(AttributeError):
-        _instance(cls).not_a_field = 1
+        cls(*args).not_a_field = 1
 
 
 def test_source_stores_no_field_outside_init():
@@ -219,15 +226,15 @@ def test_records_keep_the_direct_slot_store():
         assert cls.__delattr__ is object.__delattr__
 
 
-@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
-def test_records_have_no_instance_dict(cls):
-    assert not hasattr(_instance(cls), "__dict__")
+@pytest.mark.parametrize("cls, args", RECORD_CASES)
+def test_records_have_no_instance_dict(cls, args):
+    assert not hasattr(cls(*args), "__dict__")
     assert cls._fields == cls.__slots__
 
 
-@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
-def test_copy_and_pickle_rebuild_equal_records(cls):
-    record = _instance(cls)
+@pytest.mark.parametrize("cls, args", RECORD_CASES)
+def test_copy_and_pickle_rebuild_equal_records(cls, args):
+    record = cls(*args)
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
