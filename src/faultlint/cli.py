@@ -6,6 +6,12 @@ root, bad seed file, a report or --version/--help text that stdout cannot
 take or encode) or internal error (an unexpected exception, reported with
 its traceback).
 Output is byte-deterministic for identical trees.
+
+Importing this module loads faultlint, faultlint.cli and faultlint.record
+only, so --version, --help and a usage error compile no analysis code.
+The rule codes that --rules accepts are the package's ALL_RULES, which the
+detectors share. run_scan imports the parser, the model, the detectors and
+the store when it runs.
 """
 
 from __future__ import annotations
@@ -18,21 +24,12 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from faultlint import __version__
-from faultlint.detectors import ALL_RULES, run_all
-from faultlint.model import SeedError, build_model, default_seed, load_seed
-from faultlint.nodes import CompilationUnit, ParseDiagnostic
-from faultlint.parser import parse_source
+from faultlint import ALL_RULES, __version__
 from faultlint.record import Record
-from faultlint.store import (
-    STORE_BASENAME,
-    AnalysisStore,
-    Diagnostic,
-    aggregate,
-    cluster,
-    render_report,
-    save_store,
-)
+
+# _parse_corpus and run_scan import the analysis modules themselves; the
+# types of theirs that annotations here name are never looked up, as
+# annotations are postponed.
 
 PROG = "faultlint"
 
@@ -205,6 +202,9 @@ def _parse_corpus(files: list[tuple[str, str]],
     order, each unit's own diagnostics when it has any, or a 1-tuple of the
     diagnostic of a file that could not be read or parsed: one entry per
     file, not per diagnostic, so the list costs little while the trees live."""
+    from faultlint.nodes import ParseDiagnostic
+    from faultlint.parser import parse_source
+
     units = []
     memo: dict = {}  # the lexer's line table, shared by the files of this scan only
     for rel, path in files:
@@ -235,6 +235,18 @@ def _parse_corpus(files: list[tuple[str, str]],
 def run_scan(config: RunConfig) -> ScanResult:
     """Execute the full pipeline and write the store config.store_output
     names, if any. Raises ScanError for exit-2 conditions."""
+    from faultlint.detectors import run_all
+    from faultlint.model import SeedError, build_model, default_seed, load_seed
+    from faultlint.store import (
+        STORE_BASENAME,
+        AnalysisStore,
+        Diagnostic,
+        aggregate,
+        cluster,
+        render_report,
+        save_store,
+    )
+
     root = config.corpus_root
     if not root.exists():
         raise ScanError(f"corpus root does not exist: {root}")

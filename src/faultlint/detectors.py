@@ -10,8 +10,9 @@ Error codes and names (fixed catalog):
                                      opening method
     6  Undefined loop exception      loop with an empty body
 
-ERROR_CATALOG is the only copy of the names. A Finding carries its code;
-the store and the reports look the name up where they write it.
+ERROR_CATALOG, defined in the package's __init__ and imported here, is
+the only copy of the names. A Finding carries its code; the store and the
+reports look the name up where they write it.
 
 run_all is the one entry point: it walks the classes once. Rules 2 and 3
 read each class header. Rule 3 counts the edges of a class's
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from faultlint import ALL_RULES, ERROR_CATALOG
 from faultlint.model import (
     ProgramModel,
     _first_superclasses,
@@ -88,17 +90,6 @@ from faultlint.nodes import (
     While,
 )
 from faultlint.record import Record
-
-ERROR_CATALOG: dict[int, str] = {
-    1: "Lvalue required",
-    2: "Incorrect inheritance error",
-    3: "Spaghetti error",
-    4: "Inconsistent Type Usage error",
-    5: "Illicit file usage exception",
-    6: "Undefined loop exception",
-}
-
-ALL_RULES = frozenset(ERROR_CATALOG)
 
 SPAGHETTI_DEPTH = 6
 
@@ -228,7 +219,7 @@ def run_all(model: ProgramModel, enabled_rules=None) -> list[Finding]:
     if bad:
         raise ValueError(f"unknown rule codes: {sorted(bad)}")
     resource_types = model.seed.resource_types
-    is_pure_accessor = model.seed.is_pure_accessor
+    is_pure_accessor = model.seed.pure_accessor_matcher()
     findings: list[Finding] = []
     itu_sites = []  # rule 4: (class name, file path, call sites, name uses) per method
     # rule 4: (name, arity) -> {id(method): (class name, method, {parameter name:

@@ -14,7 +14,7 @@ writer, and each encodes an entry as it writes the entry's line, so
 neither holds the encoded entries or the document whole.
 
 The error names are not held in memory beside the codes: the writer and
-the reports look each one up in detectors.ERROR_CATALOG. A loaded store
+the reports look each one up in faultlint.ERROR_CATALOG. A loaded store
 keeps its codes only, so each name the file holds must be that code's
 catalog name, and its catalog may list a part of the fixed one but no
 other entry.
@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from faultlint.detectors import ERROR_CATALOG, Finding
+from faultlint import ERROR_CATALOG
+from faultlint.detectors import Finding
 from faultlint.record import Record
 
 SCHEMA_VERSION = 1

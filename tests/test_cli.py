@@ -15,6 +15,7 @@ import pytest
 
 import faultlint
 import faultlint.cli
+import faultlint.parser
 import faultlint.store
 from faultlint import __version__
 from faultlint.cli import (
@@ -214,36 +215,66 @@ def test_python_m_version_exits_0():
     assert proc.stdout.strip() == f"faultlint {__version__}"
 
 
+CONSOLE_SCRIPT = ["-c", "from faultlint.cli import console_main; console_main()"]
+
+# the modules importing the CLI loads, and all the modules a scan loads
+LIGHT_MODULES = ["faultlint", "faultlint.cli", "faultlint.record"]
+SCAN_MODULES = sorted(LIGHT_MODULES + [
+    "faultlint.detectors", "faultlint.lexer", "faultlint.model", "faultlint.nodes",
+    "faultlint.parser", "faultlint.store",
+])
+
+
+def imported_modules(args):
+    """The completed process of the interpreter run on args under -S and
+    -X importtime, and the names of the modules it imported, read from the
+    import-time lines on its stderr. -S leaves out the site hooks, which
+    may import modules of their own."""
+    proc = run_python(["-S", "-X", "importtime", *args], timeout=60)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    names.discard("imported package")  # the header line
+    return proc, names
+
+
+# (arguments after the interpreter's, exit code) of each run that must not
+# compile the analysis modules: a console-script run is console_main
+# called as the installed script calls it
+LIGHT_RUNS = {
+    "import": (["-c", "import faultlint.cli"], 0),
+    "version": (CONSOLE_SCRIPT + ["--version"], 0),
+    "help": (CONSOLE_SCRIPT + ["--help"], 0),
+    "usage-error": (CONSOLE_SCRIPT + ["corpus", "--rules", "9"], 2),
+    "python-m-version": (["-m", "faultlint", "--version"], 0),
+}
+SCAN_RUN = (CONSOLE_SCRIPT + [str(REFERENCE_CORPUS_DIR)], 1)
+
+
 def test_start_up_imports_neither_dataclasses_nor_inspect():
-    # every run pays for what importing the CLI imports; -S leaves out the
-    # site hooks, which may import either module themselves
-    proc = run_python(["-S", "-c", "import sys, faultlint.cli; "
-                       "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-                      timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # every run pays for what it imports, a scan too
+    for run, (args, exit_code) in [*LIGHT_RUNS.items(), ("scan", SCAN_RUN)]:
+        proc, names = imported_modules(args)
+        assert proc.returncode == exit_code, (run, proc.stderr)
+        assert "faultlint.cli" in names, run
+        assert not {"dataclasses", "inspect"} & names, run
 
 
-def test_start_up_loads_exactly_the_modules_a_scan_runs():
-    # importing the CLI loads every faultlint module a scan uses and no
-    # other, so a module folded into another cannot quietly come back
-    script = (
-        "import sys, faultlint.cli\n"
-        "def names():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('faultlint'))\n"
-        "loaded = names()\n"
-        f"faultlint.cli.run_scan(faultlint.cli.parse_args([{str(REFERENCE_CORPUS_DIR)!r}]))\n"
-        "print(loaded)\n"
-        "print(names() == loaded)\n"
-    )
-    proc = run_python(["-S", "-c", script], timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "['faultlint', 'faultlint.cli', 'faultlint.detectors', 'faultlint.lexer', "
-        "'faultlint.model', 'faultlint.nodes', 'faultlint.parser', 'faultlint.record', "
-        "'faultlint.store']",
-        "True",
-    ]
+@pytest.mark.parametrize("run", LIGHT_RUNS)
+def test_runs_without_a_scan_load_only_the_light_modules(run):
+    # --version, --help and a usage error compile no analysis module
+    args, exit_code = LIGHT_RUNS[run]
+    proc, names = imported_modules(args)
+    assert proc.returncode == exit_code, proc.stderr
+    assert sorted(n for n in names if n.startswith("faultlint")) == LIGHT_MODULES
+
+
+def test_a_scan_loads_exactly_the_modules_it_runs():
+    # a scan loads these nine faultlint modules and no other, so a module
+    # folded into another cannot quietly come back
+    args, exit_code = SCAN_RUN
+    proc, names = imported_modules(args)
+    assert proc.returncode == exit_code, proc.stderr
+    assert sorted(n for n in names if n.startswith("faultlint")) == SCAN_MODULES
 
 
 def test_deeply_nested_files_become_diagnostics(tmp_path):
@@ -685,20 +716,68 @@ def test_readme_library_use_block_runs():
     assert {"load_store", "FormatError", "render_report", "cluster"} <= set(faultlint.__all__)
 
 
+# --- the package's names, loaded on first use -------------------------------------
+
+PACKAGE_NAMES = {
+    "run_all": "faultlint.detectors",
+    "build_model": "faultlint.model",
+    "parse_source": "faultlint.parser",
+    "FormatError": "faultlint.store",
+    "aggregate": "faultlint.store",
+    "cluster": "faultlint.store",
+    "load_store": "faultlint.store",
+    "render_report": "faultlint.store",
+}
+
+
+def test_package_names_are_the_defining_modules_objects():
+    assert faultlint.__all__ == ["__version__", *PACKAGE_NAMES]
+    for name, module in PACKAGE_NAMES.items():
+        value = getattr(faultlint, name)
+        assert value.__module__ == module
+        assert value is getattr(sys.modules[module], name)
+    assert set(faultlint.__all__) <= set(dir(faultlint))
+
+
+def test_unknown_package_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'faultlint' has no attribute 'run_scan'$"):
+        faultlint.run_scan
+    with pytest.raises(ImportError):
+        from faultlint import no_such_name
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc, names = imported_modules(["-c", "import faultlint; print(dir(faultlint))"])
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(n for n in names if n.startswith("faultlint")) == ["faultlint"]
+    assert set(faultlint.__all__) <= set(ast.literal_eval(proc.stdout))
+
+
+def test_star_import_binds_every_public_name_on_first_use():
+    script = ("from faultlint import *\n"
+              "import faultlint, sys\n"
+              "print(sorted(n for n in faultlint.__all__ if globals().get(n) is None))\n"
+              "print(sorted(m for m in sys.modules if m.startswith('faultlint')))\n")
+    proc = run_python(["-S", "-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # every module but the CLI
+    assert proc.stdout.splitlines() == ["[]", str([m for m in SCAN_MODULES if m != "faultlint.cli"])]
+
+
 # --- robustness and the collector pause -------------------------------------------
 
 
 def test_parse_exception_in_one_file_is_diagnostic_not_abort(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     shutil.copytree(REFERENCE_CORPUS_DIR, corpus)
-    real_parse = faultlint.cli.parse_source
+    real_parse = faultlint.parser.parse_source
 
     def parse_or_fail(text, file_path, memo):
         if file_path == "MP_A.java":
             raise ValueError("parser bug")
         return real_parse(text, file_path, memo)
 
-    monkeypatch.setattr(faultlint.cli, "parse_source", parse_or_fail)
+    monkeypatch.setattr(faultlint.parser, "parse_source", parse_or_fail)
     result = run_scan(RunConfig(corpus_root=corpus))
     assert [r.class_name for r in result.store.records] == [
         "A", "ML_G", "ML_H", "loopa", "sample",
@@ -763,7 +842,7 @@ def test_byte_read_matches_the_text_layer_read(tmp_path):
 def test_parse_exception_span_counts_every_line_end(tmp_path, monkeypatch):
     # CR LF, a lone CR and LF each end a line, as tokenize counts them
     (tmp_path / "Mixed.java").write_bytes(b"class M\r\n{\r  int x;\n}\r\n\rclass N { }")
-    monkeypatch.setattr(faultlint.cli, "parse_source", _raise_runtime_error)
+    monkeypatch.setattr(faultlint.parser, "parse_source", _raise_runtime_error)
     result = run_scan(RunConfig(corpus_root=tmp_path))
     text, _ = _read_through_text_layer(tmp_path / "Mixed.java")
     assert [(d.file_path, d.line, d.message) for d in result.store.diagnostics] == [
@@ -817,7 +896,7 @@ def test_trees_are_freed_before_the_report_and_the_store(tmp_path, monkeypatch, 
 
     writers = ("render_report", "save_store")
     for name in writers:
-        monkeypatch.setattr(faultlint.cli, name, counting(name, getattr(faultlint.cli, name)))
+        monkeypatch.setattr(faultlint.store, name, counting(name, getattr(faultlint.store, name)))
     for output_format in ("text", "json"):
         assert main([str(FIXTURES), "--format", output_format,
                      "--store", str(tmp_path / "store.json")]) == 1
@@ -839,7 +918,8 @@ def test_run_scan_writes_the_store_that_store_output_names(tmp_path, capsys):
 
 @pytest.mark.parametrize("failing", ["run_scan", "save_store"])
 def test_internal_error_exits_2_with_traceback(tmp_path, monkeypatch, capsys, failing):
-    monkeypatch.setattr(faultlint.cli, failing, _raise_runtime_error)
+    defined_in = {"run_scan": faultlint.cli, "save_store": faultlint.store}[failing]
+    monkeypatch.setattr(defined_in, failing, _raise_runtime_error)
     code = main([str(REFERENCE_CORPUS_DIR), "--store", str(tmp_path / "out.json")])
     captured = capsys.readouterr()
     assert code == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from fnmatch import fnmatchcase
 
 import pytest
 
@@ -457,6 +458,37 @@ def test_load_seed_file(tmp_path):
     assert seed.resource_types == frozenset({"SocketStream"})
     assert seed.is_pure_accessor("peekLast")
     assert not seed.is_pure_accessor("size")
+
+
+# pattern pieces: literals, each wildcard form, ranges, brackets left open,
+# and characters a regular expression would read as syntax
+ACCESSOR_PATTERN_ATOMS = ["get", "is", "a", "b", "G", "*", "?", "[ab]", "[!ab]", "[a-c]",
+                          "[!x-z]", "[]a]", "[!]", "[", "]", "-", "\\", ".", "^", "$", "|",
+                          "(", "+"]
+ACCESSOR_NAME_CHARS = "abcgetisxzG_$.-[]|*?\\(+^\n"
+
+
+def test_pure_accessor_matcher_equals_fnmatchcase_pattern_by_pattern():
+    rng = random.Random(31)
+    for _ in range(2000):
+        patterns = tuple("".join(rng.choice(ACCESSOR_PATTERN_ATOMS)
+                                 for _ in range(rng.randint(0, 4)))
+                         for _ in range(rng.randint(0, 4)))
+        seed = ExternalHierarchySeed(pure_accessor_names=patterns)
+        matcher = seed.pure_accessor_matcher()
+        for _ in range(20):
+            name = "".join(rng.choice(ACCESSOR_NAME_CHARS) for _ in range(rng.randint(0, 6)))
+            expected = any(fnmatchcase(name, pattern) for pattern in patterns)
+            assert (matcher(name) is not None) is expected, (patterns, name)
+            assert seed.is_pure_accessor(name) is expected, (patterns, name)
+
+
+def test_pure_accessor_matcher_named_cases():
+    nothing = ExternalHierarchySeed(pure_accessor_names=()).pure_accessor_matcher()
+    assert [nothing(name) for name in ("", "get", "size", "*")] == [None] * 4
+    matcher = default_seed().pure_accessor_matcher()
+    assert [name for name in ("push", "pop", "writeInt", "getX", "get", "Get", "sizes", "size")
+            if matcher(name)] == ["getX", "get", "size"]
 
 
 def test_seed_file_with_byte_order_mark_loads_as_without(tmp_path):
